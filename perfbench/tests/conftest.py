@@ -1,0 +1,7 @@
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+REPO_ROOT = PERFBENCH.parent
+
+sys.path[:0] = [str(PERFBENCH), str(REPO_ROOT / "src")]
