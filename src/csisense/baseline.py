@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,6 +54,14 @@ def _receiver_block(frame: CsiFrame, receiver_index: int) -> np.ndarray:
     return frame.matrix[receiver_index * n_r:(receiver_index + 1) * n_r, :]
 
 
+@lru_cache(maxsize=8)
+def _bank_weights(angles: tuple[float, ...], n_antennas: int) -> np.ndarray:
+    """(bank, N_r) conjugate steering matrix a(theta)^H of a beam bank."""
+    weights = np.array([array_response(a, n_antennas) for a in angles]).conj()
+    weights.setflags(write=False)    # cached and shared between callers
+    return weights
+
+
 def attenuation_profile(
     null_frame: CsiFrame,
     alt_frame: CsiFrame,
@@ -69,12 +78,9 @@ def attenuation_profile(
         raise ShapeMismatch(
             f"frame shapes differ: {null_frame.matrix.shape} vs {alt_frame.matrix.shape}"
         )
-    n_r = null_frame.meta.n_antennas
-    block_null = _receiver_block(null_frame, receiver_index)
-    block_alt = _receiver_block(alt_frame, receiver_index)
-    steer = np.column_stack([array_response(a, n_r) for a in bank.angles])
-    num = np.linalg.norm(steer.conj().T @ block_null, axis=1)
-    den = np.linalg.norm(steer.conj().T @ block_alt, axis=1)
+    weights = _bank_weights(bank.angles, null_frame.meta.n_antennas)
+    num = np.linalg.norm(weights @ _receiver_block(null_frame, receiver_index), axis=1)
+    den = np.linalg.norm(weights @ _receiver_block(alt_frame, receiver_index), axis=1)
     num = np.maximum(num, ENERGY_FLOOR)
     den = np.maximum(den, ENERGY_FLOOR)
     return 20.0 * np.log10(num / den)

@@ -16,14 +16,14 @@ Arrival angles are the direction of propagation, i.e. the global bearing of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import IO, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget
-from .geometry import Point2D, Target, segment_blocked, wrap_angle
+from .frame import CsiFrame, link_frame
+from .geometry import Point2D, Target, segments_blocked, wrap_angle
 
 # Table-style 7-beam sweep spanning [-pi/2, pi/2].
 DEFAULT_BEAM_ANGLES = (
@@ -48,6 +48,8 @@ class Receiver:
     def __post_init__(self):
         if self.n_antennas < 1:
             raise ConfigError(f"receiver needs >= 1 antenna, got {self.n_antennas}")
+        if not math.isfinite(self.boresight):
+            raise ConfigError(f"receiver boresight must be finite, got {self.boresight}")
         object.__setattr__(self, "boresight", wrap_angle(self.boresight))
 
     def local_angle(self, global_bearing: float) -> float:
@@ -79,6 +81,13 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "receivers", tuple(self.receivers))
         object.__setattr__(self, "beam_angles", tuple(float(b) for b in self.beam_angles))
+        for name in ("room_side", "grid_pitch", "cluster_spread_deg", "los_gain", "scatter_coeff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(b) for b in self.beam_angles):
+            raise ConfigError(f"beam angles must be finite, got {list(self.beam_angles)}")
+        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
+            raise ConfigError(f"snr_db must be finite or inf (noiseless), got {self.snr_db}")
         if self.room_side <= 0:
             raise ConfigError(f"room side must be > 0, got {self.room_side}")
         if not self.receivers:
@@ -110,6 +119,11 @@ class Scenario:
     @property
     def n_beams(self) -> int:
         return len(self.beam_angles)
+
+    @cached_property
+    def geometry(self) -> "LinkGeometry":
+        """The deployment's fixed link arrays, fetched from link_geometry once per object."""
+        return link_geometry(self)
 
     @property
     def noise_level(self) -> float:
@@ -187,46 +201,6 @@ class Scenario:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario config: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class Ray:
-    """One propagation path of a link.
-
-    For the direct path (`is_los`) the scatter field holds the receiver
-    position and the cluster/ray indices are -1.
-    """
-
-    link: int
-    cluster: int
-    ray: int
-    gain: complex
-    aod: float
-    aoa: float
-    scatter: Point2D
-    is_los: bool = False
-
-
-@dataclass(frozen=True)
-class ScatterRay:
-    """Target-scattered path appended under the alternate hypothesis."""
-
-    gain: complex
-    aoa: float
-    aod: float
-
-
-@dataclass
-class RaySet:
-    """Per-link ray populations plus the cluster configuration that built them."""
-
-    links: list[list[Ray]]
-    n_clusters: int
-    n_rays: int
-
-    @property
-    def n_links(self) -> int:
-        return len(self.links)
 
 
 def array_response(theta: float, n_antennas: int) -> np.ndarray:
@@ -325,79 +299,97 @@ def quantize_ray(
     return aod, aoa, scatter
 
 
+@dataclass(frozen=True, eq=False)
+class LinkGeometry:
+    """Fixed arrays of a deployment's links, built once per scenario by link_geometry.
+
+    Each link has R = n_clusters * n_rays bounce rays, cluster-major, and the
+    direct path as ray R (amplitude 0 when the scenario has no LOS).  Since
+    only the gains change between realizations, a capture is one product of
+    `response` with the (L, R+1) gain vector, plus the target echo and noise.
+    """
+
+    scenario: Scenario
+    aoa: np.ndarray          # (L, R+1) receiver-local arrival angles
+    scatter: np.ndarray      # (L, R, 2) bounce points
+    los_amp: np.ndarray      # (L,) direct-path amplitude los_gain / distance, or 0
+    ray_sd: np.ndarray       # (R,) standard deviation of each bounce gain's real and imag part
+    response: np.ndarray     # (L, N_r, B, R+1) steer(aoa) * B(aoa; beam)
+    beam_conj: np.ndarray    # (B, N_r) conjugated beam steering vectors a(beam)^*
+    leg_start: np.ndarray    # (2, L, R+1, 2) tx->bounce and bounce->rx legs of each ray;
+    leg_end: np.ndarray      # the direct path has tx->rx for both
+
+
 @lru_cache(maxsize=64)
-def link_geometry(scenario: Scenario) -> tuple[tuple[tuple[float, float, Point2D], ...], ...]:
-    """Fixed single-bounce geometry of every link: (aod, aoa, scatter) per ray.
+def link_geometry(scenario: Scenario) -> LinkGeometry:
+    """Fixed single-bounce geometry of every link and its beam responses.
 
     Cluster centers and per-ray offsets describe the deployment's reflective
     environment, so they derive from the scenario's env_seed (one independent
     stream per link index: a scenario that drops receivers keeps the same
     environment on the remaining links).  Per-realization randomness lives in
-    the ray gains drawn by draw_null_rays.
+    the ray gains drawn by draw_gains.
     """
-    span = room_angular_span(scenario.tx, scenario.room_side)
+    tx = scenario.tx
+    span = room_angular_span(tx, scenario.room_side)
     pts = _grid_points(scenario.room_side, scenario.grid_pitch)
-    bearings = np.arctan2(pts[:, 1] - scenario.tx.y, pts[:, 0] - scenario.tx.x)
+    bearings = np.arctan2(pts[:, 1] - tx.y, pts[:, 0] - tx.x)
     if not any(_angle_in_span(float(b), span) for b in bearings):
         raise EmptyGrid("no grid point inside the transmitter's angular span")
     spread = math.radians(scenario.cluster_spread_deg)
-    out = []
+    n_cl, n_ray, n_r = scenario.n_clusters, scenario.n_rays, scenario.n_antennas
+    n_links, n_bounce = scenario.n_links, n_cl * n_ray
+    aoa = np.empty((n_links, n_bounce + 1))
+    scatter = np.empty((n_links, n_bounce, 2))
+    los_amp = np.zeros(n_links)
     for l, rx in enumerate(scenario.receivers):
         rng = np.random.default_rng(np.random.SeedSequence([scenario.env_seed, l]))
-        centers = span[0] + rng.uniform(0.0, span[1], size=scenario.n_clusters)
-        offsets = rng.laplace(0.0, spread, size=(scenario.n_clusters, scenario.n_rays))
-        link = []
-        for v in range(scenario.n_clusters):
-            for u in range(scenario.n_rays):
-                raw = wrap_angle(centers[v] + offsets[v, u])
-                link.append(
-                    quantize_ray(scenario.tx, raw, rx, scenario.grid_pitch,
-                                 scenario.room_side)
-                )
-        out.append(tuple(link))
-    return tuple(out)
-
-
-def draw_null_rays(scenario: Scenario, seed) -> RaySet:
-    """Draw one realization of the ray population for every link.
-
-    Ray directions come from the scenario's fixed single-bounce geometry;
-    gains are circularly-symmetric complex Gaussian with one-based
-    exponential inter-cluster decay exp(-v), normalized so the total mean
-    path power per link is one.  The deterministic direct path (amplitude
-    los_gain/distance, zero phase) is appended last when enabled.
-    """
-    rng = np.random.default_rng(seed)
-    geometry = link_geometry(scenario)
-    n_cl, n_ray = scenario.n_clusters, scenario.n_rays
-    weights = np.exp(-np.arange(1, n_cl + 1, dtype=float))
-    ray_var = weights / (n_ray * weights.sum())
-
-    links: list[list[Ray]] = []
-    for l, rx in enumerate(scenario.receivers):
-        z = rng.standard_normal(size=(n_cl, n_ray, 2))
-        rays: list[Ray] = []
-        for v in range(n_cl):
-            sd = math.sqrt(ray_var[v] / 2.0)
-            for u in range(n_ray):
-                aod, aoa, scatter = geometry[l][v * n_ray + u]
-                gain = complex(sd * z[v, u, 0], sd * z[v, u, 1])
-                rays.append(
-                    Ray(link=l, cluster=v + 1, ray=u + 1, gain=gain,
-                        aod=aod, aoa=aoa, scatter=scatter)
-                )
+        centers = span[0] + rng.uniform(0.0, span[1], size=n_cl)
+        offsets = rng.laplace(0.0, spread, size=(n_cl, n_ray))
+        for i, raw in enumerate((centers[:, None] + offsets).ravel()):
+            _, aoa[l, i], point = quantize_ray(tx, wrap_angle(float(raw)), rx,
+                                               scenario.grid_pitch, scenario.room_side)
+            scatter[l, i] = (point.x, point.y)
+        aoa[l, n_bounce] = rx.local_angle(tx.bearing_to(rx.position))
         if scenario.include_los:
-            d = scenario.tx.distance_to(rx.position)
-            rays.append(
-                Ray(
-                    link=l, cluster=-1, ray=-1, gain=complex(scenario.los_gain / d, 0.0),
-                    aod=scenario.tx.bearing_to(rx.position),
-                    aoa=rx.local_angle(scenario.tx.bearing_to(rx.position)),
-                    scatter=rx.position, is_los=True,
-                )
-            )
-        links.append(rays)
-    return RaySet(links=links, n_clusters=n_cl, n_rays=n_ray)
+            los_amp[l] = scenario.los_gain / tx.distance_to(rx.position)
+
+    weights = np.exp(-np.arange(1, n_cl + 1, dtype=float))
+    ray_sd = np.repeat(np.sqrt(weights / (n_ray * weights.sum()) / 2.0), n_ray)
+    steer = np.exp(1j * np.pi * (np.arange(n_r)[:, None] * np.sin(aoa)[:, None, :]))
+    gain = np.stack([beam_gain(aoa.ravel(), b, n_r).reshape(aoa.shape)
+                     for b in scenario.beam_angles], axis=1)
+    beam_conj = np.array([array_response(b, n_r) for b in scenario.beam_angles]).conj()
+
+    tx_xy = np.broadcast_to([tx.x, tx.y], (n_links, 1, 2))
+    rx_xy = np.array([[[rx.position.x, rx.position.y]] for rx in scenario.receivers])
+    geo = LinkGeometry(
+        scenario=scenario, aoa=aoa, scatter=scatter, los_amp=los_amp, ray_sd=ray_sd,
+        response=steer[:, :, None, :] * gain[:, None, :, :], beam_conj=beam_conj,
+        leg_start=np.stack([np.broadcast_to(tx_xy, (n_links, n_bounce + 1, 2)),
+                            np.concatenate([scatter, tx_xy], axis=1)]),
+        leg_end=np.stack([np.concatenate([scatter, rx_xy], axis=1),
+                          np.broadcast_to(rx_xy, (n_links, n_bounce + 1, 2))]),
+    )
+    for arr in (aoa, scatter, los_amp, ray_sd, geo.response, beam_conj, geo.leg_start,
+                geo.leg_end):
+        arr.setflags(write=False)    # cached and shared between callers
+    return geo
+
+
+def draw_gains(geo: LinkGeometry, rng: np.random.Generator) -> np.ndarray:
+    """Complex (L, R+1) ray gains of one realization, direct path last.
+
+    Bounce gains are circularly-symmetric complex Gaussian with one-based
+    exponential inter-cluster decay exp(-v), normalized so the total mean
+    path power per link is one: a single (L, clusters, rays, 2) normal draw.
+    The direct path has amplitude los_gain/distance and zero phase.
+    """
+    n_links, n_bounce = geo.scatter.shape[:2]
+    s = geo.scenario
+    z = rng.standard_normal(size=(n_links, s.n_clusters, s.n_rays, 2))
+    bounce = (z.reshape(n_links, n_bounce, 2) * geo.ray_sd[:, None]).view(complex)[..., 0]
+    return np.concatenate([bounce, geo.los_amp[:, None]], axis=1)
 
 
 def _validate_target(scenario: Scenario, target: Target) -> None:
@@ -412,111 +404,58 @@ def _validate_target(scenario: Scenario, target: Target) -> None:
             )
 
 
-def apply_target(
-    rays: RaySet,
-    target: Target,
-    scenario: Scenario,
-    seed,
-) -> tuple[RaySet, list[list[ScatterRay]]]:
-    """Perturb a null-hypothesis ray population with a disk target.
+def blocked_rays(geo: LinkGeometry, target: Target) -> np.ndarray:
+    """(L, R+1) mask of the rays the target occludes.
 
-    Zeroes every ray whose tx->scatter or scatter->rx segment crosses the
-    disk (direct path: tx->rx segment), then appends target-scattered rays
-    with amplitude scatter_coeff * radius / (d_tx * d_rx) and uniform phase.
+    A bounce ray is blocked when its tx->scatter or scatter->rx leg meets the
+    closed disk, the direct path when its tx->rx segment does.
     """
-    _validate_target(scenario, target)
-    rng = np.random.default_rng(seed)
-    tx = scenario.tx
-    out_links: list[list[Ray]] = []
-    scatters: list[list[ScatterRay]] = []
-    for l, rx in enumerate(scenario.receivers):
-        link_rays = []
-        for r in rays.links[l]:
-            if r.is_los:
-                blocked = segment_blocked(tx, rx.position, target)
-            else:
-                blocked = segment_blocked(tx, r.scatter, target) or segment_blocked(
-                    r.scatter, rx.position, target
-                )
-            link_rays.append(replace(r, gain=0j) if blocked else r)
-        out_links.append(link_rays)
-
-        d_tx = tx.distance_to(target.center)
-        d_rx = target.center.distance_to(rx.position)
-        mag = scenario.scatter_coeff * target.radius / (d_tx * d_rx)
-        aod = tx.bearing_to(target.center)
-        aoa = rx.local_angle(target.center.bearing_to(rx.position))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=scenario.n_scatter)
-        scatters.append(
-            [ScatterRay(gain=mag * complex(math.cos(p), math.sin(p)), aoa=aoa, aod=aod)
-             for p in phases]
-        )
-    return RaySet(links=out_links, n_clusters=rays.n_clusters, n_rays=rays.n_rays), scatters
+    return segments_blocked(geo.leg_start, geo.leg_end, target).any(axis=0)
 
 
-def beam_csi(
-    rays: Sequence[Ray],
-    scatter_rays: Sequence[ScatterRay],
-    beam_angle: float,
-    n_antennas: int,
-    noise_level: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """CSI vector captured by one receive beam for one link.
+def target_echo(geo: LinkGeometry, target: Target, rng: np.random.Generator) -> np.ndarray:
+    """(L, N_r, B) capture of the target-scattered paths of one realization.
 
-    Each surviving path contributes gain * B(aoa; beam) * a(aoa) with B the
-    conjugate-beamformer amplitude gain; noise is i.i.d. circular complex
-    Gaussian with per-element variance `noise_level`.
+    Each link receives n_scatter paths from the target center with amplitude
+    scatter_coeff * radius / (d_tx * d_rx) and uniform phase, drawn as one
+    (L, n_scatter) array.  They share one arrival angle, so together they are
+    the rank-1 term steer(aoa) B(aoa; beam) times the sum of their gains.
     """
-    h = np.zeros(n_antennas, dtype=complex)
-    aoas = [r.aoa for r in rays] + [s.aoa for s in scatter_rays]
-    gains = [r.gain for r in rays] + [s.gain for s in scatter_rays]
-    if aoas:
-        aoas_arr = np.asarray(aoas, dtype=float)
-        gains_arr = np.asarray(gains, dtype=complex)
-        steer = np.exp(1j * np.pi * np.outer(np.arange(n_antennas), np.sin(aoas_arr)))
-        b = beam_gain(aoas_arr, beam_angle, n_antennas)
-        h = steer @ (gains_arr * b)
+    s = geo.scenario
+    _validate_target(s, target)
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(s.n_links, s.n_scatter))
+    c = target.center
+    d_tx = s.tx.distance_to(c)
+    amp = [s.scatter_coeff * target.radius / (d_tx * c.distance_to(rx.position))
+           for rx in s.receivers]
+    aoa = [rx.local_angle(c.bearing_to(rx.position)) for rx in s.receivers]
+    n_r = s.n_antennas
+    steer = np.exp(1j * np.pi * (np.arange(n_r) * np.sin(aoa)[:, None]))     # (L, N_r)
+    gain = np.abs(steer @ geo.beam_conj.T) / n_r                            # (L, B)
+    weight = np.asarray(amp) * np.exp(1j * phases).sum(axis=1)
+    return weight[:, None, None] * steer[:, :, None] * gain[:, None, :]
+
+
+def capture(
+    geo: LinkGeometry,
+    gains: np.ndarray,
+    echo: np.ndarray | None,
+    rng: np.random.Generator,
+) -> CsiFrame:
+    """One coherent capture across all links and beams.
+
+    Each ray contributes gain * B(aoa; beam) * a(aoa), B the conjugate-
+    beamformer amplitude gain; noise is i.i.d. circular complex Gaussian with
+    per-element variance noise_level, drawn as one (L, B, 2, N_r) array
+    (link-major, then beam, then real/imaginary part).
+    """
+    n_links, n_r, n_beams, n_paths = geo.response.shape
+    h = geo.response.reshape(n_links, n_r * n_beams, n_paths) @ gains[:, :, None]
+    h = h.reshape(n_links, n_r, n_beams)
+    if echo is not None:
+        h = h + echo
+    noise_level = geo.scenario.noise_level
     if noise_level > 0.0:
-        if rng is None:
-            raise ConfigError("noise_level > 0 requires an rng")
-        z = rng.standard_normal(size=(2, n_antennas))
-        h = h + math.sqrt(noise_level / 2.0) * (z[0] + 1j * z[1])
-    return h
-
-
-def sweep_csi(
-    scenario: Scenario,
-    rays: RaySet,
-    scatter_rays: Sequence[Sequence[ScatterRay]] | None = None,
-    rng: np.random.Generator | None = None,
-    noise_level: float | None = None,
-) -> list[list[np.ndarray]]:
-    """Per-link, per-beam CSI vectors for one coherent capture.
-
-    Noise is drawn link-major then beam-major from `rng`; pass noise_level=0
-    for a noiseless capture.
-    """
-    nl = scenario.noise_level if noise_level is None else noise_level
-    scat = scatter_rays if scatter_rays is not None else [[] for _ in rays.links]
-    out = []
-    for l in range(scenario.n_links):
-        out.append(
-            [
-                beam_csi(rays.links[l], scat[l], beam, scenario.n_antennas, nl, rng)
-                for beam in scenario.beam_angles
-            ]
-        )
-    return out
-
-
-def write_ray_dump(fp: IO[str], rays: RaySet) -> None:
-    """Debug CSV: one row per ray; blocked-flag marks zeroed gains."""
-    fp.write("link,cluster,ray,re_beta,im_beta,aod,aoa,sx,sy,blocked\n")
-    for link_rays in rays.links:
-        for r in link_rays:
-            blocked = 1 if r.gain == 0 else 0
-            fp.write(
-                f"{r.link},{r.cluster},{r.ray},{r.gain.real!r},{r.gain.imag!r},"
-                f"{r.aod!r},{r.aoa!r},{r.scatter.x!r},{r.scatter.y!r},{blocked}\n"
-            )
+        z = rng.standard_normal(size=(n_links, n_beams, 2, n_r))
+        h = h + math.sqrt(noise_level / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1]).transpose(0, 2, 1)
+    return link_frame(h)

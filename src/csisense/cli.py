@@ -126,6 +126,11 @@ def fit(
     """Split, normalize on the training side only, and train one head."""
     if task not in ("detect", "locate"):
         raise ConfigError(f"task must be detect or locate, got {task!r}")
+    config = nn.TrainConfig(
+        loss="bce" if task == "detect" else "mse",
+        batch_size=batch_size, learning_rate=learning_rate,
+        epochs=epochs, seed=seed, patience=patience,
+    )
     fractions = ds.manifest.split_fractions
     if val_fraction is not None:
         fractions = (1.0 - val_fraction, val_fraction)
@@ -153,11 +158,6 @@ def fit(
             validation = (normalize(x_val, stats), y_val)
         except ConfigError:
             validation = None
-    config = nn.TrainConfig(
-        loss="bce" if task == "detect" else "mse",
-        batch_size=batch_size, learning_rate=learning_rate,
-        epochs=epochs, seed=seed, patience=patience,
-    )
     params, log = nn.train((x_train, y_train), config, validation)
     return nn.TrainedModel(params=params, stats=stats, task=task), log
 
@@ -224,14 +224,9 @@ def cmd_baseline(args) -> int:
         banks.append(baseline_mod.swept_bank(scenario))
     if args.variant in ("overlapped180", "both"):
         banks.append(baseline_mod.overlapped_bank())
-    results = [
-        metrics_mod.baseline_positions(scenario, args.sigma, args.drops, args.seed, bank)
-        for bank in banks
-    ]
-    if args.model:
-        model = nn.load_model(args.model)
-        results.append(metrics_mod.model_positions(
-            model, scenario, args.sigma, args.drops, args.seed))
+    model = nn.load_model(args.model) if args.model else None
+    results = metrics_mod.drop_positions(scenario, args.sigma, args.drops, args.seed,
+                                         banks, model)
     with open(args.out, "w") as fp:
         metrics_mod.write_baseline_csv(fp, results)
     for res in results:

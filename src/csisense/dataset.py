@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import frame as frame_mod
-from .channel import Scenario, apply_target, draw_null_rays, sweep_csi
+from .channel import Scenario, blocked_rays, capture, draw_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
-from .frame import CsiFrame, FrameMeta, assemble_frame, to_tensor
+from .frame import CsiFrame, FrameMeta, to_tensor
 from .geometry import Point2D, Target
 
 HYP_NULL = "null"
@@ -133,19 +133,6 @@ def sample_target_center(
     raise InvalidSize(f"could not place a {sigma} m target under the margin rule")
 
 
-def capture_frame(
-    scenario: Scenario,
-    rays,
-    scatter_rays=None,
-    rng: np.random.Generator | None = None,
-    scenario_id: str = "",
-    seed: int = 0,
-) -> CsiFrame:
-    """One coherent capture across all links and beams, assembled into a frame."""
-    vectors = sweep_csi(scenario, rays, scatter_rays, rng)
-    return assemble_frame(vectors, scenario_id=scenario_id, seed=seed)
-
-
 @dataclass(frozen=True)
 class RecordSpec:
     index: int
@@ -156,24 +143,47 @@ class RecordSpec:
     bin_jitter_pitch: float | None = None
 
 
+def drop(
+    scenario: Scenario,
+    seed: int,
+    sigma: float | None = None,
+    center: Point2D | None = None,
+    jitter_pitch: float | None = None,
+    null: bool = True,
+) -> tuple[Point2D | None, CsiFrame | None, CsiFrame | None]:
+    """One channel realization from its stream seed: (center, null frame, target frame).
+
+    Without a target (sigma None) only the null frame is captured.  With one,
+    its center is drawn under the margin rule, or jittered within a
+    jitter_pitch bin around `center`, or taken as given; the target frame
+    shares the null frame's ray gains.  Draws, in order: ray gains, target
+    center, echo phases, null-capture noise (when `null`), target-capture
+    noise.
+    """
+    geo = scenario.geometry
+    rng = np.random.default_rng(seed)
+    gains = draw_gains(geo, rng)
+    if sigma is None:
+        return None, capture(geo, gains, None, rng), None
+    if center is None:
+        center = sample_target_center(scenario, sigma, rng)
+    elif jitter_pitch is not None:
+        center = _jitter_in_bin(scenario, sigma, center, jitter_pitch, rng)
+    target = Target(center=center, diameter=sigma)
+    echo = target_echo(geo, target, rng)
+    null_frame = capture(geo, gains, None, rng) if null else None
+    alt_frame = capture(geo, np.where(blocked_rays(geo, target), 0j, gains), echo, rng)
+    return center, null_frame, alt_frame
+
+
 def _generate_record(scenario: Scenario, spec: RecordSpec, master_seed: int) -> SampleRecord:
     seed = record_seed(master_seed, spec.index)
-    rng = np.random.default_rng(seed)
-    rays = draw_null_rays(scenario, rng)
     if spec.hyp == HYP_NULL:
-        fr = capture_frame(scenario, rays, None, rng, scenario.name, seed)
+        _, fr, _ = drop(scenario, seed)
         return SampleRecord(tensor=to_tensor(fr), hyp=HYP_NULL, seed=seed,
                             index=spec.index, bin_index=spec.bin_index)
-    if spec.center is None:
-        center = sample_target_center(scenario, spec.sigma, rng)
-    elif spec.bin_jitter_pitch is not None:
-        center = _jitter_in_bin(scenario, spec.sigma, spec.center,
-                                spec.bin_jitter_pitch, rng)
-    else:
-        center = spec.center
-    target = Target(center=center, diameter=spec.sigma)
-    perturbed, scatters = apply_target(rays, target, scenario, rng)
-    fr = capture_frame(scenario, perturbed, scatters, rng, scenario.name, seed)
+    center, _, fr = drop(scenario, seed, spec.sigma, spec.center, spec.bin_jitter_pitch,
+                         null=False)
     return SampleRecord(tensor=to_tensor(fr), hyp=HYP_TARGET, position=center,
                         sigma=spec.sigma, seed=seed, index=spec.index,
                         bin_index=spec.bin_index)

@@ -27,8 +27,6 @@ class FrameMeta:
     n_links: int
     n_antennas: int
     n_beams: int
-    scenario_id: str = ""
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -46,35 +44,16 @@ class CsiFrame:
             raise ShapeMismatch("frame contains non-finite entries")
 
 
-def assemble_frame(
-    vectors: Sequence[Sequence[np.ndarray]],
-    scenario_id: str = "",
-    seed: int = 0,
-) -> CsiFrame:
-    """Stack per-link per-beam CSI vectors into a frame.
+def link_frame(h: np.ndarray) -> CsiFrame:
+    """Frame of per-link beam captures h[l, n, b] (link, antenna, beam).
 
-    `vectors[l][i]` is the length-N_r capture of link l at beam i; column i
-    of the result is the vertical concatenation over links.
+    Row l * N_r + n of the result is antenna n of link l; column b is beam b.
     """
-    if not vectors or not vectors[0]:
-        raise ShapeMismatch("need at least one link and one beam")
-    n_links = len(vectors)
-    n_beams = len(vectors[0])
-    n_antennas = len(np.asarray(vectors[0][0]).ravel())
-    for l, link in enumerate(vectors):
-        if len(link) != n_beams:
-            raise ShapeMismatch(f"link {l} has {len(link)} beams, expected {n_beams}")
-        for i, vec in enumerate(link):
-            if np.asarray(vec).shape != (n_antennas,):
-                raise ShapeMismatch(
-                    f"link {l} beam {i} vector shape {np.asarray(vec).shape}, "
-                    f"expected ({n_antennas},)"
-                )
-    matrix = np.empty((n_links * n_antennas, n_beams), dtype=complex)
-    for i in range(n_beams):
-        matrix[:, i] = np.concatenate([np.asarray(vectors[l][i]) for l in range(n_links)])
-    meta = FrameMeta(n_links, n_antennas, n_beams, scenario_id, seed)
-    return CsiFrame(matrix=matrix, meta=meta)
+    if h.ndim != 3 or 0 in h.shape:
+        raise ShapeMismatch(f"need a non-empty (links, antennas, beams) array, got {h.shape}")
+    n_links, n_antennas, n_beams = h.shape
+    return CsiFrame(matrix=h.reshape(n_links * n_antennas, n_beams),
+                    meta=FrameMeta(n_links, n_antennas, n_beams))
 
 
 def to_tensor(frame: CsiFrame) -> np.ndarray:

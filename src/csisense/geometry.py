@@ -140,6 +140,26 @@ def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
     return math.hypot(ex, ey) <= target.radius
 
 
+def segments_blocked(a: np.ndarray, b: np.ndarray, target: Target) -> np.ndarray:
+    """segment_blocked over arrays of segments a[..., :] -> b[..., :] (last axis x, y).
+
+    Performs segment_blocked's arithmetic element by element, so it returns
+    the same booleans; the distance uses math.hypot because np.hypot differs
+    from it in the last bit for some inputs.
+    """
+    d = b - a
+    seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    if np.any(seg_len2 == 0.0):
+        raise DegenerateSegment("segment endpoints coincide")
+    cx = target.center.x - a[..., 0]
+    cy = target.center.y - a[..., 1]
+    t = np.clip((cx * d[..., 0] + cy * d[..., 1]) / seg_len2, 0.0, 1.0)
+    ex = (cx - t * d[..., 0]).ravel().tolist()
+    ey = (cy - t * d[..., 1]).ravel().tolist()
+    dist = np.fromiter(map(math.hypot, ex, ey), dtype=float, count=len(ex))
+    return (dist <= target.radius).reshape(seg_len2.shape)
+
+
 def in_shadow(x: Point2D, viewpoint: Point2D, target: Target) -> bool:
     """True iff `x` lies in the shadow region cast by the target from `viewpoint`.
 

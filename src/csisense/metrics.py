@@ -14,11 +14,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from .baseline import BeamBank, bearing_segment_midpoint, estimate_position, receiver_bearing
-from .channel import Scenario, apply_target, draw_null_rays
-from .dataset import capture_frame, record_seed, sample_target_center, valid_bin_centers
-from .errors import DegenerateGeometry, LengthMismatch, MissingClass, SingleLink
+from .channel import Scenario
+from .dataset import drop, record_seed, valid_bin_centers
+from .errors import DegenerateGeometry, InvalidPitch, LengthMismatch, MissingClass, SingleLink
 from .frame import CsiFrame, to_tensor
-from .geometry import Point2D, Target
+from .geometry import Point2D
 from .sensenet import TrainedModel
 
 
@@ -64,16 +64,7 @@ def paired_drop(
 ) -> tuple[Point2D, CsiFrame, CsiFrame]:
     """One evaluation drop: null frame and perturbed frame share the channel
     realization; noise is drawn independently per capture."""
-    seed = record_seed(master_seed, index)
-    rng = np.random.default_rng(seed)
-    rays = draw_null_rays(scenario, rng)
-    if center is None:
-        center = sample_target_center(scenario, sigma, rng)
-    target = Target(center=center, diameter=sigma)
-    perturbed, scatters = apply_target(rays, target, scenario, rng)
-    null_frame = capture_frame(scenario, rays, None, rng, scenario.name, seed)
-    alt_frame = capture_frame(scenario, perturbed, scatters, rng, scenario.name, seed)
-    return center, null_frame, alt_frame
+    return drop(scenario, record_seed(master_seed, index), sigma, center)
 
 
 def detection_counts(
@@ -82,12 +73,14 @@ def detection_counts(
     sigma: float,
     n_drops: int,
     master_seed: int,
+    center: Point2D | None = None,
 ) -> ConfusionCounts:
-    """Fresh paired drops pushed through the detector at its threshold."""
+    """Fresh paired drops pushed through the detector at its threshold; the
+    target is placed at `center` when given, else drawn per drop."""
     null_t = []
     alt_t = []
     for i in range(n_drops):
-        _, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i)
+        _, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i, center)
         null_t.append(to_tensor(null_frame))
         alt_t.append(to_tensor(alt_frame))
     p_null = model.prob_batch(np.stack(null_t))
@@ -141,24 +134,17 @@ def coverage_map(
     master_seed: int,
 ) -> CoverageMap:
     """Per-bin accuracy score from paired drops at each margin-valid bin center."""
+    centers = valid_bin_centers(scenario, sigma, pitch)
+    if not centers:
+        raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
     n = int(math.floor(scenario.room_side / pitch + 1e-9))
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
-    centers = valid_bin_centers(scenario, sigma, pitch)
     for b, c in enumerate(centers):
         ix = int(c.x / pitch)
         iy = int(c.y / pitch)
-        bin_seed = record_seed(master_seed, b)
-        null_t, alt_t = [], []
-        for i in range(drops_per_bin):
-            _, null_frame, alt_frame = paired_drop(scenario, sigma, bin_seed, i, center=c)
-            null_t.append(to_tensor(null_frame))
-            alt_t.append(to_tensor(alt_frame))
-        p_null = model.prob_batch(np.stack(null_t))
-        p_alt = model.prob_batch(np.stack(alt_t))
-        fa = int(np.sum(p_null >= model.threshold))
-        det = int(np.sum(p_alt >= model.threshold))
-        cc = ConfusionCounts(drops_per_bin - fa, fa, drops_per_bin - det, det)
+        cc = detection_counts(model, scenario, sigma, drops_per_bin, record_seed(master_seed, b),
+                              center=c)
         score[ix, iy] = accuracy_score(cc)
         counts[ix, iy] = drops_per_bin
     return CoverageMap(pitch=pitch, room_side=scenario.room_side, score=score, counts=counts)
@@ -209,6 +195,50 @@ class PositioningResult:
         return error_summary(self.estimates, self.truths)
 
 
+def drop_positions(
+    scenario: Scenario,
+    sigma: float,
+    n_drops: int,
+    master_seed: int,
+    banks: Sequence[BeamBank] = (),
+    model: TrainedModel | None = None,
+) -> list[PositioningResult]:
+    """Walk the paired drops once: the angle-based estimate per beam bank, then
+    the model's estimate, all on identical drops (one result each, in that order).
+
+    Single-receiver scenarios and all-parallel bearing draws fall back to the
+    midpoint of the strongest bearing's in-room segment, marked degraded.
+    CNN estimates are clamped to the room.
+    """
+    truths: list[Point2D] = []
+    per_bank = [PositioningResult(truths, [], bank.variant, []) for bank in banks]
+    tensors = []
+    for i in range(n_drops):
+        center, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i)
+        truths.append(center)
+        for bank, res in zip(banks, per_bank):
+            try:
+                est = estimate_position(null_frame, alt_frame, scenario, bank)
+                flag = False
+            except (SingleLink, DegenerateGeometry):
+                line = receiver_bearing(null_frame, alt_frame, scenario, 0, bank)
+                est = bearing_segment_midpoint(scenario, line)
+                flag = True
+            res.estimates.append(est)
+            res.degraded.append(flag)
+        if model is not None:
+            tensors.append(to_tensor(alt_frame))
+    if model is None:
+        return per_bank
+    side = scenario.room_side
+    estimates = [
+        Point2D(min(max(float(x), 0.0), side), min(max(float(y), 0.0), side))
+        for x, y in model.locate_batch(np.stack(tensors))
+    ]
+    return per_bank + [PositioningResult(truths=truths, estimates=estimates,
+                                         variant="csisensenet", degraded=[False] * n_drops)]
+
+
 def baseline_positions(
     scenario: Scenario,
     sigma: float,
@@ -216,28 +246,8 @@ def baseline_positions(
     master_seed: int,
     bank: BeamBank,
 ) -> PositioningResult:
-    """Run the angle-based estimator over paired drops.
-
-    Single-receiver scenarios and all-parallel bearing draws fall back to the
-    midpoint of the strongest bearing's in-room segment, marked degraded.
-    """
-    truths: list[Point2D] = []
-    estimates: list[Point2D] = []
-    degraded: list[bool] = []
-    for i in range(n_drops):
-        center, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i)
-        truths.append(center)
-        try:
-            est = estimate_position(null_frame, alt_frame, scenario, bank)
-            flag = False
-        except (SingleLink, DegenerateGeometry):
-            line = receiver_bearing(null_frame, alt_frame, scenario, 0, bank)
-            est = bearing_segment_midpoint(scenario, line)
-            flag = True
-        estimates.append(est)
-        degraded.append(flag)
-    return PositioningResult(truths=truths, estimates=estimates,
-                             variant=bank.variant, degraded=degraded)
+    """The angle-based estimator alone over paired drops (see drop_positions)."""
+    return drop_positions(scenario, sigma, n_drops, master_seed, banks=(bank,))[0]
 
 
 def model_positions(
@@ -248,20 +258,7 @@ def model_positions(
     master_seed: int,
 ) -> PositioningResult:
     """CNN position estimates on the same drop sequence the baseline sees."""
-    truths: list[Point2D] = []
-    tensors = []
-    for i in range(n_drops):
-        center, _, alt_frame = paired_drop(scenario, sigma, master_seed, i)
-        truths.append(center)
-        tensors.append(to_tensor(alt_frame))
-    xy = model.locate_batch(np.stack(tensors))
-    side = scenario.room_side
-    estimates = [
-        Point2D(min(max(float(x), 0.0), side), min(max(float(y), 0.0), side))
-        for x, y in xy
-    ]
-    return PositioningResult(truths=truths, estimates=estimates,
-                             variant="csisensenet", degraded=[False] * n_drops)
+    return drop_positions(scenario, sigma, n_drops, master_seed, model=model)[0]
 
 
 def write_resolution_csv(fp: IO[str], curve: Sequence[tuple[float, float]], n: int) -> None:

@@ -81,9 +81,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.arch, *[getattr(self, n).copy() for n in PARAM_FIELDS])
 
-    def n_parameters(self) -> int:
-        return sum(a.size for _, a in self.items())
-
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -326,6 +323,10 @@ class TrainConfig:
             raise ConfigError("learning rate must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.loss not in ("bce", "mse"):
             raise ConfigError(f"loss must be bce or mse, got {self.loss!r}")
 
@@ -449,20 +450,11 @@ class TrainedModel:
     task: str                    # detect | locate
     threshold: float = 0.5
 
-    def prob(self, tensor: np.ndarray) -> float:
-        return forward_detect(self.params, normalize(tensor, self.stats))
-
     def prob_batch(self, tensors: np.ndarray, chunk: int = 512) -> np.ndarray:
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
         return np.concatenate(
             [detect_batch(self.params, x[lo:lo + chunk]) for lo in range(0, len(x), chunk)]
         )
-
-    def decide(self, tensor: np.ndarray) -> str:
-        return "target" if self.prob(tensor) >= self.threshold else "null"
-
-    def locate(self, tensor: np.ndarray) -> Point2D:
-        return forward_locate(self.params, normalize(tensor, self.stats))
 
     def locate_batch(self, tensors: np.ndarray, chunk: int = 512) -> np.ndarray:
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
@@ -498,7 +490,10 @@ def load_model(path: str | Path) -> TrainedModel:
     with open(path, "rb") as fp:
         if fp.read(4) != MAGIC:
             raise ConfigError(f"{path}: not a model artifact")
-        version, blob_len = struct.unpack("<HI", fp.read(6))
+        header = fp.read(6)
+        if len(header) != 6:
+            raise ConfigError(f"{path}: truncated model header")
+        version, blob_len = struct.unpack("<HI", header)
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported model version {version}")
         desc = json.loads(fp.read(blob_len).decode())

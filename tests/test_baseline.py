@@ -12,7 +12,7 @@ from csisense.baseline import (
 )
 from csisense.channel import Scenario, array_response
 from csisense.errors import DegenerateGeometry, SingleLink
-from csisense.frame import CsiFrame, assemble_frame
+from csisense.frame import CsiFrame, link_frame
 from csisense.geometry import BearingLine, Point2D
 
 
@@ -29,7 +29,7 @@ def two_link_scenario() -> Scenario:
 
 
 def frame_from_blocks(blocks, n_beams=7):
-    return assemble_frame([[blk[:, i] for i in range(n_beams)] for blk in blocks])
+    return link_frame(np.stack(blocks)[:, :, :n_beams])
 
 
 def direct_attenuation(bank, block_null, block_alt):

@@ -1,5 +1,5 @@
-import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +7,15 @@ import pytest
 from csisense.channel import (
     Receiver,
     Scenario,
-    apply_target,
     array_response,
-    beam_csi,
     beam_gain,
-    draw_null_rays,
+    blocked_rays,
+    capture,
+    draw_gains,
+    link_geometry,
     quantize_ray,
     room_angular_span,
-    sweep_csi,
-    write_ray_dump,
+    target_echo,
 )
 from csisense.errors import ConfigError, EmptyGrid
 from csisense.geometry import Point2D, Target, in_shadow
@@ -90,23 +90,40 @@ class TestRoomSpan:
         assert start == pytest.approx(-math.pi / 2, abs=1e-12)
 
 
+def gains_of(s: Scenario, seed: int) -> np.ndarray:
+    return draw_gains(link_geometry(s), np.random.default_rng(seed))
+
+
+def captures(s: Scenario, gains: np.ndarray, echo=None) -> np.ndarray:
+    """(L, N_r, B) noiseless capture of one gain vector."""
+    frame = capture(link_geometry(s), gains, echo, np.random.default_rng(0))
+    return frame.matrix.reshape(s.n_links, s.n_antennas, s.n_beams)
+
+
+def one_hot(s: Scenario, link: int, ray: int) -> np.ndarray:
+    g = np.zeros((s.n_links, s.n_clusters * s.n_rays + 1), dtype=complex)
+    g[link, ray] = 1.0
+    return g
+
+
 class TestDrawNullRays:
     def test_deterministic(self):
         s = small_scenario()
-        a = draw_null_rays(s, 42)
-        b = draw_null_rays(s, 42)
-        for la, lb in zip(a.links, b.links):
-            for ra, rb in zip(la, lb):
-                assert ra == rb
+        assert np.array_equal(gains_of(s, 42), gains_of(s, 42))
 
     def test_ray_counts_table_config(self):
         s = small_scenario()
-        rays = draw_null_rays(s, 0)
-        for link in rays.links:
-            assert len(link) == 3 * 5 + 1  # N_cl*N_rays plus direct path
-            assert sum(r.is_los for r in link) == 1
-        rays = draw_null_rays(small_scenario(include_los=False), 0)
-        assert all(len(link) == 15 for link in rays.links)
+        geo = link_geometry(s)
+        gains = gains_of(s, 0)
+        # N_cl*N_rays bounce rays plus the direct path, last
+        assert geo.scatter.shape == (2, 3 * 5, 2)
+        assert gains.shape == (2, 3 * 5 + 1)
+        assert np.all(np.count_nonzero(gains, axis=1) == 16)
+        for l, rx in enumerate(s.receivers):
+            assert gains[l, -1] == complex(s.los_gain / s.tx.distance_to(rx.position), 0.0)
+        gains = gains_of(small_scenario(include_los=False), 0)
+        assert np.all(np.count_nonzero(gains, axis=1) == 15)
+        assert np.all(gains[:, -1] == 0)
 
     def test_mean_path_power_normalized(self):
         # Monte-Carlo check of the unit-power convention on the stochastic rays.
@@ -115,32 +132,27 @@ class TestDrawNullRays:
         total = 0.0
         n = 10000
         for i in range(n):
-            rays = draw_null_rays(s, i)
-            total += sum(abs(r.gain) ** 2 for r in rays.links[0])
+            total += np.sum(np.abs(gains_of(s, i)[0]) ** 2)
         assert total / n == pytest.approx(1.0, rel=0.02)
 
     def test_geometry_fixed_across_seeds(self):
         s = small_scenario()
-        a = draw_null_rays(s, 1)
-        b = draw_null_rays(s, 2)
-        for la, lb in zip(a.links, b.links):
-            for ra, rb in zip(la, lb):
-                assert ra.scatter == rb.scatter
-                assert ra.aod == rb.aod
-                assert ra.gain != rb.gain or ra.is_los
+        assert link_geometry(s) is small_scenario().geometry
+        a = gains_of(s, 1)
+        b = gains_of(s, 2)
+        assert np.all(a[:, :-1] != b[:, :-1])
+        assert np.array_equal(a[:, -1], b[:, -1])
 
     def test_nested_scenarios_share_link_environment(self):
         s2 = small_scenario()
         s1 = small_scenario(receivers=[{"position": [5.0, 2.5], "boresight": math.pi}],
                             name="sub")
-        a = draw_null_rays(s2, 5)
-        b = draw_null_rays(s1, 5)
-        for ra, rb in zip(a.links[0], b.links[0]):
-            assert ra.scatter == rb.scatter
+        assert np.array_equal(link_geometry(s2).scatter[0], link_geometry(s1).scatter[0])
+        assert np.array_equal(link_geometry(s2).aoa[0], link_geometry(s1).aoa[0])
 
     def test_empty_grid(self):
         with pytest.raises(EmptyGrid):
-            draw_null_rays(small_scenario(grid_pitch=10.0), 0)
+            gains_of(small_scenario(grid_pitch=10.0), 0)
 
 
 class TestQuantizeRay:
@@ -184,99 +196,91 @@ class TestQuantizeRay:
 class TestApplyTarget:
     def test_no_occlusion_keeps_gains(self):
         s = small_scenario()
-        rays = draw_null_rays(s, 9)
+        geo = link_geometry(s)
         # a tiny target in a corner far from every segment
         target = Target(Point2D(4.6, 4.6), 0.05)
-        pert, scatters = apply_target(rays, target, s, 1)
-        for la, lb in zip(rays.links, pert.links):
-            for ra, rb in zip(la, lb):
-                assert ra.gain == rb.gain
-        assert all(len(sc) == s.n_scatter for sc in scatters)
+        assert not blocked_rays(geo, target).any()
+        rng = np.random.default_rng(1)
+        echo = target_echo(geo, target, rng)
+        assert echo.shape == (s.n_links, s.n_antennas, s.n_beams)
+        # n_scatter phases per link, and nothing else, come from the stream
+        ref = np.random.default_rng(1)
+        ref.uniform(size=s.n_links * s.n_scatter)
+        assert rng.random() == ref.random()
 
     def test_blocks_ray_through_center(self):
         s = small_scenario()
-        rays = draw_null_rays(s, 9)
-        r = rays.links[0][0]
-        mid = Point2D((s.tx.x + r.scatter.x) / 2, (s.tx.y + r.scatter.y) / 2)
-        pert, _ = apply_target(rays, Target(mid, 0.3), s, 1)
-        assert pert.links[0][0].gain == 0j
+        geo = link_geometry(s)
+        sx, sy = geo.scatter[0, 0]
+        mid = Point2D((s.tx.x + sx) / 2, (s.tx.y + sy) / 2)
+        assert blocked_rays(geo, Target(mid, 0.3))[0, 0]
 
     def test_zeroed_set_matches_shadow_oracle(self):
         s = small_scenario()
+        geo = link_geometry(s)
         rng = np.random.default_rng(17)
         for trial in range(20):
-            rays = draw_null_rays(s, trial)
             center = Point2D(rng.uniform(0.8, 4.2), rng.uniform(0.8, 4.2))
             target = Target(center, rng.uniform(0.3, 1.2))
-            pert, _ = apply_target(rays, target, s, trial)
+            blocked = blocked_rays(geo, target)
             for l, rx in enumerate(s.receivers):
-                for ra, rb in zip(rays.links[l], pert.links[l]):
-                    if ra.is_los:
-                        expected = in_shadow(rx.position, s.tx, target)
-                    else:
-                        expected = in_shadow(ra.scatter, s.tx, target) or in_shadow(
-                            ra.scatter, rx.position, target)
-                    assert (rb.gain == 0j) == expected or ra.gain == 0j
+                for i, (x, y) in enumerate(geo.scatter[l]):
+                    sp = Point2D(float(x), float(y))
+                    expected = in_shadow(sp, s.tx, target) or in_shadow(
+                        sp, rx.position, target)
+                    assert blocked[l, i] == expected
+                assert blocked[l, -1] == in_shadow(rx.position, s.tx, target)
 
     def test_zeroing_monotone_in_sigma(self):
         s = small_scenario()
-        rays = draw_null_rays(s, 23)
+        geo = link_geometry(s)
         center = Point2D(2.3, 2.1)
-        zeroed_prev: set = set()
+        zeroed_prev = np.zeros(geo.aoa.shape, dtype=bool)
         for sigma in (0.2, 0.5, 0.8, 1.2):
-            pert, _ = apply_target(rays, Target(center, sigma), s, 0)
-            zeroed = {
-                (l, i)
-                for l, link in enumerate(pert.links)
-                for i, r in enumerate(link)
-                if r.gain == 0j
-            }
-            assert zeroed_prev <= zeroed
+            zeroed = blocked_rays(geo, Target(center, sigma))
+            assert np.all(zeroed_prev <= zeroed)
             zeroed_prev = zeroed
 
     def test_scatter_ray_geometry_and_gain(self):
         s = small_scenario(scatter_coeff=2.0)
-        rays = draw_null_rays(s, 4)
         center = Point2D(2.0, 3.0)
         target = Target(center, 0.8)
-        _, scatters = apply_target(rays, target, s, 4)
+        rng = np.random.default_rng(4)
+        echo = target_echo(link_geometry(s), target, rng)
+        phases = np.random.default_rng(4).uniform(0.0, 2 * math.pi, size=s.n_links)
         for l, rx in enumerate(s.receivers):
-            sc = scatters[l][0]
-            assert sc.aod == pytest.approx(s.tx.bearing_to(center), abs=0)
-            assert sc.aoa == pytest.approx(
-                rx.local_angle(center.bearing_to(rx.position)), abs=0)
+            aoa = rx.local_angle(center.bearing_to(rx.position))
             d1 = s.tx.distance_to(center)
             d2 = center.distance_to(rx.position)
-            assert abs(sc.gain) == pytest.approx(2.0 * 0.4 / (d1 * d2), rel=1e-12)
+            gain = 2.0 * 0.4 / (d1 * d2) * np.exp(1j * phases[l])
+            # one path from the target center, seen through every beam
+            for b, beam in enumerate(s.beam_angles):
+                expected = gain * beam_gain(aoa, beam, 8) * array_response(aoa, 8)
+                assert np.allclose(echo[l, :, b], expected, rtol=0, atol=1e-14)
+            assert np.max(np.abs(echo[l])) == pytest.approx(abs(gain) * max(
+                beam_gain(aoa, beam, 8) for beam in s.beam_angles), rel=1e-12)
 
 
 class TestBeamCsi:
     def test_aligned_single_ray(self):
-        s = small_scenario()
-        rays = draw_null_rays(s, 0)
-        ray = rays.links[0][0]
-        aligned = type(ray)(link=0, cluster=1, ray=1, gain=1 + 0j, aod=0.0,
-                            aoa=0.4, scatter=ray.scatter)
-        h = beam_csi([aligned], [], 0.4, 8)
-        assert np.allclose(h, array_response(0.4, 8), atol=1e-12)
+        # arrival angles are propagation directions, near +-pi for these links;
+        # the beam with the same sine is aligned with the ray
+        aoa = link_geometry(small_scenario()).aoa[0, 0]
+        s = small_scenario(beam_angles=[math.asin(math.sin(aoa))])
+        h = captures(s, one_hot(s, 0, 0))
+        assert np.allclose(h[0, :, 0], array_response(aoa, 8), atol=1e-12)
 
     def test_first_null_separation(self):
         # sin separation of 2/N zeroes the conjugate beamformer dot product
-        theta = 0.1
-        phi = math.asin(math.sin(theta) + 2.0 / 8.0)
-        s = small_scenario()
-        ray = draw_null_rays(s, 0).links[0][0]
-        probe = type(ray)(link=0, cluster=1, ray=1, gain=1 + 0j, aod=0.0,
-                          aoa=phi, scatter=ray.scatter)
-        h = beam_csi([probe], [], theta, 8)
-        assert np.linalg.norm(h) < 1e-12
+        phi = link_geometry(small_scenario()).aoa[0, 0]
+        theta = math.asin(math.sin(phi) - 2.0 / 8.0)
+        s = small_scenario(beam_angles=[theta])
+        h = captures(s, one_hot(s, 0, 0))
+        assert np.linalg.norm(h[0, :, 0]) < 1e-12
 
     def test_empty_noiseless_is_zero(self):
-        assert np.all(beam_csi([], [], 0.0, 8) == 0)
-
-    def test_noise_requires_rng(self):
-        with pytest.raises(ConfigError):
-            beam_csi([], [], 0.0, 8, noise_level=0.1)
+        s = small_scenario()
+        assert np.all(captures(s, 0.0 * one_hot(s, 0, 0)) == 0)
 
     def test_energy_ordering_occlusion_only(self):
         # Occlusion removes rays, so every beam loses energy in expectation
@@ -285,45 +289,76 @@ class TestBeamCsi:
         # interfering ray is removed, so the ordering is asserted on the
         # Monte-Carlo mean.
         s = small_scenario(scatter_coeff=0.0)
+        geo = link_geometry(s)
         target = Target(Point2D(2.2, 2.9), 1.0)
+        blocked = blocked_rays(geo, target)
         acc_null = np.zeros((s.n_links, s.n_beams))
         acc_alt = np.zeros((s.n_links, s.n_beams))
         n = 300
         for seed in range(n):
-            rays = draw_null_rays(s, seed)
-            pert, scatters = apply_target(rays, target, s, seed)
-            null_v = sweep_csi(s, rays, None, None, 0.0)
-            alt_v = sweep_csi(s, pert, scatters, None, 0.0)
-            for l in range(s.n_links):
-                for i in range(s.n_beams):
-                    acc_null[l, i] += np.linalg.norm(null_v[l][i]) ** 2
-                    acc_alt[l, i] += np.linalg.norm(alt_v[l][i]) ** 2
+            gains = gains_of(s, seed)
+            echo = target_echo(geo, target, np.random.default_rng(seed))
+            acc_null += np.sum(np.abs(captures(s, gains)) ** 2, axis=1)
+            acc_alt += np.sum(np.abs(captures(s, np.where(blocked, 0, gains), echo)) ** 2,
+                              axis=1)
         assert np.all(acc_alt <= acc_null + 1e-9)
 
     def test_incoherent_power_never_increases(self):
         s = small_scenario(scatter_coeff=0.0)
+        geo = link_geometry(s)
         rng = np.random.default_rng(5)
         for trial in range(10):
-            rays = draw_null_rays(s, trial)
+            gains = gains_of(s, trial)
             center = Point2D(rng.uniform(1, 4), rng.uniform(1, 4))
-            pert, _ = apply_target(rays, Target(center, 1.0), s, trial)
-            for l in range(s.n_links):
-                p_null = sum(abs(r.gain) ** 2 for r in rays.links[l])
-                p_alt = sum(abs(r.gain) ** 2 for r in pert.links[l])
-                assert p_alt <= p_null + 1e-15
+            kept = np.where(blocked_rays(geo, Target(center, 1.0)), 0, gains)
+            p_null = np.sum(np.abs(gains) ** 2, axis=1)
+            p_alt = np.sum(np.abs(kept) ** 2, axis=1)
+            assert np.all(p_alt <= p_null + 1e-15)
 
     def test_null_recovered_for_vanishing_target(self):
         s = small_scenario(scatter_coeff=0.0)
-        rays = draw_null_rays(s, 8)
-        pert, scatters = apply_target(rays, Target(Point2D(4.7, 4.7), 1e-9), s, 8)
-        for la, lb in zip(rays.links, pert.links):
-            for ra, rb in zip(la, lb):
-                assert ra.gain == rb.gain
-        null_v = sweep_csi(s, rays, None, None, 0.0)
-        alt_v = sweep_csi(s, pert, scatters, None, 0.0)
+        geo = link_geometry(s)
+        target = Target(Point2D(4.7, 4.7), 1e-9)
+        assert not blocked_rays(geo, target).any()
+        gains = gains_of(s, 8)
+        echo = target_echo(geo, target, np.random.default_rng(8))
+        assert np.allclose(captures(s, gains, echo), captures(s, gains), atol=1e-12)
+
+    def test_capture_matches_per_ray_sum(self):
+        # Frame layout on synthesised frames: row l*N_r + n, one column per
+        # beam, each entry the sum over rays of gain * B(aoa; beam) * a_n(aoa).
+        s = small_scenario()
+        geo = link_geometry(s)
+        gains = gains_of(s, 3)
+        frame = capture(geo, gains, None, np.random.default_rng(0))
+        assert frame.matrix.shape == (s.n_links * 8, s.n_beams)
         for l in range(s.n_links):
-            for i in range(s.n_beams):
-                assert np.allclose(alt_v[l][i], null_v[l][i], atol=1e-12)
+            for b, beam in enumerate(s.beam_angles):
+                expected = sum(g * beam_gain(a, beam, 8) * array_response(a, 8)
+                               for g, a in zip(gains[l], geo.aoa[l]))
+                assert np.allclose(frame.matrix[l * 8:(l + 1) * 8, b], expected,
+                                   rtol=0, atol=1e-12)
+
+    def test_link_permutation_permutes_row_blocks(self):
+        s = small_scenario()
+        geo = link_geometry(s)
+        gains = gains_of(s, 6)
+        base = capture(geo, gains, None, np.random.default_rng(0)).matrix
+        swapped = replace(geo, response=geo.response[[1, 0]])
+        perm = capture(swapped, gains[[1, 0]], None, np.random.default_rng(0)).matrix
+        assert np.array_equal(perm[0:8], base[8:16])
+        assert np.array_equal(perm[8:16], base[0:8])
+
+    def test_noise_is_one_draw_per_capture(self):
+        s = small_scenario(snr_db=10.0)
+        geo = link_geometry(s)
+        gains = gains_of(s, 2)
+        rng = np.random.default_rng(11)
+        noisy = capture(geo, gains, None, rng).matrix
+        z = np.random.default_rng(11).standard_normal((s.n_links, s.n_beams, 2, 8))
+        noise = math.sqrt(0.1 / 2) * (z[:, :, 0] + 1j * z[:, :, 1])
+        expected = captures(small_scenario(), gains) + noise.transpose(0, 2, 1)
+        assert np.allclose(noisy, expected.reshape(noisy.shape), rtol=0, atol=1e-14)
 
 
 class TestScenarioConfig:
@@ -348,24 +383,24 @@ class TestScenarioConfig:
                 {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 4},
             ])
 
+    @pytest.mark.parametrize("key", ["room_side", "grid_pitch", "cluster_spread_deg",
+                                     "los_gain", "scatter_coeff", "snr_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, key, value):
+        if key == "snr_db" and value == math.inf:
+            assert small_scenario(snr_db=value).noise_level == 0.0   # noiseless
+            return
+        with pytest.raises(ConfigError):
+            small_scenario(**{key: value})
+
+    def test_non_finite_beam_and_device_floats_rejected(self):
+        with pytest.raises(ConfigError):
+            small_scenario(beam_angles=[-0.5, math.nan])
+        with pytest.raises(ConfigError):
+            small_scenario(tx=[0.0, math.nan])
+        with pytest.raises(ConfigError):
+            small_scenario(receivers=[{"position": [5.0, 2.5], "boresight": math.nan}])
+
     def test_device_outside_room_rejected(self):
         with pytest.raises(ConfigError):
             small_scenario(tx=[-1.0, 2.5])
-
-
-class TestRayDump:
-    def test_csv_round_trip(self):
-        s = small_scenario()
-        rays = draw_null_rays(s, 3)
-        pert, _ = apply_target(rays, Target(Point2D(2.5, 2.5), 1.0), s, 3)
-        buf = io.StringIO()
-        write_ray_dump(buf, pert)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "link,cluster,ray,re_beta,im_beta,aod,aoa,sx,sy,blocked"
-        assert len(lines) == 1 + sum(len(l) for l in pert.links)
-        blocked_rows = [ln for ln in lines[1:] if ln.endswith(",1")]
-        zeroed = sum(1 for l in pert.links for r in l if r.gain == 0)
-        assert len(blocked_rows) == zeroed
-        first = lines[1].split(",")
-        r0 = pert.links[0][0]
-        assert int(first[0]) == 0 and float(first[3]) == r0.gain.real

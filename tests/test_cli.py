@@ -82,6 +82,15 @@ class TestGen:
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_non_finite_snr_exits_2(self, tmp_path, scenario_file, capsys, snr):
+        out = tmp_path / "x"
+        rc = main(["gen", "--scenario", scenario_file, "--sigma", "0.4", "--n", "2",
+                   f"--snr-db={snr}", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "snr_db" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_paper_scale_counts(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "full"
         rc = main(["gen", "--scenario", scenario_file, "--protocol", "resolution",
@@ -153,6 +162,24 @@ class TestTrainEvalFlow:
         assert rc == 0
         assert "over 700 drops/hypothesis" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--patience", "-1")])
+    def test_invalid_training_length_exits_2(self, tmp_path, dataset_dir, capsys,
+                                             flag, value):
+        model = tmp_path / "m.csnn"
+        rc = main(["train", "--data", str(dataset_dir), flag, value, "--out", str(model)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert not model.exists()
+
+    def test_truncated_model_exits_2(self, tmp_path, scenario_file, capsys):
+        model = tmp_path / "short.csnn"
+        model.write_bytes(b"CSNN\x01\x00\x00")
+        rc = main(["eval", "--model", str(model), "--scenario", scenario_file,
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {model}: truncated model header\n"
+
     def test_train_missing_dataset_exits_3(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out",
                    str(tmp_path / "m.csnn")])
@@ -208,6 +235,15 @@ class TestCoverageAndBaseline:
                    "--drops-per-bin", "2", "--seed", "2", "--out", str(csv_path)])
         assert rc == 0
         assert len(csv_path.read_text().strip().splitlines()) == 2  # header + 1 bin
+
+    def test_coverage_without_valid_bin_exits_2(self, tmp_path, scenario_file,
+                                                 detect_model, capsys):
+        # a 1.2 m target keeps 0.6 m from the walls: no 1 m bin center qualifies
+        rc = main(["coverage", "--model", str(detect_model), "--scenario",
+                   scenario_file, "--sigma", "1.2", "--pitch", "1.0",
+                   "--drops-per-bin", "2", "--out", str(tmp_path / "c.csv")])
+        assert rc == EXIT_CONFIG
+        assert "no margin-valid bin centers at pitch 1.0" in capsys.readouterr().err
 
     def test_baseline_csv(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "base.csv"

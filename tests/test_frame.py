@@ -6,9 +6,9 @@ import pytest
 from csisense.errors import ShapeMismatch
 from csisense.frame import (
     NormStats,
-    assemble_frame,
     compute_stats,
     from_tensor,
+    link_frame,
     normalize,
     read_frame,
     to_tensor,
@@ -16,71 +16,67 @@ from csisense.frame import (
 )
 
 
-def random_vectors(rng, n_links, n_beams, n_antennas):
-    return [
-        [rng.standard_normal(n_antennas) + 1j * rng.standard_normal(n_antennas)
-         for _ in range(n_beams)]
-        for _ in range(n_links)
-    ]
+def random_captures(rng, n_links, n_beams, n_antennas):
+    """Per-link beam captures h[l, n, b]."""
+    shape = (n_links, n_antennas, n_beams)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestAssemble:
     def test_reference_dimensions(self):
         rng = np.random.default_rng(0)
-        frame = assemble_frame(random_vectors(rng, 3, 7, 8))
+        frame = link_frame(random_captures(rng, 3, 7, 8))
         assert frame.matrix.shape == (24, 7)
         assert to_tensor(frame).shape == (24, 7, 2)
 
     def test_singleton(self):
-        frame = assemble_frame([[np.array([1 + 2j])]])
+        frame = link_frame(np.array([[[1 + 2j]]]))
         assert frame.matrix.shape == (1, 1)
         assert frame.matrix[0, 0] == 1 + 2j
 
     def test_indexing_layout(self):
         rng = np.random.default_rng(1)
-        vectors = random_vectors(rng, 3, 4, 5)
-        frame = assemble_frame(vectors)
+        h = random_captures(rng, 3, 4, 5)
+        frame = link_frame(h)
         for _ in range(50):
             l = rng.integers(3)
             i = rng.integers(4)
             k = rng.integers(5)
-            assert frame.matrix[l * 5 + k, i] == vectors[l][i][k]
+            assert frame.matrix[l * 5 + k, i] == h[l, k, i]
 
     def test_link_permutation_permutes_row_blocks(self):
         rng = np.random.default_rng(2)
-        vectors = random_vectors(rng, 3, 4, 5)
-        base = assemble_frame(vectors).matrix
-        perm = assemble_frame([vectors[2], vectors[0], vectors[1]]).matrix
+        h = random_captures(rng, 3, 4, 5)
+        base = link_frame(h).matrix
+        perm = link_frame(h[[2, 0, 1]]).matrix
         assert np.array_equal(perm[0:5], base[10:15])
         assert np.array_equal(perm[5:10], base[0:5])
         assert np.array_equal(perm[10:15], base[5:10])
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
-        vectors = random_vectors(rng, 2, 3, 4)
-        vectors[1] = vectors[1][:2]
         with pytest.raises(ShapeMismatch):
-            assemble_frame(vectors)
-        vectors = random_vectors(rng, 2, 3, 4)
-        vectors[0][1] = vectors[0][1][:3]
+            link_frame(random_captures(rng, 2, 3, 4)[0])
         with pytest.raises(ShapeMismatch):
-            assemble_frame(vectors)
+            link_frame(random_captures(rng, 2, 0, 4))
+        with pytest.raises(ShapeMismatch):
+            link_frame(np.full((2, 4, 3), np.nan + 0j))
 
 
 class TestTensorConversion:
     def test_scalar_example(self):
-        frame = assemble_frame([[np.array([1 + 2j])]])
+        frame = link_frame(np.array([[[1 + 2j]]]))
         assert np.array_equal(to_tensor(frame), np.array([[[1.0, 2.0]]]))
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(4)
-        frame = assemble_frame(random_vectors(rng, 3, 7, 8))
+        frame = link_frame(random_captures(rng, 3, 7, 8))
         back = from_tensor(to_tensor(frame), frame.meta)
         assert np.array_equal(back.matrix, frame.matrix)
         assert back.meta == frame.meta
 
     def test_real_frame_has_zero_imag_channel(self):
-        frame = assemble_frame([[np.array([1.0, 2.0]), np.array([3.0, 4.0])]])
+        frame = link_frame(np.array([[[1.0, 3.0], [2.0, 4.0]]]))
         assert np.all(to_tensor(frame)[..., 1] == 0)
 
 
@@ -110,7 +106,7 @@ class TestNormalize:
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(7)
-        frame = assemble_frame(random_vectors(rng, 3, 7, 8))
+        frame = link_frame(random_captures(rng, 3, 7, 8))
         buf = io.BytesIO()
         write_frame(buf, frame)
         buf.seek(0)
@@ -119,7 +115,7 @@ class TestSerialization:
         assert read_frame(buf) is None
 
     def test_header_layout(self):
-        frame = assemble_frame([[np.array([1 + 2j])]])
+        frame = link_frame(np.array([[[1 + 2j]]]))
         buf = io.BytesIO()
         write_frame(buf, frame)
         raw = buf.getvalue()
@@ -128,7 +124,7 @@ class TestSerialization:
 
     def test_truncation_detected(self):
         rng = np.random.default_rng(8)
-        frame = assemble_frame(random_vectors(rng, 1, 2, 3))
+        frame = link_frame(random_captures(rng, 1, 2, 3))
         buf = io.BytesIO()
         write_frame(buf, frame)
         truncated = io.BytesIO(buf.getvalue()[:-8])

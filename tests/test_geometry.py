@@ -15,6 +15,7 @@ from csisense.geometry import (
     intersect_bearings,
     occlusion_interval,
     segment_blocked,
+    segments_blocked,
     wrap_angle,
 )
 
@@ -106,6 +107,33 @@ class TestSegmentBlocked:
             return
         t = Target(c, sigma)
         assert segment_blocked(a, b, t) == segment_blocked(b, a, t)
+
+
+class TestSegmentsBlocked:
+    def test_matches_scalar_segment_blocked(self):
+        # The scalar function is the reference; the arrays mix random segments
+        # with tangent and end-point-touching ones, which sit exactly on the
+        # boundary of the closed disk (dyadic coordinates keep them exact).
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            t = Target(Point2D(*(rng.integers(4, 36, size=2) / 8.0)),
+                       float(rng.integers(1, 16)) / 8.0)
+            a = rng.uniform(0, 5, size=(3, 40, 2))
+            b = rng.uniform(0, 5, size=(3, 40, 2))
+            c, r = t.center, t.radius
+            a[0, :4] = [[c.x - 1, c.y + r], [c.x + r, c.y - 1], [c.x - 2, c.y], [c.x, c.y - r]]
+            b[0, :4] = [[c.x + 1, c.y + r], [c.x + r, c.y + 1], [c.x - r, c.y], [c.x, c.y - 3]]
+            got = segments_blocked(a, b, t)
+            assert got.shape == (3, 40)
+            for idx in np.ndindex(got.shape):
+                want = segment_blocked(Point2D(*a[idx]), Point2D(*b[idx]), t)
+                assert got[idx] == want
+            assert got[0, :4].all()
+
+    def test_degenerate_segment(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with pytest.raises(DegenerateSegment):
+            segments_blocked(a, np.array([[4.0, 0.0], [1.0, 1.0]]), Target(Point2D(2, 0), 0.8))
 
 
 class TestInShadow:
