@@ -32,19 +32,18 @@ OVERLAPPED = "overlapped-180"
 @dataclass(frozen=True)
 class BeamBank:
     angles: tuple[float, ...]          # receiver-local steering angles
-    width_deg: float
     variant: str
 
 
 def swept_bank(scenario: Scenario) -> BeamBank:
     """The scenario's own beam sweep (7 beams for the reference setup)."""
-    return BeamBank(angles=tuple(scenario.beam_angles), width_deg=30.0, variant=SWEPT)
+    return BeamBank(angles=tuple(scenario.beam_angles), variant=SWEPT)
 
 
 def overlapped_bank() -> BeamBank:
     """180 overlapped beams: 30-degree beams at one-degree stride over (-90, 90)."""
     degs = np.arange(-89.5, 90.0, 1.0)
-    return BeamBank(angles=tuple(np.deg2rad(degs)), width_deg=30.0, variant=OVERLAPPED)
+    return BeamBank(angles=tuple(np.deg2rad(degs)), variant=OVERLAPPED)
 
 
 def _receiver_block(frame: CsiFrame, receiver_index: int) -> np.ndarray:

@@ -25,6 +25,9 @@ from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget
 from .frame import CsiFrame, link_frame
 from .geometry import Point2D, Target, segments_blocked, wrap_angle
 
+# Config keys that may only be true: omni transmitter, narrowband captures.
+FIXED_TRUE_KEYS = ("tx_omni", "narrowband")
+
 # Table-style 7-beam sweep spanning [-pi/2, pi/2].
 DEFAULT_BEAM_ANGLES = (
     -math.pi / 2,
@@ -75,8 +78,6 @@ class Scenario:
     scatter_coeff: float = 1.0
     snr_db: float = 20.0
     env_seed: int = 0
-    tx_omni: bool = True
-    narrowband: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "receivers", tuple(self.receivers))
@@ -159,8 +160,6 @@ class Scenario:
             "scatter_coeff": self.scatter_coeff,
             "snr_db": self.snr_db,
             "env_seed": self.env_seed,
-            "tx_omni": self.tx_omni,
-            "narrowband": self.narrowband,
         }
 
     @staticmethod
@@ -168,9 +167,13 @@ class Scenario:
         known = {
             "name", "room_side", "tx", "receivers", "beam_angles", "n_clusters",
             "n_rays", "n_scatter", "cluster_spread_deg", "grid_pitch", "include_los",
-            "los_gain", "scatter_coeff", "snr_db", "env_seed", "tx_omni", "narrowband",
+            "los_gain", "scatter_coeff", "snr_db", "env_seed",
         }
-        unknown = set(cfg) - known
+        for key in FIXED_TRUE_KEYS:
+            if cfg.get(key, True) is not True:
+                raise ConfigError(f"{key} must be true (the only modelled case), "
+                                  f"got {cfg[key]!r}")
+        unknown = set(cfg) - known - set(FIXED_TRUE_KEYS)
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
         missing = {"name", "tx", "receivers"} - set(cfg)
@@ -185,12 +188,11 @@ class Scenario:
                 )
                 for r in cfg["receivers"]
             )
-            extra = {
+            kwargs = {
                 k: cfg[k]
                 for k in known - {"name", "tx", "receivers", "beam_angles"}
                 if k in cfg
             }
-            kwargs = dict(extra)
             if "beam_angles" in cfg:
                 kwargs["beam_angles"] = tuple(float(b) for b in cfg["beam_angles"])
             return Scenario(

@@ -67,10 +67,14 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
                    help="target scattering coefficient")
 
 
+def _check_drops(flag: str, drops: int | None) -> None:
+    if drops is not None and drops < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {drops}")
+
+
 def cmd_gen(args) -> int:
+    dataset_mod.check_sigma(args.sigma, "--sigma")
     scenario = _scenario_with(args, load_scenario(args.scenario))
-    if args.sigma <= 0:
-        raise InvalidSize(f"--sigma must be > 0, got {args.sigma}")
     if args.protocol == "resolution":
         n = args.n if args.n is not None else (
             dataset_mod.PAPER_SCALE_N if args.paper_scale else dataset_mod.DESK_SCALE_N)
@@ -84,9 +88,9 @@ def cmd_gen(args) -> int:
             protocol=args.protocol, bin_jitter=args.bin_jitter,
         )
     dataset_mod.save_dataset(args.out, ds)
-    n_null = sum(1 for r in ds.records if r.hyp == dataset_mod.HYP_NULL)
-    print(f"wrote {len(ds.records)} records ({n_null} null, "
-          f"{len(ds.records) - n_null} target) to {args.out}")
+    n_null = int(np.count_nonzero(~ds.target))
+    print(f"wrote {len(ds)} records ({n_null} null, "
+          f"{len(ds) - n_null} target) to {args.out}")
     return EXIT_OK
 
 
@@ -134,43 +138,41 @@ def fit(
     fractions = ds.manifest.split_fractions
     if val_fraction is not None:
         fractions = (1.0 - val_fraction, val_fraction)
-    train_ds, val_ds = dataset_mod.split(ds, fractions, seed)
+    train_idx, val_idx = dataset_mod.split(ds, fractions, seed)
 
-    def arrays(sub: dataset_mod.Dataset):
-        if task == "detect":
-            recs = sub.records
-            y = np.array([1.0 if r.hyp == dataset_mod.HYP_TARGET else 0.0 for r in recs])
-        else:
-            recs = [r for r in sub.records if r.hyp == dataset_mod.HYP_TARGET]
-            y = np.array([[r.position.x, r.position.y] for r in recs]).reshape(-1, 2)
-        if not recs:
+    def arrays(idx: np.ndarray):
+        if task == "locate":
+            idx = idx[ds.target[idx]]
+        if not len(idx):
             raise ConfigError(f"no usable records for task {task!r}")
-        x = np.stack([r.tensor for r in recs])
-        return x, y
+        y = ds.target[idx].astype(float) if task == "detect" else ds.xy[idx]
+        return ds.tensors[idx], y
 
-    x_train, y_train = arrays(train_ds)
+    x_train, y_train = arrays(train_idx)
     stats = compute_stats(x_train)
     x_train = normalize(x_train, stats)
-    validation = None
-    if len(val_ds.records):
-        try:
-            x_val, y_val = arrays(val_ds)
-            validation = (normalize(x_val, stats), y_val)
-        except ConfigError:
-            validation = None
+    try:
+        x_val, y_val = arrays(val_idx)
+        validation = (normalize(x_val, stats), y_val)
+    except ConfigError:
+        validation = None
     params, log = nn.train((x_train, y_train), config, validation)
     return nn.TrainedModel(params=params, stats=stats, task=task), log
 
 
 def cmd_eval(args) -> int:
+    dataset_mod.check_sigma(args.sigma, "--sigma")
+    sigmas = sorted(float(s) for s in args.sigmas.split(",")) if args.sigmas else []
+    for sigma in sigmas:
+        dataset_mod.check_sigma(sigma, "--sigmas")
+    _check_drops("--drops", args.drops)
     model = nn.load_model(args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
     scenario = _scenario_with(args, load_scenario(args.scenario))
+    drops = args.drops if args.drops is not None else (700 if model.task == "detect" else 1000)
     if model.task == "detect":
-        if args.sigmas:
-            sigmas = sorted(float(s) for s in args.sigmas.split(","))
-            drops = args.drops if args.drops is not None else 700
+        if sigmas:
             curve, crossing = metrics_mod.resolution_curve(
                 model, scenario, sigmas, drops, args.gamma, args.seed)
             with open(args.out, "w") as fp:
@@ -180,7 +182,6 @@ def cmd_eval(args) -> int:
             print(f"resolution at gamma={args.gamma:g}: "
                   f"{crossing if crossing is not None else 'not reached'}")
         else:
-            drops = args.drops if args.drops is not None else 700
             counts = metrics_mod.detection_counts(model, scenario, args.sigma, drops, args.seed)
             p = metrics_mod.accuracy_score(counts)
             with open(args.out, "w") as fp:
@@ -188,8 +189,8 @@ def cmd_eval(args) -> int:
             print(f"accuracy score P={p:.4f} over {drops} drops/hypothesis "
                   f"(fa={counts.null_as_target}, miss={counts.target_as_null})")
     else:
-        drops = args.drops if args.drops is not None else 1000
-        result = metrics_mod.model_positions(model, scenario, args.sigma, drops, args.seed)
+        result = metrics_mod.drop_positions(scenario, args.sigma, drops, args.seed,
+                                            model=model)[0]
         summary = result.summary()
         with open(args.out, "w") as fp:
             metrics_mod.write_positioning_csv(fp, summary)
@@ -199,6 +200,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    dataset_mod.check_sigma(args.sigma, "--sigma")
+    _check_drops("--drops-per-bin", args.drops_per_bin)
     model = nn.load_model(args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
@@ -218,6 +221,8 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    dataset_mod.check_sigma(args.sigma, "--sigma")
+    _check_drops("--drops", args.drops)
     scenario = _scenario_with(args, load_scenario(args.scenario))
     banks = []
     if args.variant in ("swept7", "both"):

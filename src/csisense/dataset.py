@@ -2,8 +2,10 @@
 
 Every record is a pure function of (master seed, record index): the record's
 own u64 seed is derived from that pair, so generation order and worker count
-never change the output.  On disk a dataset is a manifest.json, a frames.bin
-(concatenated binary frames) and a labels.csv.
+never change the output.  In memory a dataset is columnar, one array per
+field with the record index as the row number; on disk it is a
+manifest.json, a frames.bin (fixed-size binary frame records) and a
+labels.csv.
 """
 
 from __future__ import annotations
@@ -15,17 +17,18 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from . import frame as frame_mod
 from .channel import Scenario, blocked_rays, capture, draw_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
-from .frame import CsiFrame, FrameMeta, to_tensor
+from .frame import CsiFrame, FrameMeta, read_frames, to_tensor, write_frames
 from .geometry import Point2D, Target
 
 HYP_NULL = "null"
 HYP_TARGET = "target"
+LABEL_COLUMNS = ["index", "hyp", "x", "y", "sigma", "seed"]
 
 DEVICE_CLEARANCE = 0.05  # extra clearance beyond sigma/2 around tx/rx positions
 
@@ -33,22 +36,6 @@ DESK_SCALE_N = 200          # resolution records per hypothesis
 DESK_SCALE_N_PER_BIN = 20
 PAPER_SCALE_N = 2000
 PAPER_SCALE_N_PER_BIN = 2000
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    tensor: np.ndarray
-    hyp: str
-    position: Point2D | None = None
-    sigma: float | None = None
-    seed: int = 0
-    index: int = 0
-    bin_index: int | None = None
-
-    def __post_init__(self):
-        has_target = self.hyp == HYP_TARGET
-        if has_target != (self.position is not None and self.sigma is not None):
-            raise ConfigError("target records need position+sigma, null records neither")
 
 
 @dataclass
@@ -96,11 +83,23 @@ class DatasetManifest:
 
 @dataclass
 class Dataset:
+    """One array per field; row i is record i.  Every target has manifest.sigma."""
+
     manifest: DatasetManifest
-    records: list[SampleRecord]
+    tensors: np.ndarray    # (N, rows, beams, 2) float64 frame tensors
+    target: np.ndarray     # (N,) bool, True for target records
+    xy: np.ndarray         # (N, 2) target centers, NaN on null rows
+    seed: np.ndarray       # (N,) uint64 record stream seeds
+    bin: np.ndarray        # (N,) int bin index, -1 when unbinned
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.target)
+
+
+def check_sigma(sigma: float, name: str = "sigma") -> None:
+    """Target diameters must be finite and positive."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise InvalidSize(f"{name} must be finite and > 0, got {sigma}")
 
 
 def record_seed(master_seed: int, index: int) -> int:
@@ -176,17 +175,17 @@ def drop(
     return center, null_frame, alt_frame
 
 
-def _generate_record(scenario: Scenario, spec: RecordSpec, master_seed: int) -> SampleRecord:
+def _generate_record(
+    scenario: Scenario, spec: RecordSpec, master_seed: int
+) -> tuple[Point2D | None, np.ndarray]:
+    """(target center or None, frame tensor) of one record."""
     seed = record_seed(master_seed, spec.index)
     if spec.hyp == HYP_NULL:
         _, fr, _ = drop(scenario, seed)
-        return SampleRecord(tensor=to_tensor(fr), hyp=HYP_NULL, seed=seed,
-                            index=spec.index, bin_index=spec.bin_index)
+        return None, to_tensor(fr)
     center, _, fr = drop(scenario, seed, spec.sigma, spec.center, spec.bin_jitter_pitch,
                          null=False)
-    return SampleRecord(tensor=to_tensor(fr), hyp=HYP_TARGET, position=center,
-                        sigma=spec.sigma, seed=seed, index=spec.index,
-                        bin_index=spec.bin_index)
+    return center, to_tensor(fr)
 
 
 def _jitter_in_bin(
@@ -209,37 +208,60 @@ def _worker_count() -> int:
         return 1
 
 
-def _gen_one(args) -> SampleRecord:
+def _gen_one(args) -> tuple[Point2D | None, np.ndarray]:
     scenario, spec, master_seed = args
     return _generate_record(scenario, spec, master_seed)
 
 
-def _run_specs(scenario: Scenario, specs: list[RecordSpec], master_seed: int) -> list[SampleRecord]:
+def _run_specs(
+    scenario: Scenario, specs: list[RecordSpec], master_seed: int
+) -> Iterator[tuple[Point2D | None, np.ndarray]]:
+    """Records in spec order, yielded as they arrive so the caller can store each."""
     workers = _worker_count()
     if workers == 1 or len(specs) < 4 * workers:
-        return [_generate_record(scenario, s, master_seed) for s in specs]
+        yield from (_generate_record(scenario, s, master_seed) for s in specs)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         args = [(scenario, s, master_seed) for s in specs]
-        return list(pool.map(_gen_one, args, chunksize=max(1, len(specs) // (4 * workers))))
+        yield from pool.map(_gen_one, args, chunksize=max(1, len(specs) // (4 * workers)))
+
+
+def _build(manifest: DatasetManifest, specs: list[RecordSpec]) -> Dataset:
+    """Generate every spec (row i is specs[i], whose index is i) into columns."""
+    sc = manifest.scenario
+    n = len(specs)
+    tensors = np.empty((n, sc.n_links * sc.n_antennas, sc.n_beams, 2))
+    xy = np.full((n, 2), np.nan)
+    for i, (center, tensor) in enumerate(_run_specs(sc, specs, manifest.master_seed)):
+        tensors[i] = tensor
+        if center is not None:
+            xy[i] = center.x, center.y
+    return Dataset(
+        manifest=manifest,
+        tensors=tensors,
+        target=np.array([s.hyp == HYP_TARGET for s in specs], dtype=bool),
+        xy=xy,
+        seed=np.array([record_seed(manifest.master_seed, s.index) for s in specs],
+                      dtype=np.uint64),
+        bin=np.array([-1 if s.bin_index is None else s.bin_index for s in specs], dtype=int),
+    )
 
 
 def gen_resolution_set(
     scenario: Scenario, sigma: float, n_per_hyp: int, master_seed: int
 ) -> Dataset:
     """n null + n target records, target centers uniform under the margin rule."""
-    if sigma <= 0:
-        raise InvalidSize(f"sigma must be > 0, got {sigma}")
+    check_sigma(sigma)
     specs = [RecordSpec(index=i, hyp=HYP_NULL, sigma=sigma) for i in range(n_per_hyp)]
     specs += [
         RecordSpec(index=n_per_hyp + i, hyp=HYP_TARGET, sigma=sigma)
         for i in range(n_per_hyp)
     ]
-    records = _run_specs(scenario, specs, master_seed)
     manifest = DatasetManifest(
         scenario=scenario, protocol="resolution", sigma=sigma, n_per_hyp=n_per_hyp,
         master_seed=master_seed, count_null=n_per_hyp, count_target=n_per_hyp,
     )
-    return Dataset(manifest=manifest, records=records)
+    return _build(manifest, specs)
 
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> list[Point2D]:
@@ -262,8 +284,7 @@ def gen_binned_set(
     bin_jitter: bool = False,
 ) -> Dataset:
     """Per margin-valid bin: n target records at the bin center plus n null records."""
-    if sigma <= 0:
-        raise InvalidSize(f"sigma must be > 0, got {sigma}")
+    check_sigma(sigma)
     centers = valid_bin_centers(scenario, sigma, pitch)
     if not centers:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
@@ -278,68 +299,86 @@ def gen_binned_set(
         for _ in range(n_per_bin):
             specs.append(RecordSpec(index=idx, hyp=HYP_NULL, sigma=sigma, bin_index=b))
             idx += 1
-    records = _run_specs(scenario, specs, master_seed)
     n_bins = len(centers)
     manifest = DatasetManifest(
         scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n_per_bin * n_bins,
         master_seed=master_seed, grid_pitch=pitch, bin_jitter=bin_jitter,
         count_null=n_per_bin * n_bins, count_target=n_per_bin * n_bins,
     )
-    return Dataset(manifest=manifest, records=records)
+    return _build(manifest, specs)
 
 
 def split(
     dataset: Dataset, fractions: tuple[float, float], seed: int
-) -> tuple[Dataset, Dataset]:
-    """Stratified train/validation split; disjoint and exhaustive.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified train/validation split as sorted (train, val) row indices;
+    disjoint and exhaustive.
 
-    Strata are the hypothesis, refined by bin for binned protocols.
+    Strata are the hypothesis, refined by bin for binned protocols, taken in
+    (null before target, ascending bin) order with one shuffle each.
     """
     f_train, f_val = fractions
     if f_train < 0 or f_val < 0 or abs(f_train + f_val - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
-    strata: dict[tuple, list[int]] = {}
-    for i, rec in enumerate(dataset.records):
-        key = (rec.hyp, rec.bin_index if rec.bin_index is not None else -1)
-        strata.setdefault(key, []).append(i)
+    key = dataset.target * (int(dataset.bin.max(initial=-1)) + 2) + dataset.bin + 1
+    order = np.argsort(key, kind="stable")
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    for key in sorted(strata):
-        idxs = np.array(strata[key])
+    train_parts, val_parts = [], []
+    for idxs in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         rng.shuffle(idxs)
         n_train = int(round(f_train * len(idxs)))
-        train_idx.extend(idxs[:n_train].tolist())
-        val_idx.extend(idxs[n_train:].tolist())
-    train_idx.sort()
-    val_idx.sort()
-    mk = lambda idxs: Dataset(
-        manifest=dataset.manifest, records=[dataset.records[i] for i in idxs]
-    )
-    return mk(train_idx), mk(val_idx)
+        train_parts.append(idxs[:n_train])
+        val_parts.append(idxs[n_train:])
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(val_parts))
+
+
+def _frame_meta(scenario: Scenario) -> FrameMeta:
+    return FrameMeta(scenario.n_links, scenario.n_antennas, scenario.n_beams)
 
 
 def save_dataset(path: str | Path, dataset: Dataset) -> None:
     """Write manifest.json, frames.bin and labels.csv into `path`."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    m = dataset.manifest
     with open(out / "manifest.json", "w") as fp:
-        json.dump(dataset.manifest.to_dict(), fp, indent=2, sort_keys=True)
+        json.dump(m.to_dict(), fp, indent=2, sort_keys=True)
         fp.write("\n")
-    sc = dataset.manifest.scenario
-    meta = FrameMeta(sc.n_links, sc.n_antennas, sc.n_beams)
-    with open(out / "frames.bin", "wb") as fb:
-        for rec in dataset.records:
-            frame_mod.write_frame(fb, frame_mod.from_tensor(rec.tensor, meta))
+    write_frames(out / "frames.bin", dataset.tensors, _frame_meta(m.scenario))
+    sigma = repr(float(m.sigma))
     with open(out / "labels.csv", "w", newline="") as fc:
         w = csv.writer(fc)
-        w.writerow(["index", "hyp", "x", "y", "sigma", "seed"])
-        for rec in dataset.records:
-            if rec.hyp == HYP_TARGET:
-                w.writerow([rec.index, rec.hyp, repr(rec.position.x),
-                            repr(rec.position.y), repr(rec.sigma), rec.seed])
+        w.writerow(LABEL_COLUMNS)
+        for i, (is_target, (x, y), seed) in enumerate(
+                zip(dataset.target, dataset.xy.tolist(), dataset.seed.tolist())):
+            if is_target:
+                w.writerow([i, HYP_TARGET, repr(x), repr(y), sigma, seed])
             else:
-                w.writerow([rec.index, rec.hyp, "", "", "", rec.seed])
+                w.writerow([i, HYP_NULL, "", "", "", seed])
+
+
+def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(target, xy, seed) columns of a labels.csv whose index is the row number."""
+    target, xy, seed = [], [], []
+    with open(path, newline="") as fc:
+        rows = csv.reader(fc)
+        if next(rows, None) != LABEL_COLUMNS:
+            raise ConfigError(f"{path}: header is not {','.join(LABEL_COLUMNS)}")
+        for i, row in enumerate(rows):
+            try:
+                index, hyp, x, y, _, s = row
+                if index != str(i):
+                    raise ValueError(f"index {index!r} is not the row number")
+                if hyp not in (HYP_NULL, HYP_TARGET):
+                    raise ValueError(f"hyp {hyp!r}")
+                target.append(hyp == HYP_TARGET)
+                xy.append(Point2D(float(x), float(y)) if target[-1] else None)
+                seed.append(np.uint64(int(s)))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}: row {i}: {exc}") from exc
+    return (np.array(target, dtype=bool),
+            np.array([(p.x, p.y) if p else (math.nan, math.nan) for p in xy]).reshape(-1, 2),
+            np.array(seed, dtype=np.uint64))
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -347,31 +386,15 @@ def load_dataset(path: str | Path) -> Dataset:
     src = Path(path)
     with open(src / "manifest.json") as fp:
         manifest = DatasetManifest.from_dict(json.load(fp))
-    binned = manifest.grid_pitch is not None
-    n_bins = (
-        len(valid_bin_centers(manifest.scenario, manifest.sigma, manifest.grid_pitch))
-        if binned else 0
-    )
-    per_bin = manifest.n_per_hyp // n_bins if binned and n_bins else 0
-    records: list[SampleRecord] = []
-    with open(src / "labels.csv", newline="") as fc, open(src / "frames.bin", "rb") as fb:
-        for row in csv.DictReader(fc):
-            fr = frame_mod.read_frame(fb)
-            if fr is None:
-                raise ConfigError("frames.bin shorter than labels.csv")
-            idx = int(row["index"])
-            bin_index = idx // (2 * per_bin) if binned and per_bin else None
-            if row["hyp"] == HYP_TARGET:
-                rec = SampleRecord(
-                    tensor=to_tensor(fr), hyp=HYP_TARGET,
-                    position=Point2D(float(row["x"]), float(row["y"])),
-                    sigma=float(row["sigma"]), seed=int(row["seed"]),
-                    index=idx, bin_index=bin_index,
-                )
-            else:
-                rec = SampleRecord(tensor=to_tensor(fr), hyp=HYP_NULL,
-                                   seed=int(row["seed"]), index=idx, bin_index=bin_index)
-            records.append(rec)
-        if frame_mod.read_frame(fb) is not None:
-            raise ConfigError("frames.bin longer than labels.csv")
-    return Dataset(manifest=manifest, records=records)
+    target, xy, seed = _read_labels(src / "labels.csv")
+    tensors = read_frames(src / "frames.bin", _frame_meta(manifest.scenario))
+    if len(tensors) != len(target):
+        raise ConfigError(f"{src}: frames.bin holds {len(tensors)} records, "
+                          f"labels.csv {len(target)}")
+    per_bin = 0
+    if manifest.grid_pitch is not None:
+        n_bins = len(valid_bin_centers(manifest.scenario, manifest.sigma, manifest.grid_pitch))
+        per_bin = manifest.n_per_hyp // n_bins if n_bins else 0
+    return Dataset(manifest=manifest, tensors=tensors, target=target, xy=xy, seed=seed,
+                   bin=np.arange(len(target)) // (2 * per_bin) if per_bin
+                   else np.full(len(target), -1))

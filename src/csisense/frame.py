@@ -3,14 +3,14 @@
 A frame stacks the per-link beam captures into a complex matrix with
 L*N_r rows (link-major row blocks) and one column per beam.  The network
 consumes the real-valued view with real/imaginary parts split into two
-trailing channels.
+trailing channels.  A frames file is a run of fixed-size records, one per
+frame, written with one call and read with one call.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -61,17 +61,6 @@ def to_tensor(frame: CsiFrame) -> np.ndarray:
     return np.stack([frame.matrix.real, frame.matrix.imag], axis=-1)
 
 
-def from_tensor(tensor: np.ndarray, meta: FrameMeta | None = None) -> CsiFrame:
-    """Inverse of to_tensor; exact complex round trip."""
-    t = np.asarray(tensor, dtype=float)
-    if t.ndim != 3 or t.shape[-1] != 2:
-        raise ShapeMismatch(f"expected (rows, beams, 2) tensor, got {t.shape}")
-    matrix = t[..., 0] + 1j * t[..., 1]
-    if meta is None:
-        meta = FrameMeta(n_links=1, n_antennas=t.shape[0], n_beams=t.shape[1])
-    return CsiFrame(matrix=matrix, meta=meta)
-
-
 @dataclass(frozen=True)
 class NormStats:
     """Per-channel standardization constants, frozen from the training split."""
@@ -80,11 +69,11 @@ class NormStats:
     std: tuple[float, float]
 
 
-def compute_stats(tensors: Sequence[np.ndarray]) -> NormStats:
-    """Global per-channel mean/std over a collection of frame tensors."""
-    stacked = np.stack([np.asarray(t, dtype=float) for t in tensors])
-    mean = stacked.mean(axis=(0, 1, 2))
-    std = stacked.std(axis=(0, 1, 2))
+def compute_stats(tensors: np.ndarray) -> NormStats:
+    """Global per-channel mean/std over an (N, rows, beams, 2) array of frame tensors."""
+    x = np.asarray(tensors, dtype=float)
+    mean = x.mean(axis=(0, 1, 2))
+    std = x.std(axis=(0, 1, 2))
     return NormStats(mean=(float(mean[0]), float(mean[1])),
                      std=(float(std[0]), float(std[1])))
 
@@ -96,35 +85,43 @@ def normalize(tensor: np.ndarray, stats: NormStats) -> np.ndarray:
     return (np.asarray(tensor, dtype=float) - mean) / std
 
 
-_HEADER = struct.Struct("<4sHHHH")
+def _header(meta: FrameMeta) -> dict:
+    return {"magic": MAGIC, "version": VERSION, **asdict(meta)}
 
 
-def write_frame(fp: IO[bytes], frame: CsiFrame) -> None:
-    """Little-endian binary record: CSIF header then row-major (re, im) float64."""
-    m = frame.meta
-    fp.write(_HEADER.pack(MAGIC, VERSION, m.n_links, m.n_antennas, m.n_beams))
-    interleaved = np.empty(frame.matrix.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = frame.matrix.real
-    interleaved[..., 1] = frame.matrix.imag
-    fp.write(interleaved.tobytes())
+def record_dtype(meta: FrameMeta) -> np.dtype:
+    """One little-endian frame record: CSIF header (magic, u16 version, links,
+    antennas, beams) then the row-major (re, im) float64 tensor."""
+    fields = [(name, "S4" if name == "magic" else "<u2") for name in _header(meta)]
+    rows = meta.n_links * meta.n_antennas
+    return np.dtype(fields + [("data", "<f8", (rows, meta.n_beams, 2))])
 
 
-def read_frame(fp: IO[bytes]) -> CsiFrame | None:
-    """Read one frame record; None at end of stream."""
-    header = fp.read(_HEADER.size)
-    if not header:
-        return None
-    if len(header) != _HEADER.size:
-        raise ShapeMismatch("truncated frame header")
-    magic, version, n_links, n_antennas, n_beams = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ShapeMismatch(f"bad frame magic {magic!r}")
-    if version != VERSION:
-        raise ShapeMismatch(f"unsupported frame version {version}")
-    rows = n_links * n_antennas
-    payload = fp.read(rows * n_beams * 2 * 8)
-    if len(payload) != rows * n_beams * 2 * 8:
-        raise ShapeMismatch("truncated frame payload")
-    flat = np.frombuffer(payload, dtype="<f8").reshape(rows, n_beams, 2)
-    matrix = flat[..., 0] + 1j * flat[..., 1]
-    return CsiFrame(matrix=matrix, meta=FrameMeta(n_links, n_antennas, n_beams))
+def write_frames(path: str | Path, tensors: np.ndarray, meta: FrameMeta) -> None:
+    """Write (N, rows, beams, 2) frame tensors as N fixed-size records."""
+    records = np.empty(len(tensors), dtype=record_dtype(meta))
+    if np.shape(tensors)[1:] != records["data"].shape[1:]:
+        raise ShapeMismatch(f"frame tensors {np.shape(tensors)} do not match {meta}")
+    for name, value in _header(meta).items():
+        records[name] = value
+    records["data"] = tensors
+    records.tofile(path)
+
+
+def read_frames(path: str | Path, meta: FrameMeta) -> np.ndarray:
+    """(N, rows, beams, 2) tensors of a file of records whose headers all declare `meta`."""
+    dtype = record_dtype(meta)
+    size = Path(path).stat().st_size
+    if size % dtype.itemsize:
+        raise ShapeMismatch(f"{path}: truncated: {size} bytes is not a whole number "
+                            f"of {dtype.itemsize}-byte frame records")
+    records = np.fromfile(path, dtype=dtype)
+    for name, want in _header(meta).items():
+        bad = np.flatnonzero(records[name] != want)
+        if bad.size:
+            raise ShapeMismatch(f"{path}: record {bad[0]} has {name} "
+                                f"{records[name][bad[0]].item()!r}, expected {want!r}")
+    tensors = np.ascontiguousarray(records["data"], dtype=float)
+    if not np.all(np.isfinite(tensors)):
+        raise ShapeMismatch(f"{path}: frame contains non-finite entries")
+    return tensors

@@ -239,28 +239,6 @@ def drop_positions(
                                          variant="csisensenet", degraded=[False] * n_drops)]
 
 
-def baseline_positions(
-    scenario: Scenario,
-    sigma: float,
-    n_drops: int,
-    master_seed: int,
-    bank: BeamBank,
-) -> PositioningResult:
-    """The angle-based estimator alone over paired drops (see drop_positions)."""
-    return drop_positions(scenario, sigma, n_drops, master_seed, banks=(bank,))[0]
-
-
-def model_positions(
-    model: TrainedModel,
-    scenario: Scenario,
-    sigma: float,
-    n_drops: int,
-    master_seed: int,
-) -> PositioningResult:
-    """CNN position estimates on the same drop sequence the baseline sees."""
-    return drop_positions(scenario, sigma, n_drops, master_seed, model=model)[0]
-
-
 def write_resolution_csv(fp: IO[str], curve: Sequence[tuple[float, float]], n: int) -> None:
     fp.write("sigma,P,n\n")
     for sigma, p in curve:

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from .frame import NormStats, normalize
-from .geometry import Point2D
 
 PROB_CLAMP = 1e-7
 
@@ -240,20 +239,9 @@ def detect_batch(params: ModelParams, tensors: np.ndarray) -> np.ndarray:
     return _sigmoid(z)[:, 0]
 
 
-def forward_detect(params: ModelParams, tensor: np.ndarray) -> float:
-    """Detection probability in (0, 1) for a single frame tensor."""
-    return float(detect_batch(params, tensor)[0])
-
-
 def locate_batch(params: ModelParams, tensors: np.ndarray) -> np.ndarray:
     feats, _ = _trunk_forward(params, _as_batch(params, tensors))
     return feats @ params.locate_w + params.locate_b
-
-
-def forward_locate(params: ModelParams, tensor: np.ndarray) -> Point2D:
-    """Raw position estimate; clamping to room bounds is the evaluator's call."""
-    xy = locate_batch(params, tensor)[0]
-    return Point2D(float(xy[0]), float(xy[1]))
 
 
 def loss_and_grads(
@@ -496,14 +484,20 @@ def load_model(path: str | Path) -> TrainedModel:
         version, blob_len = struct.unpack("<HI", header)
         if version != VERSION:
             raise ConfigError(f"{path}: unsupported model version {version}")
-        desc = json.loads(fp.read(blob_len).decode())
-        arch = Architecture(
-            input_shape=tuple(desc["input_shape"]),
-            conv_filters=tuple(desc["conv_filters"]),
-            kernel=int(desc["kernel"]),
-            dense_units=int(desc["dense_units"]),
-            pool=int(desc["pool"]),
-        )
+        try:
+            desc = json.loads(fp.read(blob_len).decode())
+            arch = Architecture(input_shape=tuple(int(v) for v in desc["input_shape"]),
+                                conv_filters=tuple(int(v) for v in desc["conv_filters"]),
+                                **{k: int(desc[k]) for k in ("kernel", "dense_units", "pool")})
+            stats = NormStats(mean=tuple(float(v) for v in desc["norm_mean"]),
+                              std=tuple(float(v) for v in desc["norm_std"]))
+            task = desc["task"]
+            threshold = float(desc.get("threshold", 0.5))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ConfigError(
+                f"{path}: malformed model descriptor: {type(exc).__name__}: {exc}") from exc
+        if task not in ("detect", "locate"):
+            raise ConfigError(f"{path}: malformed model descriptor: task {task!r}")
         ref = init_params(arch, 0)
         arrays = {}
         for name, arr in ref.items():
@@ -512,6 +506,4 @@ def load_model(path: str | Path) -> TrainedModel:
                 raise ConfigError(f"{path}: truncated parameter block {name}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape).copy()
     params = ModelParams(arch, *[arrays[n] for n in PARAM_FIELDS])
-    stats = NormStats(mean=tuple(desc["norm_mean"]), std=tuple(desc["norm_std"]))
-    return TrainedModel(params=params, stats=stats, task=desc["task"],
-                        threshold=float(desc.get("threshold", 0.5)))
+    return TrainedModel(params=params, stats=stats, task=task, threshold=threshold)

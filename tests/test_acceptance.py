@@ -268,11 +268,9 @@ def positioning_runs():
     ds = gen_binned_set(scenario, 0.8, 10, 0.25, 21, protocol="positioning")
     model, _ = fit(ds, "locate", epochs=40, seed=5, patience=10)
     drops_seed = 4242
-    net = metrics_mod.model_positions(model, scenario, 0.8, 500, drops_seed)
-    swept = metrics_mod.baseline_positions(
-        scenario, 0.8, 500, drops_seed, baseline_mod.swept_bank(scenario))
-    overlapped = metrics_mod.baseline_positions(
-        scenario, 0.8, 500, drops_seed, baseline_mod.overlapped_bank())
+    banks = (baseline_mod.swept_bank(scenario), baseline_mod.overlapped_bank())
+    swept, overlapped, net = metrics_mod.drop_positions(
+        scenario, 0.8, 500, drops_seed, banks, model)
     return net, swept, overlapped
 
 

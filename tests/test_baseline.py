@@ -156,7 +156,6 @@ class TestBanks:
     def test_overlapped_bank_layout(self):
         bank = overlapped_bank()
         assert len(bank.angles) == 180
-        assert bank.width_deg == 30.0
         degs = np.rad2deg(bank.angles)
         assert degs[0] == pytest.approx(-89.5)
         assert degs[-1] == pytest.approx(89.5)

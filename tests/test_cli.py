@@ -1,10 +1,15 @@
 import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from csisense.channel import Scenario
 from csisense.cli import EXIT_CONFIG, EXIT_IO, load_scenario, main
+from csisense.frame import NormStats
+from csisense.sensenet import Architecture, TrainedModel, init_params, save_model
 
 TINY_SCENARIO = dict(
     name="tiny",
@@ -81,6 +86,17 @@ class TestGen:
         rc = main(["gen", "--scenario", str(bad), "--sigma", "0.4", "--n", "2",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key", ["tx_omni", "narrowband"])
+    def test_fixed_true_scenario_keys(self, tmp_path, capsys, key):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**TINY_SCENARIO, key: True}))
+        assert load_scenario(str(path)) == Scenario.from_dict(TINY_SCENARIO)
+        path.write_text(json.dumps({**TINY_SCENARIO, key: False}))
+        rc = main(["gen", "--scenario", str(path), "--sigma", "0.4", "--n", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{key} must be true")
 
     @pytest.mark.parametrize("snr", ["nan", "-inf"])
     def test_non_finite_snr_exits_2(self, tmp_path, scenario_file, capsys, snr):
@@ -276,3 +292,148 @@ class TestVariantFlags:
         assert manifest["scenario"]["include_los"] is False
         assert manifest["scenario"]["snr_db"] == float("inf")
         assert manifest["scenario"]["scatter_coeff"] == 0.5
+
+
+def untrained_model(path, task):
+    """A model artifact of the tiny scenario's input shape, straight from init_params."""
+    params = init_params(Architecture(input_shape=(8, 3, 2)), 0)
+    save_model(path, TrainedModel(params, NormStats((0.0, 0.0), (1.0, 1.0)), task))
+    return str(path)
+
+
+def assert_one_line_error(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
+    for needle in needles:
+        assert needle in err, err
+
+
+class TestBadFlags:
+    @pytest.fixture
+    def commands(self, tmp_path, scenario_file):
+        det = untrained_model(tmp_path / "det.csnn", "detect")
+        out = str(tmp_path / "out")
+        return {
+            "gen": ["gen", "--scenario", scenario_file, "--n", "2", "--out", out],
+            "eval": ["eval", "--model", det, "--scenario", scenario_file, "--drops", "2",
+                     "--out", out],
+            "coverage": ["coverage", "--model", det, "--scenario", scenario_file,
+                         "--pitch", "1.0", "--drops-per-bin", "2", "--out", out],
+            "baseline": ["baseline", "--scenario", scenario_file, "--drops", "2",
+                         "--out", out],
+        }
+
+    @pytest.mark.parametrize("command", ["gen", "eval", "coverage", "baseline"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "0", "-0.5"])
+    def test_bad_sigma_exits_2(self, tmp_path, commands, capsys, command, sigma):
+        rc = main(commands[command] + [f"--sigma={sigma}"])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "--sigma must be finite and > 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sigmas", ["0.3,nan", "inf,0.5", "0,0.5", "0.3,-1"])
+    def test_bad_sigmas_exits_2(self, commands, capsys, sigmas):
+        rc = main(commands["eval"] + ["--sigmas", sigmas])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "--sigmas must be finite and > 0")
+
+    @pytest.mark.parametrize("command,flag", [("eval", "--drops"),
+                                              ("coverage", "--drops-per-bin"),
+                                              ("baseline", "--drops")])
+    def test_zero_drops_exits_2(self, tmp_path, commands, capsys, command, flag):
+        rc = main(commands[command] + [flag, "0"])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{flag} must be >= 1, got 0")
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_drops_exits_2_for_positioning_eval(self, tmp_path, scenario_file, capsys):
+        loc = untrained_model(tmp_path / "loc.csnn", "locate")
+        rc = main(["eval", "--model", loc, "--scenario", scenario_file, "--drops", "0",
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "--drops must be >= 1, got 0")
+
+    @pytest.mark.parametrize("change", [
+        lambda d: d.pop("input_shape"),
+        lambda d: d.pop("norm_std"),
+        lambda d: d.update(input_shape=5),
+        lambda d: d.update(kernel="three"),
+        lambda d: d.update(norm_mean=None),
+        lambda d: d.update(task="classify"),
+    ], ids=["no-input_shape", "no-norm_std", "int-input_shape", "str-kernel",
+            "null-norm_mean", "unknown-task"])
+    def test_malformed_model_descriptor_exits_2(self, tmp_path, scenario_file, capsys,
+                                                change):
+        path = tmp_path / "det.csnn"
+        raw = Path(untrained_model(path, "detect")).read_bytes()
+        (blob_len,) = struct.unpack("<I", raw[6:10])
+        desc = json.loads(raw[10:10 + blob_len])
+        change(desc)
+        blob = json.dumps(desc).encode()
+        path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len:])
+        rc = main(["eval", "--model", str(path), "--scenario", scenario_file,
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{path}: malformed model descriptor: ")
+
+
+class TestBadDataset:
+    @pytest.fixture
+    def dataset_dir(self, tmp_path, scenario_file):
+        out = tmp_path / "ds"
+        assert main(["gen", "--scenario", scenario_file, "--sigma", "0.4", "--n", "3",
+                     "--seed", "2", "--out", str(out)]) == 0
+        return out
+
+    def train(self, tmp_path, dataset_dir):
+        return main(["train", "--data", str(dataset_dir), "--epochs", "1",
+                     "--out", str(tmp_path / "m.csnn")])
+
+    def test_header_dims_differ_from_manifest(self, tmp_path, dataset_dir, capsys):
+        # 4 links x 2 antennas keeps the 8-row record size of 2 links x 4 antennas
+        raw = bytearray((dataset_dir / "frames.bin").read_bytes())
+        raw[6:10] = bytes([4, 0, 2, 0])
+        (dataset_dir / "frames.bin").write_bytes(bytes(raw))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, "record 0 has n_links 4, expected 2")
+
+    def test_truncated_frames(self, tmp_path, dataset_dir, capsys):
+        raw = (dataset_dir / "frames.bin").read_bytes()
+        (dataset_dir / "frames.bin").write_bytes(raw[:-1])
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, "truncated")
+
+    def test_fewer_frames_than_labels(self, tmp_path, dataset_dir, capsys):
+        raw = (dataset_dir / "frames.bin").read_bytes()
+        (dataset_dir / "frames.bin").write_bytes(raw[:len(raw) // 6 * 5])
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, "frames.bin holds 5 records, labels.csv 6")
+
+    def test_index_is_not_row_number(self, tmp_path, dataset_dir, capsys):
+        labels = dataset_dir / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        lines[2], lines[3] = lines[3], lines[2]
+        labels.write_text("".join(lines))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, "labels.csv: row 1: index '2' is not the row number")
+
+    def test_target_row_without_xy(self, tmp_path, dataset_dir, capsys):
+        labels = dataset_dir / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        fields = lines[-1].split(",")
+        fields[2] = ""
+        lines[-1] = ",".join(fields)
+        labels.write_text("".join(lines))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, "labels.csv: row 5: could not convert string to float: ''")
+
+    def test_manifest_with_fixed_true_keys_still_loads(self, tmp_path, dataset_dir, capsys):
+        path = dataset_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["scenario"].update(tx_omni=True, narrowband=True)
+        path.write_text(json.dumps(manifest))
+        assert self.train(tmp_path, dataset_dir) == 0
+        manifest["scenario"]["narrowband"] = False
+        path.write_text(json.dumps(manifest))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, "narrowband must be true")

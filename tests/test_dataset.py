@@ -21,6 +21,7 @@ from csisense.dataset import (
     valid_bin_centers,
 )
 from csisense.errors import InvalidPitch, InvalidSize
+from csisense.geometry import Point2D
 
 
 def fast_scenario(**overrides) -> Scenario:
@@ -51,33 +52,46 @@ def bin_center_oracle(scenario, sigma, pitch):
     return out
 
 
+def positions(ds):
+    """Target centers of a dataset's target rows, in row order."""
+    return [Point2D(x, y) for x, y in ds.xy[ds.target].tolist()]
+
+
+def assert_same_columns(a, b):
+    for name in ("tensors", "target", "xy", "seed", "bin"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+
+
 class TestResolutionSet:
     def test_counts(self):
         ds = gen_resolution_set(fast_scenario(), 0.8, 10, 7)
-        assert len(ds.records) == 20
-        counts = Counter(r.hyp for r in ds.records)
-        assert counts[HYP_NULL] == 10 and counts[HYP_TARGET] == 10
+        assert len(ds) == 20
+        assert ds.tensors.shape == (20, 4, 3, 2)
+        assert ds.target.sum() == 10 and (~ds.target).sum() == 10
+        assert np.isnan(ds.xy[~ds.target]).all() and np.isfinite(ds.xy[ds.target]).all()
+        assert (ds.bin == -1).all()
+        assert ds.seed.tolist() == [record_seed(7, i) for i in range(20)]
 
     def test_deterministic(self):
         s = fast_scenario()
         a = gen_resolution_set(s, 0.8, 8, 99)
         b = gen_resolution_set(s, 0.8, 8, 99)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.tensor, rb.tensor)
-            assert ra.position == rb.position and ra.seed == rb.seed
+        assert_same_columns(a, b)
 
     def test_margin_rule(self):
         s = fast_scenario()
         ds = gen_resolution_set(s, 0.8, 40, 3)
-        for rec in ds.records:
-            if rec.hyp == HYP_TARGET:
-                assert target_margin_ok(s, 0.8, rec.position)
-                assert 0.4 <= rec.position.x <= 4.6
-                assert 0.4 <= rec.position.y <= 4.6
+        for p in positions(ds):
+            assert target_margin_ok(s, 0.8, p)
+            assert 0.4 <= p.x <= 4.6
+            assert 0.4 <= p.y <= 4.6
 
     def test_invalid_sigma(self):
-        with pytest.raises(InvalidSize):
-            gen_resolution_set(fast_scenario(), -1.0, 4, 0)
+        for sigma in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(InvalidSize, match="finite and > 0"):
+                gen_resolution_set(fast_scenario(), sigma, 4, 0)
+            with pytest.raises(InvalidSize, match="finite and > 0"):
+                gen_binned_set(fast_scenario(), sigma, 2, 1.0, 0)
 
     def test_record_level_determinism(self):
         # record i is a pure function of (master seed, i), independent of the
@@ -85,9 +99,9 @@ class TestResolutionSet:
         s = fast_scenario()
         ds = gen_resolution_set(s, 0.8, 6, 123)
         spec = RecordSpec(index=9, hyp=HYP_TARGET, sigma=0.8)
-        alone = _generate_record(s, spec, 123)
-        assert np.array_equal(alone.tensor, ds.records[9].tensor)
-        assert alone.position == ds.records[9].position
+        center, tensor = _generate_record(s, spec, 123)
+        assert np.array_equal(tensor, ds.tensors[9])
+        assert (center.x, center.y) == tuple(ds.xy[9])
 
 
 class TestBinnedSet:
@@ -108,58 +122,82 @@ class TestBinnedSet:
     def test_positions_are_exact_bin_centers(self):
         s = fast_scenario()
         ds = gen_binned_set(s, 0.8, 2, 1.0, 5)
-        centers = {(c.x, c.y) for c in valid_bin_centers(s, 0.8, 1.0)}
-        for rec in ds.records:
-            if rec.hyp == HYP_TARGET:
-                assert (rec.position.x, rec.position.y) in centers
+        centers = valid_bin_centers(s, 0.8, 1.0)
+        for (x, y), b in zip(ds.xy[ds.target].tolist(), ds.bin[ds.target]):
+            assert (x, y) == (centers[b].x, centers[b].y)
 
     def test_jitter_stays_in_bin(self):
         s = fast_scenario()
         ds = gen_binned_set(s, 0.4, 3, 1.0, 5, bin_jitter=True)
         centers = valid_bin_centers(s, 0.4, 1.0)
-        for rec in ds.records:
-            if rec.hyp == HYP_TARGET:
-                c = centers[rec.bin_index]
-                assert abs(rec.position.x - c.x) <= 0.5
-                assert abs(rec.position.y - c.y) <= 0.5
-                assert target_margin_ok(s, 0.4, rec.position)
+        for p, b in zip(positions(ds), ds.bin[ds.target]):
+            c = centers[b]
+            assert abs(p.x - c.x) <= 0.5
+            assert abs(p.y - c.y) <= 0.5
+            assert target_margin_ok(s, 0.4, p)
 
     def test_class_balance(self):
         ds = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 5)
-        counts = Counter(r.hyp for r in ds.records)
-        assert counts[HYP_NULL] == counts[HYP_TARGET]
+        assert ds.target.sum() == (~ds.target).sum()
+        # per bin: n target rows, then n null rows
+        assert ds.target.tolist() == [True, True, False, False] * (len(ds) // 4)
+        assert ds.bin.tolist() == [b for b in range(len(ds) // 4) for _ in range(4)]
 
     def test_invalid_pitch(self):
         with pytest.raises(InvalidPitch):
             gen_binned_set(fast_scenario(), 0.8, 2, -0.5, 5)
 
 
+def split_oracle(ds, fractions, seed):
+    """The stratified split written out stratum by stratum, sorted by (hyp, bin)."""
+    strata = {}
+    for i in range(len(ds)):
+        key = (HYP_TARGET if ds.target[i] else HYP_NULL, int(ds.bin[i]))
+        strata.setdefault(key, []).append(i)
+    rng = np.random.default_rng(seed)
+    train, val = [], []
+    for key in sorted(strata):
+        idxs = np.array(strata[key])
+        rng.shuffle(idxs)
+        n_train = int(round(fractions[0] * len(idxs)))
+        train += idxs[:n_train].tolist()
+        val += idxs[n_train:].tolist()
+    return sorted(train), sorted(val)
+
+
 class TestSplit:
     def test_stratified_70_30(self):
         ds = gen_resolution_set(fast_scenario(), 0.8, 20, 1)
         train, val = split(ds, (0.7, 0.3), 42)
-        assert len(train.records) == 28 and len(val.records) == 12
+        assert len(train) == 28 and len(val) == 12
         for part, n in ((train, 14), (val, 6)):
-            counts = Counter(r.hyp for r in part.records)
-            assert counts[HYP_NULL] == n and counts[HYP_TARGET] == n
+            assert ds.target[part].sum() == n and (~ds.target[part]).sum() == n
 
     def test_degenerate_fraction(self):
         ds = gen_resolution_set(fast_scenario(), 0.8, 5, 1)
         train, val = split(ds, (1.0, 0.0), 0)
-        assert len(train.records) == 10 and len(val.records) == 0
+        assert len(train) == 10 and len(val) == 0
 
     def test_union_is_original(self):
         ds = gen_resolution_set(fast_scenario(), 0.8, 9, 1)
         train, val = split(ds, (0.7, 0.3), 7)
-        got = sorted(r.index for r in train.records + val.records)
-        assert got == [r.index for r in ds.records]
+        assert sorted(np.concatenate([train, val]).tolist()) == list(range(len(ds)))
+        assert train.tolist() == sorted(train.tolist())
+        assert val.tolist() == sorted(val.tolist())
 
     def test_binned_split_stratifies_bins(self):
         ds = gen_binned_set(fast_scenario(), 0.8, 4, 1.0, 5)
         train, val = split(ds, (0.5, 0.5), 3)
         for part in (train, val):
-            per_bin = Counter((r.bin_index, r.hyp) for r in part.records)
+            per_bin = Counter(zip(ds.bin[part].tolist(), ds.target[part].tolist()))
             assert all(v == 2 for v in per_bin.values())
+
+    @pytest.mark.parametrize("binned", [False, True])
+    def test_matches_per_stratum_oracle(self, binned):
+        s = fast_scenario()
+        ds = gen_binned_set(s, 0.8, 3, 1.0, 5) if binned else gen_resolution_set(s, 0.8, 7, 5)
+        train, val = split(ds, (0.7, 0.3), 11)
+        assert (train.tolist(), val.tolist()) == split_oracle(ds, (0.7, 0.3), 11)
 
 
 class TestPersistence:
@@ -168,25 +206,35 @@ class TestPersistence:
         save_dataset(tmp_path / "d", ds)
         back = load_dataset(tmp_path / "d")
         assert back.manifest.scenario == ds.manifest.scenario
-        assert len(back.records) == len(ds.records)
-        for ra, rb in zip(ds.records, back.records):
-            assert np.array_equal(ra.tensor, rb.tensor)
-            assert ra.hyp == rb.hyp and ra.seed == rb.seed
-            if ra.hyp == HYP_TARGET:
-                assert ra.position == rb.position and ra.sigma == rb.sigma
+        assert back.manifest.sigma == ds.manifest.sigma
+        assert_same_columns(back, ds)
 
     def test_binned_round_trip_rebuilds_bins(self, tmp_path):
         ds = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 3)
         save_dataset(tmp_path / "d", ds)
         back = load_dataset(tmp_path / "d")
-        assert [r.bin_index for r in back.records] == [r.bin_index for r in ds.records]
+        assert back.bin.tolist() == ds.bin.tolist()
+        assert (ds.bin >= 0).all()
 
-    def test_rewrite_is_byte_identical(self, tmp_path):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 4, 11)
+    @pytest.mark.parametrize("protocol", ["resolution", "coverage", "positioning-jitter"])
+    def test_rewrite_is_byte_identical(self, tmp_path, protocol):
+        s = fast_scenario()
+        if protocol == "resolution":
+            ds = gen_resolution_set(s, 0.8, 4, 11)
+        else:
+            jitter = protocol == "positioning-jitter"
+            ds = gen_binned_set(s, 0.8, 2, 1.0, 11, protocol=protocol.split("-")[0],
+                                bin_jitter=jitter)
         save_dataset(tmp_path / "a", ds)
-        save_dataset(tmp_path / "b", ds)
+        save_dataset(tmp_path / "b", load_dataset(tmp_path / "a"))
         for name in ("manifest.json", "frames.bin", "labels.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_empty_round_trip(self, tmp_path):
+        ds = gen_resolution_set(fast_scenario(), 0.8, 0, 11)
+        save_dataset(tmp_path / "d", ds)
+        back = load_dataset(tmp_path / "d")
+        assert len(back) == 0 and back.tensors.shape == (0, 4, 3, 2)
 
 
 class TestWorkers:
@@ -195,8 +243,7 @@ class TestWorkers:
         serial = gen_resolution_set(s, 0.8, 16, 5)
         monkeypatch.setenv("CSISENSE_WORKERS", "2")
         parallel = gen_resolution_set(s, 0.8, 16, 5)
-        for ra, rb in zip(serial.records, parallel.records):
-            assert np.array_equal(ra.tensor, rb.tensor)
+        assert_same_columns(serial, parallel)
 
 
 class TestSampling:

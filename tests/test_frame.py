@@ -1,18 +1,17 @@
-import io
-
 import numpy as np
 import pytest
 
 from csisense.errors import ShapeMismatch
 from csisense.frame import (
+    FrameMeta,
     NormStats,
     compute_stats,
-    from_tensor,
     link_frame,
     normalize,
-    read_frame,
+    read_frames,
+    record_dtype,
     to_tensor,
-    write_frame,
+    write_frames,
 )
 
 
@@ -71,9 +70,8 @@ class TestTensorConversion:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(4)
         frame = link_frame(random_captures(rng, 3, 7, 8))
-        back = from_tensor(to_tensor(frame), frame.meta)
-        assert np.array_equal(back.matrix, frame.matrix)
-        assert back.meta == frame.meta
+        t = to_tensor(frame)
+        assert np.array_equal(t[..., 0] + 1j * t[..., 1], frame.matrix)
 
     def test_real_frame_has_zero_imag_channel(self):
         frame = link_frame(np.array([[[1.0, 3.0], [2.0, 4.0]]]))
@@ -104,29 +102,55 @@ class TestNormalize:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        frame = link_frame(random_captures(rng, 3, 7, 8))
-        buf = io.BytesIO()
-        write_frame(buf, frame)
-        buf.seek(0)
-        back = read_frame(buf)
-        assert np.array_equal(back.matrix, frame.matrix)
-        assert read_frame(buf) is None
+        frames = [link_frame(random_captures(rng, 3, 7, 8)) for _ in range(5)]
+        tensors = np.stack([to_tensor(f) for f in frames])
+        path = tmp_path / "frames.bin"
+        write_frames(path, tensors, frames[0].meta)
+        back = read_frames(path, frames[0].meta)
+        assert back.shape == (5, 24, 7, 2)
+        assert np.array_equal(back, tensors)
+        write_frames(path, tensors[:0], frames[0].meta)
+        assert read_frames(path, frames[0].meta).shape == (0, 24, 7, 2)
 
-    def test_header_layout(self):
+    def test_header_layout(self, tmp_path):
         frame = link_frame(np.array([[[1 + 2j]]]))
-        buf = io.BytesIO()
-        write_frame(buf, frame)
-        raw = buf.getvalue()
+        path = tmp_path / "frames.bin"
+        write_frames(path, to_tensor(frame)[None], frame.meta)
+        raw = path.read_bytes()
         assert raw[:4] == b"CSIF"
-        assert len(raw) == 12 + 1 * 1 * 2 * 8
+        assert raw[4:12] == bytes([1, 0, 1, 0, 1, 0, 1, 0])
+        assert raw[12:] == np.array([1.0, 2.0], dtype="<f8").tobytes()
+        assert len(raw) == record_dtype(frame.meta).itemsize == 12 + 1 * 1 * 2 * 8
 
-    def test_truncation_detected(self):
+    def test_truncation_detected(self, tmp_path):
         rng = np.random.default_rng(8)
         frame = link_frame(random_captures(rng, 1, 2, 3))
-        buf = io.BytesIO()
-        write_frame(buf, frame)
-        truncated = io.BytesIO(buf.getvalue()[:-8])
+        path = tmp_path / "frames.bin"
+        write_frames(path, np.stack([to_tensor(frame)] * 2), frame.meta)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ShapeMismatch, match="truncated"):
+            read_frames(path, frame.meta)
+
+    @pytest.mark.parametrize("offset,value,match", [
+        (0, b"XSIF", "record 2 has magic b'XSIF', expected b'CSIF'"),
+        (4, b"\x02\x00", "record 2 has version 2, expected 1"),
+        (6, b"\x03\x00\x01\x00", "record 2 has n_links 3, expected 1"),  # same row count
+        (12, np.array([np.nan], dtype="<f8").tobytes(), "non-finite"),
+    ])
+    def test_bad_record_is_rejected(self, tmp_path, offset, value, match):
+        meta = FrameMeta(1, 3, 2)
+        tensors = np.random.default_rng(9).standard_normal((4, 3, 2, 2))
+        path = tmp_path / "frames.bin"
+        write_frames(path, tensors, meta)
+        raw = bytearray(path.read_bytes())
+        at = 2 * record_dtype(meta).itemsize + offset
+        raw[at:at + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ShapeMismatch, match=match):
+            read_frames(path, meta)
+
+    def test_shape_mismatch_on_write(self, tmp_path):
         with pytest.raises(ShapeMismatch):
-            read_frame(truncated)
+            write_frames(tmp_path / "f.bin", np.zeros((2, 4, 2, 2)), FrameMeta(1, 3, 2))

@@ -96,10 +96,9 @@ def synthesize(monkeypatch) -> dict[str, np.ndarray]:
         out[f"{case}.alt"] = alt_frame.matrix
         out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, index)].random())
     for case, s, spec, seed in _record_cases():
-        rec = _generate_record(s, spec, seed)
-        pos = rec.position
+        pos, tensor = _generate_record(s, spec, seed)
         out[f"{case}.center"] = np.array([np.nan, np.nan] if pos is None else [pos.x, pos.y])
-        out[f"{case}.tensor"] = rec.tensor
+        out[f"{case}.tensor"] = tensor
         out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, spec.index)].random())
     return out
 

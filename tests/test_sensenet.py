@@ -9,8 +9,6 @@ from csisense.sensenet import (
     TrainedModel,
     conv2d,
     detect_batch,
-    forward_detect,
-    forward_locate,
     init_params,
     load_model,
     locate_batch,
@@ -115,32 +113,32 @@ class TestForward:
         params = init_params(TINY, 0)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            p = forward_detect(params, rng.standard_normal(TINY.input_shape))
-            assert 0.0 < p < 1.0
+            p = detect_batch(params, rng.standard_normal((3,) + TINY.input_shape))
+            assert p.shape == (3,) and np.all((0.0 < p) & (p < 1.0))
 
     def test_zero_params_give_half(self):
         params = init_params(TINY, 0)
         for name, arr in params.items():
             arr[...] = 0.0
-        assert forward_detect(params, np.ones(TINY.input_shape)) == pytest.approx(0.5)
+        assert detect_batch(params, np.ones(TINY.input_shape))[0] == pytest.approx(0.5)
 
     def test_bias_only_position_head(self):
         params = init_params(TINY, 0)
         for name, arr in params.items():
             arr[...] = 0.0
         params.locate_b[:] = (2.5, 2.5)
-        est = forward_locate(params, np.random.default_rng(4).standard_normal(TINY.input_shape))
-        assert (est.x, est.y) == (2.5, 2.5)
+        est = locate_batch(params, np.random.default_rng(4).standard_normal(TINY.input_shape))
+        assert est.tolist() == [[2.5, 2.5]]
 
     def test_deterministic(self):
         params = init_params(TINY, 1)
         x = np.random.default_rng(5).standard_normal(TINY.input_shape)
-        assert forward_detect(params, x) == forward_detect(params, x)
+        assert detect_batch(params, x)[0] == detect_batch(params, x)[0]
 
     def test_shape_mismatch(self):
         params = init_params(TINY, 0)
         with pytest.raises(ShapeMismatch):
-            forward_detect(params, np.zeros((5, 3, 2)))
+            detect_batch(params, np.zeros((5, 3, 2)))
 
 
 class TestLoss:
