@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -21,7 +22,7 @@ from . import dataset as dataset_mod
 from . import metrics as metrics_mod
 from . import sensenet as nn
 from .channel import Scenario
-from .errors import ConfigError, CsiSenseError, InvalidPitch, InvalidSize, NonFiniteLoss
+from .errors import ConfigError, CsiSenseError, NonFiniteLoss
 from .frame import compute_stats, normalize
 
 PRESETS = ("scenario1", "scenario2", "scenario3")
@@ -67,13 +68,22 @@ def _add_variant_flags(p: argparse.ArgumentParser) -> None:
                    help="target scattering coefficient")
 
 
-def _check_drops(flag: str, drops: int | None) -> None:
-    if drops is not None and drops < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {drops}")
+def _check_count(flag: str, count: int | None) -> None:
+    if count is not None and count < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {count}")
+
+
+def _check_float(flag: str, value: float | None, low: float = -math.inf,
+                 high: float = math.inf) -> None:
+    """A float flag must be finite and in [low, high]; NaN fails every comparison."""
+    if value is not None and not (math.isfinite(value) and low <= value <= high):
+        raise ConfigError(f"{flag} must be a finite number in [{low:g}, {high:g}], got {value}")
 
 
 def cmd_gen(args) -> int:
     dataset_mod.check_sigma(args.sigma, "--sigma")
+    _check_count("--n", args.n)
+    _check_float("--pitch", args.pitch)
     scenario = _scenario_with(args, load_scenario(args.scenario))
     if args.protocol == "resolution":
         n = args.n if args.n is not None else (
@@ -95,6 +105,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_float("--lr", args.lr, low=0.0)
+    _check_float("--val-frac", args.val_frac, low=0.0, high=1.0)
     ds = dataset_mod.load_dataset(args.data)
     train_model, log = fit(
         ds,
@@ -165,7 +177,9 @@ def cmd_eval(args) -> int:
     sigmas = sorted(float(s) for s in args.sigmas.split(",")) if args.sigmas else []
     for sigma in sigmas:
         dataset_mod.check_sigma(sigma, "--sigmas")
-    _check_drops("--drops", args.drops)
+    _check_count("--drops", args.drops)
+    _check_float("--threshold", args.threshold)
+    _check_float("--gamma", args.gamma)
     model = nn.load_model(args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
@@ -201,7 +215,9 @@ def cmd_eval(args) -> int:
 
 def cmd_coverage(args) -> int:
     dataset_mod.check_sigma(args.sigma, "--sigma")
-    _check_drops("--drops-per-bin", args.drops_per_bin)
+    _check_count("--drops-per-bin", args.drops_per_bin)
+    _check_float("--threshold", args.threshold)
+    _check_float("--pitch", args.pitch)
     model = nn.load_model(args.model)
     if args.threshold is not None:
         model.threshold = args.threshold
@@ -222,7 +238,7 @@ def cmd_coverage(args) -> int:
 
 def cmd_baseline(args) -> int:
     dataset_mod.check_sigma(args.sigma, "--sigma")
-    _check_drops("--drops", args.drops)
+    _check_count("--drops", args.drops)
     scenario = _scenario_with(args, load_scenario(args.scenario))
     banks = []
     if args.variant in ("swept7", "both"):
@@ -325,21 +341,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteLoss as exc:
+    except (CsiSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConfigError, InvalidSize, InvalidPitch, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CsiSenseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, NonFiniteLoss):
+            return EXIT_NUMERIC
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -252,6 +252,8 @@ def gen_resolution_set(
 ) -> Dataset:
     """n null + n target records, target centers uniform under the margin rule."""
     check_sigma(sigma)
+    if n_per_hyp < 1:
+        raise ConfigError(f"n_per_hyp must be >= 1, got {n_per_hyp}")
     specs = [RecordSpec(index=i, hyp=HYP_NULL, sigma=sigma) for i in range(n_per_hyp)]
     specs += [
         RecordSpec(index=n_per_hyp + i, hyp=HYP_TARGET, sigma=sigma)
@@ -266,8 +268,8 @@ def gen_resolution_set(
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> list[Point2D]:
     """Margin-valid bin centers of the pitch x pitch tiling, row-major in (x, y)."""
-    if pitch <= 0:
-        raise InvalidPitch(f"pitch must be > 0, got {pitch}")
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise InvalidPitch(f"pitch must be finite and > 0, got {pitch}")
     n = int(math.floor(scenario.room_side / pitch + 1e-9))
     coords = [(k + 0.5) * pitch for k in range(n)]
     centers = [Point2D(x, y) for x in coords for y in coords]
@@ -285,6 +287,8 @@ def gen_binned_set(
 ) -> Dataset:
     """Per margin-valid bin: n target records at the bin center plus n null records."""
     check_sigma(sigma)
+    if n_per_bin < 1:
+        raise ConfigError(f"n_per_bin must be >= 1, got {n_per_bin}")
     centers = valid_bin_centers(scenario, sigma, pitch)
     if not centers:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
@@ -318,7 +322,7 @@ def split(
     (null before target, ascending bin) order with one shuffle each.
     """
     f_train, f_val = fractions
-    if f_train < 0 or f_val < 0 or abs(f_train + f_val - 1.0) > 1e-9:
+    if not (f_train >= 0 and f_val >= 0 and abs(f_train + f_val - 1.0) <= 1e-9):
         raise ConfigError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
     key = dataset.target * (int(dataset.bin.max(initial=-1)) + 2) + dataset.bin + 1
     order = np.argsort(key, kind="stable")

@@ -8,6 +8,7 @@ of the computed loss, which keeps them finite-difference checkable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -21,6 +22,9 @@ from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from .frame import NormStats, normalize
 
 PROB_CLAMP = 1e-7
+# Samples per inference forward pass: keeps conv2's patch matrix (~5 MB at
+# scenario1 shape) small instead of growing it with the batch.
+INFER_CHUNK = 32
 
 MAGIC = b"CSNN"
 VERSION = 1
@@ -35,14 +39,9 @@ class Architecture:
     pool: int = 2
 
     @property
-    def pooled_shape(self) -> tuple[int, int, int]:
-        h, w, _ = self.input_shape
-        return (h // self.pool, w // self.pool, self.conv_filters[1])
-
-    @property
     def flat_units(self) -> int:
-        ph, pw, pc = self.pooled_shape
-        return ph * pw * pc
+        h, w, _ = self.input_shape
+        return (h // self.pool) * (w // self.pool) * self.conv_filters[1]
 
     def __post_init__(self):
         h, w, c = self.input_shape
@@ -109,75 +108,73 @@ def init_params(arch: Architecture, seed) -> ModelParams:
     )
 
 
-def _im2col(x: np.ndarray, k: int, pad: int) -> np.ndarray:
-    """(N,H,W,C) -> (N,H,W,k*k*C) patch matrix for stride-1 same convolution."""
-    n, h, w, c = x.shape
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+           crop: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded stride-1 convolution as one (N*H*W, k*k*C) @ (k*k*C, F) GEMM.
+
+    `crop=(ho, wo)` computes only the output rows < ho and columns < wo.
+    Returns the (N, ho, wo, F) output and the patch matrix for the backward pass.
+    """
+    k = w.shape[0]
+    pad = (k - 1) // 2
+    n, h, wid, c = x.shape
+    ho, wo = crop or (h, wid)
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, h, w, k, k, c),
-        strides=(s[0], s[1], s[2], s[1], s[2], s[3]),
-    )
-    return view.reshape(n, h, w, k * k * c)
+    cols = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, ho, wo, k, k, c), strides=(s[0], s[1], s[2], s[1], s[2], s[3]),
+    ).reshape(n * ho * wo, k * k * c)
+    out = cols @ w.reshape(-1, w.shape[3])
+    out += b
+    return out.reshape(n, ho, wo, w.shape[3]), cols
 
-
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Same-padded stride-1 convolution; returns output and the patch cache."""
-    k = w.shape[0]
-    cols = _im2col(x, k, pad=(k - 1) // 2)
-    out = cols @ w.reshape(-1, w.shape[3]) + b
-    return out, cols
 
 def conv2d_backward(
     dout: np.ndarray, cols: np.ndarray, x_shape: tuple, w: np.ndarray,
     need_dx: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of `conv2d` for an upstream `dout` over its (possibly cropped)
+    output.  dx is the sum over kernel offsets (i, j) of dout @ w[i, j].T,
+    each added into the zero-padded input at that offset."""
     k = w.shape[0]
     pad = (k - 1) // 2
     n, h, wid, c = x_shape
-    wmat = w.reshape(-1, w.shape[3])
-    dw = (cols.reshape(-1, wmat.shape[0]).T @ dout.reshape(-1, w.shape[3])).reshape(w.shape)
-    db = dout.sum(axis=(0, 1, 2))
+    ho, wo = dout.shape[1:3]
+    dflat = dout.reshape(-1, w.shape[3])
+    dw = (cols.T @ dflat).reshape(w.shape)
+    db = dflat.sum(axis=0)
     if not need_dx:
         return None, dw, db
-    dcols = (dout @ wmat.T).reshape(n, h, wid, k, k, c)
     dxp = np.zeros((n, h + 2 * pad, wid + 2 * pad, c))
     for i in range(k):
         for j in range(k):
-            dxp[:, i:i + h, j:j + wid, :] += dcols[:, :, :, i, j, :]
-    dx = dxp[:, pad:pad + h, pad:pad + wid, :]
-    return dx, dw, db
+            dxp[:, i:i + ho, j:j + wo, :] += (dflat @ w[i, j].T).reshape(n, ho, wo, c)
+    return dxp[:, pad:pad + h, pad:pad + wid, :], dw, db
 
 
-def maxpool(x: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+def maxpool(x: np.ndarray, p: int, route: bool = True) -> tuple[np.ndarray, np.ndarray | None, tuple]:
     """p x p max pooling with stride p; trailing rows/cols that do not fill a
-    window are dropped.  Returns output, argmax indices, and the cache shape."""
+    window are dropped.  Returns output, the routing index of each window's
+    first (row-major) maximum, or None when `route` is false, and the input shape."""
     n, h, w, c = x.shape
     ho, wo = h // p, w // p
-    xc = x[:, : ho * p, : wo * p, :]
-    xr = (
-        xc.reshape(n, ho, p, wo, p, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(n, ho, wo, p * p, c)
-    )
-    idx = xr.argmax(axis=3)
-    out = np.take_along_axis(xr, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out, idx, (n, h, w, c)
+    # window position q = (q // p, q % p) of every window, as a strided view
+    taps = [x[:, q // p: ho * p: p, q % p: wo * p: p, :] for q in range(p * p)]
+    out = functools.reduce(np.maximum, taps)
+    if not route:
+        return out, None, x.shape
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for q in reversed(range(p * p)):
+        idx = np.where(taps[q] == out, q, idx)
+    return out, idx, x.shape
 
 
 def maxpool_backward(dout: np.ndarray, idx: np.ndarray, x_shape: tuple, p: int) -> np.ndarray:
     n, h, w, c = x_shape
     ho, wo = h // p, w // p
-    dxr = np.zeros((n, ho, wo, p * p, c))
-    np.put_along_axis(dxr, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
-    dxc = (
-        dxr.reshape(n, ho, wo, p, p, c)
-        .transpose(0, 1, 3, 2, 4, 5)
-        .reshape(n, ho * p, wo * p, c)
-    )
     dx = np.zeros(x_shape)
-    dx[:, : ho * p, : wo * p, :] = dxc
+    for q in range(p * p):
+        dx[:, q // p: ho * p: p, q % p: wo * p: p, :] = np.where(idx == q, dout, 0.0)
     return dx
 
 
@@ -192,56 +189,83 @@ def _as_batch(params: ModelParams, tensor: np.ndarray) -> np.ndarray:
     return x
 
 
-def _trunk_forward(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _trunk_forward(params: ModelParams, x: np.ndarray, train: bool = True) -> tuple[np.ndarray, dict | None]:
+    """Trunk features, plus the backward-pass cache when `train` is set.
+
+    conv2 is computed only over the window pooling reads, and its ReLU runs
+    after pooling (max commutes with ReLU) on the p*p times smaller map.  The
+    backward pass takes each ReLU mask from its output (a > 0 iff z > 0), so
+    conv1's and the dense layer's ReLUs overwrite their inputs.
+    """
+    p = params.arch.pool
+    n, h, w, _ = x.shape
     z1, cols1 = conv2d(x, params.conv1_w, params.conv1_b)
-    a1 = np.maximum(z1, 0.0)
-    z2, cols2 = conv2d(a1, params.conv2_w, params.conv2_b)
-    a2 = np.maximum(z2, 0.0)
-    pooled, pidx, pshape = maxpool(a2, params.arch.pool)
-    flat = pooled.reshape(x.shape[0], -1)
+    a1 = np.maximum(z1, 0.0, out=z1)
+    z2, cols2 = conv2d(a1, params.conv2_w, params.conv2_b, crop=(h // p * p, w // p * p))
+    pooled, pidx, pshape = maxpool(z2, p, route=train)
+    flat = np.maximum(pooled.reshape(n, -1), 0.0)
     z3 = flat @ params.dense_w + params.dense_b
-    a3 = np.maximum(z3, 0.0)
-    cache = dict(x=x, z1=z1, cols1=cols1, a1=a1, z2=z2, cols2=cols2,
-                 pidx=pidx, pshape=pshape, flat=flat, z3=z3, a3=a3)
-    return a3, cache
+    a3 = np.maximum(z3, 0.0, out=z3)
+    if not train:
+        return a3, None
+    return a3, dict(x=x, cols1=cols1, a1=a1, cols2=cols2, pidx=pidx, pshape=pshape,
+                    flat=flat, a3=a3)
 
 
 def _trunk_backward(params: ModelParams, cache: dict, da3: np.ndarray, grads: dict) -> None:
-    dz3 = da3 * (cache["z3"] > 0)
+    dz3 = da3 * (cache["a3"] > 0)
     grads["dense_w"] = cache["flat"].T @ dz3
     grads["dense_b"] = dz3.sum(axis=0)
-    dflat = dz3 @ params.dense_w.T
-    ph, pw, pc = params.arch.pooled_shape
-    dpooled = dflat.reshape(-1, ph, pw, pc)
-    da2 = maxpool_backward(dpooled, cache["pidx"], cache["pshape"], params.arch.pool)
-    dz2 = da2 * (cache["z2"] > 0)
+    dflat = (dz3 @ params.dense_w.T) * (cache["flat"] > 0)
+    pidx = cache["pidx"]
+    dz2 = maxpool_backward(dflat.reshape(pidx.shape), pidx, cache["pshape"], params.arch.pool)
     da1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(
         dz2, cache["cols2"], cache["a1"].shape, params.conv2_w
     )
-    dz1 = da1 * (cache["z1"] > 0)
+    dz1 = da1 * (cache["a1"] > 0)
     _, grads["conv1_w"], grads["conv1_b"] = conv2d_backward(
         dz1, cache["cols1"], cache["x"].shape, params.conv1_w, need_dx=False
     )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))     # never overflows: exp(-z) for z >= 0, exp(z) below
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def detect_batch(params: ModelParams, tensors: np.ndarray) -> np.ndarray:
-    feats, _ = _trunk_forward(params, _as_batch(params, tensors))
+    feats, _ = _trunk_forward(params, _as_batch(params, tensors), train=False)
     z = feats @ params.detect_w + params.detect_b
     return _sigmoid(z)[:, 0]
 
 
 def locate_batch(params: ModelParams, tensors: np.ndarray) -> np.ndarray:
-    feats, _ = _trunk_forward(params, _as_batch(params, tensors))
+    feats, _ = _trunk_forward(params, _as_batch(params, tensors), train=False)
     return feats @ params.locate_w + params.locate_b
+
+
+def _head(params: ModelParams, feats: np.ndarray, y: np.ndarray, loss: str
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Per-sample loss and metric of one head on a batch, the derivative of the
+    batch-mean loss with respect to the head output, and the head's name.
+
+    'bce': binary cross-entropy on the detection head with probabilities
+    clamped away from {0, 1}, metric 1 for a correct decision; 'mse': squared
+    Euclidean position error, metric the error in meters.
+    """
+    n = feats.shape[0]
+    if loss == "bce":
+        y = np.asarray(y, dtype=float).reshape(n)
+        p = _sigmoid(feats @ params.detect_w + params.detect_b)[:, 0]
+        pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
+        losses = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
+        dpc = -(y / pc - (1.0 - y) / (1.0 - pc)) / n
+        dp = np.where((p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP), dpc, 0.0)
+        return losses, (p >= 0.5) == (y >= 0.5), (dp * p * (1.0 - p))[:, None], "detect"
+    if loss == "mse":
+        diff = feats @ params.locate_w + params.locate_b - np.asarray(y, dtype=float).reshape(n, 2)
+        return np.sum(diff * diff, axis=1), np.hypot(diff[:, 0], diff[:, 1]), 2.0 * diff / n, "locate"
+    raise ConfigError(f"unknown loss kind {loss!r}")
 
 
 def loss_and_grads(
@@ -249,49 +273,19 @@ def loss_and_grads(
     batch: tuple[np.ndarray, np.ndarray],
     loss: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss plus exact gradients for every parameter.
-
-    'bce': binary cross-entropy on the detection head with probabilities
-    clamped away from {0, 1}; 'mse': mean squared Euclidean position error.
-    """
+    """Batch-mean loss (see `_head`) plus exact gradients for every parameter;
+    the unused head's gradient is zero."""
     x_raw, y = batch
     x = _as_batch(params, x_raw)
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         raise ShapeMismatch("empty batch")
     feats, cache = _trunk_forward(params, x)
-    grads: dict[str, np.ndarray] = {}
-
-    if loss == "bce":
-        y = np.asarray(y, dtype=float).reshape(n)
-        z = feats @ params.detect_w + params.detect_b
-        p = _sigmoid(z)[:, 0]
-        pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        value = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
-        dpc = -(y / pc - (1.0 - y) / (1.0 - pc)) / n
-        dp = np.where((p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP), dpc, 0.0)
-        dz = (dp * p * (1.0 - p))[:, None]
-        grads["detect_w"] = feats.T @ dz
-        grads["detect_b"] = dz.sum(axis=0)
-        dfeats = dz @ params.detect_w.T
-        grads["locate_w"] = np.zeros_like(params.locate_w)
-        grads["locate_b"] = np.zeros_like(params.locate_b)
-    elif loss == "mse":
-        y = np.asarray(y, dtype=float).reshape(n, 2)
-        pred = feats @ params.locate_w + params.locate_b
-        diff = pred - y
-        value = float(np.mean(np.sum(diff * diff, axis=1)))
-        dpred = 2.0 * diff / n
-        grads["locate_w"] = feats.T @ dpred
-        grads["locate_b"] = dpred.sum(axis=0)
-        dfeats = dpred @ params.locate_w.T
-        grads["detect_w"] = np.zeros_like(params.detect_w)
-        grads["detect_b"] = np.zeros_like(params.detect_b)
-    else:
-        raise ConfigError(f"unknown loss kind {loss!r}")
-
-    _trunk_backward(params, cache, dfeats, grads)
-    return value, grads
+    losses, _, dout, head = _head(params, feats, y, loss)
+    grads = {f"{head}_w": feats.T @ dout, f"{head}_b": dout.sum(axis=0)}
+    _trunk_backward(params, cache, dout @ getattr(params, f"{head}_w").T, grads)
+    for name, arr in params.items():
+        grads.setdefault(name, np.zeros_like(arr))
+    return float(np.mean(losses)), grads
 
 
 @dataclass
@@ -307,14 +301,12 @@ class TrainConfig:
     patience: int = 0                  # 0 disables early stopping
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
+        for name, value, low in (("batch size", self.batch_size, 1), ("epochs", self.epochs, 1),
+                                 ("patience", self.patience, 0)):
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.loss not in ("bce", "mse"):
             raise ConfigError(f"loss must be bce or mse, got {self.loss!r}")
 
@@ -327,28 +319,34 @@ class LogEntry:
     val_metric: float
 
 
-def _eval_loss(params: ModelParams, x: np.ndarray, y: np.ndarray, loss: str,
-               chunk: int = 512) -> tuple[float, float]:
-    """(loss, metric) without gradients; metric is accuracy (bce) or mean
-    position error in meters (mse)."""
-    n = x.shape[0]
+def _eval_loss(params: ModelParams, x: np.ndarray, y: np.ndarray, loss: str) -> tuple[float, float]:
+    """(loss, metric) without gradients, as means over the samples (`_head`)."""
     total = 0.0
     metric_acc = 0.0
-    for lo in range(0, n, chunk):
-        xs, ys = x[lo:lo + chunk], y[lo:lo + chunk]
-        feats, _ = _trunk_forward(params, xs)
-        if loss == "bce":
-            p = _sigmoid(feats @ params.detect_w + params.detect_b)[:, 0]
-            pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
-            yy = ys.reshape(-1)
-            total += float(-np.sum(yy * np.log(pc) + (1 - yy) * np.log(1 - pc)))
-            metric_acc += float(np.sum((p >= 0.5) == (yy >= 0.5)))
-        else:
-            pred = feats @ params.locate_w + params.locate_b
-            diff = pred - ys.reshape(-1, 2)
-            total += float(np.sum(diff * diff))
-            metric_acc += float(np.sum(np.hypot(diff[:, 0], diff[:, 1])))
-    return total / n, metric_acc / n
+    for lo in range(0, x.shape[0], INFER_CHUNK):
+        feats, _ = _trunk_forward(params, x[lo:lo + INFER_CHUNK], train=False)
+        losses, metric, _, _ = _head(params, feats, y[lo:lo + INFER_CHUNK], loss)
+        total += float(np.sum(losses))
+        metric_acc += float(np.sum(metric))
+    return total / x.shape[0], metric_acc / x.shape[0]
+
+
+def _adam_step(arr: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+               config: TrainConfig, bc1: float, bc2: float) -> None:
+    """One in-place Adam update, rounding exactly like
+    m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+    arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps)."""
+    m *= config.beta1
+    m += (1 - config.beta1) * g
+    v *= config.beta2
+    v += (1 - config.beta2) * (g * g)
+    denom = v / bc2
+    np.sqrt(denom, out=denom)
+    denom += config.epsilon
+    step = m / bc1
+    step *= config.learning_rate
+    step /= denom
+    arr -= step
 
 
 def train(
@@ -362,9 +360,7 @@ def train(
     Inputs are pre-normalized tensors.  Single-threaded and fully seeded:
     identical (data, config) always yields identical parameters.
     """
-    x, y = train_data
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = (np.asarray(a, dtype=float) for a in train_data)
     if arch is None:
         arch = Architecture(input_shape=tuple(x.shape[1:]))
     params = init_params(arch, config.seed)
@@ -394,11 +390,7 @@ def train(
             bc1 = 1.0 - config.beta1 ** t
             bc2 = 1.0 - config.beta2 ** t
             for name, arr in params.items():
-                g = grads[name]
-                m[name] = config.beta1 * m[name] + (1 - config.beta1) * g
-                v[name] = config.beta2 * v[name] + (1 - config.beta2) * (g * g)
-                step = config.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + config.epsilon)
-                arr -= step
+                _adam_step(arr, grads[name], m[name], v[name], config, bc1, bc2)
         train_loss = epoch_loss / n
 
         if validation is not None and len(validation[0]):
@@ -438,17 +430,15 @@ class TrainedModel:
     task: str                    # detect | locate
     threshold: float = 0.5
 
-    def prob_batch(self, tensors: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def prob_batch(self, tensors: np.ndarray) -> np.ndarray:
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
-        return np.concatenate(
-            [detect_batch(self.params, x[lo:lo + chunk]) for lo in range(0, len(x), chunk)]
-        )
+        return np.concatenate([detect_batch(self.params, x[lo:lo + INFER_CHUNK])
+                               for lo in range(0, len(x), INFER_CHUNK)])
 
-    def locate_batch(self, tensors: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def locate_batch(self, tensors: np.ndarray) -> np.ndarray:
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
-        return np.concatenate(
-            [locate_batch(self.params, x[lo:lo + chunk]) for lo in range(0, len(x), chunk)]
-        )
+        return np.concatenate([locate_batch(self.params, x[lo:lo + INFER_CHUNK])
+                               for lo in range(0, len(x), INFER_CHUNK)])
 
 
 def save_model(path: str | Path, model: TrainedModel) -> None:

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion.  The trained-model criteria use the shipped scenario presets
-at desk scale and are deterministic end to end.
+at desk scale and are deterministic end to end.  Every test here carries the
+`acceptance` marker, so `pytest -m "not acceptance"` runs the fast suite.
 """
 
 import math
@@ -23,6 +24,8 @@ from csisense.sensenet import (
     init_params,
     loss_and_grads,
 )
+
+pytestmark = pytest.mark.acceptance
 
 SIGMAS = (0.2, 0.5, 0.8, 1.2)
 TRAIN_DROPS = 200

@@ -301,6 +301,12 @@ def untrained_model(path, task):
     return str(path)
 
 
+def tiny_dataset(path, scenario_file):
+    assert main(["gen", "--scenario", scenario_file, "--n", "4", "--seed", "1",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
 def assert_one_line_error(capsys, *needles):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, err
@@ -321,6 +327,8 @@ class TestBadFlags:
                          "--pitch", "1.0", "--drops-per-bin", "2", "--out", out],
             "baseline": ["baseline", "--scenario", scenario_file, "--drops", "2",
                          "--out", out],
+            "train": ["train", "--data", tiny_dataset(tmp_path / "ds", scenario_file),
+                      "--epochs", "1", "--out", out],
         }
 
     @pytest.mark.parametrize("command", ["gen", "eval", "coverage", "baseline"])
@@ -344,6 +352,29 @@ class TestBadFlags:
         rc = main(commands[command] + [flag, "0"])
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys, f"{flag} must be >= 1, got 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,extra", [
+        ("eval", "--threshold", []),
+        ("coverage", "--threshold", []),
+        ("eval", "--gamma", ["--sigmas", "0.5,0.6"]),
+        ("train", "--lr", []),
+        ("train", "--val-frac", []),
+        ("gen", "--pitch", ["--protocol", "coverage"]),
+        ("coverage", "--pitch", []),
+    ])
+    def test_nan_float_flag_exits_2(self, tmp_path, commands, capsys, command, flag, extra):
+        rc = main(commands[command] + extra + [flag, "nan"])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{flag} must be a finite number", "got nan")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    @pytest.mark.parametrize("protocol", ["resolution", "coverage"])
+    def test_nonpositive_n_exits_2(self, tmp_path, commands, capsys, protocol, n):
+        rc = main(commands["gen"] + ["--protocol", protocol, "--n", n])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"--n must be >= 1, got {n}")
         assert not (tmp_path / "out").exists()
 
     def test_zero_drops_exits_2_for_positioning_eval(self, tmp_path, scenario_file, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -20,7 +21,7 @@ from csisense.dataset import (
     target_margin_ok,
     valid_bin_centers,
 )
-from csisense.errors import InvalidPitch, InvalidSize
+from csisense.errors import ConfigError, InvalidPitch, InvalidSize
 from csisense.geometry import Point2D
 
 
@@ -92,6 +93,18 @@ class TestResolutionSet:
                 gen_resolution_set(fast_scenario(), sigma, 4, 0)
             with pytest.raises(InvalidSize, match="finite and > 0"):
                 gen_binned_set(fast_scenario(), sigma, 2, 1.0, 0)
+
+    def test_nonpositive_count_rejected(self):
+        for n in (-3, 0):
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                gen_resolution_set(fast_scenario(), 0.8, n, 0)
+            with pytest.raises(ConfigError, match="must be >= 1"):
+                gen_binned_set(fast_scenario(), 0.8, n, 1.0, 0)
+
+    def test_nonfinite_pitch_rejected(self):
+        for pitch in (math.nan, math.inf):
+            with pytest.raises(InvalidPitch, match="finite and > 0"):
+                gen_binned_set(fast_scenario(), 0.8, 1, pitch, 0)
 
     def test_record_level_determinism(self):
         # record i is a pure function of (master seed, i), independent of the
@@ -231,7 +244,12 @@ class TestPersistence:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_empty_round_trip(self, tmp_path):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 0, 11)
+        # generation needs n >= 1, so the empty set is a generated one with every row dropped
+        full = gen_resolution_set(fast_scenario(), 0.8, 1, 11)
+        ds = dataclasses.replace(
+            full, tensors=full.tensors[:0], target=full.target[:0], xy=full.xy[:0],
+            seed=full.seed[:0], bin=full.bin[:0],
+            manifest=dataclasses.replace(full.manifest, n_per_hyp=0, count_null=0, count_target=0))
         save_dataset(tmp_path / "d", ds)
         back = load_dataset(tmp_path / "d")
         assert len(back) == 0 and back.tensors.shape == (0, 4, 3, 2)

@@ -7,7 +7,9 @@ from csisense.sensenet import (
     Architecture,
     TrainConfig,
     TrainedModel,
+    _adam_step,
     conv2d,
+    conv2d_backward,
     detect_batch,
     init_params,
     load_model,
@@ -82,7 +84,82 @@ class TestConv:
             assert np.max(np.abs(out - brute_force_conv(x, wt, b))) < 1e-12
 
 
+def brute_force_conv_backward(x, w, dout):
+    """Loop gradients of the same convolution for an upstream `dout` that covers
+    output rows < dout.shape[1] and columns < dout.shape[2]."""
+    n, h, wid, _ = x.shape
+    k = w.shape[0]
+    pad = (k - 1) // 2
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for s in range(n):
+        for i in range(dout.shape[1]):
+            for j in range(dout.shape[2]):
+                for di in range(k):
+                    for dj in range(k):
+                        ii, jj = i + di - pad, j + dj - pad
+                        if 0 <= ii < h and 0 <= jj < wid:
+                            dw[di, dj] += np.outer(x[s, ii, jj], dout[s, i, j])
+                            dx[s, ii, jj] += w[di, dj] @ dout[s, i, j]
+    return dx, dw, dout.sum(axis=(0, 1, 2))
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("cropped", [False, True], ids=["full", "pooled-window"])
+    def test_matches_bruteforce(self, cropped):
+        rng = np.random.default_rng(14)
+        for _ in range(12):
+            n, cin, cout = (int(v) for v in rng.integers(1, 4, 3))
+            h, wid = (int(v) for v in rng.choice([3, 5, 7], 2))
+            crop = (h // 2 * 2, wid // 2 * 2) if cropped else (h, wid)
+            x = rng.standard_normal((n, h, wid, cin))
+            wt = rng.standard_normal((3, 3, cin, cout))
+            b = rng.standard_normal(cout)
+            out, cols = conv2d(x, wt, b, crop=crop if cropped else None)
+            assert out.shape == (n,) + crop + (cout,)
+            assert np.max(np.abs(out - brute_force_conv(x, wt, b)[:, :crop[0], :crop[1]])) < 1e-12
+            dout = rng.standard_normal(out.shape)
+            dx, dw, db = conv2d_backward(dout, cols, x.shape, wt)
+            rx, rw, rb = brute_force_conv_backward(x, wt, dout)
+            assert dx.shape == x.shape
+            for got, ref in ((dx, rx), (dw, rw), (db, rb)):
+                assert np.max(np.abs(got - ref)) < 1e-12
+            none, dw2, db2 = conv2d_backward(dout, cols, x.shape, wt, need_dx=False)
+            assert none is None and np.array_equal(dw2, dw) and np.array_equal(db2, db)
+
+
 class TestPool:
+    def test_ties_route_to_first_row_major_index(self):
+        windows = np.array([
+            [[0.0, 0.0], [0.0, 0.0]],    # all zero -> 0
+            [[3.0, 3.0], [1.0, 3.0]],    # equal maxima at 0, 1, 3 -> 0
+            [[1.0, 2.0], [2.0, 0.0]],    # equal maxima at 1, 2 -> 1
+            [[1.0, 0.0], [5.0, 5.0]],    # equal maxima at 2, 3 -> 2
+            [[0.0, 0.0], [0.0, 4.0]],    # single maximum at 3 -> 3
+        ])
+        # one sample, windows side by side along W, two identical channels
+        x = np.repeat(windows.transpose(1, 0, 2).reshape(1, 2, 10, 1), 2, axis=3)
+        out, idx, shape = maxpool(x, 2)
+        assert idx[0, 0, :, 0].tolist() == [0, 0, 1, 2, 3]
+        assert np.array_equal(idx[..., 0], idx[..., 1])
+        assert out[0, 0, :, 0].tolist() == [0.0, 3.0, 2.0, 5.0, 4.0]
+        dout = np.arange(1.0, 11.0).reshape(out.shape)
+        dx = maxpool_backward(dout, idx, shape, 2)
+        for w, q in enumerate([0, 0, 1, 2, 3]):
+            expect = np.zeros((2, 2, 2))
+            expect[q // 2, q % 2] = dout[0, 0, w]
+            assert np.array_equal(dx[0, :, 2 * w:2 * w + 2], expect)
+
+    def test_index_matches_argmax_oracle(self):
+        rng = np.random.default_rng(15)
+        # coarse values make ties common, ReLU makes all-zero windows common
+        x = np.maximum(rng.integers(-2, 3, (3, 6, 7, 4)), 0).astype(float)
+        out, idx, shape = maxpool(x, 2)
+        xr = x[:, :6, :6].reshape(3, 3, 2, 3, 2, 4).transpose(0, 1, 3, 2, 4, 5).reshape(3, 3, 3, 4, 4)
+        assert np.array_equal(idx, xr.argmax(axis=3))
+        assert np.array_equal(out, xr.max(axis=3))
+        _, none, _ = maxpool(x, 2, route=False)
+        assert none is None
+
     def test_forward_takes_window_max(self):
         x = np.arange(2 * 4 * 4 * 1, dtype=float).reshape(2, 4, 4, 1)
         out, idx, shape = maxpool(x, 2)
@@ -294,3 +371,141 @@ class TestNormalizationInvariance:
             p_raw = detect_batch(params, normalize(xs, stats_raw))
             p_scaled = detect_batch(params, normalize(xs * scale, stats_scaled))
             assert np.max(np.abs(p_raw - p_scaled)) < 1e-9
+
+
+# ------------------------------------------------------------------ golden oracle
+# The trunk as first written: 4-D matmuls over the full conv2 output, a dcols
+# tensor scattered back for dx, argmax pooling, ReLU before pooling and
+# allocating Adam.  The current kernels must reproduce it.
+
+def _old_im2col(x, k, pad):
+    n, h, w, c = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    s = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, h, w, k, k, c), strides=(s[0], s[1], s[2], s[1], s[2], s[3]))
+    return view.reshape(n, h, w, k * k * c)
+
+
+def _old_conv2d(x, w, b):
+    cols = _old_im2col(x, w.shape[0], pad=(w.shape[0] - 1) // 2)
+    return cols @ w.reshape(-1, w.shape[3]) + b, cols
+
+
+def _old_conv2d_backward(dout, cols, x_shape, w, need_dx=True):
+    k = w.shape[0]
+    pad = (k - 1) // 2
+    n, h, wid, c = x_shape
+    wmat = w.reshape(-1, w.shape[3])
+    dw = (cols.reshape(-1, wmat.shape[0]).T @ dout.reshape(-1, w.shape[3])).reshape(w.shape)
+    db = dout.sum(axis=(0, 1, 2))
+    if not need_dx:
+        return None, dw, db
+    dcols = (dout @ wmat.T).reshape(n, h, wid, k, k, c)
+    dxp = np.zeros((n, h + 2 * pad, wid + 2 * pad, c))
+    for i in range(k):
+        for j in range(k):
+            dxp[:, i:i + h, j:j + wid, :] += dcols[:, :, :, i, j, :]
+    return dxp[:, pad:pad + h, pad:pad + wid, :], dw, db
+
+
+def _old_maxpool(x, p):
+    n, h, w, c = x.shape
+    ho, wo = h // p, w // p
+    xr = (x[:, :ho * p, :wo * p, :].reshape(n, ho, p, wo, p, c)
+          .transpose(0, 1, 3, 2, 4, 5).reshape(n, ho, wo, p * p, c))
+    idx = xr.argmax(axis=3)
+    return np.take_along_axis(xr, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :], idx
+
+
+def _old_maxpool_backward(dout, idx, x_shape, p):
+    n, h, w, c = x_shape
+    ho, wo = h // p, w // p
+    dxr = np.zeros((n, ho, wo, p * p, c))
+    np.put_along_axis(dxr, idx[:, :, :, None, :], dout[:, :, :, None, :], axis=3)
+    dx = np.zeros(x_shape)
+    dx[:, :ho * p, :wo * p, :] = (dxr.reshape(n, ho, wo, p, p, c)
+                                  .transpose(0, 1, 3, 2, 4, 5).reshape(n, ho * p, wo * p, c))
+    return dx
+
+
+def _old_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _old_loss_and_grads(params, x, y, loss):
+    pool = params.arch.pool
+    n = x.shape[0]
+    z1, cols1 = _old_conv2d(x, params.conv1_w, params.conv1_b)
+    a1 = np.maximum(z1, 0.0)
+    z2, cols2 = _old_conv2d(a1, params.conv2_w, params.conv2_b)
+    a2 = np.maximum(z2, 0.0)
+    pooled, pidx = _old_maxpool(a2, pool)
+    flat = pooled.reshape(n, -1)
+    z3 = flat @ params.dense_w + params.dense_b
+    feats = np.maximum(z3, 0.0)
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    if loss == "bce":
+        p = _old_sigmoid(feats @ params.detect_w + params.detect_b)[:, 0]
+        pc = np.clip(p, 1e-7, 1.0 - 1e-7)
+        value = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
+        dpc = -(y / pc - (1.0 - y) / (1.0 - pc)) / n
+        dz = (np.where((p > 1e-7) & (p < 1.0 - 1e-7), dpc, 0.0) * p * (1.0 - p))[:, None]
+        grads["detect_w"], grads["detect_b"] = feats.T @ dz, dz.sum(axis=0)
+        dfeats = dz @ params.detect_w.T
+    else:
+        diff = feats @ params.locate_w + params.locate_b - y
+        value = float(np.mean(np.sum(diff * diff, axis=1)))
+        dpred = 2.0 * diff / n
+        grads["locate_w"], grads["locate_b"] = feats.T @ dpred, dpred.sum(axis=0)
+        dfeats = dpred @ params.locate_w.T
+    dz3 = dfeats * (z3 > 0)
+    grads["dense_w"], grads["dense_b"] = flat.T @ dz3, dz3.sum(axis=0)
+    da2 = _old_maxpool_backward((dz3 @ params.dense_w.T).reshape(pooled.shape), pidx, a2.shape, pool)
+    da1, grads["conv2_w"], grads["conv2_b"] = _old_conv2d_backward(
+        da2 * (z2 > 0), cols2, a1.shape, params.conv2_w)
+    _, grads["conv1_w"], grads["conv1_b"] = _old_conv2d_backward(
+        da1 * (z1 > 0), cols1, x.shape, params.conv1_w, need_dx=False)
+    return value, grads
+
+
+class TestGoldenTrunk:
+    ARCH = Architecture(input_shape=(24, 7, 2))
+
+    @pytest.mark.parametrize("loss", ["bce", "mse"])
+    def test_loss_and_grads_match_oracle(self, loss):
+        rng = np.random.default_rng(16)
+        params = init_params(self.ARCH, 3)
+        x = rng.standard_normal((32,) + self.ARCH.input_shape)
+        y = rng.integers(0, 2, 32).astype(float) if loss == "bce" else rng.uniform(0, 5, (32, 2))
+        value, grads = loss_and_grads(params, (x, y), loss)
+        ref_value, ref_grads = _old_loss_and_grads(params, x, y, loss)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert grads.keys() == ref_grads.keys()
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape
+            assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        # the unused head's gradient is exactly zero
+        unused = ("locate_w", "locate_b") if loss == "bce" else ("detect_w", "detect_b")
+        assert all(not grads[name].any() for name in unused)
+
+    def test_adam_step_bitwise_equal(self):
+        rng = np.random.default_rng(17)
+        cfg = TrainConfig(learning_rate=3e-3)
+        arr = rng.standard_normal((40, 8))
+        m, v = np.zeros_like(arr), np.zeros_like(arr)
+        ref_arr, ref_m, ref_v = arr.copy(), m.copy(), v.copy()
+        for t in range(1, 6):
+            g = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-6, 2)
+            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            _adam_step(arr, g, m, v, cfg, bc1, bc2)
+            ref_m = cfg.beta1 * ref_m + (1 - cfg.beta1) * g
+            ref_v = cfg.beta2 * ref_v + (1 - cfg.beta2) * (g * g)
+            ref_arr -= cfg.learning_rate * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + cfg.epsilon)
+            for got, ref in ((arr, ref_arr), (m, ref_m), (v, ref_v)):
+                assert got.tobytes() == ref.tobytes()
