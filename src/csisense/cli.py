@@ -80,6 +80,14 @@ def _check_float(flag: str, value: float | None, low: float = -math.inf,
         raise ConfigError(f"{flag} must be a finite number in [{low:g}, {high:g}], got {value}")
 
 
+def _load_model(path: str, task: str | None = None, use: str = "") -> nn.TrainedModel:
+    """Load a model artifact; `use` needs a `task` model when `task` is given."""
+    model = nn.load_model(path)
+    if task is not None and model.task != task:
+        raise ConfigError(f"{use} needs a {task} model, {path} is a {model.task} model")
+    return model
+
+
 def cmd_gen(args) -> int:
     dataset_mod.check_sigma(args.sigma, "--sigma")
     _check_count("--n", args.n)
@@ -140,11 +148,8 @@ def fit(
     val_fraction: float | None = None,
 ) -> tuple[nn.TrainedModel, list[nn.LogEntry]]:
     """Split, normalize on the training side only, and train one head."""
-    if task not in ("detect", "locate"):
-        raise ConfigError(f"task must be detect or locate, got {task!r}")
     config = nn.TrainConfig(
-        loss="bce" if task == "detect" else "mse",
-        batch_size=batch_size, learning_rate=learning_rate,
+        task=task, batch_size=batch_size, learning_rate=learning_rate,
         epochs=epochs, seed=seed, patience=patience,
     )
     fractions = ds.manifest.split_fractions
@@ -169,7 +174,7 @@ def fit(
     except ConfigError:
         validation = None
     params, log = nn.train((x_train, y_train), config, validation)
-    return nn.TrainedModel(params=params, stats=stats, task=task), log
+    return nn.TrainedModel(params=params, stats=stats), log
 
 
 def cmd_eval(args) -> int:
@@ -180,7 +185,7 @@ def cmd_eval(args) -> int:
     _check_count("--drops", args.drops)
     _check_float("--threshold", args.threshold)
     _check_float("--gamma", args.gamma)
-    model = nn.load_model(args.model)
+    model = _load_model(args.model, "detect" if sigmas else None, "--sigmas")
     if args.threshold is not None:
         model.threshold = args.threshold
     scenario = _scenario_with(args, load_scenario(args.scenario))
@@ -218,7 +223,7 @@ def cmd_coverage(args) -> int:
     _check_count("--drops-per-bin", args.drops_per_bin)
     _check_float("--threshold", args.threshold)
     _check_float("--pitch", args.pitch)
-    model = nn.load_model(args.model)
+    model = _load_model(args.model, "detect", "coverage")
     if args.threshold is not None:
         model.threshold = args.threshold
     scenario = _scenario_with(args, load_scenario(args.scenario))
@@ -245,7 +250,7 @@ def cmd_baseline(args) -> int:
         banks.append(baseline_mod.swept_bank(scenario))
     if args.variant in ("overlapped180", "both"):
         banks.append(baseline_mod.overlapped_bank())
-    model = nn.load_model(args.model) if args.model else None
+    model = _load_model(args.model, "locate", "baseline --model") if args.model else None
     results = metrics_mod.drop_positions(scenario, args.sigma, args.drops, args.seed,
                                          banks, model)
     with open(args.out, "w") as fp:
@@ -263,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a dataset")
     g.add_argument("--scenario", default="scenario1")
-    g.add_argument("--protocol", choices=("resolution", "coverage", "positioning"),
-                   default="resolution")
+    g.add_argument("--protocol", choices=dataset_mod.PROTOCOLS, default="resolution")
     g.add_argument("--sigma", type=float, default=0.8)
     g.add_argument("--n", type=int, default=None,
                    help="records per hypothesis (resolution) or per bin (binned)")

@@ -29,6 +29,7 @@ from .geometry import Point2D, Target
 HYP_NULL = "null"
 HYP_TARGET = "target"
 LABEL_COLUMNS = ["index", "hyp", "x", "y", "sigma", "seed"]
+PROTOCOLS = ("resolution", "coverage", "positioning")
 
 DEVICE_CLEARANCE = 0.05  # extra clearance beyond sigma/2 around tx/rx positions
 
@@ -41,7 +42,7 @@ PAPER_SCALE_N_PER_BIN = 2000
 @dataclass
 class DatasetManifest:
     scenario: Scenario
-    protocol: str  # resolution | coverage | positioning
+    protocol: str  # one of PROTOCOLS
     sigma: float
     n_per_hyp: int
     master_seed: int
@@ -66,19 +67,32 @@ class DatasetManifest:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "DatasetManifest":
-        return DatasetManifest(
-            scenario=Scenario.from_dict(d["scenario"]),
-            protocol=d["protocol"],
-            sigma=float(d["sigma"]),
-            n_per_hyp=int(d["n_per_hyp"]),
-            master_seed=int(d["master_seed"]),
-            grid_pitch=None if d.get("grid_pitch") is None else float(d["grid_pitch"]),
-            split_fractions=tuple(d.get("split_fractions", (0.7, 0.3))),
-            bin_jitter=bool(d.get("bin_jitter", False)),
-            count_null=int(d.get("count_null", 0)),
-            count_target=int(d.get("count_target", 0)),
-        )
+    def from_dict(d: dict, source: str = "manifest") -> "DatasetManifest":
+        """A missing key or a wrong value raises "<source>: malformed manifest: …"."""
+        try:
+            m = DatasetManifest(
+                scenario=Scenario.from_dict(d["scenario"]),
+                protocol=d["protocol"],
+                sigma=float(d["sigma"]),
+                n_per_hyp=int(d["n_per_hyp"]),
+                master_seed=int(d["master_seed"]),
+                grid_pitch=None if d.get("grid_pitch") is None else float(d["grid_pitch"]),
+                split_fractions=tuple(float(v) for v in d.get("split_fractions", (0.7, 0.3))),
+                bin_jitter=bool(d.get("bin_jitter", False)),
+                count_null=int(d.get("count_null", 0)),
+                count_target=int(d.get("count_target", 0)),
+            )
+            check_sigma(m.sigma)
+            if m.protocol not in PROTOCOLS:
+                raise ValueError(f"unknown protocol {m.protocol!r}")
+            if m.n_per_hyp < 1:
+                raise ValueError(f"n_per_hyp must be >= 1, got {m.n_per_hyp}")
+            if len(m.split_fractions) != 2:
+                raise ValueError(f"split_fractions must be two numbers, got {d['split_fractions']}")
+        except (KeyError, TypeError, ValueError, AttributeError, InvalidSize) as exc:
+            raise ConfigError(
+                f"{source}: malformed manifest: {type(exc).__name__}: {exc}") from exc
+        return m
 
 
 @dataclass
@@ -389,7 +403,7 @@ def load_dataset(path: str | Path) -> Dataset:
     """Read a dataset directory; bin indices are rebuilt from the manifest layout."""
     src = Path(path)
     with open(src / "manifest.json") as fp:
-        manifest = DatasetManifest.from_dict(json.load(fp))
+        manifest = DatasetManifest.from_dict(json.load(fp), str(src / "manifest.json"))
     target, xy, seed = _read_labels(src / "labels.csv")
     tensors = read_frames(src / "frames.bin", _frame_meta(manifest.scenario))
     if len(tensors) != len(target):

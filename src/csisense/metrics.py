@@ -83,8 +83,8 @@ def detection_counts(
         _, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i, center)
         null_t.append(to_tensor(null_frame))
         alt_t.append(to_tensor(alt_frame))
-    p_null = model.prob_batch(np.stack(null_t))
-    p_alt = model.prob_batch(np.stack(alt_t))
+    p_null = model.predict(np.stack(null_t))
+    p_alt = model.predict(np.stack(alt_t))
     tau = model.threshold
     fa = int(np.sum(p_null >= tau))
     det = int(np.sum(p_alt >= tau))
@@ -233,7 +233,7 @@ def drop_positions(
     side = scenario.room_side
     estimates = [
         Point2D(min(max(float(x), 0.0), side), min(max(float(y), 0.0), side))
-        for x, y in model.locate_batch(np.stack(tensors))
+        for x, y in model.predict(np.stack(tensors))
     ]
     return per_bank + [PositioningResult(truths=truths, estimates=estimates,
                                          variant="csisensenet", degraded=[False] * n_drops)]

@@ -27,7 +27,10 @@ PROB_CLAMP = 1e-7
 INFER_CHUNK = 32
 
 MAGIC = b"CSNN"
-VERSION = 1
+VERSION = 2                  # v1 stored both heads; load_model still reads it
+
+TASK_LOSS = {"detect": "bce", "locate": "mse"}     # the loss that trains each task's head
+HEAD_UNITS = {"detect": 1, "locate": 2}
 
 
 @dataclass(frozen=True)
@@ -51,61 +54,56 @@ class Architecture:
             raise ConfigError(f"input {h}x{w} too small for {self.pool}x{self.pool} pooling")
 
 
-# Parameter fields in fixed serialization order.
-PARAM_FIELDS = (
-    "conv1_w", "conv1_b", "conv2_w", "conv2_b",
-    "dense_w", "dense_b", "detect_w", "detect_b",
-    "locate_w", "locate_b",
-)
+# Parameter fields in fixed serialization order: the trunk, then the head.
+PARAM_FIELDS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "dense_w", "dense_b",
+                "head_w", "head_b")
+
+
+def param_shapes(arch: Architecture, task: str) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter of a `task` model, in PARAM_FIELDS order."""
+    k, c, (f1, f2), d = arch.kernel, arch.input_shape[2], arch.conv_filters, arch.dense_units
+    u = HEAD_UNITS[task]
+    return dict(zip(PARAM_FIELDS, [(k, k, c, f1), (f1,), (k, k, f1, f2), (f2,),
+                                   (arch.flat_units, d), (d,), (d, u), (u,)]))
 
 
 @dataclass
 class ModelParams:
     arch: Architecture
+    task: str                    # detect | locate: what the head computes
     conv1_w: np.ndarray
     conv1_b: np.ndarray
     conv2_w: np.ndarray
     conv2_b: np.ndarray
     dense_w: np.ndarray
     dense_b: np.ndarray
-    detect_w: np.ndarray
-    detect_b: np.ndarray
-    locate_w: np.ndarray
-    locate_b: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
 
     def items(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in PARAM_FIELDS]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.arch, *[getattr(self, n).copy() for n in PARAM_FIELDS])
+        return ModelParams(self.arch, self.task, *[getattr(self, n).copy() for n in PARAM_FIELDS])
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform draw for an (in, out) matrix or a (k, k, in, out) kernel."""
+    fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_params(arch: Architecture, seed) -> ModelParams:
-    """Glorot-uniform weights, zero biases, drawn in fixed field order."""
+def init_params(arch: Architecture, seed, task: str = "detect") -> ModelParams:
+    """Glorot-uniform weights, zero biases, drawn in field order; a locate model
+    first draws and drops v1's (dense, 1) detection head, so it keeps v1's draws."""
+    arrays = {}
     rng = np.random.default_rng(seed)
-    k = arch.kernel
-    c_in = arch.input_shape[2]
-    f1, f2 = arch.conv_filters
-    flat = arch.flat_units
-    d = arch.dense_units
-    return ModelParams(
-        arch=arch,
-        conv1_w=_glorot(rng, (k, k, c_in, f1), k * k * c_in, k * k * f1),
-        conv1_b=np.zeros(f1),
-        conv2_w=_glorot(rng, (k, k, f1, f2), k * k * f1, k * k * f2),
-        conv2_b=np.zeros(f2),
-        dense_w=_glorot(rng, (flat, d), flat, d),
-        dense_b=np.zeros(d),
-        detect_w=_glorot(rng, (d, 1), d, 1),
-        detect_b=np.zeros(1),
-        locate_w=_glorot(rng, (d, 2), d, 2),
-        locate_b=np.zeros(2),
-    )
+    for name, shape in param_shapes(arch, task).items():
+        if name == "head_w" and task == "locate":
+            _glorot(rng, (arch.dense_units, 1))
+        arrays[name] = _glorot(rng, shape) if name.endswith("_w") else np.zeros(shape)
+    return ModelParams(arch, task, **arrays)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -235,37 +233,35 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def detect_batch(params: ModelParams, tensors: np.ndarray) -> np.ndarray:
     feats, _ = _trunk_forward(params, _as_batch(params, tensors), train=False)
-    z = feats @ params.detect_w + params.detect_b
-    return _sigmoid(z)[:, 0]
+    return _sigmoid(feats @ params.head_w + params.head_b)[:, 0]
 
 
 def locate_batch(params: ModelParams, tensors: np.ndarray) -> np.ndarray:
     feats, _ = _trunk_forward(params, _as_batch(params, tensors), train=False)
-    return feats @ params.locate_w + params.locate_b
+    return feats @ params.head_w + params.head_b
 
 
-def _head(params: ModelParams, feats: np.ndarray, y: np.ndarray, loss: str
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Per-sample loss and metric of one head on a batch, the derivative of the
-    batch-mean loss with respect to the head output, and the head's name.
+def _head(params: ModelParams, feats: np.ndarray, y: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample loss and metric of the model's head on a batch, and the
+    derivative of the batch-mean loss with respect to the head output.
 
-    'bce': binary cross-entropy on the detection head with probabilities
-    clamped away from {0, 1}, metric 1 for a correct decision; 'mse': squared
-    Euclidean position error, metric the error in meters.
+    detect: binary cross-entropy ('bce') with probabilities clamped away from
+    {0, 1}, metric 1 for a correct decision; locate: squared Euclidean
+    position error ('mse'), metric the error in meters.
     """
     n = feats.shape[0]
-    if loss == "bce":
+    z = feats @ params.head_w + params.head_b
+    if params.task == "detect":
         y = np.asarray(y, dtype=float).reshape(n)
-        p = _sigmoid(feats @ params.detect_w + params.detect_b)[:, 0]
+        p = _sigmoid(z)[:, 0]
         pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
         losses = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
         dpc = -(y / pc - (1.0 - y) / (1.0 - pc)) / n
         dp = np.where((p > PROB_CLAMP) & (p < 1.0 - PROB_CLAMP), dpc, 0.0)
-        return losses, (p >= 0.5) == (y >= 0.5), (dp * p * (1.0 - p))[:, None], "detect"
-    if loss == "mse":
-        diff = feats @ params.locate_w + params.locate_b - np.asarray(y, dtype=float).reshape(n, 2)
-        return np.sum(diff * diff, axis=1), np.hypot(diff[:, 0], diff[:, 1]), 2.0 * diff / n, "locate"
-    raise ConfigError(f"unknown loss kind {loss!r}")
+        return losses, (p >= 0.5) == (y >= 0.5), (dp * p * (1.0 - p))[:, None]
+    diff = z - np.asarray(y, dtype=float).reshape(n, 2)
+    return np.sum(diff * diff, axis=1), np.hypot(diff[:, 0], diff[:, 1]), 2.0 * diff / n
 
 
 def loss_and_grads(
@@ -274,23 +270,23 @@ def loss_and_grads(
     loss: str,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Batch-mean loss (see `_head`) plus exact gradients for every parameter;
-    the unused head's gradient is zero."""
+    `loss` must be the one that trains the model's head (TASK_LOSS)."""
+    if loss != TASK_LOSS[params.task]:
+        raise ConfigError(f"loss {loss!r} does not train a {params.task} head")
     x_raw, y = batch
     x = _as_batch(params, x_raw)
     if x.shape[0] == 0:
         raise ShapeMismatch("empty batch")
     feats, cache = _trunk_forward(params, x)
-    losses, _, dout, head = _head(params, feats, y, loss)
-    grads = {f"{head}_w": feats.T @ dout, f"{head}_b": dout.sum(axis=0)}
-    _trunk_backward(params, cache, dout @ getattr(params, f"{head}_w").T, grads)
-    for name, arr in params.items():
-        grads.setdefault(name, np.zeros_like(arr))
+    losses, _, dout = _head(params, feats, y)
+    grads = {"head_w": feats.T @ dout, "head_b": dout.sum(axis=0)}
+    _trunk_backward(params, cache, dout @ params.head_w.T, grads)
     return float(np.mean(losses)), grads
 
 
 @dataclass
 class TrainConfig:
-    loss: str = "bce"                  # bce -> detection head, mse -> position head
+    task: str = "detect"               # detect | locate, trained with TASK_LOSS[task]
     batch_size: int = 32
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -307,8 +303,8 @@ class TrainConfig:
                                  ("patience", self.patience, 0)):
             if value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if self.loss not in ("bce", "mse"):
-            raise ConfigError(f"loss must be bce or mse, got {self.loss!r}")
+        if self.task not in TASK_LOSS:
+            raise ConfigError(f"task must be detect or locate, got {self.task!r}")
 
 
 @dataclass(frozen=True)
@@ -319,13 +315,13 @@ class LogEntry:
     val_metric: float
 
 
-def _eval_loss(params: ModelParams, x: np.ndarray, y: np.ndarray, loss: str) -> tuple[float, float]:
+def _eval_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """(loss, metric) without gradients, as means over the samples (`_head`)."""
     total = 0.0
     metric_acc = 0.0
     for lo in range(0, x.shape[0], INFER_CHUNK):
         feats, _ = _trunk_forward(params, x[lo:lo + INFER_CHUNK], train=False)
-        losses, metric, _, _ = _head(params, feats, y[lo:lo + INFER_CHUNK], loss)
+        losses, metric, _ = _head(params, feats, y[lo:lo + INFER_CHUNK])
         total += float(np.sum(losses))
         metric_acc += float(np.sum(metric))
     return total / x.shape[0], metric_acc / x.shape[0]
@@ -363,7 +359,7 @@ def train(
     x, y = (np.asarray(a, dtype=float) for a in train_data)
     if arch is None:
         arch = Architecture(input_shape=tuple(x.shape[1:]))
-    params = init_params(arch, config.seed)
+    params = init_params(arch, config.seed, config.task)
     rng = np.random.default_rng(config.seed + 1)
 
     m = {name: np.zeros_like(a) for name, a in params.items()}
@@ -380,7 +376,7 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, n, config.batch_size):
             sel = order[lo:lo + config.batch_size]
-            value, grads = loss_and_grads(params, (x[sel], y[sel]), config.loss)
+            value, grads = loss_and_grads(params, (x[sel], y[sel]), TASK_LOSS[config.task])
             if not math.isfinite(value):
                 raise NonFiniteLoss(
                     f"non-finite training loss {value} at epoch {epoch}, batch {lo // config.batch_size}"
@@ -396,7 +392,7 @@ def train(
         if validation is not None and len(validation[0]):
             val_loss, val_metric = _eval_loss(
                 params, np.asarray(validation[0], dtype=float),
-                np.asarray(validation[1], dtype=float), config.loss,
+                np.asarray(validation[1], dtype=float),
             )
             if not math.isfinite(val_loss):
                 raise NonFiniteLoss(f"non-finite validation loss at epoch {epoch}")
@@ -427,22 +423,22 @@ class TrainedModel:
 
     params: ModelParams
     stats: NormStats
-    task: str                    # detect | locate
     threshold: float = 0.5
 
-    def prob_batch(self, tensors: np.ndarray) -> np.ndarray:
-        x = normalize(np.asarray(tensors, dtype=float), self.stats)
-        return np.concatenate([detect_batch(self.params, x[lo:lo + INFER_CHUNK])
-                               for lo in range(0, len(x), INFER_CHUNK)])
+    @property
+    def task(self) -> str:
+        return self.params.task
 
-    def locate_batch(self, tensors: np.ndarray) -> np.ndarray:
+    def predict(self, tensors: np.ndarray) -> np.ndarray:
+        """Raw frame tensors to detection probabilities (N,) or positions (N, 2)."""
+        head = detect_batch if self.task == "detect" else locate_batch
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
-        return np.concatenate([locate_batch(self.params, x[lo:lo + INFER_CHUNK])
+        return np.concatenate([head(self.params, x[lo:lo + INFER_CHUNK])
                                for lo in range(0, len(x), INFER_CHUNK)])
 
 
 def save_model(path: str | Path, model: TrainedModel) -> None:
-    """CSNN binary artifact: header, JSON descriptor, float64 LE parameters."""
+    """CSNN v2 artifact: header, JSON descriptor, float64 LE PARAM_FIELDS blocks."""
     arch = model.params.arch
     desc = {
         "input_shape": list(arch.input_shape),
@@ -465,6 +461,7 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """Read a v2 artifact, or a v1 one (both heads stored, the task's is kept)."""
     with open(path, "rb") as fp:
         if fp.read(4) != MAGIC:
             raise ConfigError(f"{path}: not a model artifact")
@@ -472,7 +469,7 @@ def load_model(path: str | Path) -> TrainedModel:
         if len(header) != 6:
             raise ConfigError(f"{path}: truncated model header")
         version, blob_len = struct.unpack("<HI", header)
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise ConfigError(f"{path}: unsupported model version {version}")
         try:
             desc = json.loads(fp.read(blob_len).decode())
@@ -486,14 +483,28 @@ def load_model(path: str | Path) -> TrainedModel:
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(
                 f"{path}: malformed model descriptor: {type(exc).__name__}: {exc}") from exc
-        if task not in ("detect", "locate"):
+        if task not in TASK_LOSS:
             raise ConfigError(f"{path}: malformed model descriptor: task {task!r}")
-        ref = init_params(arch, 0)
+        for name, values, n in (("threshold", [threshold], 1), ("norm_mean", stats.mean, 2),
+                                ("norm_std", stats.std, 2)):
+            if (len(values) != n or not all(math.isfinite(v) for v in values)
+                    or (name == "norm_std" and min(values) < 0)):
+                raise ConfigError(f"{path}: malformed model descriptor: {name} {list(values)}")
+        blocks = list(param_shapes(arch, task).items())
+        if version == 1:    # detect's head, then locate's; the other task's is read, not kept
+            blocks[6:] = [(name if t == task else f"{t}_{name[5:]}", shape)
+                          for t in ("detect", "locate")
+                          for name, shape in list(param_shapes(arch, t).items())[6:]]
         arrays = {}
-        for name, arr in ref.items():
-            raw = fp.read(arr.size * 8)
-            if len(raw) != arr.size * 8:
+        for name, shape in blocks:
+            size = math.prod(shape) * 8
+            raw = fp.read(size)
+            if len(raw) != size:
                 raise ConfigError(f"{path}: truncated parameter block {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(arr.shape).copy()
-    params = ModelParams(arch, *[arrays[n] for n in PARAM_FIELDS])
-    return TrainedModel(params=params, stats=stats, task=task, threshold=threshold)
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ConfigError(f"{path}: non-finite value in parameter block {name}")
+        if fp.read(1):
+            raise ConfigError(f"{path}: trailing bytes after the last parameter block")
+    params = ModelParams(arch, task, *[arrays[n] for n in PARAM_FIELDS])
+    return TrainedModel(params=params, stats=stats, threshold=threshold)

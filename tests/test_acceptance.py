@@ -129,7 +129,7 @@ def test_gradient_correctness_both_heads():
     worst = 0.0
     for draw in range(20):
         loss = "bce" if draw % 2 == 0 else "mse"
-        params = init_params(arch, 100 + draw)
+        params = init_params(arch, 100 + draw, "detect" if loss == "bce" else "locate")
         x = rng.standard_normal((3,) + arch.input_shape)
         y = (rng.integers(0, 2, 3).astype(float) if loss == "bce"
              else rng.uniform(0, 5, (3, 2)))

@@ -296,8 +296,8 @@ class TestVariantFlags:
 
 def untrained_model(path, task):
     """A model artifact of the tiny scenario's input shape, straight from init_params."""
-    params = init_params(Architecture(input_shape=(8, 3, 2)), 0)
-    save_model(path, TrainedModel(params, NormStats((0.0, 0.0), (1.0, 1.0)), task))
+    params = init_params(Architecture(input_shape=(8, 3, 2)), 0, task)
+    save_model(path, TrainedModel(params, NormStats((0.0, 0.0), (1.0, 1.0))))
     return str(path)
 
 
@@ -391,8 +391,14 @@ class TestBadFlags:
         lambda d: d.update(kernel="three"),
         lambda d: d.update(norm_mean=None),
         lambda d: d.update(task="classify"),
+        lambda d: d.update(threshold=math.nan),
+        lambda d: d.update(norm_mean=[0.0, math.nan]),
+        lambda d: d.update(norm_mean=[0.0]),
+        lambda d: d.update(norm_std=[math.inf, 1.0]),
+        lambda d: d.update(norm_std=[1.0, -0.5]),
     ], ids=["no-input_shape", "no-norm_std", "int-input_shape", "str-kernel",
-            "null-norm_mean", "unknown-task"])
+            "null-norm_mean", "unknown-task", "nan-threshold", "nan-norm_mean",
+            "short-norm_mean", "inf-norm_std", "negative-norm_std"])
     def test_malformed_model_descriptor_exits_2(self, tmp_path, scenario_file, capsys,
                                                 change):
         path = tmp_path / "det.csnn"
@@ -406,6 +412,35 @@ class TestBadFlags:
                    "--out", str(tmp_path / "e.csv")])
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys, f"{path}: malformed model descriptor: ")
+
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda raw: raw[:-8] + struct.pack("<d", math.nan),
+         "non-finite value in parameter block head_b"),
+        (lambda raw: raw + b"\0" * 8, "trailing bytes after the last parameter block"),
+    ], ids=["nan-block", "trailing-bytes"])
+    def test_bad_parameter_blocks_exit_2(self, tmp_path, scenario_file, capsys, change,
+                                         message):
+        path = tmp_path / "det.csnn"
+        path.write_bytes(change(Path(untrained_model(path, "detect")).read_bytes()))
+        rc = main(["eval", "--model", str(path), "--scenario", scenario_file,
+                   "--out", str(tmp_path / "e.csv")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{path}: {message}")
+
+    @pytest.mark.parametrize("command,task,needs", [
+        ("coverage", "locate", "coverage needs a detect model"),
+        ("baseline", "detect", "baseline --model needs a locate model"),
+        ("eval", "locate", "--sigmas needs a detect model"),
+    ])
+    def test_wrong_task_model_exits_2(self, tmp_path, commands, capsys, command, task, needs):
+        model = untrained_model(tmp_path / "m.csnn", task)
+        argv = commands[command] + ["--model", model]
+        if command == "eval":
+            argv += ["--sigmas", "0.5,0.6"]
+        assert main(argv) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{needs}, {model} is a {task} model")
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadDataset:
@@ -468,3 +503,24 @@ class TestBadDataset:
         path.write_text(json.dumps(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, "narrowband must be true")
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda m: m.pop("protocol"), "KeyError: 'protocol'"),
+        (lambda m: m.update(split_fractions=["a", "b"]), "ValueError: could not convert"),
+        (lambda m: m.update(split_fractions=[1.0]), "split_fractions must be two numbers"),
+        (lambda m: m.update(n_per_hyp=None), "TypeError: int() argument"),
+        (lambda m: m.update(n_per_hyp=0), "n_per_hyp must be >= 1, got 0"),
+        (lambda m: m.update(protocol="spiral"), "unknown protocol 'spiral'"),
+        (lambda m: m.update(sigma=math.nan), "sigma must be finite and > 0, got nan"),
+        (lambda m: m.update(sigma=0.0), "sigma must be finite and > 0, got 0.0"),
+        (lambda m: m.update(sigma=-0.4), "sigma must be finite and > 0, got -0.4"),
+    ], ids=["no-protocol", "str-split_fractions", "one-split_fraction", "null-n_per_hyp",
+            "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma", "negative-sigma"])
+    def test_malformed_manifest_exits_2(self, tmp_path, dataset_dir, capsys, change, message):
+        path = dataset_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{path}: malformed manifest: ", message)
+        assert not (tmp_path / "m.csnn").exists()

@@ -244,12 +244,13 @@ class TestPersistence:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_empty_round_trip(self, tmp_path):
-        # generation needs n >= 1, so the empty set is a generated one with every row dropped
+        # generation and manifests need n >= 1, so the empty set is a generated one
+        # with every row dropped
         full = gen_resolution_set(fast_scenario(), 0.8, 1, 11)
         ds = dataclasses.replace(
             full, tensors=full.tensors[:0], target=full.target[:0], xy=full.xy[:0],
             seed=full.seed[:0], bin=full.bin[:0],
-            manifest=dataclasses.replace(full.manifest, n_per_hyp=0, count_null=0, count_target=0))
+            manifest=dataclasses.replace(full.manifest, count_null=0, count_target=0))
         save_dataset(tmp_path / "d", ds)
         back = load_dataset(tmp_path / "d")
         assert len(back) == 0 and back.tensors.shape == (0, 4, 3, 2)

@@ -44,8 +44,7 @@ def untrained_model(scenario) -> TrainedModel:
         input_shape=(scenario.n_links * scenario.n_antennas, scenario.n_beams, 2),
         conv_filters=(3, 4), dense_units=8,
     )
-    return TrainedModel(params=init_params(arch, 0),
-                        stats=NormStats((0.0, 0.0), (1.0, 1.0)), task="detect")
+    return TrainedModel(params=init_params(arch, 0), stats=NormStats((0.0, 0.0), (1.0, 1.0)))
 
 
 class TestAccuracyScore:

@@ -1,9 +1,14 @@
+import math
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from csisense.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from csisense.frame import NormStats, compute_stats, normalize
 from csisense.sensenet import (
+    PARAM_FIELDS,
     Architecture,
     TrainConfig,
     TrainedModel,
@@ -22,6 +27,7 @@ from csisense.sensenet import (
 )
 
 TINY = Architecture(input_shape=(4, 3, 2), conv_filters=(3, 4), dense_units=8)
+TASK = {"bce": "detect", "mse": "locate"}
 
 
 def brute_force_conv(x, w, b):
@@ -200,10 +206,10 @@ class TestForward:
         assert detect_batch(params, np.ones(TINY.input_shape))[0] == pytest.approx(0.5)
 
     def test_bias_only_position_head(self):
-        params = init_params(TINY, 0)
+        params = init_params(TINY, 0, "locate")
         for name, arr in params.items():
             arr[...] = 0.0
-        params.locate_b[:] = (2.5, 2.5)
+        params.head_b[:] = (2.5, 2.5)
         est = locate_batch(params, np.random.default_rng(4).standard_normal(TINY.input_shape))
         assert est.tolist() == [[2.5, 2.5]]
 
@@ -226,16 +232,16 @@ class TestLoss:
         p = detect_batch(params, x)
         y = (p >= 0.5).astype(float)
         # saturate the head so predictions match labels closely
-        params.detect_w *= 50
-        params.detect_b *= 50
+        params.head_w *= 50
+        params.head_b *= 50
         value, _ = loss_and_grads(params, (x, (detect_batch(params, x) >= 0.5).astype(float)), "bce")
         assert value < 1e-2
 
     def test_mse_zero_when_exact(self):
-        params = init_params(TINY, 2)
+        params = init_params(TINY, 2, "locate")
         for name, arr in params.items():
             arr[...] = 0.0
-        params.locate_b[:] = (1.0, 2.0)
+        params.head_b[:] = (1.0, 2.0)
         x = np.zeros((3,) + TINY.input_shape)
         y = np.tile([1.0, 2.0], (3, 1))
         value, _ = loss_and_grads(params, (x, y), "mse")
@@ -251,7 +257,7 @@ class TestGradients:
     @pytest.mark.parametrize("loss", ["bce", "mse"])
     def test_matches_finite_differences(self, loss):
         rng = np.random.default_rng(7)
-        params = init_params(TINY, 7)
+        params = init_params(TINY, 7, TASK[loss])
         x = rng.standard_normal((3,) + TINY.input_shape)
         y = rng.integers(0, 2, size=3).astype(float) if loss == "bce" else rng.uniform(0, 5, (3, 2))
         _, analytic = loss_and_grads(params, (x, y), loss)
@@ -264,7 +270,7 @@ class TestTrain:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((12,) + TINY.input_shape)
         y = rng.integers(0, 2, 12).astype(float)
-        cfg = TrainConfig(loss="bce", learning_rate=0.0, epochs=3, seed=4, batch_size=4)
+        cfg = TrainConfig(task="detect", learning_rate=0.0, epochs=3, seed=4, batch_size=4)
         params, _ = train((x, y), cfg, arch=TINY)
         ref = init_params(TINY, 4)
         for (_, a), (_, b) in zip(params.items(), ref.items()):
@@ -274,7 +280,7 @@ class TestTrain:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((16,) + TINY.input_shape)
         y = rng.integers(0, 2, 16).astype(float)
-        cfg = TrainConfig(loss="bce", epochs=4, seed=11, batch_size=4)
+        cfg = TrainConfig(task="detect", epochs=4, seed=11, batch_size=4)
         a, _ = train((x, y), cfg, arch=TINY)
         b, _ = train((x, y), cfg, arch=TINY)
         for (_, pa), (_, pb) in zip(a.items(), b.items()):
@@ -285,7 +291,7 @@ class TestTrain:
         x = rng.standard_normal((200,) + TINY.input_shape)
         y = (x[:, :, :, 0].mean(axis=(1, 2)) > 0).astype(float)
         x[:, :, :, 0] += (2 * y - 1)[:, None, None] * 0.8
-        cfg = TrainConfig(loss="bce", epochs=30, seed=0, batch_size=16,
+        cfg = TrainConfig(task="detect", epochs=30, seed=0, batch_size=16,
                           learning_rate=3e-3)
         params, log = train((x, y), cfg, validation=(x, y), arch=TINY)
         losses = [e.train_loss for e in log[:5]]
@@ -303,7 +309,7 @@ class TestTrain:
         x[..., 1] = coords[:, 1, None, None]
         stats = compute_stats(x[:200])
         xn = normalize(x, stats)
-        cfg = TrainConfig(loss="mse", epochs=200, seed=1, batch_size=16,
+        cfg = TrainConfig(task="locate", epochs=200, seed=1, batch_size=16,
                           learning_rate=5e-3)
         params, log = train((xn[:200], coords[:200]), cfg,
                             validation=(xn[200:], coords[200:]), arch=TINY)
@@ -313,7 +319,7 @@ class TestTrain:
 
     def test_nonfinite_loss_aborts(self):
         x = np.full((8,) + TINY.input_shape, 1e200)
-        cfg = TrainConfig(loss="mse", epochs=1, seed=0, batch_size=4,
+        cfg = TrainConfig(task="locate", epochs=1, seed=0, batch_size=4,
                           learning_rate=1e3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLoss):
@@ -327,7 +333,7 @@ class TestTrain:
         y = rng.integers(0, 2, 32).astype(float)
         xv = rng.standard_normal((16,) + TINY.input_shape)
         yv = rng.integers(0, 2, 16).astype(float)
-        cfg = TrainConfig(loss="bce", epochs=500, seed=2, batch_size=8, patience=3)
+        cfg = TrainConfig(task="detect", epochs=500, seed=2, batch_size=8, patience=3)
         _, log = train((x, y), cfg, validation=(xv, yv), arch=TINY)
         assert len(log) < 500
 
@@ -336,18 +342,19 @@ class TestArtifact:
     def test_save_load_round_trip(self, tmp_path):
         params = init_params(TINY, 3)
         stats = NormStats(mean=(0.1, -0.2), std=(1.5, 2.5))
-        model = TrainedModel(params=params, stats=stats, task="detect", threshold=0.4)
+        model = TrainedModel(params=params, stats=stats, threshold=0.4)
         path = tmp_path / "m.csnn"
         save_model(path, model)
         back = load_model(path)
         assert back.task == "detect" and back.threshold == 0.4
+        assert path.read_bytes()[4:6] == struct.pack("<H", 2)
         assert back.stats == stats
         for (_, a), (_, b) in zip(params.items(), back.params.items()):
             assert np.array_equal(a, b)
 
     def test_rewrite_byte_identical(self, tmp_path):
-        model = TrainedModel(params=init_params(TINY, 4),
-                             stats=NormStats((0.0, 0.0), (1.0, 1.0)), task="locate")
+        model = TrainedModel(params=init_params(TINY, 4, "locate"),
+                             stats=NormStats((0.0, 0.0), (1.0, 1.0)))
         save_model(tmp_path / "a", model)
         save_model(tmp_path / "b", model)
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
@@ -356,6 +363,102 @@ class TestArtifact:
         (tmp_path / "junk").write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ConfigError):
             load_model(tmp_path / "junk")
+
+
+class TestInit:
+    def test_params_hold_one_head(self):
+        for task, units in (("detect", 1), ("locate", 2)):
+            params = init_params(TINY, 0, task)
+            assert params.task == task and [n for n, _ in params.items()] == list(PARAM_FIELDS)
+            assert params.head_w.shape == (TINY.dense_units, units)
+            assert params.head_b.shape == (units,)
+
+    def test_locate_model_keeps_v1_draws(self):
+        # the two-head initialisation: each weight drawn in field order, the
+        # detection head (d, 1) before the position head (d, 2)
+        rng = np.random.default_rng(6)
+        k, d, flat = TINY.kernel, TINY.dense_units, TINY.flat_units
+        f1, f2 = TINY.conv_filters
+        v1 = {}
+        for name, shape, fan_in, fan_out in (
+                ("conv1_w", (k, k, 2, f1), k * k * 2, k * k * f1),
+                ("conv2_w", (k, k, f1, f2), k * k * f1, k * k * f2),
+                ("dense_w", (flat, d), flat, d), ("detect_w", (d, 1), d, 1),
+                ("locate_w", (d, 2), d, 2)):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            v1[name] = rng.uniform(-limit, limit, size=shape)
+        for task in ("detect", "locate"):
+            params = init_params(TINY, 6, task)
+            for name in ("conv1_w", "conv2_w", "dense_w"):
+                assert getattr(params, name).tobytes() == v1[name].tobytes()
+            assert params.head_w.tobytes() == v1[f"{task}_w"].tobytes()
+            assert not params.head_b.any()
+
+    def test_loss_must_match_task(self):
+        x = np.zeros((2,) + TINY.input_shape)
+        with pytest.raises(ConfigError, match="does not train a locate head"):
+            loss_and_grads(init_params(TINY, 0, "locate"), (x, np.zeros(2)), "bce")
+        with pytest.raises(ConfigError, match="does not train a detect head"):
+            loss_and_grads(init_params(TINY, 0), (x, np.zeros((2, 2))), "mse")
+
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_gradients_cover_the_live_arrays_only(self, task):
+        params = init_params(TINY, 1, task)
+        y = np.zeros(3) if task == "detect" else np.zeros((3, 2))
+        _, grads = loss_and_grads(params, (np.ones((3,) + TINY.input_shape), y),
+                                  "bce" if task == "detect" else "mse")
+        assert sorted(grads) == sorted(PARAM_FIELDS)
+        for name, arr in params.items():
+            assert grads[name].shape == arr.shape
+
+
+V1_DATA = Path(__file__).parent / "data"
+V1_ARCH = Architecture(input_shape=(8, 3, 2), conv_filters=(3, 4), dense_units=8)
+
+
+class TestV1Artifacts:
+    """`tests/data/v1_{detect,locate}.csnn` were written by the two-head (CSNN
+    v1) code: V1_ARCH models trained for 3 epochs on seeded random tensors, the
+    detector with threshold 0.4.  `v1_outputs.npz` holds a fixed `input` batch
+    (40 raw tensors, more than one inference chunk) and that code's outputs on
+    it: `detect` (prob_batch) and `locate` (locate_batch)."""
+
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_predict_is_bitwise_equal(self, task):
+        model = load_model(V1_DATA / f"v1_{task}.csnn")
+        assert model.task == task and model.params.arch == V1_ARCH
+        assert model.threshold == (0.4 if task == "detect" else 0.5)
+        ref = np.load(V1_DATA / "v1_outputs.npz")
+        out = model.predict(ref["input"])
+        assert out.shape == ref[task].shape and out.tobytes() == ref[task].tobytes()
+
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_resave_is_v1_minus_the_unused_head(self, task, tmp_path):
+        raw = (V1_DATA / f"v1_{task}.csnn").read_bytes()
+        save_model(tmp_path / "m.csnn", load_model(V1_DATA / f"v1_{task}.csnn"))
+        d = V1_ARCH.dense_units
+        detect_bytes, locate_bytes = 8 * (d + 1), 8 * (2 * d + 2)
+        tail = len(raw) - detect_bytes - locate_bytes
+        head = (raw[tail:tail + detect_bytes] if task == "detect"
+                else raw[tail + detect_bytes:])
+        expected = raw[:4] + struct.pack("<H", 2) + raw[6:tail] + head
+        assert (tmp_path / "m.csnn").read_bytes() == expected
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_mislabelled_layout_is_rejected(self, version, tmp_path):
+        # a v1 file read as v2 has bytes left over; a v2 file read as v1 runs short
+        src = V1_DATA / "v1_detect.csnn"
+        if version == 2:
+            raw = bytearray(src.read_bytes())
+            message = "trailing bytes after the last parameter block"
+        else:
+            save_model(tmp_path / "v2.csnn", load_model(src))
+            raw = bytearray((tmp_path / "v2.csnn").read_bytes())
+            message = "truncated parameter block"
+        raw[4:6] = struct.pack("<H", version)
+        (tmp_path / "bad.csnn").write_bytes(bytes(raw))
+        with pytest.raises(ConfigError, match=message):
+            load_model(tmp_path / "bad.csnn")
 
 
 class TestNormalizationInvariance:
@@ -451,19 +554,19 @@ def _old_loss_and_grads(params, x, y, loss):
     feats = np.maximum(z3, 0.0)
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
     if loss == "bce":
-        p = _old_sigmoid(feats @ params.detect_w + params.detect_b)[:, 0]
+        p = _old_sigmoid(feats @ params.head_w + params.head_b)[:, 0]
         pc = np.clip(p, 1e-7, 1.0 - 1e-7)
         value = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)))
         dpc = -(y / pc - (1.0 - y) / (1.0 - pc)) / n
         dz = (np.where((p > 1e-7) & (p < 1.0 - 1e-7), dpc, 0.0) * p * (1.0 - p))[:, None]
-        grads["detect_w"], grads["detect_b"] = feats.T @ dz, dz.sum(axis=0)
-        dfeats = dz @ params.detect_w.T
+        grads["head_w"], grads["head_b"] = feats.T @ dz, dz.sum(axis=0)
+        dfeats = dz @ params.head_w.T
     else:
-        diff = feats @ params.locate_w + params.locate_b - y
+        diff = feats @ params.head_w + params.head_b - y
         value = float(np.mean(np.sum(diff * diff, axis=1)))
         dpred = 2.0 * diff / n
-        grads["locate_w"], grads["locate_b"] = feats.T @ dpred, dpred.sum(axis=0)
-        dfeats = dpred @ params.locate_w.T
+        grads["head_w"], grads["head_b"] = feats.T @ dpred, dpred.sum(axis=0)
+        dfeats = dpred @ params.head_w.T
     dz3 = dfeats * (z3 > 0)
     grads["dense_w"], grads["dense_b"] = flat.T @ dz3, dz3.sum(axis=0)
     da2 = _old_maxpool_backward((dz3 @ params.dense_w.T).reshape(pooled.shape), pidx, a2.shape, pool)
@@ -480,7 +583,7 @@ class TestGoldenTrunk:
     @pytest.mark.parametrize("loss", ["bce", "mse"])
     def test_loss_and_grads_match_oracle(self, loss):
         rng = np.random.default_rng(16)
-        params = init_params(self.ARCH, 3)
+        params = init_params(self.ARCH, 3, TASK[loss])
         x = rng.standard_normal((32,) + self.ARCH.input_shape)
         y = rng.integers(0, 2, 32).astype(float) if loss == "bce" else rng.uniform(0, 5, (32, 2))
         value, grads = loss_and_grads(params, (x, y), loss)
@@ -490,9 +593,6 @@ class TestGoldenTrunk:
         for name, ref in ref_grads.items():
             assert grads[name].shape == ref.shape
             assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
-        # the unused head's gradient is exactly zero
-        unused = ("locate_w", "locate_b") if loss == "bce" else ("detect_w", "detect_b")
-        assert all(not grads[name].any() for name in unused)
 
     def test_adam_step_bitwise_equal(self):
         rng = np.random.default_rng(17)
