@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .channel import Receiver, Scenario
-from .frame import CsiFrame
 from .geometry import Point2D, Target
 
-__all__ = ["Receiver", "Scenario", "CsiFrame", "Point2D", "Target", "__version__"]
+__all__ = ["Receiver", "Scenario", "Point2D", "Target", "__version__"]

@@ -3,7 +3,8 @@
 Each receiver scans a bank of conjugate beamformers over a stored null-state
 frame and the perturbed frame of the same channel realization; the beam with
 maximum attenuation gives a bearing, and the bearings are intersected in the
-least-squares sense.
+least-squares sense (Stansfield 1947).  Every step runs on a block of drops
+at once.
 
 Bearing convention: arrival angles are propagation directions, so a beam at
 local angle theta listens to sources at local angle -theta; the global
@@ -19,9 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario, array_response
-from .errors import ShapeMismatch, SingleLink
-from .frame import CsiFrame
-from .geometry import BearingLine, Point2D, intersect_bearings, wrap_angle
+from .errors import ShapeMismatch
+from .geometry import BearingLine, Point2D, intersect_bearings, wrap_angles
 
 ENERGY_FLOOR = 1e-12
 
@@ -46,13 +46,6 @@ def overlapped_bank() -> BeamBank:
     return BeamBank(angles=tuple(np.deg2rad(degs)), variant=OVERLAPPED)
 
 
-def _receiver_block(frame: CsiFrame, receiver_index: int) -> np.ndarray:
-    n_r = frame.meta.n_antennas
-    if not 0 <= receiver_index < frame.meta.n_links:
-        raise ShapeMismatch(f"receiver index {receiver_index} out of range")
-    return frame.matrix[receiver_index * n_r:(receiver_index + 1) * n_r, :]
-
-
 @lru_cache(maxsize=8)
 def _bank_weights(angles: tuple[float, ...], n_antennas: int) -> np.ndarray:
     """(bank, N_r) conjugate steering matrix a(theta)^H of a beam bank."""
@@ -61,75 +54,64 @@ def _bank_weights(angles: tuple[float, ...], n_antennas: int) -> np.ndarray:
     return weights
 
 
-def attenuation_profile(
-    null_frame: CsiFrame,
-    alt_frame: CsiFrame,
-    receiver_index: int,
+def attenuation_profiles(
+    null: np.ndarray,
+    alt: np.ndarray,
+    scenario: Scenario,
     bank: BeamBank,
 ) -> np.ndarray:
-    """Per-bank-angle attenuation in dB for one receiver.
+    """(D, L, bank) attenuation in dB per receiver and bank angle, from D drops'
+    null and perturbed frame tensors (D, rows, beams, 2).
 
     Attenuation at steering angle theta is 20*log10 of the ratio of
     beamformed energies |a(theta)^H H| between the null and perturbed frame,
-    with both energies floored for numerical safety.
+    H a receiver's (N_r, beams) block, with both energies floored for
+    numerical safety.
     """
-    if null_frame.matrix.shape != alt_frame.matrix.shape:
-        raise ShapeMismatch(
-            f"frame shapes differ: {null_frame.matrix.shape} vs {alt_frame.matrix.shape}"
-        )
-    weights = _bank_weights(bank.angles, null_frame.meta.n_antennas)
-    num = np.linalg.norm(weights @ _receiver_block(null_frame, receiver_index), axis=1)
-    den = np.linalg.norm(weights @ _receiver_block(alt_frame, receiver_index), axis=1)
-    num = np.maximum(num, ENERGY_FLOOR)
-    den = np.maximum(den, ENERGY_FLOOR)
-    return 20.0 * np.log10(num / den)
+    if null.shape != alt.shape:
+        raise ShapeMismatch(f"frame shapes differ: {null.shape} vs {alt.shape}")
+    weights = _bank_weights(bank.angles, scenario.n_antennas)
+    shape = (len(null), scenario.n_links, scenario.n_antennas, null.shape[2])
+
+    def energy(tensors: np.ndarray) -> np.ndarray:
+        h = np.ascontiguousarray(tensors).view(complex).reshape(shape)
+        # One receiver at a time keeps the (D, bank, beams) beamformer outputs small.
+        norms = [np.linalg.norm(weights @ h[:, l], axis=-1) for l in range(shape[1])]
+        return np.maximum(np.stack(norms, axis=1), ENERGY_FLOOR)
+
+    return 20.0 * np.log10(energy(null) / energy(alt))
 
 
-def _select_beam(profile: np.ndarray, bank: BeamBank) -> int:
-    """Argmax attenuation; ties resolved toward broadside (smaller |angle|)."""
-    tied = np.flatnonzero(profile == profile.max())
-    if len(tied) == 1:
-        return int(tied[0])
-    return int(min(tied, key=lambda i: (abs(bank.angles[i]), bank.angles[i])))
-
-
-def receiver_bearing(
-    null_frame: CsiFrame,
-    alt_frame: CsiFrame,
-    scenario: Scenario,
-    receiver_index: int,
-    bank: BeamBank,
-) -> BearingLine:
-    """Bearing line from one receiver toward its max-attenuation direction."""
-    profile = attenuation_profile(null_frame, alt_frame, receiver_index, bank)
-    theta = bank.angles[_select_beam(profile, bank)]
-    rx = scenario.receivers[receiver_index]
-    return BearingLine(origin=rx.position, angle=wrap_angle(rx.boresight - theta))
-
-
-def _clamp(p: Point2D, side: float) -> Point2D:
-    return Point2D(min(max(p.x, 0.0), side), min(max(p.y, 0.0), side))
-
-
-def estimate_position(
-    null_frame: CsiFrame,
-    alt_frame: CsiFrame,
+def estimate_positions(
+    null: np.ndarray,
+    alt: np.ndarray,
     scenario: Scenario,
     bank: BeamBank,
-) -> Point2D:
-    """Triangulated target position, clamped to the room bounds.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(D, 2) triangulated target positions of D drops, clamped to the room,
+    and the (D,) mask of degraded ones.
 
-    Raises SingleLink for L = 1 (no triangulation); DegenerateGeometry
-    propagates when every bearing is parallel, and callers may fall back to
-    bearing_segment_midpoint in either case.
+    Each receiver takes the bearing of its maximum-attenuation beam, ties
+    resolved toward broadside (smaller |angle|); a drop's bearings are
+    intersected in the least-squares sense.  A single-receiver scenario, or a
+    drop whose bearings are all parallel, falls back to bearing_segment_midpoint
+    of receiver 0's bearing and is marked degraded.
     """
-    if scenario.n_links < 2:
-        raise SingleLink("triangulation needs at least two receivers")
-    lines = [
-        receiver_bearing(null_frame, alt_frame, scenario, l, bank)
-        for l in range(scenario.n_links)
-    ]
-    return _clamp(intersect_bearings(lines), scenario.room_side)
+    profiles = attenuation_profiles(null, alt, scenario, bank)
+    tied = profiles == profiles.max(axis=-1, keepdims=True)
+    angles = np.asarray(bank.angles)
+    rank = np.argsort(np.lexsort((angles, np.abs(angles))))   # tie-break order of each beam
+    beam = np.argmin(np.where(tied, rank, len(angles)), axis=-1)
+    geo = scenario.geometry
+    bearings = wrap_angles(geo.boresight - angles[beam])      # (D, L)
+    points, degraded = intersect_bearings(geo.rx_xy, bearings)
+    side = scenario.room_side
+    points = np.minimum(np.maximum(points, 0.0), side)
+    origin = scenario.receivers[0].position
+    for d in np.flatnonzero(degraded):
+        mid = bearing_segment_midpoint(scenario, BearingLine(origin, float(bearings[d, 0])))
+        points[d] = mid.x, mid.y
+    return points, degraded
 
 
 def bearing_segment_midpoint(scenario: Scenario, line: BearingLine) -> Point2D:
@@ -147,5 +129,5 @@ def bearing_segment_midpoint(scenario: Scenario, line: BearingLine) -> Point2D:
                 if -1e-9 <= x <= side + 1e-9 and -1e-9 <= y <= side + 1e-9:
                     ts.append(t)
     t_end = min(ts) if ts else 0.0
-    mid = Point2D(line.origin.x + 0.5 * t_end * cos_a, line.origin.y + 0.5 * t_end * sin_a)
-    return _clamp(mid, side)
+    x, y = line.origin.x + 0.5 * t_end * cos_a, line.origin.y + 0.5 * t_end * sin_a
+    return Point2D(min(max(x, 0.0), side), min(max(y, 0.0), side))

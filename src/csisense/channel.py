@@ -22,8 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget
-from .frame import CsiFrame, link_frame
-from .geometry import Point2D, Target, segments_blocked, wrap_angle
+from .geometry import Point2D, elementwise, segments_blocked, wrap_angle, wrap_angles
 
 # Config keys that may only be true: omni transmitter, narrowband captures.
 FIXED_TRUE_KEYS = ("tx_omni", "narrowband")
@@ -320,6 +319,8 @@ class LinkGeometry:
     beam_conj: np.ndarray    # (B, N_r) conjugated beam steering vectors a(beam)^*
     leg_start: np.ndarray    # (2, L, R+1, 2) tx->bounce and bounce->rx legs of each ray;
     leg_end: np.ndarray      # the direct path has tx->rx for both
+    rx_xy: np.ndarray        # (L, 2) receiver positions
+    boresight: np.ndarray    # (L,) receiver boresights
 
 
 @lru_cache(maxsize=64)
@@ -372,92 +373,91 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
                             np.concatenate([scatter, tx_xy], axis=1)]),
         leg_end=np.stack([np.concatenate([scatter, rx_xy], axis=1),
                           np.broadcast_to(rx_xy, (n_links, n_bounce + 1, 2))]),
+        rx_xy=rx_xy[:, 0], boresight=np.array([rx.boresight for rx in scenario.receivers]),
     )
     for arr in (aoa, scatter, los_amp, ray_sd, geo.response, beam_conj, geo.leg_start,
-                geo.leg_end):
+                geo.leg_end, geo.rx_xy, geo.boresight):
         arr.setflags(write=False)    # cached and shared between callers
     return geo
 
 
-def draw_gains(geo: LinkGeometry, rng: np.random.Generator) -> np.ndarray:
-    """Complex (L, R+1) ray gains of one realization, direct path last.
+def ray_gains(geo: LinkGeometry, z: np.ndarray) -> np.ndarray:
+    """Complex (D, L, R+1) ray gains of D realizations, direct path last, from
+    their (D, L, clusters, rays, 2) standard normal draws.
 
     Bounce gains are circularly-symmetric complex Gaussian with one-based
     exponential inter-cluster decay exp(-v), normalized so the total mean
-    path power per link is one: a single (L, clusters, rays, 2) normal draw.
-    The direct path has amplitude los_gain/distance and zero phase.
+    path power per link is one.  The direct path has amplitude
+    los_gain/distance and zero phase.
     """
     n_links, n_bounce = geo.scatter.shape[:2]
-    s = geo.scenario
-    z = rng.standard_normal(size=(n_links, s.n_clusters, s.n_rays, 2))
-    bounce = (z.reshape(n_links, n_bounce, 2) * geo.ray_sd[:, None]).view(complex)[..., 0]
-    return np.concatenate([bounce, geo.los_amp[:, None]], axis=1)
+    bounce = (z.reshape(len(z), n_links, n_bounce, 2) * geo.ray_sd[:, None]).view(complex)
+    los = np.broadcast_to(geo.los_amp[:, None], (len(z), n_links, 1))
+    return np.concatenate([bounce[..., 0], los], axis=-1)
 
 
-def _validate_target(scenario: Scenario, target: Target) -> None:
-    s = scenario.room_side
-    c = target.center
-    if not (0.0 < c.x < s and 0.0 < c.y < s):
-        raise ViewpointInsideTarget(f"target center ({c.x}, {c.y}) not strictly inside room")
-    for p in scenario.device_positions():
-        if target.contains(p):
-            raise ViewpointInsideTarget(
-                f"device at ({p.x}, {p.y}) inside target disk of radius {target.radius}"
-            )
-
-
-def blocked_rays(geo: LinkGeometry, target: Target) -> np.ndarray:
-    """(L, R+1) mask of the rays the target occludes.
+def blocked_rays(geo: LinkGeometry, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(D, L, R+1) masks of the rays that D disk targets, centers (D, 2) and
+    radii (D,), occlude.
 
     A bounce ray is blocked when its tx->scatter or scatter->rx leg meets the
     closed disk, the direct path when its tx->rx segment does.
     """
-    return segments_blocked(geo.leg_start, geo.leg_end, target).any(axis=0)
+    legs = segments_blocked(geo.leg_start, geo.leg_end, centers[:, None, None, None, :],
+                            radii[:, None, None, None])
+    return legs.any(axis=1)
 
 
-def target_echo(geo: LinkGeometry, target: Target, rng: np.random.Generator) -> np.ndarray:
-    """(L, N_r, B) capture of the target-scattered paths of one realization.
+def target_echo(geo: LinkGeometry, centers: np.ndarray, radii: np.ndarray,
+                phases: np.ndarray) -> np.ndarray:
+    """(D, L, N_r, B) captures of the target-scattered paths of D realizations.
 
     Each link receives n_scatter paths from the target center with amplitude
-    scatter_coeff * radius / (d_tx * d_rx) and uniform phase, drawn as one
-    (L, n_scatter) array.  They share one arrival angle, so together they are
-    the rank-1 term steer(aoa) B(aoa; beam) times the sum of their gains.
+    scatter_coeff * radius / (d_tx * d_rx) and the drawn (D, L, n_scatter)
+    phases.  They share one arrival angle, so together they are the rank-1
+    term steer(aoa) B(aoa; beam) times the sum of their gains.  Distances and
+    bearings are math.hypot and math.atan2, as in Point2D.
     """
     s = geo.scenario
-    _validate_target(s, target)
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(s.n_links, s.n_scatter))
-    c = target.center
-    d_tx = s.tx.distance_to(c)
-    amp = [s.scatter_coeff * target.radius / (d_tx * c.distance_to(rx.position))
-           for rx in s.receivers]
-    aoa = [rx.local_angle(c.bearing_to(rx.position)) for rx in s.receivers]
+    cx, cy = centers[:, :1], centers[:, 1:]
+    d_tx = elementwise(math.hypot, s.tx.x - cx, s.tx.y - cy)            # (D, 1)
+    dx, dy = geo.rx_xy[:, 0] - cx, geo.rx_xy[:, 1] - cy                  # (D, L)
+    d_rx = elementwise(math.hypot, dx, dy)
+    valid = (np.all((0.0 < centers) & (centers < s.room_side), axis=1)
+             & np.all(np.concatenate([d_tx, d_rx], axis=1) > radii[:, None], axis=1))
+    if not valid.all():
+        x, y = centers[np.argmin(valid)]
+        raise ViewpointInsideTarget(f"target at ({x}, {y}) is not strictly inside the room "
+                                    f"or covers a device")
+    aoa = wrap_angles(elementwise(math.atan2, dy, dx) - geo.boresight)
     n_r = s.n_antennas
-    steer = np.exp(1j * np.pi * (np.arange(n_r) * np.sin(aoa)[:, None]))     # (L, N_r)
-    gain = np.abs(steer @ geo.beam_conj.T) / n_r                            # (L, B)
-    weight = np.asarray(amp) * np.exp(1j * phases).sum(axis=1)
-    return weight[:, None, None] * steer[:, :, None] * gain[:, None, :]
+    steer = np.exp(1j * np.pi * (np.arange(n_r) * np.sin(aoa)[..., None]))  # (D, L, N_r)
+    gain = np.abs(steer @ geo.beam_conj.T) / n_r                            # (D, L, B)
+    amp = s.scatter_coeff * radii[:, None] / (d_tx * d_rx)
+    weight = amp * np.exp(1j * phases).sum(axis=-1)
+    return weight[..., None, None] * steer[..., :, None] * gain[..., None, :]
 
 
 def capture(
     geo: LinkGeometry,
     gains: np.ndarray,
-    echo: np.ndarray | None,
-    rng: np.random.Generator,
-) -> CsiFrame:
-    """One coherent capture across all links and beams.
+    echo: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
+) -> np.ndarray:
+    """(D, L, N_r, B) coherent captures of D realizations across all links and beams.
 
     Each ray contributes gain * B(aoa; beam) * a(aoa), B the conjugate-
-    beamformer amplitude gain; noise is i.i.d. circular complex Gaussian with
-    per-element variance noise_level, drawn as one (L, B, 2, N_r) array
-    (link-major, then beam, then real/imaginary part).
+    beamformer amplitude gain, for the (D, L, R+1) `gains`; the (D, L, N_r, B)
+    `echo` is added when given, then the noise of a (D, L, B, 2, N_r) standard
+    normal draw (link-major, then beam, then real/imaginary part) scaled to
+    per-element variance noise_level.
     """
     n_links, n_r, n_beams, n_paths = geo.response.shape
-    h = geo.response.reshape(n_links, n_r * n_beams, n_paths) @ gains[:, :, None]
-    h = h.reshape(n_links, n_r, n_beams)
+    h = geo.response.reshape(n_links, n_r * n_beams, n_paths) @ gains[..., None]
+    h = h.reshape(len(gains), n_links, n_r, n_beams)
     if echo is not None:
         h = h + echo
-    noise_level = geo.scenario.noise_level
-    if noise_level > 0.0:
-        z = rng.standard_normal(size=(n_links, n_beams, 2, n_r))
-        h = h + math.sqrt(noise_level / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1]).transpose(0, 2, 1)
-    return link_frame(h)
+    if noise is not None:
+        z = noise[..., 0, :] + 1j * noise[..., 1, :]
+        h = h + math.sqrt(geo.scenario.noise_level / 2.0) * z.transpose(0, 1, 3, 2)
+    return h

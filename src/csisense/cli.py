@@ -183,9 +183,11 @@ def cmd_eval(args) -> int:
     for sigma in sigmas:
         dataset_mod.check_sigma(sigma, "--sigmas")
     _check_count("--drops", args.drops)
-    _check_float("--threshold", args.threshold)
-    _check_float("--gamma", args.gamma)
-    model = _load_model(args.model, "detect" if sigmas else None, "--sigmas")
+    _check_float("--threshold", args.threshold, 0.0, 1.0)
+    _check_float("--gamma", args.gamma, 0.0, 1.0)
+    # --sigmas and --threshold score detections, so they need a detect model
+    flag = "--sigmas" if sigmas else "--threshold" if args.threshold is not None else None
+    model = _load_model(args.model, "detect" if flag else None, flag or "")
     if args.threshold is not None:
         model.threshold = args.threshold
     scenario = _scenario_with(args, load_scenario(args.scenario))
@@ -221,7 +223,7 @@ def cmd_eval(args) -> int:
 def cmd_coverage(args) -> int:
     dataset_mod.check_sigma(args.sigma, "--sigma")
     _check_count("--drops-per-bin", args.drops_per_bin)
-    _check_float("--threshold", args.threshold)
+    _check_float("--threshold", args.threshold, 0.0, 1.0)
     _check_float("--pitch", args.pitch)
     model = _load_model(args.model, "detect", "coverage")
     if args.threshold is not None:
@@ -344,6 +346,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (CsiSenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,14 +16,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Scenario, blocked_rays, capture, draw_gains, target_echo
+from .channel import Scenario, blocked_rays, capture, ray_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
-from .frame import CsiFrame, FrameMeta, read_frames, to_tensor, write_frames
+from .frame import FrameMeta, read_frames, to_tensor, write_frames
 from .geometry import Point2D, Target
 
 HYP_NULL = "null"
@@ -37,6 +38,10 @@ DESK_SCALE_N = 200          # resolution records per hypothesis
 DESK_SCALE_N_PER_BIN = 20
 PAPER_SCALE_N = 2000
 PAPER_SCALE_N_PER_BIN = 2000
+
+# Drops synthesised together: bounds the memory of generation and evaluation.
+# A multiple of sensenet.INFER_CHUNK, so model outputs do not depend on it.
+BLOCK = 64
 
 
 @dataclass
@@ -156,50 +161,101 @@ class RecordSpec:
     bin_jitter_pitch: float | None = None
 
 
-def drop(
+class Draws(NamedTuple):
+    """The random draws of one drop, in the order its own Generator made them."""
+
+    z: np.ndarray               # (L, clusters, rays, 2) normals of the ray gains
+    target: Target | None
+    phases: np.ndarray | None   # (L, n_scatter) echo phases, with a target
+    null: bool                  # a null frame is captured (always without a target)
+    noise: np.ndarray | None    # (captures, L, B, 2, N_r) normals, null first; None if noiseless
+
+
+def draw(
     scenario: Scenario,
     seed: int,
     sigma: float | None = None,
     center: Point2D | None = None,
     jitter_pitch: float | None = None,
     null: bool = True,
-) -> tuple[Point2D | None, CsiFrame | None, CsiFrame | None]:
-    """One channel realization from its stream seed: (center, null frame, target frame).
+) -> Draws:
+    """The draws of one channel realization from its stream seed.
 
-    Without a target (sigma None) only the null frame is captured.  With one,
+    Without a target (sigma None) only a null frame is captured.  With one,
     its center is drawn under the margin rule, or jittered within a
-    jitter_pitch bin around `center`, or taken as given; the target frame
-    shares the null frame's ray gains.  Draws, in order: ray gains, target
-    center, echo phases, null-capture noise (when `null`), target-capture
-    noise.
+    jitter_pitch bin around `center`, or taken as given, and a target frame
+    is captured after the null frame (when `null`).  Draws, in order: ray
+    gains, target center, echo phases, one noise array per capture.
+    """
+    rng = np.random.default_rng(seed)
+    s = scenario
+    z = rng.standard_normal(size=(s.n_links, s.n_clusters, s.n_rays, 2))
+    target = phases = None
+    if sigma is not None:
+        if center is None:
+            center = sample_target_center(s, sigma, rng)
+        elif jitter_pitch is not None:
+            center = _jitter_in_bin(s, sigma, center, jitter_pitch, rng)
+        target = Target(center=center, diameter=sigma)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=(s.n_links, s.n_scatter))
+    null = null or target is None
+    noise = None
+    if s.noise_level > 0.0:
+        captures = int(null) + (target is not None)
+        noise = rng.standard_normal(size=(captures, s.n_links, s.n_beams, 2, s.n_antennas))
+    return Draws(z, target, phases, null, noise)
+
+
+def synthesize(scenario: Scenario, draws: Sequence[Draws]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frame tensors of a block of drops whose draws capture equally many frames.
+
+    Returns (null, target, centers): the null frames of the drops that
+    captured one and the target frames of the drops with a target, each
+    (n, rows, beams, 2) in draw order, and the (D, 2) target centers, NaN
+    without a target.  A target frame keeps its drop's ray gains but the ones
+    the target blocks, and adds the target's echo.
     """
     geo = scenario.geometry
-    rng = np.random.default_rng(seed)
-    gains = draw_gains(geo, rng)
-    if sigma is None:
-        return None, capture(geo, gains, None, rng), None
-    if center is None:
-        center = sample_target_center(scenario, sigma, rng)
-    elif jitter_pitch is not None:
-        center = _jitter_in_bin(scenario, sigma, center, jitter_pitch, rng)
-    target = Target(center=center, diameter=sigma)
-    echo = target_echo(geo, target, rng)
-    null_frame = capture(geo, gains, None, rng) if null else None
-    alt_frame = capture(geo, np.where(blocked_rays(geo, target), 0j, gains), echo, rng)
-    return center, null_frame, alt_frame
+    gains = ray_gains(geo, np.stack([d.z for d in draws]))
+    noise = None if draws[0].noise is None else np.stack([d.noise for d in draws])
+    nulls = np.flatnonzero([d.null for d in draws])
+    alts = np.flatnonzero([d.target is not None for d in draws])
+    centers = np.full((len(draws), 2), np.nan)
+    kept, echo = gains[alts], None
+    if len(alts):
+        targets = [draws[i].target for i in alts]
+        centers[alts] = [(t.center.x, t.center.y) for t in targets]
+        radii = np.array([t.radius for t in targets])
+        kept = np.where(blocked_rays(geo, centers[alts], radii), 0j, kept)
+        echo = target_echo(geo, centers[alts], radii, np.stack([draws[i].phases for i in alts]))
+    null_h = capture(geo, gains[nulls], None, None if noise is None else noise[nulls, 0])
+    alt_h = capture(geo, kept, echo, None if noise is None else noise[alts, -1])
+    return to_tensor(null_h), to_tensor(alt_h), centers
 
 
-def _generate_record(
-    scenario: Scenario, spec: RecordSpec, master_seed: int
-) -> tuple[Point2D | None, np.ndarray]:
-    """(target center or None, frame tensor) of one record."""
-    seed = record_seed(master_seed, spec.index)
-    if spec.hyp == HYP_NULL:
-        _, fr, _ = drop(scenario, seed)
-        return None, to_tensor(fr)
-    center, _, fr = drop(scenario, seed, spec.sigma, spec.center, spec.bin_jitter_pitch,
-                         null=False)
-    return center, to_tensor(fr)
+def in_blocks(items: Iterable) -> Iterator[list]:
+    """Consecutive lists of BLOCK items (the last may be shorter)."""
+    it = iter(items)
+    while block := list(islice(it, BLOCK)):
+        yield block
+
+
+def _generate_block(
+    scenario: Scenario, specs: list[RecordSpec], master_seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frame tensors, target centers, stream seeds) of a block of records;
+    centers are NaN on null rows."""
+    seeds = [record_seed(master_seed, s.index) for s in specs]
+    draws = [draw(scenario, seed) if s.hyp == HYP_NULL
+             else draw(scenario, seed, s.sigma, s.center, s.bin_jitter_pitch, null=False)
+             for s, seed in zip(specs, seeds)]
+    null, alt, centers = synthesize(scenario, draws)
+    is_target = ~np.isnan(centers[:, 0])
+    tensors = np.empty((len(specs),) + null.shape[1:])
+    tensors[~is_target] = null
+    tensors[is_target] = alt
+    return tensors, centers, np.array(seeds, dtype=np.uint64)
 
 
 def _jitter_in_bin(
@@ -222,22 +278,18 @@ def _worker_count() -> int:
         return 1
 
 
-def _gen_one(args) -> tuple[Point2D | None, np.ndarray]:
-    scenario, spec, master_seed = args
-    return _generate_record(scenario, spec, master_seed)
-
-
-def _run_specs(
+def _run_blocks(
     scenario: Scenario, specs: list[RecordSpec], master_seed: int
-) -> Iterator[tuple[Point2D | None, np.ndarray]]:
-    """Records in spec order, yielded as they arrive so the caller can store each."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks of records in spec order, yielded as they arrive so the caller can
+    store each; with CSISENSE_WORKERS > 1 each block is one pool task."""
+    blocks = list(in_blocks(specs))
     workers = _worker_count()
-    if workers == 1 or len(specs) < 4 * workers:
-        yield from (_generate_record(scenario, s, master_seed) for s in specs)
+    if workers == 1 or len(blocks) < 2:
+        yield from (_generate_block(scenario, b, master_seed) for b in blocks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        args = [(scenario, s, master_seed) for s in specs]
-        yield from pool.map(_gen_one, args, chunksize=max(1, len(specs) // (4 * workers)))
+        yield from pool.map(_generate_block, repeat(scenario), blocks, repeat(master_seed))
 
 
 def _build(manifest: DatasetManifest, specs: list[RecordSpec]) -> Dataset:
@@ -245,18 +297,19 @@ def _build(manifest: DatasetManifest, specs: list[RecordSpec]) -> Dataset:
     sc = manifest.scenario
     n = len(specs)
     tensors = np.empty((n, sc.n_links * sc.n_antennas, sc.n_beams, 2))
-    xy = np.full((n, 2), np.nan)
-    for i, (center, tensor) in enumerate(_run_specs(sc, specs, manifest.master_seed)):
-        tensors[i] = tensor
-        if center is not None:
-            xy[i] = center.x, center.y
+    xy = np.empty((n, 2))
+    seed = np.empty(n, dtype=np.uint64)
+    lo = 0
+    for block in _run_blocks(sc, specs, manifest.master_seed):
+        rows = slice(lo, lo + len(block[0]))
+        tensors[rows], xy[rows], seed[rows] = block
+        lo = rows.stop
     return Dataset(
         manifest=manifest,
         tensors=tensors,
         target=np.array([s.hyp == HYP_TARGET for s in specs], dtype=bool),
         xy=xy,
-        seed=np.array([record_seed(manifest.master_seed, s.index) for s in specs],
-                      dtype=np.uint64),
+        seed=seed,
         bin=np.array([-1 if s.bin_index is None else s.bin_index for s in specs], dtype=int),
     )
 

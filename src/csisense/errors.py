@@ -13,10 +13,6 @@ class DegenerateSegment(CsiSenseError):
     """Segment endpoints coincide."""
 
 
-class DegenerateGeometry(CsiSenseError):
-    """Bearing lines are all parallel; no least-squares intersection."""
-
-
 class EmptyGrid(CsiSenseError):
     """No scatter-grid point available inside the room / angular span."""
 
@@ -31,10 +27,6 @@ class LengthMismatch(CsiSenseError):
 
 class MissingClass(CsiSenseError):
     """An evaluation set has zero samples for one hypothesis."""
-
-
-class SingleLink(CsiSenseError):
-    """Triangulation requested with fewer than two receivers."""
 
 
 class NonFiniteLoss(CsiSenseError):

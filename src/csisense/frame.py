@@ -1,10 +1,10 @@
 """2D-CSI frame assembly, tensor conversion and binary serialization.
 
-A frame stacks the per-link beam captures into a complex matrix with
-L*N_r rows (link-major row blocks) and one column per beam.  The network
-consumes the real-valued view with real/imaginary parts split into two
-trailing channels.  A frames file is a run of fixed-size records, one per
-frame, written with one call and read with one call.
+A frame stacks the per-link beam captures into L*N_r rows (link-major row
+blocks) and one column per beam, with the real and imaginary parts split
+into two trailing channels; that real-valued tensor is what datasets store
+and the network consumes.  A frames file is a run of fixed-size records, one
+per frame, written with one call and read with one call.
 """
 
 from __future__ import annotations
@@ -29,36 +29,22 @@ class FrameMeta:
     n_beams: int
 
 
-@dataclass(frozen=True)
-class CsiFrame:
-    matrix: np.ndarray  # complex, (n_links * n_antennas, n_beams)
-    meta: FrameMeta
+def to_tensor(h: np.ndarray) -> np.ndarray:
+    """Real-valued frame tensors of per-link beam captures h[..., l, n, b]
+    (link, antenna, beam), as (..., L * N_r, B, 2).
 
-    def __post_init__(self):
-        rows = self.meta.n_links * self.meta.n_antennas
-        if self.matrix.shape != (rows, self.meta.n_beams):
-            raise ShapeMismatch(
-                f"frame matrix {self.matrix.shape} != ({rows}, {self.meta.n_beams})"
-            )
-        if not np.all(np.isfinite(self.matrix.real) & np.isfinite(self.matrix.imag)):
-            raise ShapeMismatch("frame contains non-finite entries")
-
-
-def link_frame(h: np.ndarray) -> CsiFrame:
-    """Frame of per-link beam captures h[l, n, b] (link, antenna, beam).
-
-    Row l * N_r + n of the result is antenna n of link l; column b is beam b.
+    Row l * N_r + n of a frame is antenna n of link l, column b is beam b;
+    channel 0 holds the real part, channel 1 the imaginary part.
     """
-    if h.ndim != 3 or 0 in h.shape:
-        raise ShapeMismatch(f"need a non-empty (links, antennas, beams) array, got {h.shape}")
-    n_links, n_antennas, n_beams = h.shape
-    return CsiFrame(matrix=h.reshape(n_links * n_antennas, n_beams),
-                    meta=FrameMeta(n_links, n_antennas, n_beams))
-
-
-def to_tensor(frame: CsiFrame) -> np.ndarray:
-    """Real-valued (rows, beams, 2) view; channel 0 real, channel 1 imaginary."""
-    return np.stack([frame.matrix.real, frame.matrix.imag], axis=-1)
+    if h.ndim < 3 or 0 in h.shape[-3:]:
+        raise ShapeMismatch(f"need non-empty (..., links, antennas, beams) captures, "
+                            f"got {h.shape}")
+    *lead, n_links, n_antennas, n_beams = h.shape
+    tensors = np.ascontiguousarray(h, dtype=complex).view(float).reshape(
+        *lead, n_links * n_antennas, n_beams, 2)
+    if not np.all(np.isfinite(tensors)):
+        raise ShapeMismatch("frame contains non-finite entries")
+    return tensors
 
 
 @dataclass(frozen=True)

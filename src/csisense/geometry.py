@@ -9,16 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    DegenerateSegment,
-    InvalidSize,
-    ViewpointInsideTarget,
-)
+from .errors import DegenerateSegment, InvalidSize, ViewpointInsideTarget
 
 TWO_PI = 2.0 * math.pi
 
@@ -51,9 +45,6 @@ class Point2D:
         """Angle of the vector self -> other in the global frame."""
         return math.atan2(other.y - self.y, other.x - self.x)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class Target:
@@ -76,23 +67,6 @@ class Target:
 
 
 @dataclass(frozen=True)
-class AngularInterval:
-    """Angular interval given by center angle and half-width, wrap-aware."""
-
-    center: float
-    half_width: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", wrap_angle(self.center))
-        if not 0.0 <= self.half_width < math.pi / 2:
-            raise ValueError(f"half-width must be in [0, pi/2), got {self.half_width}")
-
-    def contains(self, angle: float) -> bool:
-        delta = wrap_angle(angle - self.center)
-        return abs(delta) <= self.half_width
-
-
-@dataclass(frozen=True)
 class BearingLine:
     """Infinite line through `origin` with the given direction angle."""
 
@@ -101,24 +75,6 @@ class BearingLine:
 
     def __post_init__(self):
         object.__setattr__(self, "angle", wrap_angle(self.angle))
-
-
-def occlusion_interval(viewpoint: Point2D, target: Target) -> AngularInterval:
-    """Angular interval subtended by the target disk as seen from `viewpoint`.
-
-    The disk of radius r at distance d subtends half-width asin(r/d) around
-    the bearing to its center.  Requires the viewpoint strictly outside the
-    disk (d > r).
-    """
-    d = viewpoint.distance_to(target.center)
-    if d <= target.radius:
-        raise ViewpointInsideTarget(
-            f"viewpoint at distance {d:.6g} m, target radius {target.radius:.6g} m"
-        )
-    return AngularInterval(
-        center=viewpoint.bearing_to(target.center),
-        half_width=math.asin(target.radius / d),
-    )
 
 
 def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
@@ -140,24 +96,37 @@ def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
     return math.hypot(ex, ey) <= target.radius
 
 
-def segments_blocked(a: np.ndarray, b: np.ndarray, target: Target) -> np.ndarray:
-    """segment_blocked over arrays of segments a[..., :] -> b[..., :] (last axis x, y).
+def elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fn(x, y) over broadcast arrays, for math.hypot and math.atan2, whose
+    numpy counterparts differ from them in the last bit for some inputs."""
+    x, y = np.broadcast_arrays(x, y)
+    return np.fromiter(map(fn, x.ravel().tolist(), y.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
+                     radius: np.ndarray | float) -> np.ndarray:
+    """segment_blocked over arrays: segments a[..., :] -> b[..., :] against disks
+    of centers center[..., :] (last axis x, y) and radii `radius`, all broadcast.
 
     Performs segment_blocked's arithmetic element by element, so it returns
-    the same booleans; the distance uses math.hypot because np.hypot differs
-    from it in the last bit for some inputs.
+    the same booleans.  np.hypot may differ from math.hypot in the last bit,
+    which can only change the comparison of a distance within a few ulps of
+    the radius; distances within 1e-9 (relative) of it are recomputed with
+    math.hypot.
     """
     d = b - a
     seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     if np.any(seg_len2 == 0.0):
         raise DegenerateSegment("segment endpoints coincide")
-    cx = target.center.x - a[..., 0]
-    cy = target.center.y - a[..., 1]
+    cx = center[..., 0] - a[..., 0]
+    cy = center[..., 1] - a[..., 1]
     t = np.clip((cx * d[..., 0] + cy * d[..., 1]) / seg_len2, 0.0, 1.0)
-    ex = (cx - t * d[..., 0]).ravel().tolist()
-    ey = (cy - t * d[..., 1]).ravel().tolist()
-    dist = np.fromiter(map(math.hypot, ex, ey), dtype=float, count=len(ex))
-    return (dist <= target.radius).reshape(seg_len2.shape)
+    ex, ey = cx - t * d[..., 0], cy - t * d[..., 1]
+    dist = np.hypot(ex, ey)
+    near = np.abs(dist - radius) <= 1e-9 * radius
+    dist[near] = elementwise(math.hypot, ex[near], ey[near])
+    return dist <= radius
 
 
 def in_shadow(x: Point2D, viewpoint: Point2D, target: Target) -> bool:
@@ -172,36 +141,36 @@ def in_shadow(x: Point2D, viewpoint: Point2D, target: Target) -> bool:
     return segment_blocked(viewpoint, x, target)
 
 
-def intersect_bearings(lines: Sequence[BearingLine]) -> Point2D:
-    """Least-squares intersection of bearing lines.
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """wrap_angle element by element, with the same arithmetic and so the same values."""
+    a = np.fmod(angles, TWO_PI)
+    return np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
 
-    Minimizes the sum of squared perpendicular distances to all lines.  With
-    n_i the unit normal of line i and o_i its origin, the normal equations are
-    (sum n_i n_i^T) p = sum n_i n_i^T o_i.
+
+def intersect_bearings(origins: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares intersections of sets of bearing lines.
+
+    Line l of every set passes through origins[l] (an (L, 2) array) with
+    direction angles[..., l].  A set's point minimizes the sum of squared
+    perpendicular distances to its lines: with n_l the unit normal of line l,
+    the normal equations are (sum n_l n_l^T) p = sum n_l n_l^T o_l, summed in
+    line order.  Returns the (..., 2) points and the (...) mask of degenerate
+    sets, whose lines are all parallel within PARALLEL_TOL (or number fewer
+    than two); their points are NaN.
     """
-    if len(lines) < 2:
-        raise DegenerateGeometry("need at least two bearing lines")
-    ref = lines[0].angle
-    all_parallel = True
-    for ln in lines[1:]:
-        # Direction difference modulo pi, folded into [-pi/2, pi/2).
-        diff = math.fmod(ln.angle - ref, math.pi)
-        if diff >= math.pi / 2:
-            diff -= math.pi
-        elif diff < -math.pi / 2:
-            diff += math.pi
-        if abs(diff) > PARALLEL_TOL:
-            all_parallel = False
-            break
-    if all_parallel:
-        raise DegenerateGeometry("all bearing lines parallel within tolerance")
-
-    A = np.zeros((2, 2))
-    b = np.zeros(2)
-    for ln in lines:
-        n = np.array([-math.sin(ln.angle), math.cos(ln.angle)])
-        nnt = np.outer(n, n)
-        A += nnt
-        b += nnt @ ln.origin.as_array()
-    p = np.linalg.solve(A, b)
-    return Point2D(float(p[0]), float(p[1]))
+    # Direction difference to the first line modulo pi, folded into [-pi/2, pi/2).
+    diff = np.fmod(angles[..., 1:] - angles[..., :1], math.pi)
+    diff = np.where(diff >= math.pi / 2, diff - math.pi,
+                    np.where(diff < -math.pi / 2, diff + math.pi, diff))
+    degenerate = np.all(np.abs(diff) <= PARALLEL_TOL, axis=-1)
+    n = np.stack([-np.sin(angles), np.cos(angles)], axis=-1)
+    nnt = n[..., :, None] * n[..., None, :]                 # (..., L, 2, 2)
+    A = np.zeros(angles.shape[:-1] + (2, 2))
+    b = np.zeros(angles.shape[:-1] + (2,))
+    for l in range(angles.shape[-1]):
+        A += nnt[..., l, :, :]
+        b += nnt[..., l, :, :] @ origins[l]
+    A[degenerate] = np.eye(2)
+    p = np.linalg.solve(A, b[..., None])[..., 0]
+    p[degenerate] = np.nan
+    return p, degenerate

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .baseline import BeamBank, bearing_segment_midpoint, estimate_position, receiver_bearing
+from .baseline import BeamBank, estimate_positions
 from .channel import Scenario
-from .dataset import drop, record_seed, valid_bin_centers
-from .errors import DegenerateGeometry, InvalidPitch, LengthMismatch, MissingClass, SingleLink
-from .frame import CsiFrame, to_tensor
+from .dataset import Draws, draw, in_blocks, record_seed, synthesize, valid_bin_centers
+from .errors import InvalidPitch, LengthMismatch, MissingClass
 from .geometry import Point2D
 from .sensenet import TrainedModel
 
@@ -61,10 +60,37 @@ def paired_drop(
     master_seed: int,
     index: int,
     center: Point2D | None = None,
-) -> tuple[Point2D, CsiFrame, CsiFrame]:
-    """One evaluation drop: null frame and perturbed frame share the channel
-    realization; noise is drawn independently per capture."""
-    return drop(scenario, record_seed(master_seed, index), sigma, center)
+) -> Draws:
+    """The draws of one evaluation drop: its null frame and perturbed frame
+    share the channel realization; noise is drawn independently per capture."""
+    return draw(scenario, record_seed(master_seed, index), sigma, center)
+
+
+def _paired_blocks(
+    scenario: Scenario, sigma: float, keys: Iterable[tuple[int, int, Point2D | None]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(null tensors, target tensors, centers) of the paired drops named by
+    (master seed, index, center) keys, one block of drops at a time."""
+    for block in in_blocks(keys):
+        yield synthesize(scenario, [paired_drop(scenario, sigma, *key) for key in block])
+
+
+def _decisions(
+    model: TrainedModel, scenario: Scenario, sigma: float,
+    keys: Iterable[tuple[int, int, Point2D | None]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The detector's target decisions on the null and target frames of paired drops."""
+    null_hits, alt_hits = [], []
+    for null, alt, _ in _paired_blocks(scenario, sigma, keys):
+        null_hits.append(model.predict(null) >= model.threshold)
+        alt_hits.append(model.predict(alt) >= model.threshold)
+    return np.concatenate(null_hits), np.concatenate(alt_hits)
+
+
+def _confusion(null_hits: np.ndarray, alt_hits: np.ndarray) -> ConfusionCounts:
+    fa, det = int(np.sum(null_hits)), int(np.sum(alt_hits))
+    return ConfusionCounts(null_as_null=len(null_hits) - fa, null_as_target=fa,
+                           target_as_null=len(alt_hits) - det, target_as_target=det)
 
 
 def detection_counts(
@@ -77,21 +103,8 @@ def detection_counts(
 ) -> ConfusionCounts:
     """Fresh paired drops pushed through the detector at its threshold; the
     target is placed at `center` when given, else drawn per drop."""
-    null_t = []
-    alt_t = []
-    for i in range(n_drops):
-        _, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i, center)
-        null_t.append(to_tensor(null_frame))
-        alt_t.append(to_tensor(alt_frame))
-    p_null = model.predict(np.stack(null_t))
-    p_alt = model.predict(np.stack(alt_t))
-    tau = model.threshold
-    fa = int(np.sum(p_null >= tau))
-    det = int(np.sum(p_alt >= tau))
-    return ConfusionCounts(
-        null_as_null=n_drops - fa, null_as_target=fa,
-        target_as_null=n_drops - det, target_as_target=det,
-    )
+    keys = ((master_seed, i, center) for i in range(n_drops))
+    return _confusion(*_decisions(model, scenario, sigma, keys))
 
 
 def resolution_curve(
@@ -133,19 +146,22 @@ def coverage_map(
     pitch: float,
     master_seed: int,
 ) -> CoverageMap:
-    """Per-bin accuracy score from paired drops at each margin-valid bin center."""
+    """Per-bin accuracy score from paired drops at each margin-valid bin center,
+    the drops of all bins synthesised and scored in one pass."""
     centers = valid_bin_centers(scenario, sigma, pitch)
     if not centers:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
     n = int(math.floor(scenario.room_side / pitch + 1e-9))
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
+    bin_seeds = [record_seed(master_seed, b) for b in range(len(centers))]
+    keys = ((seed, i, c) for seed, c in zip(bin_seeds, centers) for i in range(drops_per_bin))
+    null_hits, alt_hits = (h.reshape(len(centers), drops_per_bin)
+                           for h in _decisions(model, scenario, sigma, keys))
     for b, c in enumerate(centers):
         ix = int(c.x / pitch)
         iy = int(c.y / pitch)
-        cc = detection_counts(model, scenario, sigma, drops_per_bin, record_seed(master_seed, b),
-                              center=c)
-        score[ix, iy] = accuracy_score(cc)
+        score[ix, iy] = accuracy_score(_confusion(null_hits[b], alt_hits[b]))
         counts[ix, iy] = drops_per_bin
     return CoverageMap(pitch=pitch, room_side=scenario.room_side, score=score, counts=counts)
 
@@ -155,9 +171,6 @@ class ErrorSummary:
     mean: float
     p90: float
     errors: np.ndarray     # sorted ascending
-
-    def cdf(self, x: float) -> float:
-        return float(np.searchsorted(self.errors, x, side="right")) / len(self.errors)
 
 
 def error_summary(estimates: Sequence[Point2D], truths: Sequence[Point2D]) -> ErrorSummary:
@@ -207,36 +220,33 @@ def drop_positions(
     the model's estimate, all on identical drops (one result each, in that order).
 
     Single-receiver scenarios and all-parallel bearing draws fall back to the
-    midpoint of the strongest bearing's in-room segment, marked degraded.
-    CNN estimates are clamped to the room.
+    midpoint of receiver 0's bearing segment inside the room, marked degraded.
+    CNN estimates are clamped to the room.  Drops are made, scored and
+    triangulated one block at a time.
     """
-    truths: list[Point2D] = []
-    per_bank = [PositioningResult(truths, [], bank.variant, []) for bank in banks]
-    tensors = []
-    for i in range(n_drops):
-        center, null_frame, alt_frame = paired_drop(scenario, sigma, master_seed, i)
-        truths.append(center)
-        for bank, res in zip(banks, per_bank):
-            try:
-                est = estimate_position(null_frame, alt_frame, scenario, bank)
-                flag = False
-            except (SingleLink, DegenerateGeometry):
-                line = receiver_bearing(null_frame, alt_frame, scenario, 0, bank)
-                est = bearing_segment_midpoint(scenario, line)
-                flag = True
-            res.estimates.append(est)
-            res.degraded.append(flag)
+    truths, net = [], []
+    per_bank = [([], []) for _ in banks]
+    keys = ((master_seed, i, None) for i in range(n_drops))
+    for null, alt, centers in _paired_blocks(scenario, sigma, keys):
+        truths.append(centers)
+        for bank, (estimates, degraded) in zip(banks, per_bank):
+            xy, flags = estimate_positions(null, alt, scenario, bank)
+            estimates.append(xy)
+            degraded.append(flags)
         if model is not None:
-            tensors.append(to_tensor(alt_frame))
-    if model is None:
-        return per_bank
-    side = scenario.room_side
-    estimates = [
-        Point2D(min(max(float(x), 0.0), side), min(max(float(y), 0.0), side))
-        for x, y in model.predict(np.stack(tensors))
-    ]
-    return per_bank + [PositioningResult(truths=truths, estimates=estimates,
-                                         variant="csisensenet", degraded=[False] * n_drops)]
+            net.append(np.minimum(np.maximum(model.predict(alt), 0.0), scenario.room_side))
+
+    def points(blocks: list[np.ndarray]) -> list[Point2D]:
+        return [Point2D(x, y) for x, y in np.concatenate(blocks).tolist()]
+
+    truth_points = points(truths)
+    results = [PositioningResult(truth_points, points(estimates), bank.variant,
+                                 np.concatenate(degraded).tolist())
+               for bank, (estimates, degraded) in zip(banks, per_bank)]
+    if model is not None:
+        results.append(PositioningResult(truth_points, points(net), "csisensenet",
+                                         [False] * n_drops))
+    return results
 
 
 def write_resolution_csv(fp: IO[str], curve: Sequence[tuple[float, float]], n: int) -> None:

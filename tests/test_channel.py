@@ -11,12 +11,14 @@ from csisense.channel import (
     beam_gain,
     blocked_rays,
     capture,
-    draw_gains,
     link_geometry,
     quantize_ray,
+    ray_gains,
     room_angular_span,
     target_echo,
 )
+from csisense.dataset import draw
+from csisense.frame import to_tensor
 from csisense.errors import ConfigError, EmptyGrid
 from csisense.geometry import Point2D, Target, in_shadow
 
@@ -91,13 +93,30 @@ class TestRoomSpan:
 
 
 def gains_of(s: Scenario, seed: int) -> np.ndarray:
-    return draw_gains(link_geometry(s), np.random.default_rng(seed))
+    """(L, R+1) ray gains of the realization drawn from `seed`."""
+    return ray_gains(link_geometry(s), draw(s, seed).z[None])[0]
+
+
+def blocked(s: Scenario, target: Target) -> np.ndarray:
+    """(L, R+1) mask of the rays one target blocks."""
+    c = target.center
+    return blocked_rays(link_geometry(s), np.array([[c.x, c.y]]), np.array([target.radius]))[0]
+
+
+def echo_of(s: Scenario, target: Target, phases: np.ndarray) -> np.ndarray:
+    """(L, N_r, B) echo of one target with (L, n_scatter) phases."""
+    c = target.center
+    return target_echo(link_geometry(s), np.array([[c.x, c.y]]), np.array([target.radius]),
+                       phases[None])[0]
 
 
 def captures(s: Scenario, gains: np.ndarray, echo=None) -> np.ndarray:
     """(L, N_r, B) noiseless capture of one gain vector."""
-    frame = capture(link_geometry(s), gains, echo, np.random.default_rng(0))
-    return frame.matrix.reshape(s.n_links, s.n_antennas, s.n_beams)
+    return capture(link_geometry(s), gains[None], None if echo is None else echo[None])[0]
+
+
+def phases_of(s: Scenario, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0.0, 2 * math.pi, (s.n_links, s.n_scatter))
 
 
 def one_hot(s: Scenario, link: int, ray: int) -> np.ndarray:
@@ -196,40 +215,41 @@ class TestQuantizeRay:
 class TestApplyTarget:
     def test_no_occlusion_keeps_gains(self):
         s = small_scenario()
-        geo = link_geometry(s)
         # a tiny target in a corner far from every segment
         target = Target(Point2D(4.6, 4.6), 0.05)
-        assert not blocked_rays(geo, target).any()
-        rng = np.random.default_rng(1)
-        echo = target_echo(geo, target, rng)
-        assert echo.shape == (s.n_links, s.n_antennas, s.n_beams)
-        # n_scatter phases per link, and nothing else, come from the stream
+        assert not blocked(s, target).any()
+        d = draw(s, 1, target.diameter, target.center)
+        assert echo_of(s, target, d.phases).shape == (s.n_links, s.n_antennas, s.n_beams)
+        # after the gains, n_scatter phases per link, and no noise (noiseless
+        # scenario), come from the stream
         ref = np.random.default_rng(1)
-        ref.uniform(size=s.n_links * s.n_scatter)
-        assert rng.random() == ref.random()
+        assert np.array_equal(d.z, ref.standard_normal(d.z.shape))
+        assert np.array_equal(d.phases, ref.uniform(0.0, 2 * math.pi, (s.n_links, s.n_scatter)))
+        assert d.noise is None
 
     def test_blocks_ray_through_center(self):
         s = small_scenario()
         geo = link_geometry(s)
         sx, sy = geo.scatter[0, 0]
         mid = Point2D((s.tx.x + sx) / 2, (s.tx.y + sy) / 2)
-        assert blocked_rays(geo, Target(mid, 0.3))[0, 0]
+        assert blocked(s, Target(mid, 0.3))[0, 0]
 
     def test_zeroed_set_matches_shadow_oracle(self):
         s = small_scenario()
         geo = link_geometry(s)
         rng = np.random.default_rng(17)
-        for trial in range(20):
-            center = Point2D(rng.uniform(0.8, 4.2), rng.uniform(0.8, 4.2))
-            target = Target(center, rng.uniform(0.3, 1.2))
-            blocked = blocked_rays(geo, target)
+        centers = rng.uniform(0.8, 4.2, size=(20, 2))
+        diameters = rng.uniform(0.3, 1.2, size=20)
+        masks = blocked_rays(geo, centers, diameters / 2)       # all 20 targets at once
+        for (cx, cy), sigma, mask in zip(centers, diameters, masks):
+            target = Target(Point2D(cx, cy), sigma)
             for l, rx in enumerate(s.receivers):
                 for i, (x, y) in enumerate(geo.scatter[l]):
                     sp = Point2D(float(x), float(y))
                     expected = in_shadow(sp, s.tx, target) or in_shadow(
                         sp, rx.position, target)
-                    assert blocked[l, i] == expected
-                assert blocked[l, -1] == in_shadow(rx.position, s.tx, target)
+                    assert mask[l, i] == expected
+                assert mask[l, -1] == in_shadow(rx.position, s.tx, target)
 
     def test_zeroing_monotone_in_sigma(self):
         s = small_scenario()
@@ -237,7 +257,7 @@ class TestApplyTarget:
         center = Point2D(2.3, 2.1)
         zeroed_prev = np.zeros(geo.aoa.shape, dtype=bool)
         for sigma in (0.2, 0.5, 0.8, 1.2):
-            zeroed = blocked_rays(geo, Target(center, sigma))
+            zeroed = blocked(s, Target(center, sigma))
             assert np.all(zeroed_prev <= zeroed)
             zeroed_prev = zeroed
 
@@ -245,9 +265,8 @@ class TestApplyTarget:
         s = small_scenario(scatter_coeff=2.0)
         center = Point2D(2.0, 3.0)
         target = Target(center, 0.8)
-        rng = np.random.default_rng(4)
-        echo = target_echo(link_geometry(s), target, rng)
         phases = np.random.default_rng(4).uniform(0.0, 2 * math.pi, size=s.n_links)
+        echo = echo_of(s, target, phases[:, None])
         for l, rx in enumerate(s.receivers):
             aoa = rx.local_angle(center.bearing_to(rx.position))
             d1 = s.tx.distance_to(center)
@@ -289,39 +308,36 @@ class TestBeamCsi:
         # interfering ray is removed, so the ordering is asserted on the
         # Monte-Carlo mean.
         s = small_scenario(scatter_coeff=0.0)
-        geo = link_geometry(s)
         target = Target(Point2D(2.2, 2.9), 1.0)
-        blocked = blocked_rays(geo, target)
+        mask = blocked(s, target)
         acc_null = np.zeros((s.n_links, s.n_beams))
         acc_alt = np.zeros((s.n_links, s.n_beams))
         n = 300
         for seed in range(n):
             gains = gains_of(s, seed)
-            echo = target_echo(geo, target, np.random.default_rng(seed))
+            echo = echo_of(s, target, phases_of(s, seed))
             acc_null += np.sum(np.abs(captures(s, gains)) ** 2, axis=1)
-            acc_alt += np.sum(np.abs(captures(s, np.where(blocked, 0, gains), echo)) ** 2,
+            acc_alt += np.sum(np.abs(captures(s, np.where(mask, 0, gains), echo)) ** 2,
                               axis=1)
         assert np.all(acc_alt <= acc_null + 1e-9)
 
     def test_incoherent_power_never_increases(self):
         s = small_scenario(scatter_coeff=0.0)
-        geo = link_geometry(s)
         rng = np.random.default_rng(5)
         for trial in range(10):
             gains = gains_of(s, trial)
             center = Point2D(rng.uniform(1, 4), rng.uniform(1, 4))
-            kept = np.where(blocked_rays(geo, Target(center, 1.0)), 0, gains)
+            kept = np.where(blocked(s, Target(center, 1.0)), 0, gains)
             p_null = np.sum(np.abs(gains) ** 2, axis=1)
             p_alt = np.sum(np.abs(kept) ** 2, axis=1)
             assert np.all(p_alt <= p_null + 1e-15)
 
     def test_null_recovered_for_vanishing_target(self):
         s = small_scenario(scatter_coeff=0.0)
-        geo = link_geometry(s)
         target = Target(Point2D(4.7, 4.7), 1e-9)
-        assert not blocked_rays(geo, target).any()
+        assert not blocked(s, target).any()
         gains = gains_of(s, 8)
-        echo = target_echo(geo, target, np.random.default_rng(8))
+        echo = echo_of(s, target, phases_of(s, 8))
         assert np.allclose(captures(s, gains, echo), captures(s, gains), atol=1e-12)
 
     def test_capture_matches_per_ray_sum(self):
@@ -330,35 +346,44 @@ class TestBeamCsi:
         s = small_scenario()
         geo = link_geometry(s)
         gains = gains_of(s, 3)
-        frame = capture(geo, gains, None, np.random.default_rng(0))
-        assert frame.matrix.shape == (s.n_links * 8, s.n_beams)
+        frame = to_tensor(capture(geo, gains[None]))[0]
+        assert frame.shape == (s.n_links * 8, s.n_beams, 2)
         for l in range(s.n_links):
             for b, beam in enumerate(s.beam_angles):
                 expected = sum(g * beam_gain(a, beam, 8) * array_response(a, 8)
                                for g, a in zip(gains[l], geo.aoa[l]))
-                assert np.allclose(frame.matrix[l * 8:(l + 1) * 8, b], expected,
-                                   rtol=0, atol=1e-12)
+                rows = frame[l * 8:(l + 1) * 8, b]
+                assert np.allclose(rows[:, 0] + 1j * rows[:, 1], expected, rtol=0, atol=1e-12)
 
     def test_link_permutation_permutes_row_blocks(self):
         s = small_scenario()
         geo = link_geometry(s)
         gains = gains_of(s, 6)
-        base = capture(geo, gains, None, np.random.default_rng(0)).matrix
+        base = to_tensor(capture(geo, gains[None]))[0]
         swapped = replace(geo, response=geo.response[[1, 0]])
-        perm = capture(swapped, gains[[1, 0]], None, np.random.default_rng(0)).matrix
+        perm = to_tensor(capture(swapped, gains[None, [1, 0]]))[0]
         assert np.array_equal(perm[0:8], base[8:16])
         assert np.array_equal(perm[8:16], base[0:8])
 
     def test_noise_is_one_draw_per_capture(self):
+        # a paired drop draws one (L, B, 2, N_r) array per capture, null
+        # capture first, after the gains and the echo phases
         s = small_scenario(snr_db=10.0)
         geo = link_geometry(s)
-        gains = gains_of(s, 2)
-        rng = np.random.default_rng(11)
-        noisy = capture(geo, gains, None, rng).matrix
-        z = np.random.default_rng(11).standard_normal((s.n_links, s.n_beams, 2, 8))
+        d = draw(s, 11, 0.5, Point2D(2.5, 2.5))
+        ref = np.random.default_rng(11)
+        ref.standard_normal(d.z.shape)
+        ref.uniform(size=d.phases.shape)
+        shape = (s.n_links, s.n_beams, 2, 8)
+        assert d.noise.shape == (2,) + shape
+        assert np.array_equal(d.noise[0], ref.standard_normal(shape))
+        assert np.array_equal(d.noise[1], ref.standard_normal(shape))
+        gains = ray_gains(geo, d.z[None])
+        noisy = capture(geo, gains, None, d.noise[None, 0])[0]
+        z = d.noise[0]
         noise = math.sqrt(0.1 / 2) * (z[:, :, 0] + 1j * z[:, :, 1])
-        expected = captures(small_scenario(), gains) + noise.transpose(0, 2, 1)
-        assert np.allclose(noisy, expected.reshape(noisy.shape), rtol=0, atol=1e-14)
+        expected = captures(small_scenario(), gains[0]) + noise.transpose(0, 2, 1)
+        assert np.allclose(noisy, expected, rtol=0, atol=1e-14)
 
 
 class TestScenarioConfig:

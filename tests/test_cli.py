@@ -377,6 +377,36 @@ class TestBadFlags:
         assert_one_line_error(capsys, f"--n must be >= 1, got {n}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,flag,extra,value", [
+        ("eval", "--threshold", [], "7"),
+        ("eval", "--threshold", [], "-0.1"),
+        ("coverage", "--threshold", [], "1.5"),
+        ("eval", "--gamma", ["--sigmas", "0.5,0.6"], "5"),
+        ("eval", "--gamma", ["--sigmas", "0.5,0.6"], "-1"),
+    ])
+    def test_probability_flag_outside_unit_interval_exits_2(
+            self, tmp_path, commands, capsys, command, flag, extra, value):
+        rc = main(commands[command] + extra + [flag, value])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{flag} must be a finite number in [0, 1], got")
+        assert not (tmp_path / "out").exists()
+
+    def test_threshold_on_locate_model_exits_2(self, tmp_path, scenario_file, capsys):
+        loc = untrained_model(tmp_path / "loc.csnn", "locate")
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", loc, "--scenario", scenario_file, "--drops", "2",
+                   "--threshold", "0.3", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "--threshold needs a detect model", "is a locate model")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "eval", "coverage", "baseline"])
+    def test_negative_seed_exits_2(self, tmp_path, commands, capsys, command):
+        rc = main(commands[command] + ["--seed", "-1"])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "--seed must be >= 0, got -1")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_drops_exits_2_for_positioning_eval(self, tmp_path, scenario_file, capsys):
         loc = untrained_model(tmp_path / "loc.csnn", "locate")
         rc = main(["eval", "--model", loc, "--scenario", scenario_file, "--drops", "0",

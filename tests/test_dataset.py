@@ -5,19 +5,23 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from csisense import dataset as dataset_mod
 from csisense.channel import Scenario
 from csisense.dataset import (
     HYP_NULL,
     HYP_TARGET,
     RecordSpec,
-    _generate_record,
+    _generate_block,
+    draw,
     gen_binned_set,
     gen_resolution_set,
     load_dataset,
     record_seed,
     sample_target_center,
     save_dataset,
+    in_blocks,
     split,
+    synthesize,
     target_margin_ok,
     valid_bin_centers,
 )
@@ -112,9 +116,10 @@ class TestResolutionSet:
         s = fast_scenario()
         ds = gen_resolution_set(s, 0.8, 6, 123)
         spec = RecordSpec(index=9, hyp=HYP_TARGET, sigma=0.8)
-        center, tensor = _generate_record(s, spec, 123)
-        assert np.array_equal(tensor, ds.tensors[9])
-        assert (center.x, center.y) == tuple(ds.xy[9])
+        tensors, centers, seeds = _generate_block(s, [spec], 123)
+        assert np.array_equal(tensors[0], ds.tensors[9])
+        assert np.array_equal(centers[0], ds.xy[9])
+        assert seeds[0] == ds.seed[9] == record_seed(123, 9)
 
 
 class TestBinnedSet:
@@ -261,8 +266,39 @@ class TestWorkers:
         s = fast_scenario()
         serial = gen_resolution_set(s, 0.8, 16, 5)
         monkeypatch.setenv("CSISENSE_WORKERS", "2")
+        monkeypatch.setattr(dataset_mod, "BLOCK", 5)        # seven pool tasks
         parallel = gen_resolution_set(s, 0.8, 16, 5)
         assert_same_columns(serial, parallel)
+
+
+class TestBlocks:
+    """Drops are drawn one at a time and synthesised in blocks of BLOCK: the
+    block size must not change any drop."""
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_datasets_independent_of_block_size(self, monkeypatch, block):
+        s = fast_scenario(receivers=[
+            {"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 4},
+            {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 4},
+        ])
+        build = [lambda: gen_resolution_set(s, 0.8, 9, 3),
+                 lambda: gen_binned_set(s, 0.8, 2, 1.25, 4, bin_jitter=True)]
+        default = [b() for b in build]
+        monkeypatch.setattr(dataset_mod, "BLOCK", block)
+        for want, b in zip(default, build):
+            assert_same_columns(want, b())
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("snr_db", [20.0, math.inf])
+    def test_paired_drops_independent_of_block_size(self, monkeypatch, block, snr_db):
+        s = fast_scenario(snr_db=snr_db)
+        draws = [draw(s, record_seed(2, i), 0.6) for i in range(23)]
+        want = synthesize(s, draws)
+        monkeypatch.setattr(dataset_mod, "BLOCK", block)
+        parts = [synthesize(s, b) for b in in_blocks(draws)]
+        assert len(parts) == -(-23 // block)
+        for w, got in zip(want, zip(*parts)):
+            assert np.array_equal(w, np.concatenate(got))
 
 
 class TestSampling:

@@ -6,7 +6,6 @@ from csisense.frame import (
     FrameMeta,
     NormStats,
     compute_stats,
-    link_frame,
     normalize,
     read_frames,
     record_dtype,
@@ -24,30 +23,30 @@ def random_captures(rng, n_links, n_beams, n_antennas):
 class TestAssemble:
     def test_reference_dimensions(self):
         rng = np.random.default_rng(0)
-        frame = link_frame(random_captures(rng, 3, 7, 8))
-        assert frame.matrix.shape == (24, 7)
-        assert to_tensor(frame).shape == (24, 7, 2)
+        assert to_tensor(random_captures(rng, 3, 7, 8)).shape == (24, 7, 2)
+        # a block of drops keeps its leading axis
+        block = np.stack([random_captures(rng, 3, 7, 8) for _ in range(5)])
+        assert to_tensor(block).shape == (5, 24, 7, 2)
 
     def test_singleton(self):
-        frame = link_frame(np.array([[[1 + 2j]]]))
-        assert frame.matrix.shape == (1, 1)
-        assert frame.matrix[0, 0] == 1 + 2j
+        assert to_tensor(np.array([[[1 + 2j]]])).shape == (1, 1, 2)
 
     def test_indexing_layout(self):
         rng = np.random.default_rng(1)
-        h = random_captures(rng, 3, 4, 5)
-        frame = link_frame(h)
+        h = np.stack([random_captures(rng, 3, 4, 5) for _ in range(2)])
+        t = to_tensor(h)
         for _ in range(50):
+            d = rng.integers(2)
             l = rng.integers(3)
             i = rng.integers(4)
             k = rng.integers(5)
-            assert frame.matrix[l * 5 + k, i] == h[l, k, i]
+            assert complex(*t[d, l * 5 + k, i]) == h[d, l, k, i]
 
     def test_link_permutation_permutes_row_blocks(self):
         rng = np.random.default_rng(2)
         h = random_captures(rng, 3, 4, 5)
-        base = link_frame(h).matrix
-        perm = link_frame(h[[2, 0, 1]]).matrix
+        base = to_tensor(h)
+        perm = to_tensor(h[[2, 0, 1]])
         assert np.array_equal(perm[0:5], base[10:15])
         assert np.array_equal(perm[5:10], base[0:5])
         assert np.array_equal(perm[10:15], base[5:10])
@@ -55,27 +54,29 @@ class TestAssemble:
     def test_shape_mismatch(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ShapeMismatch):
-            link_frame(random_captures(rng, 2, 3, 4)[0])
+            to_tensor(random_captures(rng, 2, 3, 4)[0])
         with pytest.raises(ShapeMismatch):
-            link_frame(random_captures(rng, 2, 0, 4))
+            to_tensor(random_captures(rng, 2, 0, 4))
         with pytest.raises(ShapeMismatch):
-            link_frame(np.full((2, 4, 3), np.nan + 0j))
+            to_tensor(np.full((2, 4, 3), np.nan + 0j))
+        block = np.stack([random_captures(rng, 2, 3, 4)] * 3)
+        block[1, 0, 2, 1] = complex(0.0, np.inf)       # one entry of one drop
+        with pytest.raises(ShapeMismatch, match="non-finite"):
+            to_tensor(block)
 
 
 class TestTensorConversion:
     def test_scalar_example(self):
-        frame = link_frame(np.array([[[1 + 2j]]]))
-        assert np.array_equal(to_tensor(frame), np.array([[[1.0, 2.0]]]))
+        assert np.array_equal(to_tensor(np.array([[[1 + 2j]]])), np.array([[[1.0, 2.0]]]))
 
     def test_round_trip_exact(self):
         rng = np.random.default_rng(4)
-        frame = link_frame(random_captures(rng, 3, 7, 8))
-        t = to_tensor(frame)
-        assert np.array_equal(t[..., 0] + 1j * t[..., 1], frame.matrix)
+        h = random_captures(rng, 3, 7, 8)
+        t = to_tensor(h)
+        assert np.array_equal(t[..., 0] + 1j * t[..., 1], h.reshape(24, 7))
 
     def test_real_frame_has_zero_imag_channel(self):
-        frame = link_frame(np.array([[[1.0, 3.0], [2.0, 4.0]]]))
-        assert np.all(to_tensor(frame)[..., 1] == 0)
+        assert np.all(to_tensor(np.array([[[1.0, 3.0], [2.0, 4.0]]]))[..., 1] == 0)
 
 
 class TestNormalize:
@@ -104,34 +105,34 @@ class TestNormalize:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        frames = [link_frame(random_captures(rng, 3, 7, 8)) for _ in range(5)]
-        tensors = np.stack([to_tensor(f) for f in frames])
+        tensors = to_tensor(np.stack([random_captures(rng, 3, 7, 8) for _ in range(5)]))
+        meta = FrameMeta(3, 8, 7)
         path = tmp_path / "frames.bin"
-        write_frames(path, tensors, frames[0].meta)
-        back = read_frames(path, frames[0].meta)
+        write_frames(path, tensors, meta)
+        back = read_frames(path, meta)
         assert back.shape == (5, 24, 7, 2)
         assert np.array_equal(back, tensors)
-        write_frames(path, tensors[:0], frames[0].meta)
-        assert read_frames(path, frames[0].meta).shape == (0, 24, 7, 2)
+        write_frames(path, tensors[:0], meta)
+        assert read_frames(path, meta).shape == (0, 24, 7, 2)
 
     def test_header_layout(self, tmp_path):
-        frame = link_frame(np.array([[[1 + 2j]]]))
+        meta = FrameMeta(1, 1, 1)
         path = tmp_path / "frames.bin"
-        write_frames(path, to_tensor(frame)[None], frame.meta)
+        write_frames(path, to_tensor(np.array([[[[1 + 2j]]]])), meta)
         raw = path.read_bytes()
         assert raw[:4] == b"CSIF"
         assert raw[4:12] == bytes([1, 0, 1, 0, 1, 0, 1, 0])
         assert raw[12:] == np.array([1.0, 2.0], dtype="<f8").tobytes()
-        assert len(raw) == record_dtype(frame.meta).itemsize == 12 + 1 * 1 * 2 * 8
+        assert len(raw) == record_dtype(meta).itemsize == 12 + 1 * 1 * 2 * 8
 
     def test_truncation_detected(self, tmp_path):
         rng = np.random.default_rng(8)
-        frame = link_frame(random_captures(rng, 1, 2, 3))
+        meta = FrameMeta(1, 3, 2)
         path = tmp_path / "frames.bin"
-        write_frames(path, np.stack([to_tensor(frame)] * 2), frame.meta)
+        write_frames(path, to_tensor(np.stack([random_captures(rng, 1, 2, 3)] * 2)), meta)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ShapeMismatch, match="truncated"):
-            read_frames(path, frame.meta)
+            read_frames(path, meta)
 
     @pytest.mark.parametrize("offset,value,match", [
         (0, b"XSIF", "record 2 has magic b'XSIF', expected b'CSIF'"),

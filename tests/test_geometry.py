@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csisense.errors import DegenerateGeometry, DegenerateSegment, ViewpointInsideTarget
+from csisense.errors import DegenerateSegment, ViewpointInsideTarget
 from csisense.geometry import (
-    AngularInterval,
-    BearingLine,
     Point2D,
     Target,
     in_shadow,
     intersect_bearings,
-    occlusion_interval,
     segment_blocked,
     segments_blocked,
     wrap_angle,
+    wrap_angles,
 )
 
 
@@ -47,32 +45,40 @@ points = st.builds(
 )
 
 
+def probe(v: Point2D, angle: float, length: float = 50.0) -> Point2D:
+    return Point2D(v.x + length * math.cos(angle), v.y + length * math.sin(angle))
+
+
 class TestOcclusionInterval:
+    """The disk of radius r at distance d shadows, from a viewpoint, the
+    directions within asin(r/d) of the bearing to its center."""
+
     def test_reference_geometry(self):
-        iv = occlusion_interval(Point2D(0, 0), Target(Point2D(2, 0), 0.8))
-        assert iv.center == pytest.approx(0.0, abs=1e-15)
-        assert iv.half_width == pytest.approx(math.asin(0.2), abs=1e-12)
+        v, t = Point2D(0, 0), Target(Point2D(2, 0), 0.8)
+        half = math.asin(0.2)
+        for sign in (1, -1):
+            assert in_shadow(probe(v, sign * half * (1 - 1e-9)), v, t)
+            assert not in_shadow(probe(v, sign * half * (1 + 1e-9)), v, t)
 
     def test_reference_geometry_against_dense_sampling(self):
         # The interval boundary must match where long probe segments start
         # hitting the disk.
         v = Point2D(0, 0)
         t = Target(Point2D(2, 0), 0.8)
-        iv = occlusion_interval(v, t)
+        half = math.asin(t.radius / 2.0)
         for ang in np.linspace(-math.pi / 2, math.pi / 2, 4001):
-            if abs(abs(ang - iv.center) - iv.half_width) < 1e-6:
+            if abs(abs(ang) - half) < 1e-6:
                 continue  # numerically on the cone boundary
-            probe = Point2D(v.x + 50 * math.cos(ang), v.y + 50 * math.sin(ang))
-            assert segment_blocked(v, probe, t) == iv.contains(ang)
+            assert in_shadow(probe(v, ang), v, t) == (abs(ang) <= half)
 
     def test_point_target_limit(self):
-        iv = occlusion_interval(Point2D(0, 0), Target(Point2D(0, 3), 1e-12))
-        assert iv.center == pytest.approx(math.pi / 2)
-        assert iv.half_width < 1e-12
+        v, t = Point2D(0, 0), Target(Point2D(0, 3), 1e-12)
+        assert in_shadow(probe(v, math.pi / 2), v, t)
+        assert not in_shadow(probe(v, math.pi / 2 + 1e-9), v, t)
 
     def test_viewpoint_inside_target(self):
         with pytest.raises(ViewpointInsideTarget):
-            occlusion_interval(Point2D(0, 0), Target(Point2D(0.1, 0), 0.8))
+            in_shadow(Point2D(4, 0), Point2D(0, 0), Target(Point2D(0.1, 0), 0.8))
 
     @given(
         sigma=st.floats(0.1, 1.0),
@@ -80,11 +86,20 @@ class TestOcclusionInterval:
         dist=st.floats(1.0, 8.0),
     )
     def test_half_width_monotone(self, sigma, scale, dist):
-        v = Point2D(0, 0)
-        c = Point2D(dist, 0)
-        base = occlusion_interval(v, Target(c, sigma)).half_width
-        assert occlusion_interval(v, Target(c, min(sigma * scale, 1.9 * dist))).half_width >= base
-        assert occlusion_interval(Point2D(-dist, 0), Target(c, sigma)).half_width <= base
+        # a larger disk shadows every direction the smaller one does; seen
+        # from twice the distance, the cone narrows to asin(r / 2d)
+        v, c = Point2D(0, 0), Point2D(dist, 0)
+        small = Target(c, sigma)
+        large = Target(c, min(sigma * scale, 1.9 * dist))
+        half = math.asin(small.radius / dist)
+        for ang in (0.999 * half, -0.999 * half):
+            assert in_shadow(probe(v, ang), v, small)
+            assert in_shadow(probe(v, ang), v, large)
+        far = Point2D(-dist, 0)
+        far_half = math.asin(small.radius / (2 * dist))
+        assert far_half <= half
+        assert in_shadow(probe(far, 0.999 * far_half), far, small)
+        assert not in_shadow(probe(far, 1.001 * far_half), far, small)
 
 
 class TestSegmentBlocked:
@@ -123,17 +138,34 @@ class TestSegmentsBlocked:
             c, r = t.center, t.radius
             a[0, :4] = [[c.x - 1, c.y + r], [c.x + r, c.y - 1], [c.x - 2, c.y], [c.x, c.y - r]]
             b[0, :4] = [[c.x + 1, c.y + r], [c.x + r, c.y + 1], [c.x - r, c.y], [c.x, c.y - 3]]
-            got = segments_blocked(a, b, t)
+            got = segments_blocked(a, b, np.array([c.x, c.y]), r)
             assert got.shape == (3, 40)
             for idx in np.ndindex(got.shape):
                 want = segment_blocked(Point2D(*a[idx]), Point2D(*b[idx]), t)
                 assert got[idx] == want
             assert got[0, :4].all()
 
+    def test_radius_at_a_last_bit_hypot_difference(self):
+        # np.hypot and math.hypot differ in the last bit for these offsets; with
+        # the radius equal to math.hypot's distance (tangency, blocked) or to
+        # np.hypot's (one ulp past math's when it is the smaller), the mask
+        # must still follow segment_blocked.  The segment points away from
+        # the center, so its closest point is `a` and the offset is exact.
+        offsets = [(1.212664907359462, 1.246387191446326),     # np.hypot is larger
+                   (1.300472059149059, 1.381326852995591)]     # np.hypot is smaller
+        for ex, ey in offsets:
+            assert np.hypot(ex, ey) != math.hypot(ex, ey)
+            for r in (math.hypot(ex, ey), float(np.hypot(ex, ey))):
+                t = Target(Point2D(ex, ey), 2 * r)
+                want = segment_blocked(Point2D(0.0, 0.0), Point2D(-1.0, 0.0), t)
+                got = segments_blocked(np.zeros((1, 2)), np.array([[-1.0, 0.0]]),
+                                       np.array([ex, ey]), r)
+                assert got.tolist() == [want]
+
     def test_degenerate_segment(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DegenerateSegment):
-            segments_blocked(a, np.array([[4.0, 0.0], [1.0, 1.0]]), Target(Point2D(2, 0), 0.8))
+            segments_blocked(a, np.array([[4.0, 0.0], [1.0, 1.0]]), np.array([2.0, 0.0]), 0.4)
 
 
 class TestInShadow:
@@ -172,49 +204,49 @@ class TestInShadow:
 
 class TestIntersectBearings:
     def test_exact_crossing(self):
-        lines = [
-            BearingLine(Point2D(0, 0), math.radians(45)),
-            BearingLine(Point2D(4, 0), math.radians(135)),
-        ]
-        p = intersect_bearings(lines)
-        assert p.x == pytest.approx(2.0, abs=1e-12)
-        assert p.y == pytest.approx(2.0, abs=1e-12)
+        origins = np.array([[0.0, 0.0], [4.0, 0.0]])
+        p, degenerate = intersect_bearings(origins, np.radians([[45.0, 135.0]]))
+        assert not degenerate[0]
+        assert p[0] == pytest.approx([2.0, 2.0], abs=1e-12)
 
     def test_identical_lines_degenerate(self):
-        line = BearingLine(Point2D(1, 1), 0.3)
-        with pytest.raises(DegenerateGeometry):
-            intersect_bearings([line, line])
+        p, degenerate = intersect_bearings(np.array([[1.0, 1.0], [1.0, 1.0]]),
+                                           np.array([[0.3, 0.3]]))
+        assert degenerate.tolist() == [True]
+        assert np.isnan(p).all()
 
     def test_antiparallel_lines_degenerate(self):
-        with pytest.raises(DegenerateGeometry):
-            intersect_bearings([
-                BearingLine(Point2D(0, 0), 0.4),
-                BearingLine(Point2D(1, 0), 0.4 - math.pi),
-            ])
+        origins = np.array([[0.0, 0.0], [1.0, 0.0]])
+        _, degenerate = intersect_bearings(origins, np.array([[0.4, 0.4 - math.pi],
+                                                              [0.4, 0.4 - math.pi + 1e-6]]))
+        assert degenerate.tolist() == [True, False]
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_noiseless_lines_recover_point(self, k):
         p = Point2D(1.5, 2.5)
-        rng = np.random.default_rng(k)
-        lines = []
-        for i in range(k):
-            ang = -math.pi + (i + 0.3) * (1.7 * math.pi / k)
-            origin = Point2D(p.x - 3 * math.cos(ang) + 0 * rng.uniform(),
-                             p.y - 3 * math.sin(ang))
-            lines.append(BearingLine(origin, ang))
-        est = intersect_bearings(lines)
-        assert math.hypot(est.x - p.x, est.y - p.y) < 1e-9
+        angles = np.array([-math.pi + (i + 0.3) * (1.7 * math.pi / k) for i in range(k)])
+        origins = np.column_stack([p.x - 3 * np.cos(angles), p.y - 3 * np.sin(angles)])
+        # the same lines twice, the second set in a batch with a degenerate one
+        sets = np.stack([angles, angles, np.full(k, angles[0])])
+        est, degenerate = intersect_bearings(origins, sets)
+        assert degenerate.tolist() == [False, False, True]
+        for e in est[:2]:
+            assert math.hypot(e[0] - p.x, e[1] - p.y) < 1e-9
 
 
 class TestAngularInterval:
     def test_wraps_across_pi(self):
-        iv = AngularInterval(center=math.pi - 0.05, half_width=0.2)
-        assert iv.contains(-math.pi + 0.05)
-        assert not iv.contains(0.0)
+        # a shadow cone centered just below +pi covers bearings just above -pi
+        v = Point2D(0, 0)
+        center = probe(v, math.pi - 0.05, length=2.0)
+        t = Target(center, 2 * 2.0 * math.sin(0.2))       # half-width 0.2 rad
+        assert in_shadow(probe(v, -math.pi + 0.05), v, t)
+        assert not in_shadow(probe(v, 0.0), v, t)
 
     @given(st.floats(-50, 50, allow_nan=False))
     def test_wrap_angle_range(self, a):
         w = wrap_angle(a)
+        assert wrap_angles(np.array([a]))[0] == w
         assert -math.pi < w <= math.pi
         assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-9)
         assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-9)

@@ -18,7 +18,14 @@ import pytest
 
 from csisense.channel import Scenario
 from csisense.cli import load_scenario
-from csisense.dataset import HYP_NULL, HYP_TARGET, RecordSpec, _generate_record, record_seed
+from csisense.dataset import (
+    HYP_NULL,
+    HYP_TARGET,
+    RecordSpec,
+    _generate_block,
+    record_seed,
+    synthesize,
+)
 from csisense.geometry import Point2D
 from csisense.metrics import paired_drop
 
@@ -84,29 +91,34 @@ class _SeededGenerators:
         return rng
 
 
-def synthesize(monkeypatch) -> dict[str, np.ndarray]:
+def synthesize_cases(monkeypatch) -> dict[str, np.ndarray]:
     """Every golden case as named arrays: center, frames and the next random()."""
     spy = _SeededGenerators()
     monkeypatch.setattr(np.random, "default_rng", spy)
     out: dict[str, np.ndarray] = {}
     for case, s, sigma, seed, index, center in _drop_cases():
-        c, null_frame, alt_frame = paired_drop(s, sigma, seed, index, center)
-        out[f"{case}.center"] = np.array([c.x, c.y])
-        out[f"{case}.null"] = null_frame.matrix
-        out[f"{case}.alt"] = alt_frame.matrix
+        null, alt, centers = synthesize(s, [paired_drop(s, sigma, seed, index, center)])
+        out[f"{case}.center"] = centers[0]
+        out[f"{case}.null"] = _matrix(null[0])
+        out[f"{case}.alt"] = _matrix(alt[0])
         out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, index)].random())
     for case, s, spec, seed in _record_cases():
-        pos, tensor = _generate_record(s, spec, seed)
-        out[f"{case}.center"] = np.array([np.nan, np.nan] if pos is None else [pos.x, pos.y])
-        out[f"{case}.tensor"] = tensor
+        tensors, centers, _ = _generate_block(s, [spec], seed)
+        out[f"{case}.center"] = centers[0]
+        out[f"{case}.tensor"] = tensors[0]
         out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, spec.index)].random())
     return out
+
+
+def _matrix(tensor: np.ndarray) -> np.ndarray:
+    """The complex (rows, beams) frame matrix of a (rows, beams, 2) tensor."""
+    return tensor[..., 0] + 1j * tensor[..., 1]
 
 
 def test_frames_match_golden_set(monkeypatch):
     with np.load(GOLDEN) as data:
         golden = {k: data[k] for k in data.files}
-    fresh = synthesize(monkeypatch)
+    fresh = synthesize_cases(monkeypatch)
     assert sorted(fresh) == sorted(golden)
     for key, want in golden.items():
         got = fresh[key]
@@ -122,7 +134,7 @@ def test_frames_match_golden_set(monkeypatch):
 if __name__ == "__main__":
     mp = pytest.MonkeyPatch()
     try:
-        arrays = synthesize(mp)
+        arrays = synthesize_cases(mp)
     finally:
         mp.undo()
     GOLDEN.parent.mkdir(exist_ok=True)

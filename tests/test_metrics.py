@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from csisense import dataset as dataset_mod
+from csisense.baseline import overlapped_bank, swept_bank
 from csisense.channel import Scenario
+from csisense.dataset import synthesize
 from csisense.errors import LengthMismatch, MissingClass
 from csisense.frame import NormStats
 from csisense.geometry import Point2D
@@ -16,6 +19,7 @@ from csisense.metrics import (
     accuracy_score,
     coverage_map,
     detection_counts,
+    drop_positions,
     error_summary,
     layer_cake_mean,
     paired_drop,
@@ -81,11 +85,6 @@ class TestErrorSummary:
         assert s.p90 == pytest.approx(9.1, abs=1e-12)
         assert s.mean == pytest.approx(5.5, abs=1e-12)
 
-    def test_cdf_reaches_one(self):
-        s = error_summary([Point2D(1, 0), Point2D(2, 0)], [Point2D(0, 0)] * 2)
-        assert s.cdf(s.errors[-1]) == 1.0
-        assert s.cdf(-1.0) == 0.0
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             error_summary([Point2D(0, 0)], [])
@@ -109,11 +108,22 @@ class TestErrorSummary:
 class TestDrops:
     def test_paired_drop_deterministic(self):
         s = tiny_scenario()
-        c1, n1, a1 = paired_drop(s, 0.4, 5, 0)
-        c2, n2, a2 = paired_drop(s, 0.4, 5, 0)
-        assert c1 == c2
-        assert np.array_equal(n1.matrix, n2.matrix)
-        assert np.array_equal(a1.matrix, a2.matrix)
+        a = synthesize(s, [paired_drop(s, 0.4, 5, 0)])
+        b = synthesize(s, [paired_drop(s, 0.4, 5, 0)])
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_positions_independent_of_block_size(self, monkeypatch, block):
+        s = Scenario.from_dict({**tiny_scenario().to_dict(), "receivers": [
+            {"position": [2.0, 1.0], "boresight": math.pi, "n_antennas": 4},
+            {"position": [1.0, 0.0], "boresight": math.pi / 2, "n_antennas": 4}]})
+        banks = (swept_bank(s), overlapped_bank())
+        want = drop_positions(s, 0.4, 20, 3, banks)
+        monkeypatch.setattr(dataset_mod, "BLOCK", block)
+        for w, got in zip(want, drop_positions(s, 0.4, 20, 3, banks), strict=True):
+            assert (got.truths, got.estimates, got.degraded) == (
+                w.truths, w.estimates, w.degraded)
 
     def test_detection_counts_totals(self):
         s = tiny_scenario()
