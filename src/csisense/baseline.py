@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import Scenario, array_response
 from .errors import ShapeMismatch
-from .geometry import BearingLine, Point2D, intersect_bearings, wrap_angles
+from .geometry import intersect_bearings, wrap_angles
 
 ENERGY_FLOOR = 1e-12
 
@@ -107,27 +107,28 @@ def estimate_positions(
     points, degraded = intersect_bearings(geo.rx_xy, bearings)
     side = scenario.room_side
     points = np.minimum(np.maximum(points, 0.0), side)
-    origin = scenario.receivers[0].position
+    origin = tuple(geo.rx_xy[0].tolist())
     for d in np.flatnonzero(degraded):
-        mid = bearing_segment_midpoint(scenario, BearingLine(origin, float(bearings[d, 0])))
-        points[d] = mid.x, mid.y
+        points[d] = bearing_segment_midpoint(scenario, origin, float(bearings[d, 0]))
     return points, degraded
 
 
-def bearing_segment_midpoint(scenario: Scenario, line: BearingLine) -> Point2D:
-    """Midpoint of the in-room segment of a bearing; degraded fallback estimate."""
+def bearing_segment_midpoint(scenario: Scenario, origin: tuple[float, float],
+                             angle: float) -> tuple[float, float]:
+    """Midpoint of the in-room segment of the bearing from `origin` (x, y) at
+    global direction `angle`; degraded fallback estimate."""
     side = scenario.room_side
-    cos_a, sin_a = math.cos(line.angle), math.sin(line.angle)
+    ox, oy = origin
+    cos_a, sin_a = math.cos(angle), math.sin(angle)
     ts = []
-    for bound, comp, d in ((0.0, line.origin.x, cos_a), (side, line.origin.x, cos_a),
-                           (0.0, line.origin.y, sin_a), (side, line.origin.y, sin_a)):
+    for bound, o, d in ((0.0, ox, cos_a), (side, ox, cos_a), (0.0, oy, sin_a), (side, oy, sin_a)):
         if abs(d) > 1e-15:
-            t = (bound - comp) / d
+            t = (bound - o) / d
             if t > 1e-12:
-                x = line.origin.x + t * cos_a
-                y = line.origin.y + t * sin_a
+                x = ox + t * cos_a
+                y = oy + t * sin_a
                 if -1e-9 <= x <= side + 1e-9 and -1e-9 <= y <= side + 1e-9:
                     ts.append(t)
     t_end = min(ts) if ts else 0.0
-    x, y = line.origin.x + 0.5 * t_end * cos_a, line.origin.y + 0.5 * t_end * sin_a
-    return Point2D(min(max(x, 0.0), side), min(max(y, 0.0), side))
+    x, y = ox + 0.5 * t_end * cos_a, oy + 0.5 * t_end * sin_a
+    return min(max(x, 0.0), side), min(max(y, 0.0), side)

@@ -125,6 +125,10 @@ class Scenario:
         """The deployment's fixed link arrays, fetched from link_geometry once per object."""
         return link_geometry(self)
 
+    def __getstate__(self) -> dict:
+        """Pickled without the cached geometry (~50 KB); link_geometry gives it again."""
+        return {k: v for k, v in self.__dict__.items() if k != "geometry"}
+
     @property
     def noise_level(self) -> float:
         """Per-element complex noise variance relative to unit mean path power."""

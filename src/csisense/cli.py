@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric failure.
 All randomness flows from --seed; repeating a command with the same seed
-rewrites byte-identical artifacts.  CSISENSE_WORKERS controls the generation
-worker pool (default 1).
+rewrites byte-identical artifacts.  CSISENSE_WORKERS, an integer >= 1, sets
+the generation worker pool (default 1).
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ def cmd_gen(args) -> int:
     _check_float("--pitch", args.pitch)
     scenario = _scenario_with(args, load_scenario(args.scenario))
     if args.protocol == "resolution":
+        for flag, given in (("--pitch", args.pitch is not None), ("--bin-jitter", args.bin_jitter)):
+            if given:
+                raise ConfigError(f"{flag} applies to the binned protocols, not resolution")
         n = args.n if args.n is not None else (
             dataset_mod.PAPER_SCALE_N if args.paper_scale else dataset_mod.DESK_SCALE_N)
         ds = dataset_mod.gen_resolution_set(scenario, args.sigma, n, args.seed)
@@ -102,7 +105,8 @@ def cmd_gen(args) -> int:
             dataset_mod.PAPER_SCALE_N_PER_BIN if args.paper_scale
             else dataset_mod.DESK_SCALE_N_PER_BIN)
         ds = dataset_mod.gen_binned_set(
-            scenario, args.sigma, n, args.pitch, args.seed,
+            scenario, args.sigma, n,
+            dataset_mod.BIN_PITCH if args.pitch is None else args.pitch, args.seed,
             protocol=args.protocol, bin_jitter=args.bin_jitter,
         )
     dataset_mod.save_dataset(args.out, ds)
@@ -274,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sigma", type=float, default=0.8)
     g.add_argument("--n", type=int, default=None,
                    help="records per hypothesis (resolution) or per bin (binned)")
-    g.add_argument("--pitch", type=float, default=0.25)
+    g.add_argument("--pitch", type=float, default=None,
+                   help=f"bin pitch of the binned protocols (default {dataset_mod.BIN_PITCH})")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--paper-scale", action="store_true")
@@ -316,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", required=True)
     c.add_argument("--scenario", default="scenario1")
     c.add_argument("--sigma", type=float, default=0.8)
-    c.add_argument("--pitch", type=float, default=0.25)
+    c.add_argument("--pitch", type=float, default=dataset_mod.BIN_PITCH)
     c.add_argument("--drops-per-bin", type=int, default=None)
     c.add_argument("--threshold", type=float, default=None,
                    help="detection threshold override (default 0.5)")

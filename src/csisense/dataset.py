@@ -25,7 +25,6 @@ import numpy as np
 from .channel import Scenario, blocked_rays, capture, ray_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
 from .frame import FrameMeta, read_frames, to_tensor, write_frames
-from .geometry import Point2D, Target
 
 HYP_NULL = "null"
 HYP_TARGET = "target"
@@ -36,6 +35,7 @@ DEVICE_CLEARANCE = 0.05  # extra clearance beyond sigma/2 around tx/rx positions
 
 DESK_SCALE_N = 200          # resolution records per hypothesis
 DESK_SCALE_N_PER_BIN = 20
+BIN_PITCH = 0.25            # default bin pitch of the binned protocols
 PAPER_SCALE_N = 2000
 PAPER_SCALE_N_PER_BIN = 2000
 
@@ -92,6 +92,9 @@ class DatasetManifest:
                 raise ValueError(f"unknown protocol {m.protocol!r}")
             if m.n_per_hyp < 1:
                 raise ValueError(f"n_per_hyp must be >= 1, got {m.n_per_hyp}")
+            if (m.grid_pitch is None) != (m.protocol == "resolution"):
+                raise ValueError(f"grid_pitch {m.grid_pitch} with protocol {m.protocol!r}: "
+                                 f"only the binned protocols have one")
             if len(m.split_fractions) != 2:
                 raise ValueError(f"split_fractions must be two numbers, got {d['split_fractions']}")
         except (KeyError, TypeError, ValueError, AttributeError, InvalidSize) as exc:
@@ -126,46 +129,37 @@ def record_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def target_margin_ok(scenario: Scenario, sigma: float, center: Point2D) -> bool:
-    """Margin rule: sigma/2 clearance from walls, sigma/2 + 0.05 m from devices."""
+def target_margin_ok(scenario: Scenario, sigma: float, x: float, y: float) -> bool:
+    """Margin rule at center (x, y): sigma/2 clearance from walls, sigma/2 + 0.05 m from devices."""
     r = sigma / 2.0
     s = scenario.room_side
-    if not (r <= center.x <= s - r and r <= center.y <= s - r):
+    if not (r <= x <= s - r and r <= y <= s - r):
         return False
     clear = r + DEVICE_CLEARANCE
-    return all(center.distance_to(p) >= clear for p in scenario.device_positions())
+    return all(math.hypot(x - p.x, y - p.y) >= clear for p in scenario.device_positions())
 
 
 def sample_target_center(
     scenario: Scenario, sigma: float, rng: np.random.Generator
-) -> Point2D:
-    """Uniform draw over the margin-valid room interior (rejection sampling)."""
+) -> tuple[float, float]:
+    """Uniform (x, y) draw over the margin-valid room interior (rejection sampling)."""
     r = sigma / 2.0
     lo, hi = r, scenario.room_side - r
     if lo >= hi:
         raise InvalidSize(f"target diameter {sigma} m leaves no valid placement")
     for _ in range(10000):
-        c = Point2D(float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
-        if target_margin_ok(scenario, sigma, c):
-            return c
+        x, y = float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))
+        if target_margin_ok(scenario, sigma, x, y):
+            return x, y
     raise InvalidSize(f"could not place a {sigma} m target under the margin rule")
-
-
-@dataclass(frozen=True)
-class RecordSpec:
-    index: int
-    hyp: str
-    sigma: float
-    center: Point2D | None = None     # None for null or to-be-sampled centers
-    bin_index: int | None = None
-    bin_jitter_pitch: float | None = None
 
 
 class Draws(NamedTuple):
     """The random draws of one drop, in the order its own Generator made them."""
 
     z: np.ndarray               # (L, clusters, rays, 2) normals of the ray gains
-    target: Target | None
+    center: tuple[float, float] | None   # target center (x, y), None without a target
+    radius: float               # target radius sigma / 2, 0 without a target
     phases: np.ndarray | None   # (L, n_scatter) echo phases, with a target
     null: bool                  # a null frame is captured (always without a target)
     noise: np.ndarray | None    # (captures, L, B, 2, N_r) normals, null first; None if noiseless
@@ -175,7 +169,7 @@ def draw(
     scenario: Scenario,
     seed: int,
     sigma: float | None = None,
-    center: Point2D | None = None,
+    center: tuple[float, float] | None = None,
     jitter_pitch: float | None = None,
     null: bool = True,
 ) -> Draws:
@@ -183,27 +177,28 @@ def draw(
 
     Without a target (sigma None) only a null frame is captured.  With one,
     its center is drawn under the margin rule, or jittered within a
-    jitter_pitch bin around `center`, or taken as given, and a target frame
+    jitter_pitch bin around `center` (x, y), or taken as given, and a target frame
     is captured after the null frame (when `null`).  Draws, in order: ray
     gains, target center, echo phases, one noise array per capture.
     """
     rng = np.random.default_rng(seed)
     s = scenario
     z = rng.standard_normal(size=(s.n_links, s.n_clusters, s.n_rays, 2))
-    target = phases = None
-    if sigma is not None:
+    if sigma is None:
+        center = phases = None
+    else:
+        check_sigma(sigma)
         if center is None:
             center = sample_target_center(s, sigma, rng)
         elif jitter_pitch is not None:
             center = _jitter_in_bin(s, sigma, center, jitter_pitch, rng)
-        target = Target(center=center, diameter=sigma)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=(s.n_links, s.n_scatter))
-    null = null or target is None
+    null = null or center is None
     noise = None
     if s.noise_level > 0.0:
-        captures = int(null) + (target is not None)
+        captures = int(null) + (center is not None)
         noise = rng.standard_normal(size=(captures, s.n_links, s.n_beams, 2, s.n_antennas))
-    return Draws(z, target, phases, null, noise)
+    return Draws(z, center, 0.0 if sigma is None else 0.5 * sigma, phases, null, noise)
 
 
 def synthesize(scenario: Scenario, draws: Sequence[Draws]
@@ -220,13 +215,12 @@ def synthesize(scenario: Scenario, draws: Sequence[Draws]
     gains = ray_gains(geo, np.stack([d.z for d in draws]))
     noise = None if draws[0].noise is None else np.stack([d.noise for d in draws])
     nulls = np.flatnonzero([d.null for d in draws])
-    alts = np.flatnonzero([d.target is not None for d in draws])
+    alts = np.flatnonzero([d.center is not None for d in draws])
     centers = np.full((len(draws), 2), np.nan)
     kept, echo = gains[alts], None
     if len(alts):
-        targets = [draws[i].target for i in alts]
-        centers[alts] = [(t.center.x, t.center.y) for t in targets]
-        radii = np.array([t.radius for t in targets])
+        centers[alts] = [draws[i].center for i in alts]
+        radii = np.array([draws[i].radius for i in alts])
         kept = np.where(blocked_rays(geo, centers[alts], radii), 0j, kept)
         echo = target_echo(geo, centers[alts], radii, np.stack([draws[i].phases for i in alts]))
     null_h = capture(geo, gains[nulls], None, None if noise is None else noise[nulls, 0])
@@ -241,77 +235,98 @@ def in_blocks(items: Iterable) -> Iterator[list]:
         yield block
 
 
-def _generate_block(
-    scenario: Scenario, specs: list[RecordSpec], master_seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frame tensors, target centers, stream seeds) of a block of records;
-    centers are NaN on null rows."""
-    seeds = [record_seed(master_seed, s.index) for s in specs]
-    draws = [draw(scenario, seed) if s.hyp == HYP_NULL
-             else draw(scenario, seed, s.sigma, s.center, s.bin_jitter_pitch, null=False)
-             for s, seed in zip(specs, seeds)]
-    null, alt, centers = synthesize(scenario, draws)
-    is_target = ~np.isnan(centers[:, 0])
-    tensors = np.empty((len(specs),) + null.shape[1:])
-    tensors[~is_target] = null
-    tensors[is_target] = alt
-    return tensors, centers, np.array(seeds, dtype=np.uint64)
+def record_layout(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (target, bin, centers) label columns of a manifest's records, the one
+    layout that generation writes and load_dataset checks.
+
+    Resolution: count_null null rows, then count_target target rows, bin -1.
+    Binned: per margin-valid bin, in valid_bin_centers order, n target rows
+    then n null rows, n = n_per_hyp / bins; a target row's center (N, 2) is
+    its bin's center, NaN elsewhere.
+    """
+    m = manifest
+    if m.protocol == "resolution":
+        target = np.repeat([False, True], [m.count_null, m.count_target])
+        return target, np.full(len(target), -1), np.full((len(target), 2), np.nan)
+    bin_centers = valid_bin_centers(m.scenario, m.sigma, m.grid_pitch)
+    n, rest = divmod(m.n_per_hyp, max(len(bin_centers), 1))
+    if not len(bin_centers) or rest or not m.count_null == m.count_target == m.n_per_hyp:
+        raise ConfigError(
+            f"{m.protocol} layout: n_per_hyp {m.n_per_hyp}, count_null {m.count_null} and "
+            f"count_target {m.count_target} must be equal and a multiple of the "
+            f"{len(bin_centers)} margin-valid bins at pitch {m.grid_pitch}")
+    target = np.tile(np.repeat([True, False], n), len(bin_centers))
+    bins = np.repeat(np.arange(len(bin_centers)), 2 * n)
+    return target, bins, np.where(target[:, None], bin_centers[bins], np.nan)
+
+
+def _generate_block(manifest: DatasetManifest, start: int, target: np.ndarray,
+                    centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frame tensors, target centers, stream seeds) of records start, start+1, ...
+    whose target and centers columns are given; centers are NaN on null rows."""
+    sc, sigma = manifest.scenario, manifest.sigma
+    jitter = manifest.grid_pitch if manifest.bin_jitter else None
+    seeds = [record_seed(manifest.master_seed, start + i) for i in range(len(target))]
+    draws = [draw(sc, seed, sigma, None if math.isnan(x) else (x, y), jitter, null=False)
+             if is_target else draw(sc, seed)
+             for seed, is_target, (x, y) in zip(seeds, target.tolist(), centers.tolist())]
+    null, alt, xy = synthesize(sc, draws)
+    tensors = np.empty((len(draws),) + null.shape[1:])
+    tensors[~target] = null
+    tensors[target] = alt
+    return tensors, xy, np.array(seeds, dtype=np.uint64)
 
 
 def _jitter_in_bin(
-    scenario: Scenario, sigma: float, center: Point2D, pitch: float,
+    scenario: Scenario, sigma: float, center: tuple[float, float], pitch: float,
     rng: np.random.Generator,
-) -> Point2D:
+) -> tuple[float, float]:
     half = pitch / 2.0
     for _ in range(10000):
-        c = Point2D(float(rng.uniform(center.x - half, center.x + half)),
-                    float(rng.uniform(center.y - half, center.y + half)))
-        if target_margin_ok(scenario, sigma, c):
-            return c
-    raise InvalidSize(f"bin at ({center.x}, {center.y}) has no margin-valid interior")
+        x, y = (float(rng.uniform(c - half, c + half)) for c in center)
+        if target_margin_ok(scenario, sigma, x, y):
+            return x, y
+    raise InvalidSize(f"bin at {center} has no margin-valid interior")
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CSISENSE_WORKERS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("CSISENSE_WORKERS", "1")
+    if not (value.isdecimal() and int(value) >= 1):
+        raise ConfigError(f"CSISENSE_WORKERS must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _run_blocks(
-    scenario: Scenario, specs: list[RecordSpec], master_seed: int
+    manifest: DatasetManifest, target: np.ndarray, centers: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks of records in spec order, yielded as they arrive so the caller can
+    """Blocks of records in row order, yielded as they arrive so the caller can
     store each; with CSISENSE_WORKERS > 1 each block is one pool task."""
-    blocks = list(in_blocks(specs))
+    starts = range(0, len(target), BLOCK)
+    blocks = (starts, [target[s:s + BLOCK] for s in starts],
+              [centers[s:s + BLOCK] for s in starts])
     workers = _worker_count()
-    if workers == 1 or len(blocks) < 2:
-        yield from (_generate_block(scenario, b, master_seed) for b in blocks)
+    if workers == 1 or len(starts) < 2:
+        yield from map(_generate_block, repeat(manifest), *blocks)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_generate_block, repeat(scenario), blocks, repeat(master_seed))
+        yield from pool.map(_generate_block, repeat(manifest), *blocks)
 
 
-def _build(manifest: DatasetManifest, specs: list[RecordSpec]) -> Dataset:
-    """Generate every spec (row i is specs[i], whose index is i) into columns."""
+def _build(manifest: DatasetManifest) -> Dataset:
+    """Generate the records of the manifest's layout into columns."""
+    target, bins, centers = record_layout(manifest)
     sc = manifest.scenario
-    n = len(specs)
+    n = len(target)
     tensors = np.empty((n, sc.n_links * sc.n_antennas, sc.n_beams, 2))
     xy = np.empty((n, 2))
     seed = np.empty(n, dtype=np.uint64)
     lo = 0
-    for block in _run_blocks(sc, specs, manifest.master_seed):
+    for block in _run_blocks(manifest, target, centers):
         rows = slice(lo, lo + len(block[0]))
         tensors[rows], xy[rows], seed[rows] = block
         lo = rows.stop
-    return Dataset(
-        manifest=manifest,
-        tensors=tensors,
-        target=np.array([s.hyp == HYP_TARGET for s in specs], dtype=bool),
-        xy=xy,
-        seed=seed,
-        bin=np.array([-1 if s.bin_index is None else s.bin_index for s in specs], dtype=int),
-    )
+    return Dataset(manifest=manifest, tensors=tensors, target=target, xy=xy, seed=seed,
+                   bin=bins)
 
 
 def gen_resolution_set(
@@ -321,26 +336,20 @@ def gen_resolution_set(
     check_sigma(sigma)
     if n_per_hyp < 1:
         raise ConfigError(f"n_per_hyp must be >= 1, got {n_per_hyp}")
-    specs = [RecordSpec(index=i, hyp=HYP_NULL, sigma=sigma) for i in range(n_per_hyp)]
-    specs += [
-        RecordSpec(index=n_per_hyp + i, hyp=HYP_TARGET, sigma=sigma)
-        for i in range(n_per_hyp)
-    ]
-    manifest = DatasetManifest(
+    return _build(DatasetManifest(
         scenario=scenario, protocol="resolution", sigma=sigma, n_per_hyp=n_per_hyp,
         master_seed=master_seed, count_null=n_per_hyp, count_target=n_per_hyp,
-    )
-    return _build(manifest, specs)
+    ))
 
 
-def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> list[Point2D]:
-    """Margin-valid bin centers of the pitch x pitch tiling, row-major in (x, y)."""
+def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> np.ndarray:
+    """(n, 2) margin-valid bin centers of the pitch x pitch tiling, row-major in (x, y)."""
     if not (math.isfinite(pitch) and pitch > 0):
         raise InvalidPitch(f"pitch must be finite and > 0, got {pitch}")
     n = int(math.floor(scenario.room_side / pitch + 1e-9))
     coords = [(k + 0.5) * pitch for k in range(n)]
-    centers = [Point2D(x, y) for x in coords for y in coords]
-    return [c for c in centers if target_margin_ok(scenario, sigma, c)]
+    return np.array([(x, y) for x in coords for y in coords
+                     if target_margin_ok(scenario, sigma, x, y)]).reshape(-1, 2)
 
 
 def gen_binned_set(
@@ -356,27 +365,15 @@ def gen_binned_set(
     check_sigma(sigma)
     if n_per_bin < 1:
         raise ConfigError(f"n_per_bin must be >= 1, got {n_per_bin}")
-    centers = valid_bin_centers(scenario, sigma, pitch)
-    if not centers:
+    n_bins = len(valid_bin_centers(scenario, sigma, pitch))
+    if not n_bins:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
-    specs: list[RecordSpec] = []
-    idx = 0
-    jitter_pitch = pitch if bin_jitter else None
-    for b, c in enumerate(centers):
-        for _ in range(n_per_bin):
-            specs.append(RecordSpec(index=idx, hyp=HYP_TARGET, sigma=sigma, center=c,
-                                    bin_index=b, bin_jitter_pitch=jitter_pitch))
-            idx += 1
-        for _ in range(n_per_bin):
-            specs.append(RecordSpec(index=idx, hyp=HYP_NULL, sigma=sigma, bin_index=b))
-            idx += 1
-    n_bins = len(centers)
-    manifest = DatasetManifest(
-        scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n_per_bin * n_bins,
+    n = n_per_bin * n_bins
+    return _build(DatasetManifest(
+        scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n,
         master_seed=master_seed, grid_pitch=pitch, bin_jitter=bin_jitter,
-        count_null=n_per_bin * n_bins, count_target=n_per_bin * n_bins,
-    )
-    return _build(manifest, specs)
+        count_null=n, count_target=n,
+    ))
 
 
 def split(
@@ -443,17 +440,20 @@ def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 if hyp not in (HYP_NULL, HYP_TARGET):
                     raise ValueError(f"hyp {hyp!r}")
                 target.append(hyp == HYP_TARGET)
-                xy.append(Point2D(float(x), float(y)) if target[-1] else None)
+                point = (float(x), float(y)) if target[-1] else (math.nan, math.nan)
+                if target[-1] and not all(map(math.isfinite, point)):
+                    raise ValueError(f"non-finite point {point}")
+                xy.append(point)
                 seed.append(np.uint64(int(s)))
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}: row {i}: {exc}") from exc
-    return (np.array(target, dtype=bool),
-            np.array([(p.x, p.y) if p else (math.nan, math.nan) for p in xy]).reshape(-1, 2),
+    return (np.array(target, dtype=bool), np.array(xy, dtype=float).reshape(-1, 2),
             np.array(seed, dtype=np.uint64))
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset directory; bin indices are rebuilt from the manifest layout."""
+    """Read a dataset directory.  Its labels must follow the record layout of
+    its manifest, from which the bin indices are rebuilt."""
     src = Path(path)
     with open(src / "manifest.json") as fp:
         manifest = DatasetManifest.from_dict(json.load(fp), str(src / "manifest.json"))
@@ -462,10 +462,19 @@ def load_dataset(path: str | Path) -> Dataset:
     if len(tensors) != len(target):
         raise ConfigError(f"{src}: frames.bin holds {len(tensors)} records, "
                           f"labels.csv {len(target)}")
-    per_bin = 0
-    if manifest.grid_pitch is not None:
-        n_bins = len(valid_bin_centers(manifest.scenario, manifest.sigma, manifest.grid_pitch))
-        per_bin = manifest.n_per_hyp // n_bins if n_bins else 0
+    try:
+        layout, bins, _ = record_layout(manifest)
+    except (ConfigError, InvalidPitch) as exc:
+        raise ConfigError(f"{src / 'manifest.json'}: {exc}") from exc
+    if len(target) != len(layout):
+        raise ConfigError(f"{src / 'labels.csv'}: {len(target)} rows, the {manifest.protocol} "
+                          f"layout of manifest.json has {len(layout)}")
+    wrong = np.flatnonzero(target != layout)
+    if len(wrong):
+        i = wrong[0]
+        raise ConfigError(f"{src / 'labels.csv'}: row {i} is "
+                          f"{HYP_TARGET if target[i] else HYP_NULL}, the {manifest.protocol} "
+                          f"layout of manifest.json has {HYP_TARGET if layout[i] else HYP_NULL} "
+                          f"there")
     return Dataset(manifest=manifest, tensors=tensors, target=target, xy=xy, seed=seed,
-                   bin=np.arange(len(target)) // (2 * per_bin) if per_bin
-                   else np.full(len(target), -1))
+                   bin=bins)

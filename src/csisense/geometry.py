@@ -66,17 +66,6 @@ class Target:
         return p.distance_to(self.center) <= self.radius
 
 
-@dataclass(frozen=True)
-class BearingLine:
-    """Infinite line through `origin` with the given direction angle."""
-
-    origin: Point2D
-    angle: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "angle", wrap_angle(self.angle))
-
-
 def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
     """True iff the closed segment a->b intersects the closed target disk.
 

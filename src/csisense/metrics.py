@@ -16,8 +16,8 @@ import numpy as np
 from .baseline import BeamBank, estimate_positions
 from .channel import Scenario
 from .dataset import Draws, draw, in_blocks, record_seed, synthesize, valid_bin_centers
-from .errors import InvalidPitch, LengthMismatch, MissingClass
-from .geometry import Point2D
+from .errors import ConfigError, InvalidPitch, LengthMismatch, MissingClass
+from .geometry import Point2D, elementwise
 from .sensenet import TrainedModel
 
 
@@ -63,7 +63,8 @@ def paired_drop(
 ) -> Draws:
     """The draws of one evaluation drop: its null frame and perturbed frame
     share the channel realization; noise is drawn independently per capture."""
-    return draw(scenario, record_seed(master_seed, index), sigma, center)
+    return draw(scenario, record_seed(master_seed, index), sigma,
+                None if center is None else (center.x, center.y))
 
 
 def _paired_blocks(
@@ -148,19 +149,20 @@ def coverage_map(
 ) -> CoverageMap:
     """Per-bin accuracy score from paired drops at each margin-valid bin center,
     the drops of all bins synthesised and scored in one pass."""
-    centers = valid_bin_centers(scenario, sigma, pitch)
+    centers = valid_bin_centers(scenario, sigma, pitch).tolist()
     if not centers:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
     n = int(math.floor(scenario.room_side / pitch + 1e-9))
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
-    bin_seeds = [record_seed(master_seed, b) for b in range(len(centers))]
-    keys = ((seed, i, c) for seed, c in zip(bin_seeds, centers) for i in range(drops_per_bin))
+    bin_keys = [(record_seed(master_seed, b), Point2D(x, y))
+                for b, (x, y) in enumerate(centers)]
+    keys = ((seed, i, c) for seed, c in bin_keys for i in range(drops_per_bin))
     null_hits, alt_hits = (h.reshape(len(centers), drops_per_bin)
                            for h in _decisions(model, scenario, sigma, keys))
-    for b, c in enumerate(centers):
-        ix = int(c.x / pitch)
-        iy = int(c.y / pitch)
+    for b, (x, y) in enumerate(centers):
+        ix = int(x / pitch)
+        iy = int(y / pitch)
         score[ix, iy] = accuracy_score(_confusion(null_hits[b], alt_hits[b]))
         counts[ix, iy] = drops_per_bin
     return CoverageMap(pitch=pitch, room_side=scenario.room_side, score=score, counts=counts)
@@ -173,14 +175,20 @@ class ErrorSummary:
     errors: np.ndarray     # sorted ascending
 
 
-def error_summary(estimates: Sequence[Point2D], truths: Sequence[Point2D]) -> ErrorSummary:
-    """Euclidean position errors: mean, linearly interpolated 90th percentile,
-    and the sorted error list backing the empirical CDF."""
+def position_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """(D,) Euclidean distances between (D, 2) estimates and truths, by math.hypot."""
+    d = estimates - truths
+    return elementwise(math.hypot, d[:, 0], d[:, 1])
+
+
+def error_summary(estimates: np.ndarray, truths: np.ndarray) -> ErrorSummary:
+    """Euclidean position errors of (D, 2) estimates and truths: mean, linearly
+    interpolated 90th percentile, and the sorted error list backing the empirical CDF."""
     if len(estimates) != len(truths):
         raise LengthMismatch(f"{len(estimates)} estimates vs {len(truths)} truths")
-    if not estimates:
+    if not len(estimates):
         raise LengthMismatch("need at least one estimate")
-    errs = np.sort([e.distance_to(t) for e, t in zip(estimates, truths)])
+    errs = np.sort(position_errors(estimates, truths))
     return ErrorSummary(
         mean=float(errs.mean()),
         p90=float(np.percentile(errs, 90.0, method="linear")),
@@ -199,10 +207,10 @@ def layer_cake_mean(summary: ErrorSummary) -> float:
 
 @dataclass
 class PositioningResult:
-    truths: list[Point2D]
-    estimates: list[Point2D]
+    truths: np.ndarray       # (D, 2) target centers
+    estimates: np.ndarray    # (D, 2) estimated positions
     variant: str
-    degraded: list[bool]
+    degraded: np.ndarray     # (D,) bool, the estimate fell back to a single bearing
 
     def summary(self) -> ErrorSummary:
         return error_summary(self.estimates, self.truths)
@@ -221,8 +229,8 @@ def drop_positions(
 
     Single-receiver scenarios and all-parallel bearing draws fall back to the
     midpoint of receiver 0's bearing segment inside the room, marked degraded.
-    CNN estimates are clamped to the room.  Drops are made, scored and
-    triangulated one block at a time.
+    CNN estimates are clamped to the room; a non-finite one raises ConfigError.
+    Drops are made, scored and triangulated one block at a time.
     """
     truths, net = [], []
     per_bank = [([], []) for _ in banks]
@@ -236,16 +244,17 @@ def drop_positions(
         if model is not None:
             net.append(np.minimum(np.maximum(model.predict(alt), 0.0), scenario.room_side))
 
-    def points(blocks: list[np.ndarray]) -> list[Point2D]:
-        return [Point2D(x, y) for x, y in np.concatenate(blocks).tolist()]
-
-    truth_points = points(truths)
-    results = [PositioningResult(truth_points, points(estimates), bank.variant,
-                                 np.concatenate(degraded).tolist())
+    truths = np.concatenate(truths)
+    results = [PositioningResult(truths, np.concatenate(estimates), bank.variant,
+                                 np.concatenate(degraded))
                for bank, (estimates, degraded) in zip(banks, per_bank)]
     if model is not None:
-        results.append(PositioningResult(truth_points, points(net), "csisensenet",
-                                         [False] * n_drops))
+        net = np.concatenate(net)
+        finite = np.isfinite(net).all(axis=1)
+        if not finite.all():
+            raise ConfigError(f"csisensenet estimate of drop {np.argmin(finite)} is not finite")
+        results.append(PositioningResult(truths, net, "csisensenet",
+                                         np.zeros(n_drops, dtype=bool)))
     return results
 
 
@@ -288,8 +297,8 @@ def write_positioning_csv(fp: IO[str], summary: ErrorSummary) -> None:
 def write_baseline_csv(fp: IO[str], results: Sequence[PositioningResult]) -> None:
     fp.write("drop,true_x,true_y,est_x,est_y,error_m,variant\n")
     for res in results:
-        for i, (t, e, d) in enumerate(zip(res.truths, res.estimates, res.degraded)):
+        errors = position_errors(res.estimates, res.truths)
+        for i, ((tx, ty), (ex, ey), err, d) in enumerate(zip(
+                res.truths.tolist(), res.estimates.tolist(), errors.tolist(), res.degraded)):
             variant = res.variant + ("-degraded" if d else "")
-            fp.write(
-                f"{i},{t.x!r},{t.y!r},{e.x!r},{e.y!r},{e.distance_to(t)!r},{variant}\n"
-            )
+            fp.write(f"{i},{tx!r},{ty!r},{ex!r},{ey!r},{err!r},{variant}\n")

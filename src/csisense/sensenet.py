@@ -22,6 +22,7 @@ from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from .frame import NormStats, normalize
 
 PROB_CLAMP = 1e-7
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8   # Adam moment decays and epsilon
 # Samples per inference forward pass: keeps conv2's patch matrix (~5 MB at
 # scenario1 shape) small instead of growing it with the batch.
 INFER_CHUNK = 32
@@ -289,9 +290,6 @@ class TrainConfig:
     task: str = "detect"               # detect | locate, trained with TASK_LOSS[task]
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 40
     seed: int = 0
     patience: int = 0                  # 0 disables early stopping
@@ -332,13 +330,13 @@ def _adam_step(arr: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     """One in-place Adam update, rounding exactly like
     m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
     arr -= lr * (m/bc1) / (sqrt(v/bc2) + eps)."""
-    m *= config.beta1
-    m += (1 - config.beta1) * g
-    v *= config.beta2
-    v += (1 - config.beta2) * (g * g)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * (g * g)
     denom = v / bc2
     np.sqrt(denom, out=denom)
-    denom += config.epsilon
+    denom += ADAM_EPSILON
     step = m / bc1
     step *= config.learning_rate
     step /= denom
@@ -383,8 +381,8 @@ def train(
                 )
             epoch_loss += value * len(sel)
             t += 1
-            bc1 = 1.0 - config.beta1 ** t
-            bc2 = 1.0 - config.beta2 ** t
+            bc1 = 1.0 - ADAM_BETA1 ** t
+            bc2 = 1.0 - ADAM_BETA2 ** t
             for name, arr in params.items():
                 _adam_step(arr, grads[name], m[name], v[name], config, bc1, bc2)
         train_loss = epoch_loss / n

@@ -282,8 +282,8 @@ def test_positioning_accuracy_and_ordering(positioning_runs):
     mu_net = net.summary().mean
     mu_swept = swept.summary().mean
     mu_over = overlapped.summary().mean
-    identical_truths = all(
-        a == b == c for a, b, c in zip(net.truths, swept.truths, overlapped.truths))
+    identical_truths = bool(
+        (net.truths == swept.truths).all() and (swept.truths == overlapped.truths).all())
     ordering = mu_net < mu_over < mu_swept
     in_range = 1.65 <= mu_swept <= 4.95 and 1.43 <= mu_over <= 4.29
     ok = identical_truths and mu_net < 1.5 and ordering and in_range
@@ -298,9 +298,8 @@ def test_positioning_accuracy_and_ordering(positioning_runs):
 
 def test_overlapped_beats_swept_bootstrap(positioning_runs):
     _, swept, overlapped = positioning_runs
-    err_s = np.array([e.distance_to(t) for e, t in zip(swept.estimates, swept.truths)])
-    err_o = np.array([e.distance_to(t)
-                      for e, t in zip(overlapped.estimates, overlapped.truths)])
+    err_s = metrics_mod.position_errors(swept.estimates, swept.truths)
+    err_o = metrics_mod.position_errors(overlapped.estimates, overlapped.truths)
     rng = np.random.default_rng(8)
     n = len(err_s)
     wins = 0

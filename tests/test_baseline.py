@@ -12,7 +12,7 @@ from csisense.baseline import (
 )
 from csisense.channel import Scenario, array_response
 from csisense.frame import to_tensor
-from csisense.geometry import BearingLine, Point2D, wrap_angle
+from csisense.geometry import Point2D, wrap_angle
 
 
 def two_link_scenario() -> Scenario:
@@ -47,24 +47,24 @@ def oracle_estimate(null, alt, scenario, bank):
     """Loop reference for one drop: per receiver the argmax-attenuation beam
     (ties toward broadside), then the least-squares bearing fix, clamped;
     all-parallel bearings or one receiver fall back to receiver 0's midpoint."""
-    lines = []
+    lines = []   # (origin, angle) of each receiver's bearing
     for l, rx in enumerate(scenario.receivers):
         rows = slice(l * rx.n_antennas, (l + 1) * rx.n_antennas)
         profile = direct_attenuation(bank, null[rows, :, 0] + 1j * null[rows, :, 1],
                                      alt[rows, :, 0] + 1j * alt[rows, :, 1])
         tied = np.flatnonzero(profile == profile.max())
         beam = min(tied, key=lambda i: (abs(bank.angles[i]), bank.angles[i]))
-        lines.append(BearingLine(rx.position, wrap_angle(rx.boresight - bank.angles[beam])))
-    ref = lines[0].angle
-    diffs = [(ln.angle - ref + math.pi / 2) % math.pi - math.pi / 2 for ln in lines[1:]]
+        lines.append(((rx.position.x, rx.position.y),
+                      wrap_angle(rx.boresight - bank.angles[beam])))
+    ref = lines[0][1]
+    diffs = [(angle - ref + math.pi / 2) % math.pi - math.pi / 2 for _, angle in lines[1:]]
     if all(abs(d) <= 1e-9 for d in diffs):
-        mid = bearing_segment_midpoint(scenario, lines[0])
-        return (mid.x, mid.y), True
+        return bearing_segment_midpoint(scenario, *lines[0]), True
     A, b = np.zeros((2, 2)), np.zeros(2)
-    for ln in lines:
-        n = np.array([-math.sin(ln.angle), math.cos(ln.angle)])
+    for origin, angle in lines:
+        n = np.array([-math.sin(angle), math.cos(angle)])
         A += np.outer(n, n)
-        b += np.outer(n, n) @ [ln.origin.x, ln.origin.y]
+        b += np.outer(n, n) @ origin
     p = np.clip(np.linalg.solve(A, b), 0.0, scenario.room_side)
     return (p[0], p[1]), False
 
@@ -218,13 +218,11 @@ class TestBanks:
 class TestFallback:
     def test_bearing_segment_midpoint(self):
         s = two_link_scenario()
-        line = BearingLine(Point2D(5.0, 2.5), math.pi)
-        mid = bearing_segment_midpoint(s, line)
-        assert mid.x == pytest.approx(2.5, abs=1e-12)
-        assert mid.y == pytest.approx(2.5, abs=1e-12)
+        x, y = bearing_segment_midpoint(s, (5.0, 2.5), math.pi)
+        assert x == pytest.approx(2.5, abs=1e-12)
+        assert y == pytest.approx(2.5, abs=1e-12)
 
     def test_midpoint_diagonal(self):
         s = two_link_scenario()
-        line = BearingLine(Point2D(0.0, 0.0), math.pi / 4)
-        mid = bearing_segment_midpoint(s, line)
-        assert mid.x == pytest.approx(2.5) and mid.y == pytest.approx(2.5)
+        x, y = bearing_segment_midpoint(s, (0.0, 0.0), math.pi / 4)
+        assert x == pytest.approx(2.5) and y == pytest.approx(2.5)

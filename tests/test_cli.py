@@ -407,6 +407,36 @@ class TestBadFlags:
         assert_one_line_error(capsys, "--seed must be >= 0, got -1")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_worker_count_exits_2(self, tmp_path, commands, capsys, monkeypatch, value):
+        monkeypatch.setenv("CSISENSE_WORKERS", value)
+        assert main(commands["gen"]) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"CSISENSE_WORKERS must be an integer >= 1, got {value!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", [["--bin-jitter"], ["--pitch", "0.3"]])
+    def test_binned_flag_on_resolution_gen_exits_2(self, tmp_path, commands, capsys, flag):
+        assert main(commands["gen"] + ["--protocol", "resolution"] + flag) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{flag[0]} applies to the binned protocols")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_non_finite_locate_output_exits_2(self, tmp_path, scenario_file, capsys, command):
+        # finite weights whose head sums +inf and -inf: every estimate is NaN
+        params = init_params(Architecture(input_shape=(8, 3, 2)), 0, "locate")
+        params.dense_b[:] = 1e3
+        params.head_w[:] = 1e308
+        params.head_w[1::2] *= -1
+        path = tmp_path / "nan.csnn"
+        save_model(path, TrainedModel(params, NormStats((0.0, 0.0), (1.0, 1.0))))
+        rc = main([command, "--model", str(path), "--scenario", scenario_file, "--sigma", "0.4",
+                   "--drops", "3", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "csisensenet estimate of drop 0 is not finite")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_drops_exits_2_for_positioning_eval(self, tmp_path, scenario_file, capsys):
         loc = untrained_model(tmp_path / "loc.csnn", "locate")
         rc = main(["eval", "--model", loc, "--scenario", scenario_file, "--drops", "0",
@@ -544,8 +574,11 @@ class TestBadDataset:
         (lambda m: m.update(sigma=math.nan), "sigma must be finite and > 0, got nan"),
         (lambda m: m.update(sigma=0.0), "sigma must be finite and > 0, got 0.0"),
         (lambda m: m.update(sigma=-0.4), "sigma must be finite and > 0, got -0.4"),
+        (lambda m: m.update(protocol="coverage"), "grid_pitch None with protocol 'coverage'"),
+        (lambda m: m.update(grid_pitch=0.5), "grid_pitch 0.5 with protocol 'resolution'"),
     ], ids=["no-protocol", "str-split_fractions", "one-split_fraction", "null-n_per_hyp",
-            "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma", "negative-sigma"])
+            "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma", "negative-sigma",
+            "binned-without-pitch", "resolution-with-pitch"])
     def test_malformed_manifest_exits_2(self, tmp_path, dataset_dir, capsys, change, message):
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -553,4 +586,45 @@ class TestBadDataset:
         path.write_text(json.dumps(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{path}: malformed manifest: ", message)
+        assert not (tmp_path / "m.csnn").exists()
+
+    @pytest.fixture
+    def binned_dir(self, tmp_path, scenario_file):
+        out = tmp_path / "binned"
+        assert main(["gen", "--scenario", scenario_file, "--protocol", "positioning",
+                     "--sigma", "0.4", "--pitch", "0.5", "--n", "3", "--seed", "2",
+                     "--out", str(out)]) == 0
+        return out
+
+    def edit_manifest_n_per_hyp(self, ds):
+        path = ds / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["n_per_hyp"] = manifest["n_per_hyp"] // 3 * 2     # 3 records per bin -> 2
+        path.write_text(json.dumps(manifest))
+        return path, "n_per_hyp"
+
+    def relabel_first_target_null(self, ds):
+        path = ds / "labels.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace(",target,", ",null,")
+        path.write_text("".join(lines))
+        return path, "row 0 is null, the positioning layout of manifest.json has target there"
+
+    def drop_last_two_records(self, ds):
+        frames, labels = ds / "frames.bin", ds / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        raw = frames.read_bytes()
+        frames.write_bytes(raw[:len(raw) // (len(lines) - 1) * (len(lines) - 3)])
+        labels.write_text("".join(lines[:-2]))
+        return labels, f"{len(lines) - 3} rows, the positioning layout of manifest.json " \
+                        f"has {len(lines) - 1}"
+
+    @pytest.mark.parametrize("change", [edit_manifest_n_per_hyp, relabel_first_target_null,
+                                        drop_last_two_records],
+                             ids=["n_per_hyp", "relabelled", "truncated"])
+    def test_labels_off_the_manifest_layout_exit_2(self, tmp_path, binned_dir, capsys, change):
+        # a binned set's bins are rebuilt from the manifest, so the labels must follow it
+        path, message = change(self, binned_dir)
+        assert self.train(tmp_path, binned_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{path}: ", message)
         assert not (tmp_path / "m.csnn").exists()

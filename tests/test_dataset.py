@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -10,12 +11,12 @@ from csisense.channel import Scenario
 from csisense.dataset import (
     HYP_NULL,
     HYP_TARGET,
-    RecordSpec,
     _generate_block,
     draw,
     gen_binned_set,
     gen_resolution_set,
     load_dataset,
+    record_layout,
     record_seed,
     sample_target_center,
     save_dataset,
@@ -26,7 +27,6 @@ from csisense.dataset import (
     valid_bin_centers,
 )
 from csisense.errors import ConfigError, InvalidPitch, InvalidSize
-from csisense.geometry import Point2D
 
 
 def fast_scenario(**overrides) -> Scenario:
@@ -58,8 +58,8 @@ def bin_center_oracle(scenario, sigma, pitch):
 
 
 def positions(ds):
-    """Target centers of a dataset's target rows, in row order."""
-    return [Point2D(x, y) for x, y in ds.xy[ds.target].tolist()]
+    """(x, y) target centers of a dataset's target rows, in row order."""
+    return ds.xy[ds.target].tolist()
 
 
 def assert_same_columns(a, b):
@@ -86,10 +86,10 @@ class TestResolutionSet:
     def test_margin_rule(self):
         s = fast_scenario()
         ds = gen_resolution_set(s, 0.8, 40, 3)
-        for p in positions(ds):
-            assert target_margin_ok(s, 0.8, p)
-            assert 0.4 <= p.x <= 4.6
-            assert 0.4 <= p.y <= 4.6
+        for x, y in positions(ds):
+            assert target_margin_ok(s, 0.8, x, y)
+            assert 0.4 <= x <= 4.6
+            assert 0.4 <= y <= 4.6
 
     def test_invalid_sigma(self):
         for sigma in (-1.0, 0.0, math.nan, math.inf):
@@ -115,8 +115,8 @@ class TestResolutionSet:
         # rest of the batch
         s = fast_scenario()
         ds = gen_resolution_set(s, 0.8, 6, 123)
-        spec = RecordSpec(index=9, hyp=HYP_TARGET, sigma=0.8)
-        tensors, centers, seeds = _generate_block(s, [spec], 123)
+        tensors, centers, seeds = _generate_block(ds.manifest, 9, np.array([True]),
+                                                  np.full((1, 2), np.nan))
         assert np.array_equal(tensors[0], ds.tensors[9])
         assert np.array_equal(centers[0], ds.xy[9])
         assert seeds[0] == ds.seed[9] == record_seed(123, 9)
@@ -126,7 +126,8 @@ class TestBinnedSet:
     def test_bin_centers_match_oracle(self):
         s = fast_scenario()
         centers = valid_bin_centers(s, 0.8, 0.25)
-        assert [(c.x, c.y) for c in centers] == bin_center_oracle(s, 0.8, 0.25)
+        assert centers.shape[1:] == (2,)
+        assert [tuple(c) for c in centers.tolist()] == bin_center_oracle(s, 0.8, 0.25)
         assert len(centers) <= 400
 
     def test_single_bin_room(self):
@@ -135,24 +136,24 @@ class TestBinnedSet:
                                       "n_antennas": 4}],
                           beam_angles=[0.0])
         centers = valid_bin_centers(s, 0.8, 5.0)
-        assert [(c.x, c.y) for c in centers] == [(2.5, 2.5)]
+        assert centers.tolist() == [[2.5, 2.5]]
 
     def test_positions_are_exact_bin_centers(self):
         s = fast_scenario()
         ds = gen_binned_set(s, 0.8, 2, 1.0, 5)
         centers = valid_bin_centers(s, 0.8, 1.0)
-        for (x, y), b in zip(ds.xy[ds.target].tolist(), ds.bin[ds.target]):
-            assert (x, y) == (centers[b].x, centers[b].y)
+        for xy, b in zip(ds.xy[ds.target].tolist(), ds.bin[ds.target]):
+            assert xy == centers[b].tolist()
 
     def test_jitter_stays_in_bin(self):
         s = fast_scenario()
         ds = gen_binned_set(s, 0.4, 3, 1.0, 5, bin_jitter=True)
         centers = valid_bin_centers(s, 0.4, 1.0)
-        for p, b in zip(positions(ds), ds.bin[ds.target]):
-            c = centers[b]
-            assert abs(p.x - c.x) <= 0.5
-            assert abs(p.y - c.y) <= 0.5
-            assert target_margin_ok(s, 0.4, p)
+        for (x, y), b in zip(positions(ds), ds.bin[ds.target]):
+            cx, cy = centers[b]
+            assert abs(x - cx) <= 0.5
+            assert abs(y - cy) <= 0.5
+            assert target_margin_ok(s, 0.4, x, y)
 
     def test_class_balance(self):
         ds = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 5)
@@ -269,6 +270,15 @@ class TestWorkers:
         monkeypatch.setattr(dataset_mod, "BLOCK", 5)        # seven pool tasks
         parallel = gen_resolution_set(s, 0.8, 16, 5)
         assert_same_columns(serial, parallel)
+
+    def test_scenario_pickles_without_its_geometry(self):
+        # every pool task pickles the manifest's scenario; its cached geometry stays behind
+        s = fast_scenario()
+        size = len(pickle.dumps(s))
+        geo = s.geometry
+        assert len(pickle.dumps(s)) == size
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and np.array_equal(back.geometry.response, geo.response)
 
 
 class TestBlocks:

@@ -18,14 +18,7 @@ import pytest
 
 from csisense.channel import Scenario
 from csisense.cli import load_scenario
-from csisense.dataset import (
-    HYP_NULL,
-    HYP_TARGET,
-    RecordSpec,
-    _generate_block,
-    record_seed,
-    synthesize,
-)
+from csisense.dataset import DatasetManifest, _generate_block, record_seed, synthesize
 from csisense.geometry import Point2D
 from csisense.metrics import paired_drop
 
@@ -60,20 +53,20 @@ def _drop_cases():
 
 
 def _record_cases():
-    """(case, scenario, spec, master seed) of each generated dataset record."""
+    """(case, manifest, index, target, center) of each generated dataset record;
+    the manifest gives the scenario, sigma, master seed and jitter pitch."""
+    def manifest(scenario, seed, jitter_pitch=None):
+        return DatasetManifest(scenario=scenario, protocol="positioning", sigma=0.8,
+                               n_per_hyp=1, master_seed=seed, grid_pitch=jitter_pitch,
+                               bin_jitter=jitter_pitch is not None)
+
     s1 = _scenario("scenario1")
     s2 = _scenario("scenario2", snr_db=math.inf)
-    bin_center = Point2D(2.625, 1.375)
-    specs = [
-        RecordSpec(index=0, hyp=HYP_NULL, sigma=0.8),
-        RecordSpec(index=1, hyp=HYP_TARGET, sigma=0.8),
-        RecordSpec(index=2, hyp=HYP_TARGET, sigma=0.8, center=bin_center, bin_index=4),
-        RecordSpec(index=3, hyp=HYP_TARGET, sigma=0.8, center=bin_center, bin_index=4,
-                   bin_jitter_pitch=0.25),
-        RecordSpec(index=4, hyp=HYP_NULL, sigma=0.8, bin_index=4),
-    ]
-    return ([(f"gen1-{sp.index}", s1, sp, 21) for sp in specs]
-            + [(f"gen2-{sp.index}", s2, sp, 22) for sp in specs[:2]])
+    bin_center, drawn = (2.625, 1.375), (math.nan, math.nan)
+    records = [(0, False, drawn, None), (1, True, drawn, None), (2, True, bin_center, None),
+               (3, True, bin_center, 0.25), (4, False, drawn, None)]
+    return ([(f"gen1-{i}", manifest(s1, 21, pitch), i, t, c) for i, t, c, pitch in records]
+            + [(f"gen2-{i}", manifest(s2, 22), i, t, c) for i, t, c, _ in records[:2]])
 
 
 class _SeededGenerators:
@@ -102,11 +95,13 @@ def synthesize_cases(monkeypatch) -> dict[str, np.ndarray]:
         out[f"{case}.null"] = _matrix(null[0])
         out[f"{case}.alt"] = _matrix(alt[0])
         out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, index)].random())
-    for case, s, spec, seed in _record_cases():
-        tensors, centers, _ = _generate_block(s, [spec], seed)
+    for case, manifest, index, target, center in _record_cases():
+        tensors, centers, _ = _generate_block(manifest, index, np.array([target]),
+                                              np.array([center]))
         out[f"{case}.center"] = centers[0]
         out[f"{case}.tensor"] = tensors[0]
-        out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, spec.index)].random())
+        seed = record_seed(manifest.master_seed, index)
+        out[f"{case}.next"] = np.array(spy.by_seed[seed].random())
     return out
 
 

@@ -12,7 +12,6 @@ from csisense.channel import Scenario
 from csisense.dataset import synthesize
 from csisense.errors import LengthMismatch, MissingClass
 from csisense.frame import NormStats
-from csisense.geometry import Point2D
 from csisense.metrics import (
     ConfusionCounts,
     CoverageMap,
@@ -74,32 +73,32 @@ class TestAccuracyScore:
 
 class TestErrorSummary:
     def test_exact_estimates(self):
-        pts = [Point2D(1, 2), Point2D(3, 4)]
+        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
         s = error_summary(pts, pts)
         assert s.mean == 0.0 and s.p90 == 0.0
 
     def test_percentile_convention(self):
-        truths = [Point2D(0, 0)] * 10
-        ests = [Point2D(float(i + 1), 0) for i in range(10)]
+        truths = np.zeros((10, 2))
+        ests = np.array([[float(i + 1), 0.0] for i in range(10)])
         s = error_summary(ests, truths)
         assert s.p90 == pytest.approx(9.1, abs=1e-12)
         assert s.mean == pytest.approx(5.5, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            error_summary([Point2D(0, 0)], [])
+            error_summary(np.zeros((1, 2)), np.zeros((0, 2)))
 
     def test_layer_cake_equals_mean(self):
         rng = np.random.default_rng(0)
-        ests = [Point2D(*rng.uniform(0, 5, 2)) for _ in range(257)]
-        trus = [Point2D(*rng.uniform(0, 5, 2)) for _ in range(257)]
+        ests = np.array([rng.uniform(0, 5, 2) for _ in range(257)])
+        trus = np.array([rng.uniform(0, 5, 2) for _ in range(257)])
         s = error_summary(ests, trus)
         assert abs(layer_cake_mean(s) - s.mean) < 1e-9
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=60))
     def test_layer_cake_property(self, errs):
-        truths = [Point2D(0, 0)] * len(errs)
-        ests = [Point2D(e, 0) for e in errs]
+        truths = np.zeros((len(errs), 2))
+        ests = np.array([[e, 0.0] for e in errs])
         s = error_summary(ests, truths)
         assert abs(layer_cake_mean(s) - s.mean) < 1e-9
         assert np.all(np.diff(s.errors) >= 0)
@@ -122,8 +121,8 @@ class TestDrops:
         want = drop_positions(s, 0.4, 20, 3, banks)
         monkeypatch.setattr(dataset_mod, "BLOCK", block)
         for w, got in zip(want, drop_positions(s, 0.4, 20, 3, banks), strict=True):
-            assert (got.truths, got.estimates, got.degraded) == (
-                w.truths, w.estimates, w.degraded)
+            for name in ("truths", "estimates", "degraded"):
+                assert np.array_equal(getattr(got, name), getattr(w, name)), name
 
     def test_detection_counts_totals(self):
         s = tiny_scenario()
@@ -199,7 +198,7 @@ class TestWriters:
         assert rows[4].split() == ["128", "255"]
 
     def test_positioning_csv(self):
-        s = error_summary([Point2D(1, 0)], [Point2D(0, 0)])
+        s = error_summary(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
         buf = io.StringIO()
         write_positioning_csv(buf, s)
         assert buf.getvalue().splitlines() == ["drop,err", "0,1.0"]

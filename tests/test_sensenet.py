@@ -8,6 +8,9 @@ import pytest
 from csisense.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from csisense.frame import NormStats, compute_stats, normalize
 from csisense.sensenet import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     PARAM_FIELDS,
     Architecture,
     TrainConfig,
@@ -602,10 +605,10 @@ class TestGoldenTrunk:
         ref_arr, ref_m, ref_v = arr.copy(), m.copy(), v.copy()
         for t in range(1, 6):
             g = rng.standard_normal(arr.shape) * 10.0 ** rng.integers(-6, 2)
-            bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+            bc1, bc2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
             _adam_step(arr, g, m, v, cfg, bc1, bc2)
-            ref_m = cfg.beta1 * ref_m + (1 - cfg.beta1) * g
-            ref_v = cfg.beta2 * ref_v + (1 - cfg.beta2) * (g * g)
-            ref_arr -= cfg.learning_rate * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + cfg.epsilon)
+            ref_m = ADAM_BETA1 * ref_m + (1 - ADAM_BETA1) * g
+            ref_v = ADAM_BETA2 * ref_v + (1 - ADAM_BETA2) * (g * g)
+            ref_arr -= cfg.learning_rate * (ref_m / bc1) / (np.sqrt(ref_v / bc2) + ADAM_EPSILON)
             for got, ref in ((arr, ref_arr), (m, ref_m), (v, ref_v)):
                 assert got.tobytes() == ref.tobytes()
