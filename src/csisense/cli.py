@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric failure.
 All randomness flows from --seed; repeating a command with the same seed
 rewrites byte-identical artifacts.  CSISENSE_WORKERS, an integer >= 1, sets
 the generation worker pool (default 1).
+
+No command holds a dataset's frames all at once: `gen` writes each block of
+records as it is made and manifest.json last, `train` reads only its split's
+rows from frames.bin, and the evaluation commands score each block of drops
+as it is made.
 """
 
 from __future__ import annotations
@@ -99,20 +104,19 @@ def cmd_gen(args) -> int:
                 raise ConfigError(f"{flag} applies to the binned protocols, not resolution")
         n = args.n if args.n is not None else (
             dataset_mod.PAPER_SCALE_N if args.paper_scale else dataset_mod.DESK_SCALE_N)
-        ds = dataset_mod.gen_resolution_set(scenario, args.sigma, n, args.seed)
+        manifest = dataset_mod.gen_resolution_set(scenario, args.sigma, n, args.seed,
+                                                  out=args.out)
     else:
         n = args.n if args.n is not None else (
             dataset_mod.PAPER_SCALE_N_PER_BIN if args.paper_scale
             else dataset_mod.DESK_SCALE_N_PER_BIN)
-        ds = dataset_mod.gen_binned_set(
+        manifest = dataset_mod.gen_binned_set(
             scenario, args.sigma, n,
             dataset_mod.BIN_PITCH if args.pitch is None else args.pitch, args.seed,
-            protocol=args.protocol, bin_jitter=args.bin_jitter,
+            protocol=args.protocol, bin_jitter=args.bin_jitter, out=args.out,
         )
-    dataset_mod.save_dataset(args.out, ds)
-    n_null = int(np.count_nonzero(~ds.target))
-    print(f"wrote {len(ds)} records ({n_null} null, "
-          f"{len(ds) - n_null} target) to {args.out}")
+    print(f"wrote {manifest.count_null + manifest.count_target} records "
+          f"({manifest.count_null} null, {manifest.count_target} target) to {args.out}")
     return EXIT_OK
 
 
@@ -169,12 +173,13 @@ def fit(
         y = ds.target[idx].astype(float) if task == "detect" else ds.xy[idx]
         return ds.tensors[idx], y
 
+    # only the split's rows are read, each into one array normalized in place
     x_train, y_train = arrays(train_idx)
     stats = compute_stats(x_train)
-    x_train = normalize(x_train, stats)
+    normalize(x_train, stats, out=x_train)
     try:
         x_val, y_val = arrays(val_idx)
-        validation = (normalize(x_val, stats), y_val)
+        validation = (normalize(x_val, stats, out=x_val), y_val)
     except ConfigError:
         validation = None
     params, log = nn.train((x_train, y_train), config, validation)

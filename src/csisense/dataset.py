@@ -2,10 +2,11 @@
 
 Every record is a pure function of (master seed, record index): the record's
 own u64 seed is derived from that pair, so generation order and worker count
-never change the output.  In memory a dataset is columnar, one array per
-field with the record index as the row number; on disk it is a
-manifest.json, a frames.bin (fixed-size binary frame records) and a
-labels.csv.
+never change the output.  A dataset is columnar, one array per field with
+the record index as the row number; on disk it is a manifest.json, a
+frames.bin (fixed-size binary frame records) and a labels.csv.  Generation
+writes the records to disk a block at a time, and a loaded dataset's frames
+stay on disk until rows of them are read.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import csv
 import json
 import math
 import os
+from array import array
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .channel import Scenario, blocked_rays, capture, ray_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
-from .frame import FrameMeta, read_frames, to_tensor, write_frames
+from .frame import FrameFile, FrameMeta, to_tensor, write_frames
 
 HYP_NULL = "null"
 HYP_TARGET = "target"
@@ -103,12 +106,25 @@ class DatasetManifest:
         return m
 
 
+class Block(NamedTuple):
+    """Consecutive records of a dataset, one array per field."""
+
+    target: np.ndarray     # (n,) bool, True for target records
+    tensors: np.ndarray    # (n, rows, beams, 2) float64 frame tensors
+    xy: np.ndarray         # (n, 2) target centers, NaN on null rows
+    seed: np.ndarray       # (n,) uint64 record stream seeds
+
+
 @dataclass
 class Dataset:
-    """One array per field; row i is record i.  Every target has manifest.sigma."""
+    """One array per field; row i is record i.  Every target has manifest.sigma.
+
+    `tensors` is an array, or for a loaded dataset the FrameFile on disk,
+    indexed the same way: fit reads only its rows from it.
+    """
 
     manifest: DatasetManifest
-    tensors: np.ndarray    # (N, rows, beams, 2) float64 frame tensors
+    tensors: np.ndarray | FrameFile    # (N, rows, beams, 2) float64 frame tensors
     target: np.ndarray     # (N,) bool, True for target records
     xy: np.ndarray         # (N, 2) target centers, NaN on null rows
     seed: np.ndarray       # (N,) uint64 record stream seeds
@@ -116,6 +132,12 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.target)
+
+    def blocks(self) -> Iterator[Block]:
+        """The records in row order, BLOCK at a time."""
+        for lo in range(0, len(self), BLOCK):
+            rows = slice(lo, lo + BLOCK)
+            yield Block(self.target[rows], self.tensors[rows], self.xy[rows], self.seed[rows])
 
 
 def check_sigma(sigma: float, name: str = "sigma") -> None:
@@ -296,50 +318,72 @@ def _worker_count() -> int:
     return int(value)
 
 
-def _run_blocks(
-    manifest: DatasetManifest, target: np.ndarray, centers: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks of records in row order, yielded as they arrive so the caller can
-    store each; with CSISENSE_WORKERS > 1 each block is one pool task."""
-    starts = range(0, len(target), BLOCK)
-    blocks = (starts, [target[s:s + BLOCK] for s in starts],
-              [centers[s:s + BLOCK] for s in starts])
+def generate(manifest: DatasetManifest) -> Iterator[Block]:
+    """The records of the manifest's layout as blocks in row order, each made
+    when the previous one has been taken.  With CSISENSE_WORKERS > 1 each block
+    is one pool task and at most two tasks per worker are in flight.  The
+    layout and the worker count are checked before this returns."""
+    target, _, centers = record_layout(manifest)
+    tasks = [(manifest, lo, target[lo:lo + BLOCK], centers[lo:lo + BLOCK])
+             for lo in range(0, len(target), BLOCK)]
     workers = _worker_count()
-    if workers == 1 or len(starts) < 2:
-        yield from map(_generate_block, repeat(manifest), *blocks)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_generate_block, repeat(manifest), *blocks)
+    made = (_generate_block(*task) for task in tasks) if workers == 1 or len(tasks) < 2 \
+        else _pool_blocks(tasks, workers)
+    return (Block(task[2], *block) for task, block in zip(tasks, made))
 
 
-def _build(manifest: DatasetManifest) -> Dataset:
-    """Generate the records of the manifest's layout into columns."""
-    target, bins, centers = record_layout(manifest)
+def _pool_blocks(tasks: list[tuple], workers: int) -> Iterator[tuple]:
+    """_generate_block of each task in task order, at most 2 * workers in flight;
+    the tasks not yet started are cancelled when the caller stops early."""
+    pool = ProcessPoolExecutor(max_workers=workers)
+    pending = deque()
+    try:
+        for task in tasks:
+            pending.append(pool.submit(_generate_block, *task))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _build(manifest: DatasetManifest, out: str | Path | None) -> Dataset | DatasetManifest:
+    """The records of the manifest's layout, generated into columns in memory;
+    or, with `out`, written into that directory by save_dataset a block at a
+    time, returning the manifest written."""
+    if out is not None:
+        save_dataset(out, manifest)
+        return manifest
     sc = manifest.scenario
+    blocks = generate(manifest)
+    target, bins, _ = record_layout(manifest)
     n = len(target)
     tensors = np.empty((n, sc.n_links * sc.n_antennas, sc.n_beams, 2))
     xy = np.empty((n, 2))
     seed = np.empty(n, dtype=np.uint64)
     lo = 0
-    for block in _run_blocks(manifest, target, centers):
-        rows = slice(lo, lo + len(block[0]))
-        tensors[rows], xy[rows], seed[rows] = block
+    for block in blocks:
+        rows = slice(lo, lo + len(block.target))
+        tensors[rows], xy[rows], seed[rows] = block.tensors, block.xy, block.seed
         lo = rows.stop
     return Dataset(manifest=manifest, tensors=tensors, target=target, xy=xy, seed=seed,
                    bin=bins)
 
 
 def gen_resolution_set(
-    scenario: Scenario, sigma: float, n_per_hyp: int, master_seed: int
-) -> Dataset:
-    """n null + n target records, target centers uniform under the margin rule."""
+    scenario: Scenario, sigma: float, n_per_hyp: int, master_seed: int,
+    out: str | Path | None = None,
+) -> Dataset | DatasetManifest:
+    """n null + n target records, target centers uniform under the margin rule
+    (in memory, or written into `out`: see _build)."""
     check_sigma(sigma)
     if n_per_hyp < 1:
         raise ConfigError(f"n_per_hyp must be >= 1, got {n_per_hyp}")
     return _build(DatasetManifest(
         scenario=scenario, protocol="resolution", sigma=sigma, n_per_hyp=n_per_hyp,
         master_seed=master_seed, count_null=n_per_hyp, count_target=n_per_hyp,
-    ))
+    ), out)
 
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> np.ndarray:
@@ -360,8 +404,10 @@ def gen_binned_set(
     master_seed: int,
     protocol: str = "coverage",
     bin_jitter: bool = False,
-) -> Dataset:
-    """Per margin-valid bin: n target records at the bin center plus n null records."""
+    out: str | Path | None = None,
+) -> Dataset | DatasetManifest:
+    """Per margin-valid bin: n target records at the bin center plus n null
+    records (in memory, or written into `out`: see _build)."""
     check_sigma(sigma)
     if n_per_bin < 1:
         raise ConfigError(f"n_per_bin must be >= 1, got {n_per_bin}")
@@ -373,7 +419,7 @@ def gen_binned_set(
         scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n,
         master_seed=master_seed, grid_pitch=pitch, bin_jitter=bin_jitter,
         count_null=n, count_target=n,
-    ))
+    ), out)
 
 
 def split(
@@ -404,66 +450,117 @@ def _frame_meta(scenario: Scenario) -> FrameMeta:
     return FrameMeta(scenario.n_links, scenario.n_antennas, scenario.n_beams)
 
 
-def save_dataset(path: str | Path, dataset: Dataset) -> None:
-    """Write manifest.json, frames.bin and labels.csv into `path`."""
+def save_dataset(path: str | Path, dataset: Dataset | DatasetManifest) -> None:
+    """Write a dataset into the directory `path`: a Dataset, or a manifest whose
+    records are generated as they are written.
+
+    frames.bin and labels.csv are written a block at a time and manifest.json
+    last, each through a `.part` file renamed into place; an old manifest.json
+    is removed first, so a write that stops early leaves nothing loadable.
+    """
+    if isinstance(dataset, Dataset):
+        m, blocks = dataset.manifest, dataset.blocks()
+    else:
+        m, blocks = dataset, generate(dataset)
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    m = dataset.manifest
-    with open(out / "manifest.json", "w") as fp:
-        json.dump(m.to_dict(), fp, indent=2, sort_keys=True)
-        fp.write("\n")
-    write_frames(out / "frames.bin", dataset.tensors, _frame_meta(m.scenario))
-    sigma = repr(float(m.sigma))
-    with open(out / "labels.csv", "w", newline="") as fc:
-        w = csv.writer(fc)
-        w.writerow(LABEL_COLUMNS)
-        for i, (is_target, (x, y), seed) in enumerate(
-                zip(dataset.target, dataset.xy.tolist(), dataset.seed.tolist())):
-            if is_target:
-                w.writerow([i, HYP_TARGET, repr(x), repr(y), sigma, seed])
-            else:
-                w.writerow([i, HYP_NULL, "", "", "", seed])
+    (out / "manifest.json").unlink(missing_ok=True)
+    part = {name: out / f"{name}.part" for name in ("frames.bin", "labels.csv", "manifest.json")}
+    meta, sigma, i = _frame_meta(m.scenario), repr(float(m.sigma)), 0
+    try:
+        with open(part["frames.bin"], "wb") as ff, \
+                open(part["labels.csv"], "w", newline="") as fc:
+            w = csv.writer(fc)
+            w.writerow(LABEL_COLUMNS)
+            for block in blocks:
+                write_frames(ff, block.tensors, meta)
+                for is_target, (x, y), seed in zip(block.target.tolist(), block.xy.tolist(),
+                                                   block.seed.tolist()):
+                    w.writerow([i, HYP_TARGET, repr(x), repr(y), sigma, seed] if is_target
+                               else [i, HYP_NULL, "", "", "", seed])
+                    i += 1
+        with open(part["manifest.json"], "w") as fp:
+            json.dump(m.to_dict(), fp, indent=2, sort_keys=True)
+            fp.write("\n")
+    except BaseException:
+        for temp in part.values():
+            temp.unlink(missing_ok=True)
+        raise
+    for name, temp in part.items():
+        os.replace(temp, out / name)
 
 
-def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(target, xy, seed) columns of a labels.csv whose index is the row number."""
-    target, xy, seed = [], [], []
+def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(target, xy, sigma, seed) columns of a labels.csv whose index is the row
+    number; xy and sigma are NaN on null rows."""
+    target, values, seed = bytearray(), array("d"), array("Q")
     with open(path, newline="") as fc:
         rows = csv.reader(fc)
         if next(rows, None) != LABEL_COLUMNS:
             raise ConfigError(f"{path}: header is not {','.join(LABEL_COLUMNS)}")
         for i, row in enumerate(rows):
             try:
-                index, hyp, x, y, _, s = row
+                index, hyp, x, y, sigma, s = row
                 if index != str(i):
                     raise ValueError(f"index {index!r} is not the row number")
                 if hyp not in (HYP_NULL, HYP_TARGET):
                     raise ValueError(f"hyp {hyp!r}")
                 target.append(hyp == HYP_TARGET)
-                point = (float(x), float(y)) if target[-1] else (math.nan, math.nan)
+                point = (float(x), float(y), float(sigma)) if target[-1] else (math.nan,) * 3
                 if target[-1] and not all(map(math.isfinite, point)):
-                    raise ValueError(f"non-finite point {point}")
-                xy.append(point)
-                seed.append(np.uint64(int(s)))
+                    raise ValueError(f"non-finite point or sigma {point}")
+                values.extend(point)
+                seed.append(int(s))
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}: row {i}: {exc}") from exc
-    return (np.array(target, dtype=bool), np.array(xy, dtype=float).reshape(-1, 2),
-            np.array(seed, dtype=np.uint64))
+    values = np.frombuffer(values, dtype=float).reshape(-1, 3)
+    return (np.frombuffer(target, dtype=bool), values[:, :2], values[:, 2],
+            np.frombuffer(seed, dtype=np.uint64))
+
+
+def _check_targets(path: Path, manifest: DatasetManifest, target: np.ndarray,
+                   xy: np.ndarray, sigma: np.ndarray, centers: np.ndarray) -> None:
+    """Target rows carry the manifest's sigma, and a binned set's targets sit
+    at their bin's center, or inside the bin when jittered."""
+    rows = np.flatnonzero(target)
+    if manifest.protocol != "resolution":
+        off = np.abs(xy[rows] - centers[rows])
+        if manifest.bin_jitter:    # 1e-9: the rounding of a uniform draw at the bin's edge
+            bad, where = np.any(off > manifest.grid_pitch / 2.0 * (1 + 1e-9), axis=1), "outside"
+        else:
+            bad, where = np.any(off != 0.0, axis=1), "off"
+        if bad.any():
+            i = rows[np.argmax(bad)]
+            raise ConfigError(f"{path}: row {i}: target at {tuple(xy[i].tolist())} is "
+                              f"{where} the bin centred at {tuple(centers[i].tolist())}")
+    bad = sigma[rows] != manifest.sigma
+    if bad.any():
+        i = rows[np.argmax(bad)]
+        raise ConfigError(f"{path}: row {i}: sigma {float(sigma[i])!r}, manifest.json has "
+                          f"{manifest.sigma!r}")
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    """Read a dataset directory.  Its labels must follow the record layout of
-    its manifest, from which the bin indices are rebuilt."""
+    """Open a dataset directory: read its manifest and labels, and check its
+    frames.bin in chunks without holding it; the frames are read when rows of
+    `tensors` are.  The labels must follow the record layout of the manifest,
+    from which the bin indices are rebuilt."""
     src = Path(path)
-    with open(src / "manifest.json") as fp:
-        manifest = DatasetManifest.from_dict(json.load(fp), str(src / "manifest.json"))
-    target, xy, seed = _read_labels(src / "labels.csv")
-    tensors = read_frames(src / "frames.bin", _frame_meta(manifest.scenario))
-    if len(tensors) != len(target):
-        raise ConfigError(f"{src}: frames.bin holds {len(tensors)} records, "
+    try:
+        with open(src / "manifest.json") as fp:
+            manifest = DatasetManifest.from_dict(json.load(fp), str(src / "manifest.json"))
+    except FileNotFoundError:
+        if not src.is_dir():
+            raise
+        raise ConfigError(f"{src}: no manifest.json: not a dataset, or its writing "
+                          f"did not finish") from None
+    target, xy, sigma, seed = _read_labels(src / "labels.csv")
+    frames = FrameFile(src / "frames.bin", _frame_meta(manifest.scenario))
+    if len(frames) != len(target):
+        raise ConfigError(f"{src}: frames.bin holds {len(frames)} records, "
                           f"labels.csv {len(target)}")
     try:
-        layout, bins, _ = record_layout(manifest)
+        layout, bins, centers = record_layout(manifest)
     except (ConfigError, InvalidPitch) as exc:
         raise ConfigError(f"{src / 'manifest.json'}: {exc}") from exc
     if len(target) != len(layout):
@@ -476,5 +573,6 @@ def load_dataset(path: str | Path) -> Dataset:
                           f"{HYP_TARGET if target[i] else HYP_NULL}, the {manifest.protocol} "
                           f"layout of manifest.json has {HYP_TARGET if layout[i] else HYP_NULL} "
                           f"there")
-    return Dataset(manifest=manifest, tensors=tensors, target=target, xy=xy, seed=seed,
+    _check_targets(src / "labels.csv", manifest, target, xy, sigma, centers)
+    return Dataset(manifest=manifest, tensors=frames, target=target, xy=xy, seed=seed,
                    bin=bins)

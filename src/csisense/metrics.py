@@ -16,7 +16,7 @@ import numpy as np
 from .baseline import BeamBank, estimate_positions
 from .channel import Scenario
 from .dataset import Draws, draw, in_blocks, record_seed, synthesize, valid_bin_centers
-from .errors import ConfigError, InvalidPitch, LengthMismatch, MissingClass
+from .errors import InvalidPitch, LengthMismatch, MissingClass
 from .geometry import Point2D, elementwise
 from .sensenet import TrainedModel
 
@@ -81,10 +81,11 @@ def _decisions(
     keys: Iterable[tuple[int, int, Point2D | None]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """The detector's target decisions on the null and target frames of paired drops."""
-    null_hits, alt_hits = [], []
+    null_hits, alt_hits, lo = [], [], 0
     for null, alt, _ in _paired_blocks(scenario, sigma, keys):
-        null_hits.append(model.predict(null) >= model.threshold)
-        alt_hits.append(model.predict(alt) >= model.threshold)
+        null_hits.append(model.predict(null, lo) >= model.threshold)
+        alt_hits.append(model.predict(alt, lo) >= model.threshold)
+        lo += len(alt)
     return np.concatenate(null_hits), np.concatenate(alt_hits)
 
 
@@ -229,12 +230,14 @@ def drop_positions(
 
     Single-receiver scenarios and all-parallel bearing draws fall back to the
     midpoint of receiver 0's bearing segment inside the room, marked degraded.
-    CNN estimates are clamped to the room; a non-finite one raises ConfigError.
+    CNN estimates are clamped to the room (a non-finite one raises ConfigError
+    in TrainedModel.predict, before the clamp).
     Drops are made, scored and triangulated one block at a time.
     """
     truths, net = [], []
     per_bank = [([], []) for _ in banks]
     keys = ((master_seed, i, None) for i in range(n_drops))
+    lo = 0
     for null, alt, centers in _paired_blocks(scenario, sigma, keys):
         truths.append(centers)
         for bank, (estimates, degraded) in zip(banks, per_bank):
@@ -242,18 +245,15 @@ def drop_positions(
             estimates.append(xy)
             degraded.append(flags)
         if model is not None:
-            net.append(np.minimum(np.maximum(model.predict(alt), 0.0), scenario.room_side))
+            net.append(np.minimum(np.maximum(model.predict(alt, lo), 0.0), scenario.room_side))
+        lo += len(alt)
 
     truths = np.concatenate(truths)
     results = [PositioningResult(truths, np.concatenate(estimates), bank.variant,
                                  np.concatenate(degraded))
                for bank, (estimates, degraded) in zip(banks, per_bank)]
     if model is not None:
-        net = np.concatenate(net)
-        finite = np.isfinite(net).all(axis=1)
-        if not finite.all():
-            raise ConfigError(f"csisensenet estimate of drop {np.argmin(finite)} is not finite")
-        results.append(PositioningResult(truths, net, "csisensenet",
+        results.append(PositioningResult(truths, np.concatenate(net), "csisensenet",
                                          np.zeros(n_drops, dtype=bool)))
     return results
 

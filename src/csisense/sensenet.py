@@ -427,12 +427,21 @@ class TrainedModel:
     def task(self) -> str:
         return self.params.task
 
-    def predict(self, tensors: np.ndarray) -> np.ndarray:
-        """Raw frame tensors to detection probabilities (N,) or positions (N, 2)."""
+    def predict(self, tensors: np.ndarray, start: int = 0) -> np.ndarray:
+        """Raw frame tensors of drops start, start+1, ... to detection
+        probabilities (N,) or positions (N, 2); a non-finite output raises
+        ConfigError naming its drop."""
         head = detect_batch if self.task == "detect" else locate_batch
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
-        return np.concatenate([head(self.params, x[lo:lo + INFER_CHUNK])
-                               for lo in range(0, len(x), INFER_CHUNK)])
+        with np.errstate(all="ignore"):    # overflow shows as the check below
+            out = np.concatenate([head(self.params, x[lo:lo + INFER_CHUNK])
+                                  for lo in range(0, len(x), INFER_CHUNK)])
+        finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
+        if not finite.all():
+            what = "probability" if self.task == "detect" else "estimate"
+            raise ConfigError(f"csisensenet {what} of drop {start + np.argmin(finite)} "
+                              f"is not finite")
+        return out
 
 
 def save_model(path: str | Path, model: TrainedModel) -> None:

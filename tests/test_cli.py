@@ -437,6 +437,30 @@ class TestBadFlags:
         assert_one_line_error(capsys, "csisensenet estimate of drop 0 is not finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,task,what", [
+        ("eval", "detect", "probability"), ("coverage", "detect", "probability"),
+        ("eval", "locate", "estimate"), ("baseline", "locate", "estimate"),
+    ])
+    def test_overflowing_model_exits_2_without_warnings(self, tmp_path, scenario_file, capsys,
+                                                        command, task, what):
+        # dense and head weights of +-1e308: the head sums +inf and -inf, so every
+        # output is NaN; numpy's overflow warnings would be errors under pytest.ini
+        params = init_params(Architecture(input_shape=(8, 3, 2)), 0, task)
+        params.dense_w[1::2] = 1e308
+        params.dense_w[::2] = -1e308
+        params.dense_b[:] = 1e3
+        params.head_w[:] = 1e308
+        params.head_w[1::2] *= -1
+        path = tmp_path / "nan.csnn"
+        save_model(path, TrainedModel(params, NormStats((0.0, 0.0), (1.0, 1.0))))
+        argv = [command, "--model", str(path), "--scenario", scenario_file, "--sigma", "0.4",
+                "--out", str(tmp_path / "out")]
+        argv += ["--pitch", "1.0", "--drops-per-bin", "2"] if command == "coverage" \
+            else ["--drops", "3"]
+        assert main(argv) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"csisensenet {what} of drop 0 is not finite")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_drops_exits_2_for_positioning_eval(self, tmp_path, scenario_file, capsys):
         loc = untrained_model(tmp_path / "loc.csnn", "locate")
         rc = main(["eval", "--model", loc, "--scenario", scenario_file, "--drops", "0",
@@ -618,6 +642,48 @@ class TestBadDataset:
         labels.write_text("".join(lines[:-2]))
         return labels, f"{len(lines) - 3} rows, the positioning layout of manifest.json " \
                         f"has {len(lines) - 1}"
+
+    @pytest.mark.parametrize("protocol,old,new,message", [
+        ("coverage", ",0.5,0.5,0.8,", ",4.9,0.5,9.9,",
+         "row 0: target at (4.9, 0.5) is off the bin centred at (0.5, 0.5)"),
+        ("coverage", ",0.5,0.5,0.8,", ",0.5,0.5,0.9,", "row 0: sigma 0.9, manifest.json has 0.8"),
+        ("resolution", None, None, "sigma 0.7, manifest.json has 0.8"),
+    ])
+    def test_target_label_off_the_manifest_exits_2(self, tmp_path, capsys, protocol, old, new,
+                                                   message):
+        # a moved or resized target used to be trained on as written
+        out = tmp_path / "ds"
+        argv = ["gen", "--protocol", protocol, "--n", "2", "--out", str(out)]
+        assert main(argv + (["--pitch", "1.0"] if protocol == "coverage" else [])) == 0
+        labels = out / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        if old is None:    # the last row is a target of the resolution layout
+            old, new = ",0.8,", ",0.7,"
+            lines[-1] = lines[-1].replace(old, new)
+        else:
+            assert old in lines[1]
+            lines[1] = lines[1].replace(old, new)
+        labels.write_text("".join(lines))
+        assert main(["train", "--data", str(out), "--task", "locate", "--epochs", "1",
+                     "--out", str(tmp_path / "m.csnn")]) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{labels}: ", message)
+        assert not (tmp_path / "m.csnn").exists()
+
+    def test_jittered_target_outside_its_bin_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["gen", "--protocol", "positioning", "--pitch", "1.0", "--n", "2",
+                     "--bin-jitter", "--out", str(out)]) == 0
+        labels = out / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        assert abs(float(fields[2]) - 0.5) <= 0.5
+        fields[2] = "1.0000001"          # just past the edge of the bin at x 0..1
+        lines[1] = ",".join(fields)
+        labels.write_text("".join(lines))
+        assert main(["train", "--data", str(out), "--task", "locate", "--epochs", "1",
+                     "--out", str(tmp_path / "m.csnn")]) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{labels}: row 0: target at (1.0000001, ",
+                              "is outside the bin centred at (0.5, 0.5)")
 
     @pytest.mark.parametrize("change", [edit_manifest_n_per_hyp, relabel_first_target_null,
                                         drop_last_two_records],

@@ -1,18 +1,25 @@
 import dataclasses
 import math
 import pickle
+import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from csisense import dataset as dataset_mod
+from csisense import frame as frame_mod
 from csisense.channel import Scenario
+from csisense.cli import EXIT_CONFIG, EXIT_IO, main
 from csisense.dataset import (
     HYP_NULL,
     HYP_TARGET,
+    Block,
+    DatasetManifest,
     _generate_block,
     draw,
+    generate,
     gen_binned_set,
     gen_resolution_set,
     load_dataset,
@@ -271,6 +278,29 @@ class TestWorkers:
         parallel = gen_resolution_set(s, 0.8, 16, 5)
         assert_same_columns(serial, parallel)
 
+    def test_pool_keeps_two_blocks_per_worker_in_flight(self, monkeypatch):
+        submitted = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args[1])
+                return super().submit(fn, *args)
+
+        manifest = gen_resolution_set(fast_scenario(), 0.8, 20, 5).manifest    # 40 records
+        serial = list(generate(manifest))
+        monkeypatch.setattr(dataset_mod, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(dataset_mod, "BLOCK", 4)                     # ten tasks
+        monkeypatch.setenv("CSISENSE_WORKERS", "3")
+        got = []
+        for block in generate(manifest):
+            got.append(block)
+            assert len(submitted) <= len(got) + 2 * 3 - 1
+        assert submitted == list(range(0, 40, 4))
+        for name in Block._fields:
+            assert np.array_equal(np.concatenate([getattr(b, name) for b in serial]),
+                                  np.concatenate([getattr(b, name) for b in got]),
+                                  equal_nan=True), name
+
     def test_scenario_pickles_without_its_geometry(self):
         # every pool task pickles the manifest's scenario; its cached geometry stays behind
         s = fast_scenario()
@@ -319,3 +349,72 @@ class TestSampling:
     def test_record_seed_stable(self):
         assert record_seed(5, 7) == record_seed(5, 7)
         assert record_seed(5, 7) != record_seed(5, 8)
+
+
+class TestMemory:
+    """gen and train hold a bounded part of a dataset's frames (tracemalloc
+    counts every numpy allocation; the mapped rows of a training split it does not)."""
+
+    @staticmethod
+    def traced_peak(argv) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_gen_holds_a_few_blocks(self, tmp_path, monkeypatch, capsys, workers):
+        monkeypatch.setenv("CSISENSE_WORKERS", workers)
+        gen = ["gen", "--scenario", "scenario1", "--n", "1100", "--out", str(tmp_path / "ds")]
+        assert main(gen[:4] + ["1"] + gen[5:]) == 0           # link geometry and imports
+        peak = self.traced_peak(gen)
+        record = 12 + 24 * 7 * 2 * 8                           # a scenario1 frame record
+        assert (tmp_path / "ds" / "frames.bin").stat().st_size == 2200 * record
+        # the 2,200 records are 34 blocks; one block's synthesis takes about 12
+        assert peak < 16 * dataset_mod.BLOCK * record
+
+    def test_train_never_holds_the_whole_frames_file(self, tmp_path, monkeypatch, capsys):
+        # random frames in a valid positioning layout: loading checks them, and
+        # training reads only its rows, in chunks smaller than the file
+        monkeypatch.setattr(frame_mod, "CHUNK_BYTES", 64 << 10)
+        s = fast_scenario()
+        n = 300 * len(valid_bin_centers(s, 0.8, 1.0))
+        manifest = DatasetManifest(s, "positioning", 0.8, n, 3, grid_pitch=1.0, count_null=n,
+                                   count_target=n)
+        target, bins, centers = record_layout(manifest)
+        tensors = np.random.default_rng(0).standard_normal((len(target), 4, 3, 2))
+        seeds = np.arange(len(target), dtype=np.uint64)
+        save_dataset(tmp_path / "ds", dataset_mod.Dataset(manifest, tensors, target, centers,
+                                                          seeds, bins))
+        del tensors
+        frames = (tmp_path / "ds" / "frames.bin").stat().st_size
+        assert frames > 2 << 20
+        peak = self.traced_peak(["train", "--data", str(tmp_path / "ds"), "--task", "locate",
+                                 "--epochs", "1", "--out", str(tmp_path / "m.csnn")])
+        assert peak < frames
+
+    def test_interrupted_gen_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "ds"
+        gen = ["gen", "--scenario", "scenario1", "--n", "100", "--out", str(out)]
+        assert main(gen) == 0        # a complete dataset, then an interrupted rewrite of it
+        made = []
+
+        def failing_block(*args):
+            if made:
+                raise OSError("No space left on device")
+            made.append(args[1])
+            return real_block(*args)
+
+        real_block = dataset_mod._generate_block
+        monkeypatch.setattr(dataset_mod, "_generate_block", failing_block)
+        assert main(gen) == EXIT_IO
+        assert made == [0]
+        assert sorted(p.name for p in out.iterdir()) == ["frames.bin", "labels.csv"]
+        capsys.readouterr()
+        assert main(["train", "--data", str(out), "--epochs", "1",
+                     "--out", str(tmp_path / "m.csnn")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: no manifest.json: not a dataset, or its writing did " \
+                      f"not finish\n"

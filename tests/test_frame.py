@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from csisense import frame as frame_mod
 from csisense.errors import ShapeMismatch
 from csisense.frame import (
+    FrameFile,
     FrameMeta,
     NormStats,
     compute_stats,
@@ -100,6 +102,68 @@ class TestNormalize:
         stats = compute_stats([t])
         reloaded = NormStats(mean=tuple(stats.mean), std=tuple(stats.std))
         assert np.array_equal(normalize(t, stats), normalize(t, reloaded))
+
+
+class TestChunkedStats:
+    """compute_stats gives numpy's whole-array mean and std bit for bit,
+    whatever the chunk size."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 2), (3, 4, 3, 2), (777, 8, 3, 2),
+                                       (1792, 24, 7, 2)])
+    @pytest.mark.parametrize("chunk_bytes", [1, 1000, 1 << 20])
+    def test_matches_numpy(self, monkeypatch, shape, chunk_bytes):
+        monkeypatch.setattr(frame_mod, "CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1e-6, 1.0, 1e3):
+            x = rng.standard_normal(shape) * scale + rng.uniform(-1, 1) * scale
+            stats = compute_stats(x)
+            assert stats.mean == tuple(x.mean(axis=(0, 1, 2)).tolist())
+            assert stats.std == tuple(x.std(axis=(0, 1, 2)).tolist())
+
+    def test_in_place_normalize_matches(self):
+        x = np.random.default_rng(4).standard_normal((9, 6, 5, 2)) * 3 + 1
+        stats = compute_stats(x)
+        want = normalize(x, stats)
+        assert normalize(x, stats, out=x) is x
+        assert np.array_equal(x, want)
+
+
+class TestFrameFile:
+    @pytest.fixture
+    def frames(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(frame_mod, "CHUNK_BYTES", 3 * record_dtype(FrameMeta(1, 3, 2)).itemsize)
+        tensors = np.random.default_rng(6).standard_normal((11, 3, 2, 2))
+        write_frames(tmp_path / "f.bin", tensors, FrameMeta(1, 3, 2))
+        return tensors, FrameFile(tmp_path / "f.bin", FrameMeta(1, 3, 2))
+
+    def test_shape_and_whole_read(self, frames):
+        tensors, file = frames
+        assert len(file) == 11 and file.shape == (11, 3, 2, 2)
+        assert np.array_equal(np.asarray(file), tensors)
+
+    @pytest.mark.parametrize("rows", [slice(2, 9), slice(None, None, 4), slice(5, 5),
+                                      np.array([10, 0, 3, 3, 7]), np.array([], dtype=int),
+                                      np.array([-1, 2])])
+    def test_rows_in_the_order_asked(self, frames, rows):
+        tensors, file = frames
+        assert np.array_equal(file[rows], tensors[rows])
+
+    def test_bad_record_in_a_later_chunk_is_named(self, frames):
+        _, file = frames
+        raw = bytearray(file.path.read_bytes())
+        raw[7 * file.dtype.itemsize + 4] = 9      # record 7's version, in the third chunk
+        file.path.write_bytes(bytes(raw))
+        with pytest.raises(ShapeMismatch, match="record 7 has version 9, expected 1"):
+            FrameFile(file.path, FrameMeta(1, 3, 2))
+
+    def test_appended_blocks_read_back_as_one_file(self, tmp_path):
+        meta = FrameMeta(1, 3, 2)
+        tensors = np.random.default_rng(7).standard_normal((7, 3, 2, 2))
+        with open(tmp_path / "f.bin", "wb") as fp:
+            for lo in range(0, 7, 3):
+                write_frames(fp, tensors[lo:lo + 3], meta)
+        write_frames(tmp_path / "g.bin", tensors, meta)
+        assert (tmp_path / "f.bin").read_bytes() == (tmp_path / "g.bin").read_bytes()
 
 
 class TestSerialization:
