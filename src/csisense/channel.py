@@ -27,6 +27,11 @@ from .geometry import Point2D, elementwise, segments_blocked, wrap_angle, wrap_a
 # Config keys that may only be true: omni transmitter, narrowband captures.
 FIXED_TRUE_KEYS = ("tx_omni", "narrowband")
 
+# Config keys whose JSON type is checked: a float or a bool would be truncated
+# or taken for its truth value.
+TYPED_KEYS = {"n_clusters": int, "n_rays": int, "n_scatter": int, "env_seed": int,
+              "include_los": bool}
+
 # Table-style 7-beam sweep spanning [-pi/2, pi/2].
 DEFAULT_BEAM_ANGLES = (
     -math.pi / 2,
@@ -95,8 +100,7 @@ class Scenario:
         counts = {rx.n_antennas for rx in self.receivers}
         if len(counts) != 1:
             raise ConfigError(f"receivers must share an antenna count, got {sorted(counts)}")
-        if self.grid_pitch <= 0:
-            raise InvalidPitch(f"grid pitch must be > 0, got {self.grid_pitch}")
+        tiles_per_side(self.room_side, self.grid_pitch)     # a bounded tiling of the room
         if self.n_clusters < 1 or self.n_rays < 1 or self.n_scatter < 0:
             raise ConfigError("need n_clusters >= 1, n_rays >= 1, n_scatter >= 0")
         if list(self.beam_angles) != sorted(self.beam_angles):
@@ -167,6 +171,8 @@ class Scenario:
 
     @staticmethod
     def from_dict(cfg: dict) -> "Scenario":
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"scenario config must be a JSON object, got {type(cfg).__name__}")
         known = {
             "name", "room_side", "tx", "receivers", "beam_angles", "n_clusters",
             "n_rays", "n_scatter", "cluster_spread_deg", "grid_pitch", "include_los",
@@ -182,12 +188,15 @@ class Scenario:
         missing = {"name", "tx", "receivers"} - set(cfg)
         if missing:
             raise ConfigError(f"scenario config missing keys: {sorted(missing)}")
+        for key, kind in TYPED_KEYS.items():
+            if key in cfg:
+                check_json_type(key, cfg[key], kind)
         try:
             receivers = tuple(
                 Receiver(
                     position=Point2D(*[float(v) for v in r["position"]]),
                     boresight=float(r["boresight"]),
-                    n_antennas=int(r.get("n_antennas", 8)),
+                    n_antennas=check_json_type("n_antennas", r.get("n_antennas", 8), int),
                 )
                 for r in cfg["receivers"]
             )
@@ -208,6 +217,14 @@ class Scenario:
             raise ConfigError(f"malformed scenario config: {exc}") from exc
 
 
+def check_json_type(name: str, value, kind: type):
+    """`value` when its type is exactly `kind`: a JSON boolean is no integer here."""
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, "
+                          f"got {value!r}")
+    return value
+
+
 def array_response(theta: float, n_antennas: int) -> np.ndarray:
     """ULA response at half-wavelength spacing: element k is exp(j*pi*k*sin(theta))."""
     if n_antennas < 1:
@@ -226,13 +243,30 @@ def beam_gain(aoa: float | np.ndarray, beam_angle: float, n_antennas: int) -> fl
     return float(g[0]) if np.isscalar(aoa) else g
 
 
+# The finest tiling of a room: 512 x 512 = 262,144 cells (a 1 cm pitch tiles a
+# 5 m room into 500 x 500).  Its cell centers take 4 MB as float64 pairs; at
+# that size, in scenario1, filtering the margin-valid bin centers peaks at
+# 40 MB and a coverage map's per-bin keys add 66 MB (tracemalloc), where a
+# pitch of 1e-300 asked for more memory than any machine has.
+MAX_TILES_PER_SIDE = 512
+
+
+def tiles_per_side(room_side: float, pitch: float) -> int:
+    """Whole pitch x pitch cells along a side of the room, up to a rounding of
+    1e-9: the one tiling of the scatter grid, dataset bins and coverage maps."""
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise InvalidPitch(f"pitch must be finite and > 0, got {pitch}")
+    n = room_side / pitch + 1e-9
+    if not n < MAX_TILES_PER_SIDE + 1:
+        raise InvalidPitch(f"pitch {pitch} tiles the {room_side} m room into more than "
+                           f"{MAX_TILES_PER_SIDE} x {MAX_TILES_PER_SIDE} cells")
+    return math.floor(n)
+
+
 @lru_cache(maxsize=32)
-def _grid_points(room_side: float, pitch: float) -> np.ndarray:
-    """Cell centers of the scatter grid as an (n*n, 2) array."""
-    n = int(math.floor(room_side / pitch + 1e-9))
-    if n < 1:
-        raise EmptyGrid(f"pitch {pitch} m leaves no grid cell in a {room_side} m room")
-    coords = (np.arange(n) + 0.5) * pitch
+def grid_points(room_side: float, pitch: float) -> np.ndarray:
+    """Cell centers of the pitch x pitch tiling as an (n*n, 2) array, x-major."""
+    coords = (np.arange(tiles_per_side(room_side, pitch)) + 0.5) * pitch
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     pts.setflags(write=False)  # cached and shared between callers
@@ -285,7 +319,7 @@ def quantize_ray(
     exact departure angle, the receiver-local arrival angle of the bounce,
     and the scatter point itself.
     """
-    pts = _grid_points(room_side, grid_pitch)
+    pts = grid_points(room_side, grid_pitch)
     dx = pts[:, 0] - tx.x
     dy = pts[:, 1] - tx.y
     dist = np.hypot(dx, dy)
@@ -339,7 +373,7 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
     """
     tx = scenario.tx
     span = room_angular_span(tx, scenario.room_side)
-    pts = _grid_points(scenario.room_side, scenario.grid_pitch)
+    pts = grid_points(scenario.room_side, scenario.grid_pitch)
     bearings = np.arctan2(pts[:, 1] - tx.y, pts[:, 0] - tx.x)
     if not any(_angle_in_span(float(b), span) for b in bearings):
         raise EmptyGrid("no grid point inside the transmitter's angular span")

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Scenario, blocked_rays, capture, ray_gains, target_echo
+from .channel import Scenario, blocked_rays, capture, grid_points, ray_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
 
@@ -117,14 +117,12 @@ class Block(NamedTuple):
 
 @dataclass
 class Dataset:
-    """One array per field; row i is record i.  Every target has manifest.sigma.
-
-    `tensors` is an array, or for a loaded dataset the FrameFile on disk,
-    indexed the same way: fit reads only its rows from it.
-    """
+    """A dataset directory opened by load_dataset: one array per field, row i
+    is record i, and every target has manifest.sigma.  The frames stay on disk
+    in `tensors`, indexed like an array: fit reads only its rows from it."""
 
     manifest: DatasetManifest
-    tensors: np.ndarray | FrameFile    # (N, rows, beams, 2) float64 frame tensors
+    tensors: FrameFile     # (N, rows, beams, 2) float64 frame tensors
     target: np.ndarray     # (N,) bool, True for target records
     xy: np.ndarray         # (N, 2) target centers, NaN on null rows
     seed: np.ndarray       # (N,) uint64 record stream seeds
@@ -132,12 +130,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.target)
-
-    def blocks(self) -> Iterator[Block]:
-        """The records in row order, BLOCK at a time."""
-        for lo in range(0, len(self), BLOCK):
-            rows = slice(lo, lo + BLOCK)
-            yield Block(self.target[rows], self.tensors[rows], self.xy[rows], self.seed[rows])
 
 
 def check_sigma(sigma: float, name: str = "sigma") -> None:
@@ -348,52 +340,26 @@ def _pool_blocks(tasks: list[tuple], workers: int) -> Iterator[tuple]:
         pool.shutdown(cancel_futures=True)
 
 
-def _build(manifest: DatasetManifest, out: str | Path | None) -> Dataset | DatasetManifest:
-    """The records of the manifest's layout, generated into columns in memory;
-    or, with `out`, written into that directory by save_dataset a block at a
-    time, returning the manifest written."""
-    if out is not None:
-        save_dataset(out, manifest)
-        return manifest
-    sc = manifest.scenario
-    blocks = generate(manifest)
-    target, bins, _ = record_layout(manifest)
-    n = len(target)
-    tensors = np.empty((n, sc.n_links * sc.n_antennas, sc.n_beams, 2))
-    xy = np.empty((n, 2))
-    seed = np.empty(n, dtype=np.uint64)
-    lo = 0
-    for block in blocks:
-        rows = slice(lo, lo + len(block.target))
-        tensors[rows], xy[rows], seed[rows] = block.tensors, block.xy, block.seed
-        lo = rows.stop
-    return Dataset(manifest=manifest, tensors=tensors, target=target, xy=xy, seed=seed,
-                   bin=bins)
-
-
 def gen_resolution_set(
-    scenario: Scenario, sigma: float, n_per_hyp: int, master_seed: int,
-    out: str | Path | None = None,
-) -> Dataset | DatasetManifest:
-    """n null + n target records, target centers uniform under the margin rule
-    (in memory, or written into `out`: see _build)."""
+    scenario: Scenario, sigma: float, n_per_hyp: int, master_seed: int, out: str | Path,
+) -> DatasetManifest:
+    """Write n null + n target records, target centers uniform under the margin
+    rule, into the directory `out`; returns the manifest written."""
     check_sigma(sigma)
     if n_per_hyp < 1:
         raise ConfigError(f"n_per_hyp must be >= 1, got {n_per_hyp}")
-    return _build(DatasetManifest(
+    manifest = DatasetManifest(
         scenario=scenario, protocol="resolution", sigma=sigma, n_per_hyp=n_per_hyp,
         master_seed=master_seed, count_null=n_per_hyp, count_target=n_per_hyp,
-    ), out)
+    )
+    save_dataset(out, manifest)
+    return manifest
 
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> np.ndarray:
     """(n, 2) margin-valid bin centers of the pitch x pitch tiling, row-major in (x, y)."""
-    if not (math.isfinite(pitch) and pitch > 0):
-        raise InvalidPitch(f"pitch must be finite and > 0, got {pitch}")
-    n = int(math.floor(scenario.room_side / pitch + 1e-9))
-    coords = [(k + 0.5) * pitch for k in range(n)]
-    return np.array([(x, y) for x in coords for y in coords
-                     if target_margin_ok(scenario, sigma, x, y)]).reshape(-1, 2)
+    pts = grid_points(scenario.room_side, pitch)
+    return pts[[target_margin_ok(scenario, sigma, x, y) for x, y in pts.tolist()]]
 
 
 def gen_binned_set(
@@ -402,12 +368,12 @@ def gen_binned_set(
     n_per_bin: int,
     pitch: float,
     master_seed: int,
+    out: str | Path,
     protocol: str = "coverage",
     bin_jitter: bool = False,
-    out: str | Path | None = None,
-) -> Dataset | DatasetManifest:
-    """Per margin-valid bin: n target records at the bin center plus n null
-    records (in memory, or written into `out`: see _build)."""
+) -> DatasetManifest:
+    """Write, per margin-valid bin, n target records at the bin center plus n
+    null records into the directory `out`; returns the manifest written."""
     check_sigma(sigma)
     if n_per_bin < 1:
         raise ConfigError(f"n_per_bin must be >= 1, got {n_per_bin}")
@@ -415,11 +381,13 @@ def gen_binned_set(
     if not n_bins:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
     n = n_per_bin * n_bins
-    return _build(DatasetManifest(
+    manifest = DatasetManifest(
         scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n,
         master_seed=master_seed, grid_pitch=pitch, bin_jitter=bin_jitter,
         count_null=n, count_target=n,
-    ), out)
+    )
+    save_dataset(out, manifest)
+    return manifest
 
 
 def split(
@@ -450,23 +418,20 @@ def _frame_meta(scenario: Scenario) -> FrameMeta:
     return FrameMeta(scenario.n_links, scenario.n_antennas, scenario.n_beams)
 
 
-def save_dataset(path: str | Path, dataset: Dataset | DatasetManifest) -> None:
-    """Write a dataset into the directory `path`: a Dataset, or a manifest whose
-    records are generated as they are written.
+def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
+    """Generate the records of the manifest's layout into the directory `path`.
 
-    frames.bin and labels.csv are written a block at a time and manifest.json
-    last, each through a `.part` file renamed into place; an old manifest.json
-    is removed first, so a write that stops early leaves nothing loadable.
+    frames.bin and labels.csv are written a block at a time as the blocks are
+    made and manifest.json last, each through a `.part` file renamed into
+    place; an old manifest.json is removed first, so a write that stops early
+    leaves nothing loadable.
     """
-    if isinstance(dataset, Dataset):
-        m, blocks = dataset.manifest, dataset.blocks()
-    else:
-        m, blocks = dataset, generate(dataset)
+    blocks = generate(manifest)    # checks the layout and the worker count first
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     part = {name: out / f"{name}.part" for name in ("frames.bin", "labels.csv", "manifest.json")}
-    meta, sigma, i = _frame_meta(m.scenario), repr(float(m.sigma)), 0
+    meta, sigma, i = _frame_meta(manifest.scenario), repr(float(manifest.sigma)), 0
     try:
         with open(part["frames.bin"], "wb") as ff, \
                 open(part["labels.csv"], "w", newline="") as fc:
@@ -480,7 +445,7 @@ def save_dataset(path: str | Path, dataset: Dataset | DatasetManifest) -> None:
                                else [i, HYP_NULL, "", "", "", seed])
                     i += 1
         with open(part["manifest.json"], "w") as fp:
-            json.dump(m.to_dict(), fp, indent=2, sort_keys=True)
+            json.dump(manifest.to_dict(), fp, indent=2, sort_keys=True)
             fp.write("\n")
     except BaseException:
         for temp in part.values():

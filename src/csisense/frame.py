@@ -194,8 +194,3 @@ def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:
     size can stay with the process and raise the peak of the next command."""
     size = math.prod(shape)
     return np.frombuffer(mmap.mmap(-1, max(8 * size, 1)), dtype=float, count=size).reshape(shape)
-
-
-def read_frames(path: str | Path, meta: FrameMeta) -> np.ndarray:
-    """(N, rows, beams, 2) tensors of a file of records whose headers all declare `meta`."""
-    return FrameFile(path, meta)[:]

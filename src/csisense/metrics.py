@@ -14,7 +14,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .baseline import BeamBank, estimate_positions
-from .channel import Scenario
+from .channel import Scenario, tiles_per_side
 from .dataset import Draws, draw, in_blocks, record_seed, synthesize, valid_bin_centers
 from .errors import InvalidPitch, LengthMismatch, MissingClass
 from .geometry import Point2D, elementwise
@@ -153,7 +153,7 @@ def coverage_map(
     centers = valid_bin_centers(scenario, sigma, pitch).tolist()
     if not centers:
         raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
-    n = int(math.floor(scenario.room_side / pitch + 1e-9))
+    n = tiles_per_side(scenario.room_side, pitch)
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
     bin_keys = [(record_seed(master_seed, b), Point2D(x, y))

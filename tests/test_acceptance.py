@@ -16,7 +16,7 @@ from csisense import baseline as baseline_mod
 from csisense import metrics as metrics_mod
 from csisense.channel import quantize_ray
 from csisense.cli import fit, load_scenario, main
-from csisense.dataset import gen_binned_set, gen_resolution_set
+from csisense.dataset import gen_binned_set, gen_resolution_set, load_dataset
 from csisense.geometry import Point2D, Target, in_shadow
 from csisense.sensenet import (
     Architecture,
@@ -185,15 +185,16 @@ def test_convolution_bruteforce_equivalence():
 # ---------------------------------------------------------------- criterion 5
 
 @pytest.fixture(scope="module")
-def detection_table():
+def detection_table(tmp_path_factory):
     start = time.perf_counter()
     table = {}
     for li, preset in ((1, "scenario3"), (2, "scenario2"), (3, "scenario1")):
         scenario = load_scenario(preset)
         for sigma in SIGMAS:
             seed = 1000 + 17 * li + int(sigma * 10)
-            ds = gen_resolution_set(scenario, sigma, TRAIN_DROPS, seed)
-            model, _ = fit(ds, "detect", epochs=150, seed=3, patience=40)
+            out = tmp_path_factory.mktemp("detect")
+            gen_resolution_set(scenario, sigma, TRAIN_DROPS, seed, out)
+            model, _ = fit(load_dataset(out), "detect", epochs=150, seed=3, patience=40)
             counts = metrics_mod.detection_counts(
                 model, scenario, sigma, TEST_DROPS, seed + 500000)
             table[(li, sigma)] = metrics_mod.accuracy_score(counts)
@@ -223,12 +224,13 @@ def test_detection_orderings(detection_table):
 # ---------------------------------------------------------------- criterion 6
 
 @pytest.fixture(scope="module")
-def coverage_maps():
+def coverage_maps(tmp_path_factory):
     scenario = load_scenario("scenario1")
     maps = {}
     for sigma in (0.8, 0.5):
-        ds = gen_binned_set(scenario, sigma, 5, 0.25, 31, protocol="coverage")
-        model, _ = fit(ds, "detect", epochs=80, seed=5, patience=25)
+        out = tmp_path_factory.mktemp("coverage")
+        gen_binned_set(scenario, sigma, 5, 0.25, 31, out, protocol="coverage")
+        model, _ = fit(load_dataset(out), "detect", epochs=80, seed=5, patience=25)
         maps[sigma] = metrics_mod.coverage_map(model, scenario, sigma, 30, 0.5, 5151)
     return scenario, maps
 
@@ -266,10 +268,11 @@ def test_coverage_orderings(coverage_maps):
 # ---------------------------------------------------------------- criterion 7
 
 @pytest.fixture(scope="module")
-def positioning_runs():
+def positioning_runs(tmp_path_factory):
     scenario = load_scenario("scenario1")
-    ds = gen_binned_set(scenario, 0.8, 10, 0.25, 21, protocol="positioning")
-    model, _ = fit(ds, "locate", epochs=40, seed=5, patience=10)
+    out = tmp_path_factory.mktemp("positioning")
+    gen_binned_set(scenario, 0.8, 10, 0.25, 21, out, protocol="positioning")
+    model, _ = fit(load_dataset(out), "locate", epochs=40, seed=5, patience=10)
     drops_seed = 4242
     banks = (baseline_mod.swept_bank(scenario), baseline_mod.overlapped_bank())
     swept, overlapped, net = metrics_mod.drop_positions(

@@ -16,10 +16,11 @@ from csisense.channel import (
     ray_gains,
     room_angular_span,
     target_echo,
+    tiles_per_side,
 )
 from csisense.dataset import draw
 from csisense.frame import to_tensor
-from csisense.errors import ConfigError, EmptyGrid
+from csisense.errors import ConfigError, EmptyGrid, InvalidPitch
 from csisense.geometry import Point2D, Target, in_shadow
 
 
@@ -429,3 +430,13 @@ class TestScenarioConfig:
     def test_device_outside_room_rejected(self):
         with pytest.raises(ConfigError):
             small_scenario(tx=[-1.0, 2.5])
+
+    def test_tiling_bound(self):
+        assert tiles_per_side(5.0, 0.25) == 20
+        assert tiles_per_side(5.0, 6.0) == 0
+        assert tiles_per_side(5.0, 5.0 / 512) == 512
+        for pitch in (5.0 / 513, 1e-300, 5e-324, 0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(InvalidPitch):
+                tiles_per_side(5.0, pitch)
+        with pytest.raises(InvalidPitch, match="into more than 512 x 512 cells"):
+            small_scenario(grid_pitch=1e-300)

@@ -98,6 +98,41 @@ class TestGen:
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys, f"{key} must be true")
 
+    @pytest.mark.parametrize("document,message", [
+        (lambda s: [], "must be a JSON object, got list"),
+        (lambda s: None, "must be a JSON object, got NoneType"),
+        (lambda s: "scenario1", "must be a JSON object, got str"),
+        (lambda s: {**s, "n_clusters": 2.5}, "n_clusters must be a JSON integer, got 2.5"),
+        (lambda s: {**s, "n_rays": 2.5}, "n_rays must be a JSON integer, got 2.5"),
+        (lambda s: {**s, "n_scatter": 2.5}, "n_scatter must be a JSON integer, got 2.5"),
+        (lambda s: {**s, "n_clusters": True}, "n_clusters must be a JSON integer, got True"),
+        (lambda s: {**s, "env_seed": 1.5}, "env_seed must be a JSON integer, got 1.5"),
+        (lambda s: {**s, "include_los": "no"}, "include_los must be a JSON boolean, got 'no'"),
+        (lambda s: {**s, "receivers": [{**s["receivers"][0], "n_antennas": 2.5}]},
+         "n_antennas must be a JSON integer, got 2.5"),
+    ], ids=["list", "null", "string", "float-n_clusters", "float-n_rays", "float-n_scatter",
+            "bool-n_clusters", "float-env_seed", "string-include_los", "float-n_antennas"])
+    @pytest.mark.parametrize("where", ["scenario", "manifest"])
+    def test_malformed_scenario_json_exits_2(self, tmp_path, scenario_file, capsys, where,
+                                             document, message):
+        # each used to end in a traceback, or to be read as some other value
+        scenario = document(TINY_SCENARIO)
+        out = tmp_path / "out"
+        if where == "scenario":
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(scenario))
+            argv = ["gen", "--scenario", str(path), "--n", "2", "--out", str(out)]
+        else:
+            data = tiny_dataset(tmp_path / "ds", scenario_file)
+            manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+            manifest["scenario"] = scenario
+            (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+            argv = ["train", "--data", data, "--epochs", "1", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert_one_line_error(capsys, message)
+        assert not out.exists()
+
     @pytest.mark.parametrize("snr", ["nan", "-inf"])
     def test_non_finite_snr_exits_2(self, tmp_path, scenario_file, capsys, snr):
         out = tmp_path / "x"
@@ -405,6 +440,28 @@ class TestBadFlags:
         rc = main(commands[command] + ["--seed", "-1"])
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys, "--seed must be >= 0, got -1")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["gen", "coverage", "manifest", "scenario"])
+    def test_pitch_past_the_tiling_bound_exits_2(self, tmp_path, commands, capsys, where):
+        # a 1e-300 m pitch once asked for 4e600 cells and was killed for lack of memory
+        if where == "manifest":
+            ds = tmp_path / "binned"
+            assert main(commands["gen"][:-1] + [str(ds), "--protocol", "coverage"]) == 0
+            manifest = json.loads((ds / "manifest.json").read_text())
+            (ds / "manifest.json").write_text(json.dumps({**manifest, "grid_pitch": 1e-300}))
+            argv = ["train", "--data", str(ds), "--epochs", "1", "--out", str(tmp_path / "out")]
+        elif where == "scenario":
+            path = tmp_path / "fine.json"
+            path.write_text(json.dumps({**TINY_SCENARIO, "grid_pitch": 1e-300}))
+            argv = commands["gen"] + ["--scenario", str(path)]
+        else:
+            argv = commands[where] + ["--protocol", "coverage"] * (where == "gen") + [
+                "--pitch", "1e-300"]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert_one_line_error(capsys, "pitch 1e-300 tiles the 2.0 m room into more than "
+                                      "512 x 512 cells")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])

@@ -1,9 +1,11 @@
-import dataclasses
+import json
 import math
 import pickle
+import tempfile
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,14 +71,27 @@ def positions(ds):
     return ds.xy[ds.target].tolist()
 
 
+def on_disk(tmp_path, gen, *args, **kwargs):
+    """A set that gen_resolution_set or gen_binned_set writes into a new
+    directory under tmp_path, loaded back as train loads it."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    gen(*args, out=out, **kwargs)
+    return load_dataset(out)
+
+
 def assert_same_columns(a, b):
     for name in ("tensors", "target", "xy", "seed", "bin"):
-        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+        assert np.array_equal(getattr(a, name)[:], getattr(b, name)[:], equal_nan=True), name
+
+
+def assert_same_files(a, b):
+    for name in ("manifest.json", "frames.bin", "labels.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestResolutionSet:
-    def test_counts(self):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 10, 7)
+    def test_counts(self, tmp_path):
+        ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 10, 7)
         assert len(ds) == 20
         assert ds.tensors.shape == (20, 4, 3, 2)
         assert ds.target.sum() == 10 and (~ds.target).sum() == 10
@@ -84,47 +99,52 @@ class TestResolutionSet:
         assert (ds.bin == -1).all()
         assert ds.seed.tolist() == [record_seed(7, i) for i in range(20)]
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         s = fast_scenario()
-        a = gen_resolution_set(s, 0.8, 8, 99)
-        b = gen_resolution_set(s, 0.8, 8, 99)
+        a = on_disk(tmp_path, gen_resolution_set, s, 0.8, 8, 99)
+        b = on_disk(tmp_path, gen_resolution_set, s, 0.8, 8, 99)
         assert_same_columns(a, b)
 
-    def test_margin_rule(self):
+    def test_margin_rule(self, tmp_path):
         s = fast_scenario()
-        ds = gen_resolution_set(s, 0.8, 40, 3)
+        ds = on_disk(tmp_path, gen_resolution_set, s, 0.8, 40, 3)
         for x, y in positions(ds):
             assert target_margin_ok(s, 0.8, x, y)
             assert 0.4 <= x <= 4.6
             assert 0.4 <= y <= 4.6
 
-    def test_invalid_sigma(self):
+    def test_invalid_sigma(self, tmp_path):
+        out = tmp_path / "d"
         for sigma in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(InvalidSize, match="finite and > 0"):
-                gen_resolution_set(fast_scenario(), sigma, 4, 0)
+                gen_resolution_set(fast_scenario(), sigma, 4, 0, out)
             with pytest.raises(InvalidSize, match="finite and > 0"):
-                gen_binned_set(fast_scenario(), sigma, 2, 1.0, 0)
+                gen_binned_set(fast_scenario(), sigma, 2, 1.0, 0, out)
+        assert not out.exists()
 
-    def test_nonpositive_count_rejected(self):
+    def test_nonpositive_count_rejected(self, tmp_path):
+        out = tmp_path / "d"
         for n in (-3, 0):
             with pytest.raises(ConfigError, match="must be >= 1"):
-                gen_resolution_set(fast_scenario(), 0.8, n, 0)
+                gen_resolution_set(fast_scenario(), 0.8, n, 0, out)
             with pytest.raises(ConfigError, match="must be >= 1"):
-                gen_binned_set(fast_scenario(), 0.8, n, 1.0, 0)
+                gen_binned_set(fast_scenario(), 0.8, n, 1.0, 0, out)
+        assert not out.exists()
 
-    def test_nonfinite_pitch_rejected(self):
+    def test_nonfinite_pitch_rejected(self, tmp_path):
         for pitch in (math.nan, math.inf):
             with pytest.raises(InvalidPitch, match="finite and > 0"):
-                gen_binned_set(fast_scenario(), 0.8, 1, pitch, 0)
+                gen_binned_set(fast_scenario(), 0.8, 1, pitch, 0, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
-    def test_record_level_determinism(self):
+    def test_record_level_determinism(self, tmp_path):
         # record i is a pure function of (master seed, i), independent of the
         # rest of the batch
         s = fast_scenario()
-        ds = gen_resolution_set(s, 0.8, 6, 123)
+        ds = on_disk(tmp_path, gen_resolution_set, s, 0.8, 6, 123)
         tensors, centers, seeds = _generate_block(ds.manifest, 9, np.array([True]),
                                                   np.full((1, 2), np.nan))
-        assert np.array_equal(tensors[0], ds.tensors[9])
+        assert np.array_equal(tensors[0], ds.tensors[[9]][0])
         assert np.array_equal(centers[0], ds.xy[9])
         assert seeds[0] == ds.seed[9] == record_seed(123, 9)
 
@@ -145,16 +165,16 @@ class TestBinnedSet:
         centers = valid_bin_centers(s, 0.8, 5.0)
         assert centers.tolist() == [[2.5, 2.5]]
 
-    def test_positions_are_exact_bin_centers(self):
+    def test_positions_are_exact_bin_centers(self, tmp_path):
         s = fast_scenario()
-        ds = gen_binned_set(s, 0.8, 2, 1.0, 5)
+        ds = on_disk(tmp_path, gen_binned_set, s, 0.8, 2, 1.0, 5)
         centers = valid_bin_centers(s, 0.8, 1.0)
         for xy, b in zip(ds.xy[ds.target].tolist(), ds.bin[ds.target]):
             assert xy == centers[b].tolist()
 
-    def test_jitter_stays_in_bin(self):
+    def test_jitter_stays_in_bin(self, tmp_path):
         s = fast_scenario()
-        ds = gen_binned_set(s, 0.4, 3, 1.0, 5, bin_jitter=True)
+        ds = on_disk(tmp_path, gen_binned_set, s, 0.4, 3, 1.0, 5, bin_jitter=True)
         centers = valid_bin_centers(s, 0.4, 1.0)
         for (x, y), b in zip(positions(ds), ds.bin[ds.target]):
             cx, cy = centers[b]
@@ -162,16 +182,16 @@ class TestBinnedSet:
             assert abs(y - cy) <= 0.5
             assert target_margin_ok(s, 0.4, x, y)
 
-    def test_class_balance(self):
-        ds = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 5)
+    def test_class_balance(self, tmp_path):
+        ds = on_disk(tmp_path, gen_binned_set, fast_scenario(), 0.8, 2, 1.0, 5)
         assert ds.target.sum() == (~ds.target).sum()
         # per bin: n target rows, then n null rows
         assert ds.target.tolist() == [True, True, False, False] * (len(ds) // 4)
         assert ds.bin.tolist() == [b for b in range(len(ds) // 4) for _ in range(4)]
 
-    def test_invalid_pitch(self):
+    def test_invalid_pitch(self, tmp_path):
         with pytest.raises(InvalidPitch):
-            gen_binned_set(fast_scenario(), 0.8, 2, -0.5, 5)
+            gen_binned_set(fast_scenario(), 0.8, 2, -0.5, 5, tmp_path / "d")
 
 
 def split_oracle(ds, fractions, seed):
@@ -192,93 +212,87 @@ def split_oracle(ds, fractions, seed):
 
 
 class TestSplit:
-    def test_stratified_70_30(self):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 20, 1)
+    def test_stratified_70_30(self, tmp_path):
+        ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 20, 1)
         train, val = split(ds, (0.7, 0.3), 42)
         assert len(train) == 28 and len(val) == 12
         for part, n in ((train, 14), (val, 6)):
             assert ds.target[part].sum() == n and (~ds.target[part]).sum() == n
 
-    def test_degenerate_fraction(self):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 5, 1)
+    def test_degenerate_fraction(self, tmp_path):
+        ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 5, 1)
         train, val = split(ds, (1.0, 0.0), 0)
         assert len(train) == 10 and len(val) == 0
 
-    def test_union_is_original(self):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 9, 1)
+    def test_union_is_original(self, tmp_path):
+        ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 9, 1)
         train, val = split(ds, (0.7, 0.3), 7)
         assert sorted(np.concatenate([train, val]).tolist()) == list(range(len(ds)))
         assert train.tolist() == sorted(train.tolist())
         assert val.tolist() == sorted(val.tolist())
 
-    def test_binned_split_stratifies_bins(self):
-        ds = gen_binned_set(fast_scenario(), 0.8, 4, 1.0, 5)
+    def test_binned_split_stratifies_bins(self, tmp_path):
+        ds = on_disk(tmp_path, gen_binned_set, fast_scenario(), 0.8, 4, 1.0, 5)
         train, val = split(ds, (0.5, 0.5), 3)
         for part in (train, val):
             per_bin = Counter(zip(ds.bin[part].tolist(), ds.target[part].tolist()))
             assert all(v == 2 for v in per_bin.values())
 
     @pytest.mark.parametrize("binned", [False, True])
-    def test_matches_per_stratum_oracle(self, binned):
+    def test_matches_per_stratum_oracle(self, tmp_path, binned):
         s = fast_scenario()
-        ds = gen_binned_set(s, 0.8, 3, 1.0, 5) if binned else gen_resolution_set(s, 0.8, 7, 5)
+        ds = on_disk(tmp_path, gen_binned_set, s, 0.8, 3, 1.0, 5) if binned \
+            else on_disk(tmp_path, gen_resolution_set, s, 0.8, 7, 5)
         train, val = split(ds, (0.7, 0.3), 11)
         assert (train.tolist(), val.tolist()) == split_oracle(ds, (0.7, 0.3), 11)
 
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):
-        ds = gen_resolution_set(fast_scenario(), 0.8, 6, 11)
-        save_dataset(tmp_path / "d", ds)
+        manifest = gen_resolution_set(fast_scenario(), 0.8, 6, 11, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
-        assert back.manifest.scenario == ds.manifest.scenario
-        assert back.manifest.sigma == ds.manifest.sigma
-        assert_same_columns(back, ds)
+        assert back.manifest == manifest
+        blocks = list(generate(manifest))
+        for name in Block._fields:
+            assert np.array_equal(getattr(back, name)[:],
+                                  np.concatenate([getattr(b, name) for b in blocks]),
+                                  equal_nan=True), name
 
     def test_binned_round_trip_rebuilds_bins(self, tmp_path):
-        ds = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 3)
-        save_dataset(tmp_path / "d", ds)
+        manifest = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 3, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
-        assert back.bin.tolist() == ds.bin.tolist()
-        assert (ds.bin >= 0).all()
+        assert back.bin.tolist() == record_layout(manifest)[1].tolist()
+        assert (back.bin >= 0).all()
 
-    @pytest.mark.parametrize("protocol", ["resolution", "coverage", "positioning-jitter"])
-    def test_rewrite_is_byte_identical(self, tmp_path, protocol):
-        s = fast_scenario()
-        if protocol == "resolution":
-            ds = gen_resolution_set(s, 0.8, 4, 11)
-        else:
-            jitter = protocol == "positioning-jitter"
-            ds = gen_binned_set(s, 0.8, 2, 1.0, 11, protocol=protocol.split("-")[0],
-                                bin_jitter=jitter)
-        save_dataset(tmp_path / "a", ds)
-        save_dataset(tmp_path / "b", load_dataset(tmp_path / "a"))
-        for name in ("manifest.json", "frames.bin", "labels.csv"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    @pytest.mark.parametrize("flags", [
+        [], ["--protocol", "coverage", "--pitch", "1.0"],
+        ["--protocol", "positioning", "--pitch", "1.0", "--bin-jitter"],
+    ], ids=["resolution", "coverage", "positioning-jitter"])
+    def test_gen_twice_is_byte_identical(self, tmp_path, capsys, flags):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(fast_scenario().to_dict()))
+        for out in ("a", "b"):
+            assert main(["gen", "--scenario", str(scenario), "--n", "2", "--seed", "11",
+                         *flags, "--out", str(tmp_path / out)]) == 0
+        assert_same_files(tmp_path / "a", tmp_path / "b")
 
     def test_empty_round_trip(self, tmp_path):
-        # generation and manifests need n >= 1, so the empty set is a generated one
-        # with every row dropped
-        full = gen_resolution_set(fast_scenario(), 0.8, 1, 11)
-        ds = dataclasses.replace(
-            full, tensors=full.tensors[:0], target=full.target[:0], xy=full.xy[:0],
-            seed=full.seed[:0], bin=full.bin[:0],
-            manifest=dataclasses.replace(full.manifest, count_null=0, count_target=0))
-        save_dataset(tmp_path / "d", ds)
+        # gen needs n >= 1, so the empty set is a manifest that counts no records
+        save_dataset(tmp_path / "d", DatasetManifest(fast_scenario(), "resolution", 0.8, 1, 11))
         back = load_dataset(tmp_path / "d")
         assert len(back) == 0 and back.tensors.shape == (0, 4, 3, 2)
 
 
 class TestWorkers:
-    def test_worker_pool_matches_serial(self, monkeypatch):
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         s = fast_scenario()
-        serial = gen_resolution_set(s, 0.8, 16, 5)
+        gen_resolution_set(s, 0.8, 16, 5, tmp_path / "serial")
         monkeypatch.setenv("CSISENSE_WORKERS", "2")
         monkeypatch.setattr(dataset_mod, "BLOCK", 5)        # seven pool tasks
-        parallel = gen_resolution_set(s, 0.8, 16, 5)
-        assert_same_columns(serial, parallel)
+        gen_resolution_set(s, 0.8, 16, 5, tmp_path / "pool")
+        assert_same_files(tmp_path / "serial", tmp_path / "pool")
 
-    def test_pool_keeps_two_blocks_per_worker_in_flight(self, monkeypatch):
+    def test_pool_keeps_two_blocks_per_worker_in_flight(self, tmp_path, monkeypatch):
         submitted = []
 
         class CountingPool(ThreadPoolExecutor):
@@ -286,7 +300,7 @@ class TestWorkers:
                 submitted.append(args[1])
                 return super().submit(fn, *args)
 
-        manifest = gen_resolution_set(fast_scenario(), 0.8, 20, 5).manifest    # 40 records
+        manifest = gen_resolution_set(fast_scenario(), 0.8, 20, 5, tmp_path / "d")  # 40 records
         serial = list(generate(manifest))
         monkeypatch.setattr(dataset_mod, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(dataset_mod, "BLOCK", 4)                     # ten tasks
@@ -316,13 +330,13 @@ class TestBlocks:
     block size must not change any drop."""
 
     @pytest.mark.parametrize("block", [1, 7])
-    def test_datasets_independent_of_block_size(self, monkeypatch, block):
+    def test_datasets_independent_of_block_size(self, tmp_path, monkeypatch, block):
         s = fast_scenario(receivers=[
             {"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 4},
             {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 4},
         ])
-        build = [lambda: gen_resolution_set(s, 0.8, 9, 3),
-                 lambda: gen_binned_set(s, 0.8, 2, 1.25, 4, bin_jitter=True)]
+        build = [lambda: on_disk(tmp_path, gen_resolution_set, s, 0.8, 9, 3),
+                 lambda: on_disk(tmp_path, gen_binned_set, s, 0.8, 2, 1.25, 4, bin_jitter=True)]
         default = [b() for b in build]
         monkeypatch.setattr(dataset_mod, "BLOCK", block)
         for want, b in zip(default, build):
@@ -383,12 +397,13 @@ class TestMemory:
         n = 300 * len(valid_bin_centers(s, 0.8, 1.0))
         manifest = DatasetManifest(s, "positioning", 0.8, n, 3, grid_pitch=1.0, count_null=n,
                                    count_target=n)
-        target, bins, centers = record_layout(manifest)
-        tensors = np.random.default_rng(0).standard_normal((len(target), 4, 3, 2))
-        seeds = np.arange(len(target), dtype=np.uint64)
-        save_dataset(tmp_path / "ds", dataset_mod.Dataset(manifest, tensors, target, centers,
-                                                          seeds, bins))
-        del tensors
+
+        def random_block(manifest, start, target, centers):
+            tensors = np.random.default_rng(start).standard_normal((len(target), 4, 3, 2))
+            return tensors, centers, np.arange(start, start + len(target), dtype=np.uint64)
+
+        monkeypatch.setattr(dataset_mod, "_generate_block", random_block)
+        save_dataset(tmp_path / "ds", manifest)
         frames = (tmp_path / "ds" / "frames.bin").stat().st_size
         assert frames > 2 << 20
         peak = self.traced_peak(["train", "--data", str(tmp_path / "ds"), "--task", "locate",

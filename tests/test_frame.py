@@ -9,7 +9,6 @@ from csisense.frame import (
     NormStats,
     compute_stats,
     normalize,
-    read_frames,
     record_dtype,
     to_tensor,
     write_frames,
@@ -173,11 +172,11 @@ class TestSerialization:
         meta = FrameMeta(3, 8, 7)
         path = tmp_path / "frames.bin"
         write_frames(path, tensors, meta)
-        back = read_frames(path, meta)
+        back = FrameFile(path, meta)[:]
         assert back.shape == (5, 24, 7, 2)
         assert np.array_equal(back, tensors)
         write_frames(path, tensors[:0], meta)
-        assert read_frames(path, meta).shape == (0, 24, 7, 2)
+        assert FrameFile(path, meta)[:].shape == (0, 24, 7, 2)
 
     def test_header_layout(self, tmp_path):
         meta = FrameMeta(1, 1, 1)
@@ -196,7 +195,7 @@ class TestSerialization:
         write_frames(path, to_tensor(np.stack([random_captures(rng, 1, 2, 3)] * 2)), meta)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ShapeMismatch, match="truncated"):
-            read_frames(path, meta)
+            FrameFile(path, meta)
 
     @pytest.mark.parametrize("offset,value,match", [
         (0, b"XSIF", "record 2 has magic b'XSIF', expected b'CSIF'"),
@@ -214,7 +213,7 @@ class TestSerialization:
         raw[at:at + len(value)] = value
         path.write_bytes(bytes(raw))
         with pytest.raises(ShapeMismatch, match=match):
-            read_frames(path, meta)
+            FrameFile(path, meta)
 
     def test_shape_mismatch_on_write(self, tmp_path):
         with pytest.raises(ShapeMismatch):
