@@ -3,6 +3,6 @@
 __version__ = "0.1.0"
 
 from .channel import Receiver, Scenario
-from .geometry import Point2D, Target
+from .geometry import Point2D
 
-__all__ = ["Receiver", "Scenario", "Point2D", "Target", "__version__"]
+__all__ = ["Receiver", "Scenario", "Point2D", "__version__"]

@@ -16,7 +16,7 @@ Arrival angles are the direction of propagation, i.e. the global bearing of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -144,40 +144,20 @@ class Scenario:
         return [self.tx] + [rx.position for rx in self.receivers]
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "room_side": self.room_side,
-            "tx": [self.tx.x, self.tx.y],
-            "receivers": [
-                {
-                    "position": [rx.position.x, rx.position.y],
-                    "boresight": rx.boresight,
-                    "n_antennas": rx.n_antennas,
-                }
-                for rx in self.receivers
-            ],
-            "beam_angles": list(self.beam_angles),
-            "n_clusters": self.n_clusters,
-            "n_rays": self.n_rays,
-            "n_scatter": self.n_scatter,
-            "cluster_spread_deg": self.cluster_spread_deg,
-            "grid_pitch": self.grid_pitch,
-            "include_los": self.include_los,
-            "los_gain": self.los_gain,
-            "scatter_coeff": self.scatter_coeff,
-            "snr_db": self.snr_db,
-            "env_seed": self.env_seed,
-        }
+        """One key per field; tx, receivers and beam_angles in their JSON forms."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["tx"] = [self.tx.x, self.tx.y]
+        d["receivers"] = [{"position": [rx.position.x, rx.position.y],
+                           "boresight": rx.boresight, "n_antennas": rx.n_antennas}
+                          for rx in self.receivers]
+        d["beam_angles"] = list(self.beam_angles)
+        return d
 
     @staticmethod
     def from_dict(cfg: dict) -> "Scenario":
         if not isinstance(cfg, dict):
             raise ConfigError(f"scenario config must be a JSON object, got {type(cfg).__name__}")
-        known = {
-            "name", "room_side", "tx", "receivers", "beam_angles", "n_clusters",
-            "n_rays", "n_scatter", "cluster_spread_deg", "grid_pitch", "include_los",
-            "los_gain", "scatter_coeff", "snr_db", "env_seed",
-        }
+        known = {f.name for f in fields(Scenario)}
         for key in FIXED_TRUE_KEYS:
             if cfg.get(key, True) is not True:
                 raise ConfigError(f"{key} must be true (the only modelled case), "
@@ -246,7 +226,7 @@ def beam_gain(aoa: float | np.ndarray, beam_angle: float, n_antennas: int) -> fl
 # The finest tiling of a room: 512 x 512 = 262,144 cells (a 1 cm pitch tiles a
 # 5 m room into 500 x 500).  Its cell centers take 4 MB as float64 pairs; at
 # that size, in scenario1, filtering the margin-valid bin centers peaks at
-# 40 MB and a coverage map's per-bin keys add 66 MB (tracemalloc), where a
+# 42 MB and a coverage map's per-bin keys add 66 MB (tracemalloc), where a
 # pitch of 1e-300 asked for more memory than any machine has.
 MAX_TILES_PER_SIDE = 512
 

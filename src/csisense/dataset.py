@@ -28,6 +28,7 @@ import numpy as np
 from .channel import Scenario, blocked_rays, capture, grid_points, ray_gains, target_echo
 from .errors import ConfigError, InvalidPitch, InvalidSize
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
+from .geometry import exact_hypot
 
 HYP_NULL = "null"
 HYP_TARGET = "target"
@@ -100,7 +101,8 @@ class DatasetManifest:
                                  f"only the binned protocols have one")
             if len(m.split_fractions) != 2:
                 raise ValueError(f"split_fractions must be two numbers, got {d['split_fractions']}")
-        except (KeyError, TypeError, ValueError, AttributeError, InvalidSize) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, InvalidSize, ConfigError,
+                InvalidPitch) as exc:
             raise ConfigError(
                 f"{source}: malformed manifest: {type(exc).__name__}: {exc}") from exc
         return m
@@ -143,14 +145,16 @@ def record_seed(master_seed: int, index: int) -> int:
     return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
 
 
-def target_margin_ok(scenario: Scenario, sigma: float, x: float, y: float) -> bool:
-    """Margin rule at center (x, y): sigma/2 clearance from walls, sigma/2 + 0.05 m from devices."""
+def target_margin_ok(scenario: Scenario, sigma: float, xy: np.ndarray) -> np.ndarray:
+    """The margin rule at target centers xy[..., :] (last axis x, y): sigma/2
+    clearance from the walls and sigma/2 + DEVICE_CLEARANCE from every device,
+    device distances taken by exact_hypot, so they compare as math.hypot's."""
     r = sigma / 2.0
-    s = scenario.room_side
-    if not (r <= x <= s - r and r <= y <= s - r):
-        return False
+    xy = np.asarray(xy, dtype=float)
+    inside = ((r <= xy) & (xy <= scenario.room_side - r)).all(axis=-1)
+    d = xy[..., None, :] - [(p.x, p.y) for p in scenario.device_positions()]
     clear = r + DEVICE_CLEARANCE
-    return all(math.hypot(x - p.x, y - p.y) >= clear for p in scenario.device_positions())
+    return inside & (exact_hypot(d[..., 0], d[..., 1], clear) >= clear).all(axis=-1)
 
 
 def sample_target_center(
@@ -163,7 +167,7 @@ def sample_target_center(
         raise InvalidSize(f"target diameter {sigma} m leaves no valid placement")
     for _ in range(10000):
         x, y = float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))
-        if target_margin_ok(scenario, sigma, x, y):
+        if target_margin_ok(scenario, sigma, (x, y)):
             return x, y
     raise InvalidSize(f"could not place a {sigma} m target under the margin rule")
 
@@ -263,8 +267,8 @@ def record_layout(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray, np
         target = np.repeat([False, True], [m.count_null, m.count_target])
         return target, np.full(len(target), -1), np.full((len(target), 2), np.nan)
     bin_centers = valid_bin_centers(m.scenario, m.sigma, m.grid_pitch)
-    n, rest = divmod(m.n_per_hyp, max(len(bin_centers), 1))
-    if not len(bin_centers) or rest or not m.count_null == m.count_target == m.n_per_hyp:
+    n, rest = divmod(m.n_per_hyp, len(bin_centers))
+    if rest or not m.count_null == m.count_target == m.n_per_hyp:
         raise ConfigError(
             f"{m.protocol} layout: n_per_hyp {m.n_per_hyp}, count_null {m.count_null} and "
             f"count_target {m.count_target} must be equal and a multiple of the "
@@ -298,7 +302,7 @@ def _jitter_in_bin(
     half = pitch / 2.0
     for _ in range(10000):
         x, y = (float(rng.uniform(c - half, c + half)) for c in center)
-        if target_margin_ok(scenario, sigma, x, y):
+        if target_margin_ok(scenario, sigma, (x, y)):
             return x, y
     raise InvalidSize(f"bin at {center} has no margin-valid interior")
 
@@ -357,9 +361,13 @@ def gen_resolution_set(
 
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> np.ndarray:
-    """(n, 2) margin-valid bin centers of the pitch x pitch tiling, row-major in (x, y)."""
+    """(n, 2) margin-valid bin centers of the pitch x pitch tiling, row-major in
+    (x, y); a tiling without one raises InvalidPitch."""
     pts = grid_points(scenario.room_side, pitch)
-    return pts[[target_margin_ok(scenario, sigma, x, y) for x, y in pts.tolist()]]
+    centers = pts[target_margin_ok(scenario, sigma, pts)]
+    if not len(centers):
+        raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
+    return centers
 
 
 def gen_binned_set(
@@ -377,10 +385,7 @@ def gen_binned_set(
     check_sigma(sigma)
     if n_per_bin < 1:
         raise ConfigError(f"n_per_bin must be >= 1, got {n_per_bin}")
-    n_bins = len(valid_bin_centers(scenario, sigma, pitch))
-    if not n_bins:
-        raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
-    n = n_per_bin * n_bins
+    n = n_per_bin * len(valid_bin_centers(scenario, sigma, pitch))
     manifest = DatasetManifest(
         scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n,
         master_seed=master_seed, grid_pitch=pitch, bin_jitter=bin_jitter,

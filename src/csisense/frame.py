@@ -133,8 +133,7 @@ class FrameFile:
     Opening reads the file once in chunks of about CHUNK_BYTES: its size must
     be a whole number of records, every record's header must declare `meta`
     and every value must be finite.  Indexing with a slice or with integer
-    row indices reads only the chunks that hold those rows; np.asarray reads
-    every row.
+    row indices reads only the chunks that hold those rows.
     """
 
     def __init__(self, path: str | Path, meta: FrameMeta):
@@ -183,9 +182,6 @@ class FrameFile:
             a, b = np.searchsorted(wanted, [lo, lo + len(records)])
             out[order[a:b]] = records["data"][wanted[a:b] - lo]
         return out
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return self[:] if dtype is None else self[:].astype(dtype, copy=False)
 
 
 def _mapped_empty(shape: tuple[int, ...]) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment, InvalidSize, ViewpointInsideTarget
+from .errors import DegenerateSegment
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,45 +46,6 @@ class Point2D:
         return math.atan2(other.y - self.y, other.x - self.x)
 
 
-@dataclass(frozen=True)
-class Target:
-    """Disk-shaped passive object: center plus diameter in meters."""
-
-    center: Point2D
-    diameter: float
-
-    def __post_init__(self):
-        if not (self.diameter > 0.0 and math.isfinite(self.diameter)):
-            raise InvalidSize(f"target diameter must be > 0, got {self.diameter}")
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * self.diameter
-
-    def contains(self, p: Point2D) -> bool:
-        """Closed-disk membership."""
-        return p.distance_to(self.center) <= self.radius
-
-
-def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
-    """True iff the closed segment a->b intersects the closed target disk.
-
-    Tangency counts as blocked.  Implemented as point-to-segment distance
-    against the disk radius.
-    """
-    ax, ay = a.x, a.y
-    dx, dy = b.x - a.x, b.y - a.y
-    seg_len2 = dx * dx + dy * dy
-    if seg_len2 == 0.0:
-        raise DegenerateSegment(f"segment endpoints coincide at ({ax}, {ay})")
-    cx, cy = target.center.x - ax, target.center.y - ay
-    # Projection parameter of the center onto the segment, clamped to [0, 1].
-    t = (cx * dx + cy * dy) / seg_len2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    ex, ey = cx - t * dx, cy - t * dy
-    return math.hypot(ex, ey) <= target.radius
-
-
 def elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fn(x, y) over broadcast arrays, for math.hypot and math.atan2, whose
     numpy counterparts differ from them in the last bit for some inputs."""
@@ -93,16 +54,30 @@ def elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                        x.size).reshape(x.shape)
 
 
+def exact_hypot(x: np.ndarray, y: np.ndarray, threshold: np.ndarray | float) -> np.ndarray:
+    """np.hypot of equally shaped arrays, recomputed with math.hypot wherever it
+    lies within 1e-9 (relative) of `threshold` (broadcast).
+
+    np.hypot may differ from math.hypot in the last bit, which can only change
+    a comparison with the threshold that close to it; so comparing the result
+    with `threshold` gives math.hypot's booleans.
+    """
+    dist = np.hypot(x, y)
+    near = np.abs(dist - threshold) <= 1e-9 * threshold
+    if near.any():
+        dist[near] = elementwise(math.hypot, x[near], y[near])
+    return dist
+
+
 def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
                      radius: np.ndarray | float) -> np.ndarray:
-    """segment_blocked over arrays: segments a[..., :] -> b[..., :] against disks
+    """Whether the closed segments a[..., :] -> b[..., :] meet the closed disks
     of centers center[..., :] (last axis x, y) and radii `radius`, all broadcast.
 
-    Performs segment_blocked's arithmetic element by element, so it returns
-    the same booleans.  np.hypot may differ from math.hypot in the last bit,
-    which can only change the comparison of a distance within a few ulps of
-    the radius; distances within 1e-9 (relative) of it are recomputed with
-    math.hypot.
+    A segment meets a disk when the distance from the disk's center to its
+    nearest point on the segment (the center's projection, clamped to the
+    segment's ends) is at most the radius, that distance taken by exact_hypot;
+    tangency counts as blocked.  Coinciding endpoints raise DegenerateSegment.
     """
     d = b - a
     seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
@@ -111,23 +86,7 @@ def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
     cx = center[..., 0] - a[..., 0]
     cy = center[..., 1] - a[..., 1]
     t = np.clip((cx * d[..., 0] + cy * d[..., 1]) / seg_len2, 0.0, 1.0)
-    ex, ey = cx - t * d[..., 0], cy - t * d[..., 1]
-    dist = np.hypot(ex, ey)
-    near = np.abs(dist - radius) <= 1e-9 * radius
-    dist[near] = elementwise(math.hypot, ex[near], ey[near])
-    return dist <= radius
-
-
-def in_shadow(x: Point2D, viewpoint: Point2D, target: Target) -> bool:
-    """True iff `x` lies in the shadow region cast by the target from `viewpoint`.
-
-    Equivalent to the segment viewpoint->x intersecting the disk: a point is
-    shadowed exactly when the disk sits between it and the viewpoint (or it is
-    inside the disk itself).
-    """
-    if target.contains(viewpoint):
-        raise ViewpointInsideTarget("viewpoint on or inside the target disk")
-    return segment_blocked(viewpoint, x, target)
+    return exact_hypot(cx - t * d[..., 0], cy - t * d[..., 1], radius) <= radius
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:

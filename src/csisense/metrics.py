@@ -16,7 +16,7 @@ import numpy as np
 from .baseline import BeamBank, estimate_positions
 from .channel import Scenario, tiles_per_side
 from .dataset import Draws, draw, in_blocks, record_seed, synthesize, valid_bin_centers
-from .errors import InvalidPitch, LengthMismatch, MissingClass
+from .errors import LengthMismatch, MissingClass
 from .geometry import Point2D, elementwise
 from .sensenet import TrainedModel
 
@@ -151,8 +151,6 @@ def coverage_map(
     """Per-bin accuracy score from paired drops at each margin-valid bin center,
     the drops of all bins synthesised and scored in one pass."""
     centers = valid_bin_centers(scenario, sigma, pitch).tolist()
-    if not centers:
-        raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
     n = tiles_per_side(scenario.room_side, pitch)
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
@@ -195,15 +193,6 @@ def error_summary(estimates: np.ndarray, truths: np.ndarray) -> ErrorSummary:
         p90=float(np.percentile(errs, 90.0, method="linear")),
         errors=errs,
     )
-
-
-def layer_cake_mean(summary: ErrorSummary) -> float:
-    """Integral of (1 - CDF) over [0, max error]; equals the mean exactly."""
-    errs = summary.errors
-    n = len(errs)
-    edges = np.concatenate([[0.0], errs])
-    survive = (n - np.arange(n)) / n
-    return float(np.sum(np.diff(edges) * survive))
 
 
 @dataclass

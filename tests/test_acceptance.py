@@ -17,13 +17,14 @@ from csisense import metrics as metrics_mod
 from csisense.channel import quantize_ray
 from csisense.cli import fit, load_scenario, main
 from csisense.dataset import gen_binned_set, gen_resolution_set, load_dataset
-from csisense.geometry import Point2D, Target, in_shadow
+from csisense.geometry import Point2D
 from csisense.sensenet import (
     Architecture,
     conv2d,
     init_params,
     loss_and_grads,
 )
+from oracles import Target, in_shadow, layer_cake_mean
 
 pytestmark = pytest.mark.acceptance
 
@@ -380,6 +381,6 @@ def test_metric_self_consistency(positioning_runs):
     worst = 0.0
     for run in positioning_runs:
         s = run.summary()
-        worst = max(worst, abs(metrics_mod.layer_cake_mean(s) - s.mean))
+        worst = max(worst, abs(layer_cake_mean(s) - s.mean))
     report("metric-self-consistency", worst < 1e-9,
            f"max |layer-cake - mean| = {worst:.2e} over {len(positioning_runs)} runs")

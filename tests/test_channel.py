@@ -21,7 +21,8 @@ from csisense.channel import (
 from csisense.dataset import draw
 from csisense.frame import to_tensor
 from csisense.errors import ConfigError, EmptyGrid, InvalidPitch
-from csisense.geometry import Point2D, Target, in_shadow
+from csisense.geometry import Point2D
+from oracles import Target, in_shadow
 
 
 def small_scenario(**overrides) -> Scenario:

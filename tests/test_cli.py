@@ -118,19 +118,22 @@ class TestGen:
         # each used to end in a traceback, or to be read as some other value
         scenario = document(TINY_SCENARIO)
         out = tmp_path / "out"
+        needles = [message]
         if where == "scenario":
             path = tmp_path / "bad.json"
             path.write_text(json.dumps(scenario))
             argv = ["gen", "--scenario", str(path), "--n", "2", "--out", str(out)]
         else:
             data = tiny_dataset(tmp_path / "ds", scenario_file)
-            manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+            manifest_path = tmp_path / "ds" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
             manifest["scenario"] = scenario
-            (tmp_path / "ds" / "manifest.json").write_text(json.dumps(manifest))
+            manifest_path.write_text(json.dumps(manifest))
             argv = ["train", "--data", data, "--epochs", "1", "--out", str(out)]
+            needles.append(f"{manifest_path}: malformed manifest: ")
         capsys.readouterr()
         assert main(argv) == EXIT_CONFIG
-        assert_one_line_error(capsys, message)
+        assert_one_line_error(capsys, *needles)
         assert not out.exists()
 
     @pytest.mark.parametrize("snr", ["nan", "-inf"])

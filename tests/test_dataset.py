@@ -13,8 +13,9 @@ import pytest
 from csisense import dataset as dataset_mod
 from csisense import frame as frame_mod
 from csisense.channel import Scenario
-from csisense.cli import EXIT_CONFIG, EXIT_IO, main
+from csisense.cli import EXIT_CONFIG, EXIT_IO, PRESETS, load_scenario, main
 from csisense.dataset import (
+    DEVICE_CLEARANCE,
     HYP_NULL,
     HYP_TARGET,
     Block,
@@ -36,6 +37,7 @@ from csisense.dataset import (
     valid_bin_centers,
 )
 from csisense.errors import ConfigError, InvalidPitch, InvalidSize
+from oracles import scalar_margin_ok
 
 
 def fast_scenario(**overrides) -> Scenario:
@@ -50,20 +52,10 @@ def fast_scenario(**overrides) -> Scenario:
 
 
 def bin_center_oracle(scenario, sigma, pitch):
-    """Independent enumeration of margin-valid bin centers."""
+    """Independent enumeration of margin-valid bin centers, by the scalar rule."""
     n = int(math.floor(scenario.room_side / pitch + 1e-9))
-    r = sigma / 2
-    out = []
-    for i in range(n):
-        for j in range(n):
-            x, y = (i + 0.5) * pitch, (j + 0.5) * pitch
-            if not (r <= x <= scenario.room_side - r and r <= y <= scenario.room_side - r):
-                continue
-            if any(math.hypot(x - p.x, y - p.y) < r + 0.05
-                   for p in scenario.device_positions()):
-                continue
-            out.append((x, y))
-    return out
+    cells = [((i + 0.5) * pitch, (j + 0.5) * pitch) for i in range(n) for j in range(n)]
+    return [(x, y) for x, y in cells if scalar_margin_ok(scenario, sigma, x, y)]
 
 
 def positions(ds):
@@ -108,8 +100,8 @@ class TestResolutionSet:
     def test_margin_rule(self, tmp_path):
         s = fast_scenario()
         ds = on_disk(tmp_path, gen_resolution_set, s, 0.8, 40, 3)
+        assert target_margin_ok(s, 0.8, ds.xy[ds.target]).all()
         for x, y in positions(ds):
-            assert target_margin_ok(s, 0.8, x, y)
             assert 0.4 <= x <= 4.6
             assert 0.4 <= y <= 4.6
 
@@ -150,12 +142,46 @@ class TestResolutionSet:
 
 
 class TestBinnedSet:
-    def test_bin_centers_match_oracle(self):
-        s = fast_scenario()
-        centers = valid_bin_centers(s, 0.8, 0.25)
+    @pytest.mark.parametrize("pitch", [0.05, 0.125, 0.25, 0.3, 1.0])
+    @pytest.mark.parametrize("sigma", [0.05, 0.4, 0.8, 1.3])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_bin_centers_match_oracle(self, preset, sigma, pitch):
+        s = load_scenario(preset)
+        want = bin_center_oracle(s, sigma, pitch)
+        if not want:
+            with pytest.raises(InvalidPitch, match=f"no margin-valid bin centers at pitch {pitch}"):
+                valid_bin_centers(s, sigma, pitch)
+            return
+        centers = valid_bin_centers(s, sigma, pitch)
         assert centers.shape[1:] == (2,)
-        assert [tuple(c) for c in centers.tolist()] == bin_center_oracle(s, 0.8, 0.25)
-        assert len(centers) <= 400
+        assert [tuple(c) for c in centers.tolist()] == want
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_margin_rule_on_its_boundaries(self, preset):
+        # Points on each device's clearance circle sit within an ulp or two of
+        # the threshold, where np.hypot and math.hypot can disagree; points on
+        # and next to the sigma/2 wall lines test the closed wall bounds.
+        s = load_scenario(preset)
+        rng = np.random.default_rng(11)
+        for sigma in (0.05, 0.4, 0.8, 1.3):
+            r = sigma / 2
+            clear = r + DEVICE_CLEARANCE
+            theta = rng.uniform(-math.pi, math.pi, 8000)
+            circles = np.concatenate([
+                np.column_stack([p.x + clear * np.cos(theta), p.y + clear * np.sin(theta)])
+                for p in s.device_positions()])
+            want = [scalar_margin_ok(s, sigma, x, y) for x, y in circles.tolist()]
+            assert target_margin_ok(s, sigma, circles).tolist() == want
+
+            side = s.room_side
+            lines = [v for w in (r, side - r)
+                     for v in (np.nextafter(w, -np.inf), w, np.nextafter(w, np.inf))]
+            along = rng.uniform(0.0, side, len(lines))
+            walls = np.array([p for v, u in zip(lines, along) for p in ((v, u), (u, v))]
+                             + [(u, v) for u in lines for v in lines])
+            want = [scalar_margin_ok(s, sigma, x, y) for x, y in walls.tolist()]
+            assert target_margin_ok(s, sigma, walls).tolist() == want
+            assert any(want) and not all(want)
 
     def test_single_bin_room(self):
         s = fast_scenario(tx=[0.0, 0.0],
@@ -180,7 +206,7 @@ class TestBinnedSet:
             cx, cy = centers[b]
             assert abs(x - cx) <= 0.5
             assert abs(y - cy) <= 0.5
-            assert target_margin_ok(s, 0.4, x, y)
+        assert target_margin_ok(s, 0.4, ds.xy[ds.target]).all()
 
     def test_class_balance(self, tmp_path):
         ds = on_disk(tmp_path, gen_binned_set, fast_scenario(), 0.8, 2, 1.0, 5)

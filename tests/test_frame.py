@@ -138,7 +138,7 @@ class TestFrameFile:
     def test_shape_and_whole_read(self, frames):
         tensors, file = frames
         assert len(file) == 11 and file.shape == (11, 3, 2, 2)
-        assert np.array_equal(np.asarray(file), tensors)
+        assert np.array_equal(file[:], tensors)
 
     @pytest.mark.parametrize("rows", [slice(2, 9), slice(None, None, 4), slice(5, 5),
                                       np.array([10, 0, 3, 3, 7]), np.array([], dtype=int),

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from csisense.errors import DegenerateSegment, ViewpointInsideTarget
 from csisense.geometry import (
     Point2D,
-    Target,
-    in_shadow,
     intersect_bearings,
-    segment_blocked,
     segments_blocked,
     wrap_angle,
     wrap_angles,
 )
+from oracles import Target, in_shadow, segment_blocked
 
 
 def ray_circle_shadow_oracle(x: Point2D, v: Point2D, t: Target) -> bool:

@@ -20,7 +20,6 @@ from csisense.metrics import (
     detection_counts,
     drop_positions,
     error_summary,
-    layer_cake_mean,
     paired_drop,
     resolution_curve,
     write_coverage_csv,
@@ -29,6 +28,7 @@ from csisense.metrics import (
     write_resolution_csv,
 )
 from csisense.sensenet import Architecture, TrainedModel, init_params
+from oracles import layer_cake_mean
 
 
 def tiny_scenario() -> Scenario:

@@ -1,0 +1,45 @@
+"""No module code that only tests reach: every top-level function and class of
+the package, and every method but the dunder ones, is referenced somewhere in
+the package outside its own definition.  Code that only the tests need lives
+in tests/ (see oracles.py)."""
+
+import ast
+from pathlib import Path
+
+import csisense
+
+SRC = Path(csisense.__file__).parent
+
+
+def definitions(tree: ast.Module):
+    """The top-level function and class nodes of a module, and their non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
+def references(tree: ast.Module):
+    """(name, line) of every name read, attribute taken and name imported in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def test_every_definition_is_reached_from_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {}      # name -> [(module, line)]
+    for module, tree in trees.items():
+        for name, line in references(tree):
+            refs.setdefault(name, []).append((module, line))
+    unreached = [f"{module}:{node.lineno} {node.name}"
+                 for module, tree in trees.items() for node in definitions(tree)
+                 if all(where == module and node.lineno <= line <= node.end_lineno
+                        for where, line in refs.get(node.name, []))]
+    assert not unreached, f"referenced only by their own definitions: {unreached}"
