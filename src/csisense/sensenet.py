@@ -2,8 +2,10 @@
 
 Shared trunk (two same-padded 3x3 convolutions, 2x2 max pooling, one dense
 layer) feeding either a sigmoid detection neuron or a two-neuron linear
-position head.  Everything is float64 numpy; gradients are exact derivatives
-of the computed loss, which keeps them finite-difference checkable.
+position head.  Training is float64 numpy; gradients are exact derivatives
+of the computed loss, which keeps them finite-difference checkable.  The
+forward kernels keep their input's dtype, and `TrainedModel.predict` runs
+them in float32.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .frame import NormStats, normalize
 
 PROB_CLAMP = 1e-7
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8   # Adam moment decays and epsilon
-# Samples per inference forward pass: keeps conv2's patch matrix (~5 MB at
-# scenario1 shape) small instead of growing it with the batch.
+# Samples per inference forward pass: keeps conv2's patch matrix (~2.6 MB in
+# float32 at scenario1 shape) small instead of growing it with the batch.
 INFER_CHUNK = 32
 
 MAGIC = b"CSNN"
@@ -118,7 +120,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     pad = (k - 1) // 2
     n, h, wid, c = x.shape
     ho, wo = crop or (h, wid)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((n, h + 2 * pad, wid + 2 * pad, c), dtype=x.dtype)
+    xp[:, pad:pad + h, pad:pad + wid, :] = x
     s = xp.strides
     cols = np.lib.stride_tricks.as_strided(
         xp, shape=(n, ho, wo, k, k, c), strides=(s[0], s[1], s[2], s[1], s[2], s[3]),
@@ -162,9 +165,12 @@ def maxpool(x: np.ndarray, p: int, route: bool = True) -> tuple[np.ndarray, np.n
     out = functools.reduce(np.maximum, taps)
     if not route:
         return out, None, x.shape
-    idx = np.zeros(out.shape, dtype=np.intp)
-    for q in reversed(range(p * p)):
-        idx = np.where(taps[q] == out, q, idx)
+    # idx counts the taps before the first that holds the maximum
+    found = taps[0] == out
+    idx = np.zeros(out.shape, dtype=np.min_scalar_type(p * p - 1))
+    for q in range(1, p * p):
+        idx += ~found
+        found |= taps[q] == out
     return out, idx, x.shape
 
 
@@ -178,7 +184,7 @@ def maxpool_backward(dout: np.ndarray, idx: np.ndarray, x_shape: tuple, p: int) 
 
 
 def _as_batch(params: ModelParams, tensor: np.ndarray) -> np.ndarray:
-    x = np.asarray(tensor, dtype=float)
+    x = np.asarray(tensor, dtype=params.conv1_w.dtype)
     if x.shape == params.arch.input_shape:
         x = x[None]
     if x.ndim != 4 or x.shape[1:] != params.arch.input_shape:
@@ -318,7 +324,7 @@ def _eval_loss(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[float
     total = 0.0
     metric_acc = 0.0
     for lo in range(0, x.shape[0], INFER_CHUNK):
-        feats, _ = _trunk_forward(params, x[lo:lo + INFER_CHUNK], train=False)
+        feats, _ = _trunk_forward(params, _as_batch(params, x[lo:lo + INFER_CHUNK]), train=False)
         losses, metric, _ = _head(params, feats, y[lo:lo + INFER_CHUNK])
         total += float(np.sum(losses))
         metric_acc += float(np.sum(metric))
@@ -430,12 +436,18 @@ class TrainedModel:
     def predict(self, tensors: np.ndarray, start: int = 0) -> np.ndarray:
         """Raw frame tensors of drops start, start+1, ... to detection
         probabilities (N,) or positions (N, 2); a non-finite output raises
-        ConfigError naming its drop."""
+        ConfigError naming its drop.
+
+        The trunk and head run in float32 (the parameters are cast on each
+        call, each normalized chunk by `_as_batch`); the output is float64.
+        """
         head = detect_batch if self.task == "detect" else locate_batch
         x = normalize(np.asarray(tensors, dtype=float), self.stats)
-        with np.errstate(all="ignore"):    # overflow shows as the check below
-            out = np.concatenate([head(self.params, x[lo:lo + INFER_CHUNK])
-                                  for lo in range(0, len(x), INFER_CHUNK)])
+        with np.errstate(all="ignore"):    # overflow, the cast's too, shows as the check below
+            params = ModelParams(self.params.arch, self.task,
+                                 *[a.astype(np.float32) for _, a in self.params.items()])
+            out = np.concatenate([head(params, x[lo:lo + INFER_CHUNK])
+                                  for lo in range(0, len(x), INFER_CHUNK)]).astype(float)
         finite = np.isfinite(out.reshape(len(out), -1)).all(axis=1)
         if not finite.all():
             what = "probability" if self.task == "detect" else "estimate"

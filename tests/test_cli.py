@@ -497,6 +497,20 @@ class TestBadFlags:
         assert_one_line_error(capsys, "csisensenet estimate of drop 0 is not finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "baseline"])
+    def test_weight_beyond_float32_range_exits_2(self, tmp_path, scenario_file, capsys, command):
+        # 1e39 is finite in float64 but overflows the float32 cast predict runs
+        # the head in; the cast's overflow warning would be an error under pytest.ini
+        params = init_params(Architecture(input_shape=(8, 3, 2)), 0, "locate")
+        params.head_w[0] = 1e39
+        path = tmp_path / "big.csnn"
+        save_model(path, TrainedModel(params, NormStats((0.0, 0.0), (1.0, 1.0))))
+        rc = main([command, "--model", str(path), "--scenario", scenario_file, "--sigma", "0.4",
+                   "--drops", "3", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "csisensenet estimate of drop 0 is not finite")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,task,what", [
         ("eval", "detect", "probability"), ("coverage", "detect", "probability"),
         ("eval", "locate", "estimate"), ("baseline", "locate", "estimate"),

@@ -11,11 +11,13 @@ from csisense.sensenet import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    INFER_CHUNK,
     PARAM_FIELDS,
     Architecture,
     TrainConfig,
     TrainedModel,
     _adam_step,
+    _eval_loss,
     conv2d,
     conv2d_backward,
     detect_batch,
@@ -31,6 +33,17 @@ from csisense.sensenet import (
 
 TINY = Architecture(input_shape=(4, 3, 2), conv_filters=(3, 4), dense_units=8)
 TASK = {"bce": "detect", "mse": "locate"}
+# TrainedModel.predict runs in float32 (eps 1.2e-7): its outputs stay within
+# ~100 float32 roundings of the float64 trunk's
+F32_RTOL, F32_ATOL = 1e-5, 1e-6
+
+
+def float64_outputs(model, tensors):
+    """`model.predict`'s outputs computed by the float64 trunk, in the same chunks."""
+    head = detect_batch if model.task == "detect" else locate_batch
+    x = normalize(tensors, model.stats)
+    return np.concatenate([head(model.params, x[lo:lo + INFER_CHUNK])
+                           for lo in range(0, len(x), INFER_CHUNK)])
 
 
 def brute_force_conv(x, w, b):
@@ -368,6 +381,38 @@ class TestArtifact:
             load_model(tmp_path / "junk")
 
 
+class TestInferencePrecision:
+    ARCH = Architecture(input_shape=(24, 7, 2))
+
+    def model(self, task):
+        return TrainedModel(params=init_params(self.ARCH, 6, task),
+                            stats=NormStats(mean=(0.1, -0.2), std=(1.5, 2.5)))
+
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_predict_within_float32_bound_of_float64_trunk(self, task):
+        model = self.model(task)
+        x = np.random.default_rng(18).standard_normal((2 * INFER_CHUNK + 5,) + self.ARCH.input_shape)
+        out = model.predict(x)
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, float64_outputs(model, x), rtol=F32_RTOL, atol=F32_ATOL)
+
+    @pytest.mark.parametrize("loss", ["bce", "mse"])
+    def test_training_passes_are_float64_for_float32_input(self, loss):
+        rng = np.random.default_rng(19)
+        params = init_params(self.ARCH, 7, TASK[loss])
+        n = INFER_CHUNK + 3
+        x = rng.standard_normal((n,) + self.ARCH.input_shape).astype(np.float32)
+        y = (rng.integers(0, 2, n) if loss == "bce" else rng.uniform(0, 5, (n, 2))).astype(np.float32)
+        value, grads = loss_and_grads(params, (x, y), loss)
+        ref_value, ref_grads = loss_and_grads(params, (x.astype(float), y.astype(float)), loss)
+        assert type(value) is float and value == ref_value
+        for name, ref in ref_grads.items():
+            assert grads[name].dtype == np.float64 and grads[name].tobytes() == ref.tobytes(), name
+        got = _eval_loss(params, x, y)
+        assert got == _eval_loss(params, x.astype(float), y.astype(float))
+        assert all(type(v) is float for v in got)
+
+
 class TestInit:
     def test_params_hold_one_head(self):
         for task, units in (("detect", 1), ("locate", 2)):
@@ -428,12 +473,15 @@ class TestV1Artifacts:
 
     @pytest.mark.parametrize("task", ["detect", "locate"])
     def test_predict_is_bitwise_equal(self, task):
+        # bitwise on the float64 trunk; predict runs it in float32
         model = load_model(V1_DATA / f"v1_{task}.csnn")
         assert model.task == task and model.params.arch == V1_ARCH
         assert model.threshold == (0.4 if task == "detect" else 0.5)
         ref = np.load(V1_DATA / "v1_outputs.npz")
-        out = model.predict(ref["input"])
+        out = float64_outputs(model, ref["input"])
         assert out.shape == ref[task].shape and out.tobytes() == ref[task].tobytes()
+        np.testing.assert_allclose(model.predict(ref["input"]), ref[task],
+                                   rtol=F32_RTOL, atol=F32_ATOL)
 
     @pytest.mark.parametrize("task", ["detect", "locate"])
     def test_resave_is_v1_minus_the_unused_head(self, task, tmp_path):
