@@ -7,6 +7,11 @@ bounces exactly once at a grid point.  A passive disk target perturbs the
 ray population by zeroing every ray whose tx->scatter or scatter->rx segment
 crosses the disk, and adds target-scattered rays.
 
+Everything is array code over the whole ray population: link_geometry snaps
+all of a deployment's departures at once, and its arrival angles and
+direct-path amplitudes come from math.atan2 and math.hypot (through
+geometry.elementwise), so they carry math's bits rather than numpy's.
+
 Angle conventions: transmitter local frame equals the global frame (omni tx).
 A receiver-local angle is the global bearing minus the receiver boresight.
 Arrival angles are the direction of propagation, i.e. the global bearing of
@@ -22,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget
-from .geometry import Point2D, elementwise, segments_blocked, wrap_angle, wrap_angles
+from .geometry import TWO_PI, Point2D, elementwise, segments_blocked, wrap_angles
 
 # Config keys that may only be true: omni transmitter, narrowband captures.
 FIXED_TRUE_KEYS = ("tx_omni", "narrowband")
@@ -57,10 +62,7 @@ class Receiver:
             raise ConfigError(f"receiver needs >= 1 antenna, got {self.n_antennas}")
         if not math.isfinite(self.boresight):
             raise ConfigError(f"receiver boresight must be finite, got {self.boresight}")
-        object.__setattr__(self, "boresight", wrap_angle(self.boresight))
-
-    def local_angle(self, global_bearing: float) -> float:
-        return wrap_angle(global_bearing - self.boresight)
+        object.__setattr__(self, "boresight", float(wrap_angles(self.boresight)))
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,10 @@ class Scenario:
         for name in ("room_side", "grid_pitch", "cluster_spread_deg", "los_gain", "scatter_coeff"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.beam_angles:
+            raise ConfigError("beam_angles must name at least one beam")
+        if self.cluster_spread_deg < 0:
+            raise ConfigError(f"cluster_spread_deg must be >= 0, got {self.cluster_spread_deg}")
         if not all(math.isfinite(b) for b in self.beam_angles):
             raise ConfigError(f"beam angles must be finite, got {list(self.beam_angles)}")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
@@ -111,6 +117,9 @@ class Scenario:
         for p in [self.tx] + [rx.position for rx in self.receivers]:
             if not (0 <= p.x <= self.room_side and 0 <= p.y <= self.room_side):
                 raise ConfigError(f"device at ({p.x}, {p.y}) outside room")
+        if any(rx.position == self.tx for rx in self.receivers):
+            raise ConfigError(f"a receiver coincides with the transmitter at "
+                              f"({self.tx.x}, {self.tx.y})")
 
     @property
     def n_links(self) -> int:
@@ -253,69 +262,50 @@ def grid_points(room_side: float, pitch: float) -> np.ndarray:
     return pts
 
 
-def room_angular_span(tx: Point2D, room_side: float) -> tuple[float, float]:
-    """(start, width) of the direction set from tx into the room.
+def room_angular_span(tx: tuple[float, float], room_side: float) -> tuple[float, float]:
+    """(start, width) of the direction set from the transmitter at tx = (x, y)
+    into the room.
 
     Full circle for an interior transmitter; for a wall-mounted one, the
     minimal arc covering the bearings to the room corners.
     """
     eps = 1e-12
-    if eps < tx.x < room_side - eps and eps < tx.y < room_side - eps:
-        return (-math.pi, 2.0 * math.pi)
-    corners = [
-        Point2D(0.0, 0.0),
-        Point2D(room_side, 0.0),
-        Point2D(room_side, room_side),
-        Point2D(0.0, room_side),
-    ]
-    bearings = sorted(
-        tx.bearing_to(c) for c in corners if tx.distance_to(c) > eps
-    )
-    gaps = [
-        (bearings[(i + 1) % len(bearings)] - bearings[i]) % (2.0 * math.pi)
-        for i in range(len(bearings))
-    ]
+    x, y = tx
+    if eps < x < room_side - eps and eps < y < room_side - eps:
+        return (-math.pi, TWO_PI)
+    corners = [(0.0, 0.0), (room_side, 0.0), (room_side, room_side), (0.0, room_side)]
+    bearings = sorted(math.atan2(cy - y, cx - x) for cx, cy in corners
+                      if math.hypot(x - cx, y - cy) > eps)
+    gaps = [(bearings[(i + 1) % len(bearings)] - bearings[i]) % TWO_PI
+            for i in range(len(bearings))]
     widest = int(np.argmax(gaps))
     start = bearings[(widest + 1) % len(bearings)]
-    return (start, 2.0 * math.pi - gaps[widest])
+    return (start, TWO_PI - gaps[widest])
 
 
-def _angle_in_span(angle: float, span: tuple[float, float]) -> bool:
-    start, width = span
-    return (angle - start) % (2.0 * math.pi) <= width + 1e-12
+def snap_to_grid(tx: tuple[float, float], raw_aod: np.ndarray, grid_pitch: float,
+                 room_side: float) -> np.ndarray:
+    """The scatter-grid points, shape raw_aod.shape + (2,), that departure
+    angles raw_aod from the transmitter at tx = (x, y) snap to.
 
-
-def quantize_ray(
-    tx: Point2D,
-    raw_aod: float,
-    rx: Receiver,
-    grid_pitch: float,
-    room_side: float,
-) -> tuple[float, float, Point2D]:
-    """Snap a raw departure angle to the scatter grid.
-
-    Picks the in-room grid point whose bearing from the transmitter is
-    closest to `raw_aod` (ties toward the nearer point), then returns the
-    exact departure angle, the receiver-local arrival angle of the bounce,
-    and the scatter point itself.
+    Each angle takes the grid point farther than 1e-12 from the transmitter
+    whose bearing is closest to it on the circle, ties toward the nearer point
+    and then the first in grid order.  One angle at a time, so memory stays
+    O(grid) at the finest tiling.
     """
     pts = grid_points(room_side, grid_pitch)
-    dx = pts[:, 0] - tx.x
-    dy = pts[:, 1] - tx.y
+    dx, dy = pts[:, 0] - tx[0], pts[:, 1] - tx[1]
     dist = np.hypot(dx, dy)
-    usable = dist > 1e-12
-    if not np.any(usable):
+    usable = np.flatnonzero(dist > 1e-12)
+    if not len(usable):
         raise EmptyGrid("no grid point distinct from the transmitter")
-    angles = np.arctan2(dy[usable], dx[usable])
-    ang_d = np.abs((angles - raw_aod + math.pi) % (2.0 * math.pi) - math.pi)
-    best = ang_d.min()
-    tied = np.flatnonzero(ang_d == best)
-    choice = tied[np.argmin(dist[usable][tied])]
-    idx = np.flatnonzero(usable)[choice]
-    scatter = Point2D(float(pts[idx, 0]), float(pts[idx, 1]))
-    aod = tx.bearing_to(scatter)
-    aoa = rx.local_angle(scatter.bearing_to(rx.position))
-    return aod, aoa, scatter
+    bearings, dist = np.arctan2(dy[usable], dx[usable]), dist[usable]
+    chosen = np.empty(raw_aod.size, dtype=np.intp)
+    for i, raw in enumerate(raw_aod.ravel().tolist()):
+        off = np.abs((bearings - raw + math.pi) % TWO_PI - math.pi)
+        tied = np.flatnonzero(off == off.min())
+        chosen[i] = usable[tied[np.argmin(dist[tied])]]
+    return pts[chosen].reshape(raw_aod.shape + (2,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,49 +339,49 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
     environment, so they derive from the scenario's env_seed (one independent
     stream per link index: a scenario that drops receivers keeps the same
     environment on the remaining links).  Per-realization randomness lives in
-    the ray gains drawn by draw_gains.
+    the ray gains drawn per drop (ray_gains).
     """
-    tx = scenario.tx
-    span = room_angular_span(tx, scenario.room_side)
-    pts = grid_points(scenario.room_side, scenario.grid_pitch)
-    bearings = np.arctan2(pts[:, 1] - tx.y, pts[:, 0] - tx.x)
-    if not any(_angle_in_span(float(b), span) for b in bearings):
-        raise EmptyGrid("no grid point inside the transmitter's angular span")
-    spread = math.radians(scenario.cluster_spread_deg)
-    n_cl, n_ray, n_r = scenario.n_clusters, scenario.n_rays, scenario.n_antennas
-    n_links, n_bounce = scenario.n_links, n_cl * n_ray
-    aoa = np.empty((n_links, n_bounce + 1))
-    scatter = np.empty((n_links, n_bounce, 2))
-    los_amp = np.zeros(n_links)
-    for l, rx in enumerate(scenario.receivers):
-        rng = np.random.default_rng(np.random.SeedSequence([scenario.env_seed, l]))
-        centers = span[0] + rng.uniform(0.0, span[1], size=n_cl)
+    s = scenario
+    tx = (s.tx.x, s.tx.y)
+    span_start, span_width = room_angular_span(tx, s.room_side)
+    spread = math.radians(s.cluster_spread_deg)
+    n_cl, n_ray, n_r = s.n_clusters, s.n_rays, s.n_antennas
+    n_links, n_bounce = s.n_links, n_cl * n_ray
+    raw = np.empty((n_links, n_bounce))
+    for l in range(n_links):
+        rng = np.random.default_rng(np.random.SeedSequence([s.env_seed, l]))
+        centers = span_start + rng.uniform(0.0, span_width, size=n_cl)
         offsets = rng.laplace(0.0, spread, size=(n_cl, n_ray))
-        for i, raw in enumerate((centers[:, None] + offsets).ravel()):
-            _, aoa[l, i], point = quantize_ray(tx, wrap_angle(float(raw)), rx,
-                                               scenario.grid_pitch, scenario.room_side)
-            scatter[l, i] = (point.x, point.y)
-        aoa[l, n_bounce] = rx.local_angle(tx.bearing_to(rx.position))
-        if scenario.include_los:
-            los_amp[l] = scenario.los_gain / tx.distance_to(rx.position)
+        raw[l] = (centers[:, None] + offsets).ravel()
+    scatter = snap_to_grid(tx, wrap_angles(raw), s.grid_pitch, s.room_side)
+
+    # Every ray arrives from its source point: the bounce points, then tx for the direct path.
+    tx_xy = np.broadcast_to(tx, (n_links, 1, 2))
+    rx_xy = np.array([[[rx.position.x, rx.position.y]] for rx in s.receivers])
+    source = np.concatenate([scatter, tx_xy], axis=1)
+    to_rx = rx_xy - source
+    boresight = np.array([rx.boresight for rx in s.receivers])
+    aoa = wrap_angles(elementwise(math.atan2, to_rx[..., 1], to_rx[..., 0])
+                      - boresight[:, None])
+    los_amp = np.zeros(n_links)
+    if s.include_los:
+        los_amp[:] = s.los_gain / elementwise(math.hypot, tx[0] - rx_xy[:, 0, 0],
+                                              tx[1] - rx_xy[:, 0, 1])
 
     weights = np.exp(-np.arange(1, n_cl + 1, dtype=float))
     ray_sd = np.repeat(np.sqrt(weights / (n_ray * weights.sum()) / 2.0), n_ray)
     steer = np.exp(1j * np.pi * (np.arange(n_r)[:, None] * np.sin(aoa)[:, None, :]))
     gain = np.stack([beam_gain(aoa.ravel(), b, n_r).reshape(aoa.shape)
-                     for b in scenario.beam_angles], axis=1)
-    beam_conj = np.array([array_response(b, n_r) for b in scenario.beam_angles]).conj()
+                     for b in s.beam_angles], axis=1)
+    beam_conj = np.array([array_response(b, n_r) for b in s.beam_angles]).conj()
 
-    tx_xy = np.broadcast_to([tx.x, tx.y], (n_links, 1, 2))
-    rx_xy = np.array([[[rx.position.x, rx.position.y]] for rx in scenario.receivers])
     geo = LinkGeometry(
-        scenario=scenario, aoa=aoa, scatter=scatter, los_amp=los_amp, ray_sd=ray_sd,
+        scenario=s, aoa=aoa, scatter=scatter, los_amp=los_amp, ray_sd=ray_sd,
         response=steer[:, :, None, :] * gain[:, None, :, :], beam_conj=beam_conj,
-        leg_start=np.stack([np.broadcast_to(tx_xy, (n_links, n_bounce + 1, 2)),
-                            np.concatenate([scatter, tx_xy], axis=1)]),
+        leg_start=np.stack([np.broadcast_to(tx_xy, (n_links, n_bounce + 1, 2)), source]),
         leg_end=np.stack([np.concatenate([scatter, rx_xy], axis=1),
                           np.broadcast_to(rx_xy, (n_links, n_bounce + 1, 2))]),
-        rx_xy=rx_xy[:, 0], boresight=np.array([rx.boresight for rx in scenario.receivers]),
+        rx_xy=rx_xy[:, 0], boresight=boresight,
     )
     for arr in (aoa, scatter, los_amp, ray_sd, geo.response, beam_conj, geo.leg_start,
                 geo.leg_end, geo.rx_xy, geo.boresight):

@@ -158,18 +158,19 @@ def target_margin_ok(scenario: Scenario, sigma: float, xy: np.ndarray) -> np.nda
 
 
 def sample_target_center(
-    scenario: Scenario, sigma: float, rng: np.random.Generator
+    scenario: Scenario, sigma: float, lo: tuple[float, float], hi: tuple[float, float],
+    rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Uniform (x, y) draw over the margin-valid room interior (rejection sampling)."""
-    r = sigma / 2.0
-    lo, hi = r, scenario.room_side - r
-    if lo >= hi:
-        raise InvalidSize(f"target diameter {sigma} m leaves no valid placement")
-    for _ in range(10000):
-        x, y = float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi))
-        if target_margin_ok(scenario, sigma, (x, y)):
-            return x, y
-    raise InvalidSize(f"could not place a {sigma} m target under the margin rule")
+    """Uniform (x, y) draw over the margin-valid part of the box from corner lo
+    to corner hi, by rejection sampling: up to 10,000 tries, each an x draw
+    then a y draw, none when the box is empty."""
+    if lo[0] < hi[0] and lo[1] < hi[1]:
+        for _ in range(10000):
+            x, y = float(rng.uniform(lo[0], hi[0])), float(rng.uniform(lo[1], hi[1]))
+            if target_margin_ok(scenario, sigma, (x, y)):
+                return x, y
+    raise InvalidSize(f"no margin-valid center for a {sigma} m target in "
+                      f"[{lo[0]}, {hi[0]}] x [{lo[1]}, {hi[1]}]")
 
 
 class Draws(NamedTuple):
@@ -207,9 +208,12 @@ def draw(
     else:
         check_sigma(sigma)
         if center is None:
-            center = sample_target_center(s, sigma, rng)
+            r = sigma / 2.0
+            center = sample_target_center(s, sigma, (r, r), (s.room_side - r,) * 2, rng)
         elif jitter_pitch is not None:
-            center = _jitter_in_bin(s, sigma, center, jitter_pitch, rng)
+            half = jitter_pitch / 2.0
+            center = sample_target_center(s, sigma, tuple(c - half for c in center),
+                                          tuple(c + half for c in center), rng)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=(s.n_links, s.n_scatter))
     null = null or center is None
     noise = None
@@ -293,18 +297,6 @@ def _generate_block(manifest: DatasetManifest, start: int, target: np.ndarray,
     tensors[~target] = null
     tensors[target] = alt
     return tensors, xy, np.array(seeds, dtype=np.uint64)
-
-
-def _jitter_in_bin(
-    scenario: Scenario, sigma: float, center: tuple[float, float], pitch: float,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    half = pitch / 2.0
-    for _ in range(10000):
-        x, y = (float(rng.uniform(c - half, c + half)) for c in center)
-        if target_margin_ok(scenario, sigma, (x, y)):
-            return x, y
-    raise InvalidSize(f"bin at {center} has no margin-valid interior")
 
 
 def _worker_count() -> int:

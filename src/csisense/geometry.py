@@ -1,8 +1,11 @@
-"""Pure 2-D occlusion geometry.
+"""Pure 2-D geometry over arrays: angle wrapping, occlusion, bearing fixes.
 
 Conventions: global frame has +x right, +y up, angles in radians measured
 counterclockwise from +x and normalized to (-pi, pi].  The target is a closed
-disk; rays grazing the boundary count as blocked.
+disk; rays grazing the boundary count as blocked.  Point2D is the validated
+position of a device; everything else takes coordinate arrays, with distances
+and bearings from math.hypot and math.atan2 (through elementwise) wherever
+their last bit matters.
 """
 
 from __future__ import annotations
@@ -19,16 +22,6 @@ TWO_PI = 2.0 * math.pi
 PARALLEL_TOL = 1e-9  # rad; bearing directions closer than this count as parallel
 
 
-def wrap_angle(angle: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
-    a = math.fmod(angle, TWO_PI)
-    if a > math.pi:
-        a -= TWO_PI
-    elif a <= -math.pi:
-        a += TWO_PI
-    return a
-
-
 @dataclass(frozen=True)
 class Point2D:
     x: float
@@ -37,13 +30,6 @@ class Point2D:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-    def distance_to(self, other: "Point2D") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def bearing_to(self, other: "Point2D") -> float:
-        """Angle of the vector self -> other in the global frame."""
-        return math.atan2(other.y - self.y, other.x - self.x)
 
 
 def elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,7 +76,8 @@ def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """wrap_angle element by element, with the same arithmetic and so the same values."""
+    """Angles normalized to (-pi, pi] element by element: fmod by 2 pi, then one
+    shift by 2 pi when that leaves them above pi or at or below -pi."""
     a = np.fmod(angles, TWO_PI)
     return np.where(a > math.pi, a - TWO_PI, np.where(a <= -math.pi, a + TWO_PI, a))
 

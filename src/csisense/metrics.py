@@ -101,11 +101,10 @@ def detection_counts(
     sigma: float,
     n_drops: int,
     master_seed: int,
-    center: Point2D | None = None,
 ) -> ConfusionCounts:
-    """Fresh paired drops pushed through the detector at its threshold; the
-    target is placed at `center` when given, else drawn per drop."""
-    keys = ((master_seed, i, center) for i in range(n_drops))
+    """Fresh paired drops pushed through the detector at its threshold, the
+    target drawn per drop."""
+    keys = ((master_seed, i, None) for i in range(n_drops))
     return _confusion(*_decisions(model, scenario, sigma, keys))
 
 
@@ -132,7 +131,6 @@ def resolution_curve(
 @dataclass
 class CoverageMap:
     pitch: float
-    room_side: float
     score: np.ndarray      # (n, n), NaN where no samples; index [ix, iy]
     counts: np.ndarray     # evaluation drops per bin (per hypothesis)
 
@@ -164,7 +162,7 @@ def coverage_map(
         iy = int(y / pitch)
         score[ix, iy] = accuracy_score(_confusion(null_hits[b], alt_hits[b]))
         counts[ix, iy] = drops_per_bin
-    return CoverageMap(pitch=pitch, room_side=scenario.room_side, score=score, counts=counts)
+    return CoverageMap(pitch=pitch, score=score, counts=counts)
 
 
 @dataclass

@@ -507,7 +507,8 @@ def load_model(path: str | Path) -> TrainedModel:
         for name, values, n in (("threshold", [threshold], 1), ("norm_mean", stats.mean, 2),
                                 ("norm_std", stats.std, 2)):
             if (len(values) != n or not all(math.isfinite(v) for v in values)
-                    or (name == "norm_std" and min(values) < 0)):
+                    or (name == "norm_std" and min(values) < 0)
+                    or (name == "threshold" and not 0.0 <= threshold <= 1.0)):
                 raise ConfigError(f"{path}: malformed model descriptor: {name} {list(values)}")
         blocks = list(param_shapes(arch, task).items())
         if version == 1:    # detect's head, then locate's; the other task's is read, not kept

@@ -1,9 +1,11 @@
 """Scalar reference rules that the tests check the array code of csisense against.
 
 Each is the per-object form of a rule that the package applies to whole
-arrays: segment_blocked and in_shadow for geometry.segments_blocked,
-scalar_margin_ok for dataset.target_margin_ok, layer_cake_mean for the mean
-of metrics.error_summary.
+arrays: wrap_angle for geometry.wrap_angles, distance and bearing for the
+math.hypot and math.atan2 that the array code applies through
+geometry.elementwise, segment_blocked and in_shadow for
+geometry.segments_blocked, scalar_margin_ok for dataset.target_margin_ok,
+layer_cake_mean for the mean of metrics.error_summary.
 """
 
 from __future__ import annotations
@@ -15,7 +17,26 @@ import numpy as np
 
 from csisense.dataset import DEVICE_CLEARANCE
 from csisense.errors import DegenerateSegment, InvalidSize, ViewpointInsideTarget
-from csisense.geometry import Point2D
+from csisense.geometry import TWO_PI, Point2D
+
+
+def wrap_angle(angle: float) -> float:
+    """Normalize an angle to (-pi, pi]."""
+    a = math.fmod(angle, TWO_PI)
+    if a > math.pi:
+        a -= TWO_PI
+    elif a <= -math.pi:
+        a += TWO_PI
+    return a
+
+
+def distance(a: Point2D, b: Point2D) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def bearing(a: Point2D, b: Point2D) -> float:
+    """Angle of the vector a -> b in the global frame."""
+    return math.atan2(b.y - a.y, b.x - a.x)
 
 
 @dataclass(frozen=True)
@@ -35,7 +56,7 @@ class Target:
 
     def contains(self, p: Point2D) -> bool:
         """Closed-disk membership."""
-        return p.distance_to(self.center) <= self.radius
+        return distance(p, self.center) <= self.radius
 
 
 def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:

@@ -12,7 +12,8 @@ from csisense.baseline import (
 )
 from csisense.channel import Scenario, array_response
 from csisense.frame import to_tensor
-from csisense.geometry import Point2D, wrap_angle
+from csisense.geometry import Point2D
+from oracles import bearing, wrap_angle
 
 
 def two_link_scenario() -> Scenario:
@@ -128,11 +129,11 @@ class TestEstimatePosition:
         p = Point2D(2.5, 2.5)
         blocks_null, blocks_alt = [], []
         for rx in s.receivers:
-            u = rx.local_angle(rx.position.bearing_to(p))      # source direction
+            u = wrap_angle(bearing(rx.position, p) - rx.boresight)     # source direction
             theta_star = -u                                     # beam that lights up
             idx = int(np.argmin([abs(a - theta_star) for a in bank.angles]))
             assert abs(bank.angles[idx] - theta_star) < 1e-9
-            phi = rx.local_angle(p.bearing_to(rx.position))     # propagation dir
+            phi = wrap_angle(bearing(p, rx.position) - rx.boresight)   # propagation dir
             cols = np.column_stack([array_response(a, 8) for a in bank.angles])
             sig = np.outer(array_response(phi, 8), np.ones(7))
             null_blk = cols + sig

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 
 from csisense.channel import (
-    Receiver,
     Scenario,
     array_response,
     beam_gain,
     blocked_rays,
     capture,
     link_geometry,
-    quantize_ray,
     ray_gains,
     room_angular_span,
+    snap_to_grid,
     target_echo,
     tiles_per_side,
 )
@@ -22,7 +21,7 @@ from csisense.dataset import draw
 from csisense.frame import to_tensor
 from csisense.errors import ConfigError, EmptyGrid, InvalidPitch
 from csisense.geometry import Point2D
-from oracles import Target, in_shadow
+from oracles import Target, bearing, distance, in_shadow, wrap_angle
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -40,16 +39,16 @@ def small_scenario(**overrides) -> Scenario:
 
 
 def brute_force_quantize(tx, raw_aod, pitch, room_side):
-    """Exhaustive argmin over all grid points, ties toward the nearer point."""
+    """Exhaustive argmin over all grid points from tx = (x, y), ties toward the nearer point."""
     n = int(room_side / pitch)
     best = None
     for i in range(n):
         for j in range(n):
             gx, gy = (i + 0.5) * pitch, (j + 0.5) * pitch
-            dist = math.hypot(gx - tx.x, gy - tx.y)
+            dist = math.hypot(gx - tx[0], gy - tx[1])
             if dist <= 1e-12:
                 continue
-            ang = math.atan2(gy - tx.y, gx - tx.x)
+            ang = math.atan2(gy - tx[1], gx - tx[0])
             d = abs((ang - raw_aod + math.pi) % (2 * math.pi) - math.pi)
             key = (d, dist)
             if best is None or key < best[0]:
@@ -85,11 +84,11 @@ class TestBeamGain:
 
 class TestRoomSpan:
     def test_interior_tx_full_circle(self):
-        start, width = room_angular_span(Point2D(2.0, 2.0), 5.0)
+        start, width = room_angular_span((2.0, 2.0), 5.0)
         assert width == pytest.approx(2 * math.pi)
 
     def test_wall_tx_half_plane(self):
-        start, width = room_angular_span(Point2D(0.0, 2.5), 5.0)
+        start, width = room_angular_span((0.0, 2.5), 5.0)
         assert width == pytest.approx(math.pi, abs=1e-12)
         assert start == pytest.approx(-math.pi / 2, abs=1e-12)
 
@@ -141,7 +140,7 @@ class TestDrawNullRays:
         assert gains.shape == (2, 3 * 5 + 1)
         assert np.all(np.count_nonzero(gains, axis=1) == 16)
         for l, rx in enumerate(s.receivers):
-            assert gains[l, -1] == complex(s.los_gain / s.tx.distance_to(rx.position), 0.0)
+            assert gains[l, -1] == complex(s.los_gain / distance(s.tx, rx.position), 0.0)
         gains = gains_of(small_scenario(include_los=False), 0)
         assert np.all(np.count_nonzero(gains, axis=1) == 15)
         assert np.all(gains[:, -1] == 0)
@@ -176,42 +175,51 @@ class TestDrawNullRays:
             gains_of(small_scenario(grid_pitch=10.0), 0)
 
 
+WALL_TX = (0.0, 2.5)
+
+
+def snap_one(raw: float) -> tuple[float, float]:
+    """The grid point one departure from WALL_TX snaps to, in a 5 m room at pitch 0.25."""
+    return tuple(snap_to_grid(WALL_TX, np.array(raw), 0.25, 5.0).tolist())
+
+
 class TestQuantizeRay:
     def test_on_grid_ray_is_fixed_point(self):
-        rx = Receiver(Point2D(5.0, 2.5), math.pi)
-        tx = Point2D(0.0, 2.5)
-        raw = tx.bearing_to(Point2D(2.625, 2.625))
-        aod, aoa, scatter = quantize_ray(tx, raw, rx, 0.25, 5.0)
-        assert (scatter.x, scatter.y) == (2.625, 2.625)
-        assert aod == raw
+        raw = bearing(Point2D(*WALL_TX), Point2D(2.625, 2.625))
+        assert snap_one(raw) == (2.625, 2.625)
 
     def test_tie_breaks_toward_nearer_point(self):
         # (0.625, 2.625) and (1.25, 2.75) are exactly collinear from the tx;
         # an exact-angle tie must resolve to the nearer one.
-        rx = Receiver(Point2D(5.0, 2.5), math.pi)
-        tx = Point2D(0.0, 2.5)
-        assert tx.bearing_to(Point2D(0.625, 2.625)) == tx.bearing_to(Point2D(1.25, 2.75))
-        raw = tx.bearing_to(Point2D(1.25, 2.75))
-        _, _, scatter = quantize_ray(tx, raw, rx, 0.25, 5.0)
-        assert (scatter.x, scatter.y) == (0.625, 2.625)
+        tx = Point2D(*WALL_TX)
+        assert bearing(tx, Point2D(0.625, 2.625)) == bearing(tx, Point2D(1.25, 2.75))
+        assert snap_one(bearing(tx, Point2D(1.25, 2.75))) == (0.625, 2.625)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(3)
-        tx = Point2D(0.0, 2.5)
-        rx = Receiver(Point2D(5.0, 2.5), math.pi)
-        for _ in range(300):
-            raw = rng.uniform(-math.pi / 2, math.pi / 2)
-            _, _, scatter = quantize_ray(tx, raw, rx, 0.25, 5.0)
-            assert (scatter.x, scatter.y) == brute_force_quantize(tx, raw, 0.25, 5.0)
+        raws = rng.uniform(-math.pi / 2, math.pi / 2, size=(20, 15))
+        points = snap_to_grid(WALL_TX, raws, 0.25, 5.0)         # all 300 at once
+        assert points.shape == (20, 15, 2)
+        for raw, point in zip(raws.ravel(), points.reshape(-1, 2).tolist()):
+            assert tuple(point) == brute_force_quantize(WALL_TX, raw, 0.25, 5.0)
+
+    def test_transmitter_cell_is_skipped(self):
+        # the cell under the tx has no bearing; with no other cell the grid is empty
+        point = snap_to_grid((0.375, 0.125), np.array([0.0]), 0.25, 5.0)
+        assert point.tolist() == [[0.625, 0.125]]
+        with pytest.raises(EmptyGrid):
+            snap_to_grid((0.5, 0.5), np.array([0.0]), 1.0, 1.0)
 
     def test_aoa_definition(self):
-        tx = Point2D(0.0, 2.5)
-        rx = Receiver(Point2D(5.0, 2.5), math.pi)
-        for raw in np.linspace(-1.2, 1.2, 9):
-            aod, aoa, scatter = quantize_ray(tx, raw, rx, 0.25, 5.0)
-            expected = math.atan2(rx.position.y - scatter.y, rx.position.x - scatter.x)
-            assert aoa == pytest.approx(rx.local_angle(expected), abs=0)
-            assert aod == pytest.approx(tx.bearing_to(scatter), abs=0)
+        # a ray arrives along the bearing from its bounce point (the tx for the
+        # direct path, last) to the receiver, in the receiver's frame
+        s = small_scenario()
+        geo = link_geometry(s)
+        for l, rx in enumerate(s.receivers):
+            sources = [Point2D(x, y) for x, y in geo.scatter[l].tolist()] + [s.tx]
+            for i, source in enumerate(sources):
+                expected = wrap_angle(bearing(source, rx.position) - rx.boresight)
+                assert geo.aoa[l, i] == expected
 
 
 class TestApplyTarget:
@@ -270,9 +278,9 @@ class TestApplyTarget:
         phases = np.random.default_rng(4).uniform(0.0, 2 * math.pi, size=s.n_links)
         echo = echo_of(s, target, phases[:, None])
         for l, rx in enumerate(s.receivers):
-            aoa = rx.local_angle(center.bearing_to(rx.position))
-            d1 = s.tx.distance_to(center)
-            d2 = center.distance_to(rx.position)
+            aoa = wrap_angle(bearing(center, rx.position) - rx.boresight)
+            d1 = distance(s.tx, center)
+            d2 = distance(center, rx.position)
             gain = 2.0 * 0.4 / (d1 * d2) * np.exp(1j * phases[l])
             # one path from the target center, seen through every beam
             for b, beam in enumerate(s.beam_angles):
@@ -431,6 +439,13 @@ class TestScenarioConfig:
     def test_device_outside_room_rejected(self):
         with pytest.raises(ConfigError):
             small_scenario(tx=[-1.0, 2.5])
+
+    @pytest.mark.parametrize("include_los", [True, False])
+    def test_receiver_on_transmitter_rejected(self, include_los):
+        # its direct path has no length: a 1/0 amplitude and degenerate legs
+        with pytest.raises(ConfigError, match="coincides with the transmitter"):
+            small_scenario(include_los=include_los,
+                           receivers=[{"position": [0.0, 2.5], "boresight": 0.0}])
 
     def test_tiling_bound(self):
         assert tiles_per_side(5.0, 0.25) == 20

@@ -110,8 +110,12 @@ class TestGen:
         (lambda s: {**s, "include_los": "no"}, "include_los must be a JSON boolean, got 'no'"),
         (lambda s: {**s, "receivers": [{**s["receivers"][0], "n_antennas": 2.5}]},
          "n_antennas must be a JSON integer, got 2.5"),
+        (lambda s: {**s, "beam_angles": []}, "beam_angles must name at least one beam"),
+        (lambda s: {**s, "cluster_spread_deg": -1.0},
+         "cluster_spread_deg must be >= 0, got -1.0"),
     ], ids=["list", "null", "string", "float-n_clusters", "float-n_rays", "float-n_scatter",
-            "bool-n_clusters", "float-env_seed", "string-include_los", "float-n_antennas"])
+            "bool-n_clusters", "float-env_seed", "string-include_los", "float-n_antennas",
+            "empty-beam_angles", "negative-cluster_spread_deg"])
     @pytest.mark.parametrize("where", ["scenario", "manifest"])
     def test_malformed_scenario_json_exits_2(self, tmp_path, scenario_file, capsys, where,
                                              document, message):
@@ -554,9 +558,12 @@ class TestBadFlags:
         lambda d: d.update(norm_mean=[0.0]),
         lambda d: d.update(norm_std=[math.inf, 1.0]),
         lambda d: d.update(norm_std=[1.0, -0.5]),
+        lambda d: d.update(threshold=1.5),
+        lambda d: d.update(threshold=-0.1),
     ], ids=["no-input_shape", "no-norm_std", "int-input_shape", "str-kernel",
             "null-norm_mean", "unknown-task", "nan-threshold", "nan-norm_mean",
-            "short-norm_mean", "inf-norm_std", "negative-norm_std"])
+            "short-norm_mean", "inf-norm_std", "negative-norm_std", "above-1-threshold",
+            "negative-threshold"])
     def test_malformed_model_descriptor_exits_2(self, tmp_path, scenario_file, capsys,
                                                 change):
         path = tmp_path / "det.csnn"

@@ -28,7 +28,6 @@ from csisense.dataset import (
     load_dataset,
     record_layout,
     record_seed,
-    sample_target_center,
     save_dataset,
     in_blocks,
     split,
@@ -383,8 +382,13 @@ class TestBlocks:
 
 class TestSampling:
     def test_rejects_oversize_target(self):
-        with pytest.raises(InvalidSize):
-            sample_target_center(fast_scenario(), 6.0, np.random.default_rng(0))
+        with pytest.raises(InvalidSize, match=r"in \[3.0, 2.0\] x \[3.0, 2.0\]"):
+            draw(fast_scenario(), 0, 6.0)
+
+    def test_rejects_bin_without_valid_center(self):
+        # every center of the bin around (0.125, 2.5) is within sigma/2 of the west wall
+        with pytest.raises(InvalidSize, match="no margin-valid center for a 0.8 m target"):
+            draw(fast_scenario(), 0, 0.8, (0.125, 2.5), jitter_pitch=0.25)
 
     def test_record_seed_stable(self):
         assert record_seed(5, 7) == record_seed(5, 7)

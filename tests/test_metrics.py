@@ -182,7 +182,7 @@ class TestWriters:
     def test_coverage_csv_and_pgm(self):
         score = np.array([[0.5, np.nan], [1.0, 0.0]])
         counts = np.array([[3, 0], [3, 3]])
-        cmap = CoverageMap(pitch=1.0, room_side=2.0, score=score, counts=counts)
+        cmap = CoverageMap(pitch=1.0, score=score, counts=counts)
         buf = io.StringIO()
         write_coverage_csv(buf, cmap)
         lines = buf.getvalue().strip().splitlines()
