@@ -80,9 +80,12 @@ def _check_count(flag: str, count: int | None) -> None:
 
 def _check_float(flag: str, value: float | None, low: float = -math.inf,
                  high: float = math.inf) -> None:
-    """A float flag must be finite and in [low, high]; NaN fails every comparison."""
+    """A float flag must be finite and in [low, high]; NaN fails every comparison.
+    The message names only the finite bounds."""
     if value is not None and not (math.isfinite(value) and low <= value <= high):
-        raise ConfigError(f"{flag} must be a finite number in [{low:g}, {high:g}], got {value}")
+        bounds = (f" in [{low:g}, {high:g}]" if math.isfinite(high)
+                  else f" >= {low:g}" if math.isfinite(low) else "")
+        raise ConfigError(f"{flag} must be a finite number{bounds}, got {value}")
 
 
 def _load_model(path: str, task: str | None = None, use: str = "") -> nn.TrainedModel:

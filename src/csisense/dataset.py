@@ -1,8 +1,9 @@
 """Dataset generation, labeling, persistence and splitting.
 
 Every record is a pure function of (master seed, record index): the record's
-own u64 seed is derived from that pair, so generation order and worker count
-never change the output.  A dataset is columnar, one array per field with
+own u64 seed is derived from that pair, and its draws come from the Generator
+that seed gives, so generation order, block size and worker count never
+change the output.  A dataset is columnar, one array per field with
 the record index as the row number; on disk it is a manifest.json, a
 frames.bin (fixed-size binary frame records) and a labels.csv.  Generation
 writes the records to disk a block at a time, and a loaded dataset's frames
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
 from array import array
 from collections import deque
@@ -46,6 +48,8 @@ PAPER_SCALE_N_PER_BIN = 2000
 # Drops synthesised together: bounds the memory of generation and evaluation.
 # A multiple of sensenet.INFER_CHUNK, so model outputs do not depend on it.
 BLOCK = 64
+# Label seeds load_dataset checks at once: bounds the memory of the check.
+SEED_CHECK_ROWS = 1024
 
 
 @dataclass
@@ -94,6 +98,8 @@ class DatasetManifest:
             check_sigma(m.sigma)
             if m.protocol not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {m.protocol!r}")
+            if m.master_seed < 0:
+                raise ValueError(f"master_seed must be >= 0, got {m.master_seed}")
             if m.n_per_hyp < 1:
                 raise ValueError(f"n_per_hyp must be >= 1, got {m.n_per_hyp}")
             if (m.grid_pitch is None) != (m.protocol == "resolution"):
@@ -140,9 +146,114 @@ def check_sigma(sigma: float, name: str = "sigma") -> None:
         raise InvalidSize(f"{name} must be finite and > 0, got {sigma}")
 
 
-def record_seed(master_seed: int, index: int) -> int:
-    """Stable u64 stream seed for one record."""
-    return int(np.random.SeedSequence([master_seed, index]).generate_state(1, np.uint64)[0])
+# numpy's SeedSequence (NEP 19, after O'Neill's seed_seq) and PCG64 seeding
+# (O'Neill 2014), run here on whole blocks of seeds with the same uint32 and
+# 128-bit arithmetic; tests/test_dataset.py pins them to numpy's own.
+_POOL = 4                                  # SeedSequence's pool, in uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # entropy mixing hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # state generation hash
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants a hash walks through in `calls` calls: init * mult**k mod 2**32."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each column of value (..., k) with the k + 1 consts."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ (result >> 16)
+
+
+def _generate_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(e).generate_state(n_words) of each row e of an (n, E) uint32
+    entropy array, as (n, n_words) uint32 words.  Every row takes the same
+    steps, so they run on all rows at once."""
+    size = entropy.shape[1]
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * max(size, _POOL))
+    pool = np.zeros((len(entropy), _POOL), np.uint32)    # missing words hash as 0
+    pool[:, :size] = entropy[:, :_POOL]
+    pool = _hashmix(pool, a[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):           # each pool word into every other, in order
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], a[k:k + _POOL]))
+        k += _POOL - 1
+    for src in range(_POOL, size):     # then each further entropy word into every one
+        pool = _mix(pool, _hashmix(entropy[:, src, None], a[k:k + _POOL + 1]))
+        k += _POOL
+    return _hashmix(pool[:, np.arange(n_words) % _POOL],
+                    _hash_consts(_INIT_B, _MULT_B, n_words))
+
+
+def _entropy_words(values: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative integers split as SeedSequence splits an int entropy value:
+    (n, W) uint32 words, least significant first and zero-padded, and the (n,)
+    count of each value's words (0 has one)."""
+    ints = [operator.index(v) for v in values]
+    if min(ints, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    width = -(-max(ints, default=0).bit_length() // 32)
+    if width <= 2:
+        v = np.array(ints, dtype=np.uint64)
+        words = np.stack([v & 0xFFFFFFFF, v >> 32], axis=1).astype(np.uint32)
+    else:
+        words = np.array([[i >> s & 0xFFFFFFFF for s in range(0, 32 * width, 32)]
+                          for i in ints], dtype=np.uint32)
+    used = words != 0
+    return words, np.where(used.any(axis=1), words.shape[1] - used[:, ::-1].argmax(axis=1), 1)
+
+
+def _seed_states(parts: Sequence[tuple[np.ndarray, np.ndarray]], n_words: int) -> np.ndarray:
+    """generate_state(n_words) of each row's SeedSequence, whose entropy is the
+    words of each (words, counts) part of _entropy_words in turn; rows with the
+    same word counts are hashed together."""
+    counts = np.stack([c for _, c in parts], axis=1)
+    out = np.empty((len(counts), n_words), np.uint32)
+    for key in set(map(tuple, counts.tolist())):
+        rows = np.flatnonzero((counts == key).all(axis=1))
+        entropy = np.concatenate([w[rows, :k] for (w, _), k in zip(parts, key)], axis=1)
+        out[rows] = _generate_state(entropy, n_words)
+    return out
+
+
+def record_seeds(master_seed: int | Sequence[int], indices: Sequence[int]) -> np.ndarray:
+    """The u64 stream seed of each record index, that of
+    SeedSequence([master_seed, index]).generate_state(1, np.uint64); master_seed
+    is one int for all indices or one per index.  A negative value raises
+    ValueError, as numpy does."""
+    if np.ndim(master_seed) == 0:
+        master_seed = [master_seed] * len(indices)
+    words = _seed_states([_entropy_words(master_seed), _entropy_words(indices)], 2)
+    return words[:, 0].astype(np.uint64) | words[:, 1].astype(np.uint64) << 32
+
+
+def streams(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """For each u64 stream seed in turn, one reused Generator in the state that
+    np.random.default_rng(seed) starts in: the seed's SeedSequence gives PCG64
+    a 128-bit state and increment, and seeding takes two LCG steps.  Take a
+    drop's draws before the next Generator: it is the same object, reseeded."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    words = _seed_states([_entropy_words(seeds)], 8).astype(np.uint64)
+    for s_hi, s_lo, i_hi, i_lo in (words[:, 0::2] | words[:, 1::2] << 32).tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def target_margin_ok(scenario: Scenario, sigma: float, xy: np.ndarray) -> np.ndarray:
@@ -174,7 +285,7 @@ def sample_target_center(
 
 
 class Draws(NamedTuple):
-    """The random draws of one drop, in the order its own Generator made them."""
+    """The random draws of one drop, in the order its stream's Generator made them."""
 
     z: np.ndarray               # (L, clusters, rays, 2) normals of the ray gains
     center: tuple[float, float] | None   # target center (x, y), None without a target
@@ -186,13 +297,13 @@ class Draws(NamedTuple):
 
 def draw(
     scenario: Scenario,
-    seed: int,
+    rng: np.random.Generator,
     sigma: float | None = None,
     center: tuple[float, float] | None = None,
     jitter_pitch: float | None = None,
     null: bool = True,
 ) -> Draws:
-    """The draws of one channel realization from its stream seed.
+    """The draws of one channel realization from its stream's Generator (streams).
 
     Without a target (sigma None) only a null frame is captured.  With one,
     its center is drawn under the margin rule, or jittered within a
@@ -200,7 +311,6 @@ def draw(
     is captured after the null frame (when `null`).  Draws, in order: ray
     gains, target center, echo phases, one noise array per capture.
     """
-    rng = np.random.default_rng(seed)
     s = scenario
     z = rng.standard_normal(size=(s.n_links, s.n_clusters, s.n_rays, 2))
     if sigma is None:
@@ -288,15 +398,15 @@ def _generate_block(manifest: DatasetManifest, start: int, target: np.ndarray,
     whose target and centers columns are given; centers are NaN on null rows."""
     sc, sigma = manifest.scenario, manifest.sigma
     jitter = manifest.grid_pitch if manifest.bin_jitter else None
-    seeds = [record_seed(manifest.master_seed, start + i) for i in range(len(target))]
-    draws = [draw(sc, seed, sigma, None if math.isnan(x) else (x, y), jitter, null=False)
-             if is_target else draw(sc, seed)
-             for seed, is_target, (x, y) in zip(seeds, target.tolist(), centers.tolist())]
+    seeds = record_seeds(manifest.master_seed, range(start, start + len(target)))
+    draws = [draw(sc, rng, sigma, None if math.isnan(x) else (x, y), jitter, null=False)
+             if is_target else draw(sc, rng)
+             for rng, is_target, (x, y) in zip(streams(seeds), target.tolist(), centers.tolist())]
     null, alt, xy = synthesize(sc, draws)
     tensors = np.empty((len(draws),) + null.shape[1:])
     tensors[~target] = null
     tensors[target] = alt
-    return tensors, xy, np.array(seeds, dtype=np.uint64)
+    return tensors, xy, seeds
 
 
 def _worker_count() -> int:
@@ -536,5 +646,12 @@ def load_dataset(path: str | Path) -> Dataset:
                           f"layout of manifest.json has {HYP_TARGET if layout[i] else HYP_NULL} "
                           f"there")
     _check_targets(src / "labels.csv", manifest, target, xy, sigma, centers)
+    for lo in range(0, len(seed), SEED_CHECK_ROWS):
+        rows = range(lo, min(lo + SEED_CHECK_ROWS, len(seed)))
+        wrong = np.flatnonzero(seed[lo:rows.stop] != record_seeds(manifest.master_seed, rows))
+        if len(wrong):
+            i = lo + wrong[0]
+            raise ConfigError(f"{src / 'labels.csv'}: row {i}: seed {seed[i]} is not the "
+                              f"record seed of master_seed {manifest.master_seed}")
     return Dataset(manifest=manifest, tensors=frames, target=target, xy=xy, seed=seed,
                    bin=bins)

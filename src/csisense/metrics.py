@@ -15,7 +15,8 @@ import numpy as np
 
 from .baseline import BeamBank, estimate_positions
 from .channel import Scenario, tiles_per_side
-from .dataset import Draws, draw, in_blocks, record_seed, synthesize, valid_bin_centers
+from .dataset import (Draws, draw, in_blocks, record_seeds, streams, synthesize,
+                      valid_bin_centers)
 from .errors import LengthMismatch, MissingClass
 from .geometry import Point2D, elementwise
 from .sensenet import TrainedModel
@@ -59,12 +60,13 @@ def paired_drop(
     sigma: float,
     master_seed: int,
     index: int,
-    center: Point2D | None = None,
+    center: Point2D | None,
+    rng: np.random.Generator,
 ) -> Draws:
-    """The draws of one evaluation drop: its null frame and perturbed frame
-    share the channel realization; noise is drawn independently per capture."""
-    return draw(scenario, record_seed(master_seed, index), sigma,
-                None if center is None else (center.x, center.y))
+    """The draws of evaluation drop (master_seed, index) from rng, the Generator
+    of its stream: its null frame and perturbed frame share the channel
+    realization; noise is drawn independently per capture."""
+    return draw(scenario, rng, sigma, None if center is None else (center.x, center.y))
 
 
 def _paired_blocks(
@@ -73,7 +75,9 @@ def _paired_blocks(
     """(null tensors, target tensors, centers) of the paired drops named by
     (master seed, index, center) keys, one block of drops at a time."""
     for block in in_blocks(keys):
-        yield synthesize(scenario, [paired_drop(scenario, sigma, *key) for key in block])
+        rngs = streams(record_seeds([k[0] for k in block], [k[1] for k in block]))
+        yield synthesize(scenario, [paired_drop(scenario, sigma, *key, rng)
+                                    for key, rng in zip(block, rngs)])
 
 
 def _decisions(
@@ -120,9 +124,8 @@ def resolution_curve(
     if list(sigmas) != sorted(sigmas):
         raise ValueError("sigma list must be sorted ascending")
     curve = []
-    for j, sigma in enumerate(sigmas):
-        counts = detection_counts(model, scenario, sigma, drops_per_sigma,
-                                  record_seed(master_seed, j))
+    for sigma, seed in zip(sigmas, record_seeds(master_seed, range(len(sigmas))).tolist()):
+        counts = detection_counts(model, scenario, sigma, drops_per_sigma, seed)
         curve.append((float(sigma), accuracy_score(counts)))
     crossing = next((s for s, p in curve if p > gamma), None)
     return curve, crossing
@@ -152,8 +155,8 @@ def coverage_map(
     n = tiles_per_side(scenario.room_side, pitch)
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
-    bin_keys = [(record_seed(master_seed, b), Point2D(x, y))
-                for b, (x, y) in enumerate(centers)]
+    bin_keys = [(seed, Point2D(x, y)) for seed, (x, y) in
+                zip(record_seeds(master_seed, range(len(centers))).tolist(), centers)]
     keys = ((seed, i, c) for seed, c in bin_keys for i in range(drops_per_bin))
     null_hits, alt_hits = (h.reshape(len(centers), drops_per_bin)
                            for h in _decisions(model, scenario, sigma, keys))

@@ -95,7 +95,7 @@ class TestRoomSpan:
 
 def gains_of(s: Scenario, seed: int) -> np.ndarray:
     """(L, R+1) ray gains of the realization drawn from `seed`."""
-    return ray_gains(link_geometry(s), draw(s, seed).z[None])[0]
+    return ray_gains(link_geometry(s), draw(s, np.random.default_rng(seed)).z[None])[0]
 
 
 def blocked(s: Scenario, target: Target) -> np.ndarray:
@@ -228,7 +228,7 @@ class TestApplyTarget:
         # a tiny target in a corner far from every segment
         target = Target(Point2D(4.6, 4.6), 0.05)
         assert not blocked(s, target).any()
-        d = draw(s, 1, target.diameter, target.center)
+        d = draw(s, np.random.default_rng(1), target.diameter, target.center)
         assert echo_of(s, target, d.phases).shape == (s.n_links, s.n_antennas, s.n_beams)
         # after the gains, n_scatter phases per link, and no noise (noiseless
         # scenario), come from the stream
@@ -380,7 +380,7 @@ class TestBeamCsi:
         # capture first, after the gains and the echo phases
         s = small_scenario(snr_db=10.0)
         geo = link_geometry(s)
-        d = draw(s, 11, 0.5, Point2D(2.5, 2.5))
+        d = draw(s, np.random.default_rng(11), 0.5, Point2D(2.5, 2.5))
         ref = np.random.default_rng(11)
         ref.standard_normal(d.z.shape)
         ref.uniform(size=d.phases.shape)

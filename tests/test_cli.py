@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csisense import dataset as dataset_mod
 from csisense.channel import Scenario
 from csisense.cli import EXIT_CONFIG, EXIT_IO, load_scenario, main
 from csisense.frame import NormStats
@@ -433,6 +434,19 @@ class TestBadFlags:
         assert_one_line_error(capsys, f"{flag} must be a finite number in [0, 1], got")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,flag,extra,value,message", [
+        ("gen", "--pitch", ["--protocol", "coverage"], "inf", "--pitch must be a finite number, "
+                                                             "got inf"),
+        ("train", "--lr", [], "-1", "--lr must be a finite number >= 0, got -1.0"),
+        ("train", "--val-frac", [], "1.5", "--val-frac must be a finite number in [0, 1], got 1.5"),
+    ], ids=["inf-pitch", "negative-lr", "val-frac-above-1"])
+    def test_float_flag_message_names_only_finite_bounds(
+            self, tmp_path, commands, capsys, command, flag, extra, value, message):
+        rc = main(commands[command] + extra + [flag, value])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_threshold_on_locate_model_exits_2(self, tmp_path, scenario_file, capsys):
         loc = untrained_model(tmp_path / "loc.csnn", "locate")
         out = tmp_path / "e.csv"
@@ -681,9 +695,10 @@ class TestBadDataset:
         (lambda m: m.update(sigma=-0.4), "sigma must be finite and > 0, got -0.4"),
         (lambda m: m.update(protocol="coverage"), "grid_pitch None with protocol 'coverage'"),
         (lambda m: m.update(grid_pitch=0.5), "grid_pitch 0.5 with protocol 'resolution'"),
+        (lambda m: m.update(master_seed=-1), "master_seed must be >= 0, got -1"),
     ], ids=["no-protocol", "str-split_fractions", "one-split_fraction", "null-n_per_hyp",
             "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma", "negative-sigma",
-            "binned-without-pitch", "resolution-with-pitch"])
+            "binned-without-pitch", "resolution-with-pitch", "negative-master_seed"])
     def test_malformed_manifest_exits_2(self, tmp_path, dataset_dir, capsys, change, message):
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -691,6 +706,21 @@ class TestBadDataset:
         path.write_text(json.dumps(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{path}: malformed manifest: ", message)
+        assert not (tmp_path / "m.csnn").exists()
+
+    def test_seed_off_its_record_exits_2(self, tmp_path, dataset_dir, capsys, monkeypatch):
+        # a seed column that (master_seed, row) does not give used to load as written;
+        # checked 4 rows at a time, row 4 opens the second chunk
+        monkeypatch.setattr(dataset_mod, "SEED_CHECK_ROWS", 4)
+        labels = dataset_dir / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")            # row 4
+        fields[-1] = "12345\n"
+        lines[5] = ",".join(fields)
+        labels.write_text("".join(lines))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{labels}: row 4: seed 12345 is not the record seed of "
+                                      f"master_seed 2")
         assert not (tmp_path / "m.csnn").exists()
 
     @pytest.fixture

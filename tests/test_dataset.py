@@ -27,8 +27,9 @@ from csisense.dataset import (
     gen_resolution_set,
     load_dataset,
     record_layout,
-    record_seed,
+    record_seeds,
     save_dataset,
+    streams,
     in_blocks,
     split,
     synthesize,
@@ -88,7 +89,7 @@ class TestResolutionSet:
         assert ds.target.sum() == 10 and (~ds.target).sum() == 10
         assert np.isnan(ds.xy[~ds.target]).all() and np.isfinite(ds.xy[ds.target]).all()
         assert (ds.bin == -1).all()
-        assert ds.seed.tolist() == [record_seed(7, i) for i in range(20)]
+        assert ds.seed.tolist() == record_seeds(7, range(20)).tolist()
 
     def test_deterministic(self, tmp_path):
         s = fast_scenario()
@@ -137,7 +138,7 @@ class TestResolutionSet:
                                                   np.full((1, 2), np.nan))
         assert np.array_equal(tensors[0], ds.tensors[[9]][0])
         assert np.array_equal(centers[0], ds.xy[9])
-        assert seeds[0] == ds.seed[9] == record_seed(123, 9)
+        assert seeds[0] == ds.seed[9] == record_seeds(123, [9])[0]
 
 
 class TestBinnedSet:
@@ -371,7 +372,8 @@ class TestBlocks:
     @pytest.mark.parametrize("snr_db", [20.0, math.inf])
     def test_paired_drops_independent_of_block_size(self, monkeypatch, block, snr_db):
         s = fast_scenario(snr_db=snr_db)
-        draws = [draw(s, record_seed(2, i), 0.6) for i in range(23)]
+        draws = [draw(s, np.random.default_rng(seed), 0.6)
+                 for seed in record_seeds(2, range(23)).tolist()]
         want = synthesize(s, draws)
         monkeypatch.setattr(dataset_mod, "BLOCK", block)
         parts = [synthesize(s, b) for b in in_blocks(draws)]
@@ -383,16 +385,64 @@ class TestBlocks:
 class TestSampling:
     def test_rejects_oversize_target(self):
         with pytest.raises(InvalidSize, match=r"in \[3.0, 2.0\] x \[3.0, 2.0\]"):
-            draw(fast_scenario(), 0, 6.0)
+            draw(fast_scenario(), np.random.default_rng(0), 6.0)
 
     def test_rejects_bin_without_valid_center(self):
         # every center of the bin around (0.125, 2.5) is within sigma/2 of the west wall
         with pytest.raises(InvalidSize, match="no margin-valid center for a 0.8 m target"):
-            draw(fast_scenario(), 0, 0.8, (0.125, 2.5), jitter_pitch=0.25)
+            draw(fast_scenario(), np.random.default_rng(0), 0.8, (0.125, 2.5),
+                 jitter_pitch=0.25)
 
     def test_record_seed_stable(self):
-        assert record_seed(5, 7) == record_seed(5, 7)
-        assert record_seed(5, 7) != record_seed(5, 8)
+        first = record_seeds(5, [7, 8]).tolist()
+        assert record_seeds(5, [8, 7]).tolist() == first[::-1]
+        assert first[0] != first[1]
+
+
+MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5]
+INDICES = [0, 1, 63, 64, 2**32 - 1, 2**32]
+
+
+def numpy_record_seed(master: int, index: int) -> int:
+    return int(np.random.SeedSequence([master, index]).generate_state(1, np.uint64)[0])
+
+
+class TestSeedDerivation:
+    """record_seeds and streams against numpy's SeedSequence and default_rng,
+    across word-count boundaries: a numpy release that changed either algorithm
+    fails here instead of quietly changing every dataset and metric."""
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_record_seeds_match_seed_sequence(self, master):
+        assert record_seeds(master, INDICES).tolist() == [
+            numpy_record_seed(master, i) for i in INDICES]
+
+    def test_mixed_word_counts_in_one_block(self):
+        # one call with per-row masters hashes 2- to 6-word entropy, shuffled
+        pairs = [(m, i) for m in MASTERS for i in INDICES]
+        pairs = [pairs[j] for j in np.random.default_rng(3).permutation(len(pairs))]
+        assert {sum(max(1, -(-v.bit_length() // 32)) for v in p) for p in pairs} == {2, 3, 4, 5, 6}
+        got = record_seeds([m for m, _ in pairs], [i for _, i in pairs])
+        assert got.tolist() == [numpy_record_seed(m, i) for m, i in pairs]
+
+    def test_streams_start_where_default_rng_does(self):
+        seeds = np.concatenate([np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], np.uint64),
+                                record_seeds(9, range(100))])
+        taken = 0
+        for seed, rng in zip(seeds.tolist(), streams(seeds)):
+            ref = np.random.default_rng(seed)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+            taken += 1
+        assert taken == len(seeds)
+
+    @pytest.mark.parametrize("master,indices", [(-1, [0]), (0, [1, -1]), ([0, -2], [0, 1])])
+    def test_negative_values_raise_value_error(self, master, indices):
+        # numpy's error, never a seed of the value wrapped through uint64
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence([0, -1])
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            record_seeds(master, indices)
 
 
 class TestMemory:
@@ -430,7 +480,8 @@ class TestMemory:
 
         def random_block(manifest, start, target, centers):
             tensors = np.random.default_rng(start).standard_normal((len(target), 4, 3, 2))
-            return tensors, centers, np.arange(start, start + len(target), dtype=np.uint64)
+            return tensors, centers, record_seeds(manifest.master_seed,
+                                                  range(start, start + len(target)))
 
         monkeypatch.setattr(dataset_mod, "_generate_block", random_block)
         save_dataset(tmp_path / "ds", manifest)

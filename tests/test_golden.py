@@ -2,9 +2,9 @@
 
 `tests/data/golden_frames.npz` holds frames written by the per-ray channel
 code that preceded the array-native one.  Every case must match within 1e-12,
-and the generator seeded for the drop must be left in the same state: the
-next `random()` it yields after the drop is compared exactly, so the draw
-order and the number of draws are pinned as well as the values.
+and the Generator the drop drew from must be left in the same state: the
+next `random()` it yields after the drop is compared exactly, so the seed,
+the draw order and the number of draws are pinned as well as the values.
 
 Regenerate (only when the channel model is meant to change) with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -20,11 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csisense import dataset as dataset_mod
+from csisense import metrics as metrics_mod
 from csisense.channel import Scenario, link_geometry
 from csisense.cli import load_scenario
-from csisense.dataset import DatasetManifest, _generate_block, record_seed, synthesize
+from csisense.dataset import DatasetManifest, _generate_block
 from csisense.geometry import Point2D
-from csisense.metrics import paired_drop
+from csisense.metrics import _paired_blocks
 
 GOLDEN = Path(__file__).parent / "data" / "golden_frames.npz"
 TOLERANCE = 1e-12
@@ -73,39 +75,39 @@ def _record_cases():
             + [(f"gen2-{i}", manifest(s2, 22), i, t, c) for i, t, c, _ in records[:2]])
 
 
-class _SeededGenerators:
-    """Records each generator built from an integer seed, so a test can read the
-    state a drop left its own generator in."""
+class _DrawSpy:
+    """Stands in for dataset.draw and keeps the Generator the last drop drew
+    from, so a test can read the state the drop left its stream in."""
 
     def __init__(self):
-        self.by_seed = {}
-        self._make = np.random.default_rng
+        self.last = None
+        self._draw = dataset_mod.draw
 
-    def __call__(self, seed=None):
-        rng = self._make(seed)
-        if isinstance(seed, int):
-            self.by_seed[seed] = rng
-        return rng
+    def __call__(self, scenario, rng, *args, **kwargs):
+        self.last = rng
+        return self._draw(scenario, rng, *args, **kwargs)
 
 
 def synthesize_cases(monkeypatch) -> dict[str, np.ndarray]:
-    """Every golden case as named arrays: center, frames and the next random()."""
-    spy = _SeededGenerators()
-    monkeypatch.setattr(np.random, "default_rng", spy)
+    """Every golden case as named arrays: center, frames and the next random().
+    Each case is a block of one drop, so its Generator is read before another
+    drop reseeds it."""
+    spy = _DrawSpy()
+    for module in (dataset_mod, metrics_mod):
+        monkeypatch.setattr(module, "draw", spy)
     out: dict[str, np.ndarray] = {}
     for case, s, sigma, seed, index, center in _drop_cases():
-        null, alt, centers = synthesize(s, [paired_drop(s, sigma, seed, index, center)])
+        null, alt, centers = next(_paired_blocks(s, sigma, [(seed, index, center)]))
         out[f"{case}.center"] = centers[0]
         out[f"{case}.null"] = _matrix(null[0])
         out[f"{case}.alt"] = _matrix(alt[0])
-        out[f"{case}.next"] = np.array(spy.by_seed[record_seed(seed, index)].random())
+        out[f"{case}.next"] = np.array(spy.last.random())
     for case, manifest, index, target, center in _record_cases():
         tensors, centers, _ = _generate_block(manifest, index, np.array([target]),
                                               np.array([center]))
         out[f"{case}.center"] = centers[0]
         out[f"{case}.tensor"] = tensors[0]
-        seed = record_seed(manifest.master_seed, index)
-        out[f"{case}.next"] = np.array(spy.by_seed[seed].random())
+        out[f"{case}.next"] = np.array(spy.last.random())
     return out
 
 

@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from csisense import dataset as dataset_mod
 from csisense.baseline import overlapped_bank, swept_bank
 from csisense.channel import Scenario
-from csisense.dataset import synthesize
 from csisense.errors import LengthMismatch, MissingClass
 from csisense.frame import NormStats
 from csisense.metrics import (
     ConfusionCounts,
     CoverageMap,
+    _paired_blocks,
     accuracy_score,
     coverage_map,
     detection_counts,
     drop_positions,
     error_summary,
-    paired_drop,
     resolution_curve,
     write_coverage_csv,
     write_coverage_pgm,
@@ -106,11 +105,12 @@ class TestErrorSummary:
 
 class TestDrops:
     def test_paired_drop_deterministic(self):
+        # a drop is a function of its (master seed, index), wherever it sits in a block
         s = tiny_scenario()
-        a = synthesize(s, [paired_drop(s, 0.4, 5, 0)])
-        b = synthesize(s, [paired_drop(s, 0.4, 5, 0)])
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        alone = next(_paired_blocks(s, 0.4, [(5, 0, None)]))
+        again = next(_paired_blocks(s, 0.4, [(2**64, 3, None), (5, 0, None)]))
+        for x, y in zip(alone, again):
+            assert np.array_equal(x[0], y[1])
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_positions_independent_of_block_size(self, monkeypatch, block):
