@@ -138,10 +138,6 @@ class Scenario:
         """The deployment's fixed link arrays, fetched from link_geometry once per object."""
         return link_geometry(self)
 
-    def __getstate__(self) -> dict:
-        """Pickled without the cached geometry (~50 KB); link_geometry gives it again."""
-        return {k: v for k, v in self.__dict__.items() if k != "geometry"}
-
     @property
     def noise_level(self) -> float:
         """Per-element complex noise variance relative to unit mean path power."""
@@ -206,12 +202,15 @@ class Scenario:
             raise ConfigError(f"malformed scenario config: {exc}") from exc
 
 
+JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
 def check_json_type(name: str, value, kind: type):
-    """`value` when its type is exactly `kind`: a JSON boolean is no integer here."""
-    if type(value) is not kind:
-        raise ConfigError(f"{name} must be a JSON {'boolean' if kind is bool else 'integer'}, "
-                          f"got {value!r}")
-    return value
+    """`value` when its JSON type is `kind`: a boolean is no integer or number
+    here, and a number (kind float) is an integer or a float, returned as a float."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise ConfigError(f"{name} must be a JSON {JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def array_response(theta: float, n_antennas: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric failure.
 All randomness flows from --seed; repeating a command with the same seed
-rewrites byte-identical artifacts.  CSISENSE_WORKERS, an integer >= 1, sets
-the generation worker pool (default 1).
+rewrites byte-identical artifacts.  Argv, the files it names and the
+packaged presets are the only inputs: no environment variable is read.
 
 No command holds a dataset's frames all at once: `gen` writes each block of
 records as it is made and manifest.json last, `train` reads only its split's

@@ -2,12 +2,12 @@
 
 Every record is a pure function of (master seed, record index): the record's
 own u64 seed is derived from that pair, and its draws come from the Generator
-that seed gives, so generation order, block size and worker count never
-change the output.  A dataset is columnar, one array per field with
-the record index as the row number; on disk it is a manifest.json, a
-frames.bin (fixed-size binary frame records) and a labels.csv.  Generation
-writes the records to disk a block at a time, and a loaded dataset's frames
-stay on disk until rows of them are read.
+that seed gives, so neither generation order nor block size changes the
+output.  A dataset is columnar, one array per field with the record index
+as the row number; on disk it is a manifest.json, a frames.bin (fixed-size
+binary frame records) and a labels.csv.  Generation makes the records in
+the calling process and writes them to disk a block at a time, and a loaded
+dataset's frames stay on disk until rows of them are read.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import math
 import operator
 import os
 from array import array
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -27,7 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import Scenario, blocked_rays, capture, grid_points, ray_gains, target_echo
+from .channel import (Scenario, blocked_rays, capture, check_json_type, grid_points, ray_gains,
+                      target_echo)
 from .errors import ConfigError, InvalidPitch, InvalidSize
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
 from .geometry import exact_hypot
@@ -81,19 +80,22 @@ class DatasetManifest:
 
     @staticmethod
     def from_dict(d: dict, source: str = "manifest") -> "DatasetManifest":
-        """A missing key or a wrong value raises "<source>: malformed manifest: …"."""
+        """A missing key, a value of the wrong JSON type or a wrong value raises
+        "<source>: malformed manifest: …"."""
         try:
             m = DatasetManifest(
                 scenario=Scenario.from_dict(d["scenario"]),
-                protocol=d["protocol"],
-                sigma=float(d["sigma"]),
-                n_per_hyp=int(d["n_per_hyp"]),
-                master_seed=int(d["master_seed"]),
-                grid_pitch=None if d.get("grid_pitch") is None else float(d["grid_pitch"]),
-                split_fractions=tuple(float(v) for v in d.get("split_fractions", (0.7, 0.3))),
-                bin_jitter=bool(d.get("bin_jitter", False)),
-                count_null=int(d.get("count_null", 0)),
-                count_target=int(d.get("count_target", 0)),
+                protocol=check_json_type("protocol", d["protocol"], str),
+                sigma=check_json_type("sigma", d["sigma"], float),
+                n_per_hyp=check_json_type("n_per_hyp", d["n_per_hyp"], int),
+                master_seed=check_json_type("master_seed", d["master_seed"], int),
+                grid_pitch=None if d.get("grid_pitch") is None
+                else check_json_type("grid_pitch", d["grid_pitch"], float),
+                split_fractions=tuple(check_json_type("split_fractions", v, float)
+                                      for v in d.get("split_fractions", (0.7, 0.3))),
+                bin_jitter=check_json_type("bin_jitter", d.get("bin_jitter", False), bool),
+                count_null=check_json_type("count_null", d.get("count_null", 0), int),
+                count_target=check_json_type("count_target", d.get("count_target", 0), int),
             )
             check_sigma(m.sigma)
             if m.protocol not in PROTOCOLS:
@@ -107,8 +109,8 @@ class DatasetManifest:
                                  f"only the binned protocols have one")
             if len(m.split_fractions) != 2:
                 raise ValueError(f"split_fractions must be two numbers, got {d['split_fractions']}")
-        except (KeyError, TypeError, ValueError, AttributeError, InvalidSize, ConfigError,
-                InvalidPitch) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, AttributeError, InvalidSize,
+                ConfigError, InvalidPitch) as exc:
             raise ConfigError(
                 f"{source}: malformed manifest: {type(exc).__name__}: {exc}") from exc
         return m
@@ -409,41 +411,14 @@ def _generate_block(manifest: DatasetManifest, start: int, target: np.ndarray,
     return tensors, xy, seeds
 
 
-def _worker_count() -> int:
-    value = os.environ.get("CSISENSE_WORKERS", "1")
-    if not (value.isdecimal() and int(value) >= 1):
-        raise ConfigError(f"CSISENSE_WORKERS must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def generate(manifest: DatasetManifest) -> Iterator[Block]:
     """The records of the manifest's layout as blocks in row order, each made
-    when the previous one has been taken.  With CSISENSE_WORKERS > 1 each block
-    is one pool task and at most two tasks per worker are in flight.  The
-    layout and the worker count are checked before this returns."""
+    when the previous one has been taken.  The layout is checked before this
+    returns."""
     target, _, centers = record_layout(manifest)
-    tasks = [(manifest, lo, target[lo:lo + BLOCK], centers[lo:lo + BLOCK])
-             for lo in range(0, len(target), BLOCK)]
-    workers = _worker_count()
-    made = (_generate_block(*task) for task in tasks) if workers == 1 or len(tasks) < 2 \
-        else _pool_blocks(tasks, workers)
-    return (Block(task[2], *block) for task, block in zip(tasks, made))
-
-
-def _pool_blocks(tasks: list[tuple], workers: int) -> Iterator[tuple]:
-    """_generate_block of each task in task order, at most 2 * workers in flight;
-    the tasks not yet started are cancelled when the caller stops early."""
-    pool = ProcessPoolExecutor(max_workers=workers)
-    pending = deque()
-    try:
-        for task in tasks:
-            pending.append(pool.submit(_generate_block, *task))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    blocks = ((lo, target[lo:lo + BLOCK], centers[lo:lo + BLOCK])
+              for lo in range(0, len(target), BLOCK))
+    return (Block(t, *_generate_block(manifest, lo, t, c)) for lo, t, c in blocks)
 
 
 def gen_resolution_set(
@@ -533,7 +508,7 @@ def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
     place; an old manifest.json is removed first, so a write that stops early
     leaves nothing loadable.
     """
-    blocks = generate(manifest)    # checks the layout and the worker count first
+    blocks = generate(manifest)    # checks the layout first
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)

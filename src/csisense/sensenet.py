@@ -143,7 +143,7 @@ def conv2d_backward(
     n, h, wid, c = x_shape
     ho, wo = dout.shape[1:3]
     dflat = dout.reshape(-1, w.shape[3])
-    dw = (cols.T @ dflat).reshape(w.shape)
+    dw = (dflat.T @ cols).T.reshape(w.shape)     # faster than cols.T @ dflat with OpenBLAS
     db = dflat.sum(axis=0)
     if not need_dx:
         return None, dw, db
@@ -179,7 +179,8 @@ def maxpool_backward(dout: np.ndarray, idx: np.ndarray, x_shape: tuple, p: int) 
     ho, wo = h // p, w // p
     dx = np.zeros(x_shape)
     for q in range(p * p):
-        dx[:, q // p: ho * p: p, q % p: wo * p: p, :] = np.where(idx == q, dout, 0.0)
+        np.multiply(dout, idx == q, out=dx[:, q // p: ho * p: p, q % p: wo * p: p, :])
+    dx += 0.0      # the -0.0 of a negative dout times False reads +0.0
     return dx
 
 

@@ -485,13 +485,6 @@ class TestBadFlags:
                                       "512 x 512 cells")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_bad_worker_count_exits_2(self, tmp_path, commands, capsys, monkeypatch, value):
-        monkeypatch.setenv("CSISENSE_WORKERS", value)
-        assert main(commands["gen"]) == EXIT_CONFIG
-        assert_one_line_error(capsys, f"CSISENSE_WORKERS must be an integer >= 1, got {value!r}")
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("flag", [["--bin-jitter"], ["--pitch", "0.3"]])
     def test_binned_flag_on_resolution_gen_exits_2(self, tmp_path, commands, capsys, flag):
         assert main(commands["gen"] + ["--protocol", "resolution"] + flag) == EXIT_CONFIG
@@ -685,9 +678,10 @@ class TestBadDataset:
 
     @pytest.mark.parametrize("change,message", [
         (lambda m: m.pop("protocol"), "KeyError: 'protocol'"),
-        (lambda m: m.update(split_fractions=["a", "b"]), "ValueError: could not convert"),
+        (lambda m: m.update(split_fractions=["a", "b"]),
+         "split_fractions must be a JSON number, got 'a'"),
         (lambda m: m.update(split_fractions=[1.0]), "split_fractions must be two numbers"),
-        (lambda m: m.update(n_per_hyp=None), "TypeError: int() argument"),
+        (lambda m: m.update(n_per_hyp=None), "n_per_hyp must be a JSON integer, got None"),
         (lambda m: m.update(n_per_hyp=0), "n_per_hyp must be >= 1, got 0"),
         (lambda m: m.update(protocol="spiral"), "unknown protocol 'spiral'"),
         (lambda m: m.update(sigma=math.nan), "sigma must be finite and > 0, got nan"),
@@ -706,6 +700,33 @@ class TestBadDataset:
         path.write_text(json.dumps(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{path}: malformed manifest: ", message)
+        assert not (tmp_path / "m.csnn").exists()
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("n_per_hyp", "3", "integer"),
+        ("master_seed", 7.9, "integer"),
+        ("count_null", True, "integer"),
+        ("count_target", 3.0, "integer"),
+        ("bin_jitter", "no", "boolean"),
+        ("sigma", "0.4", "number"),
+        ("sigma", True, "number"),
+        ("grid_pitch", "0.5", "number"),
+        ("split_fractions", ["0.7", "0.3"], "number"),
+        ("protocol", ["resolution"], "string"),
+    ], ids=["str-n_per_hyp", "float-master_seed", "bool-count_null", "float-count_target",
+            "str-bin_jitter", "str-sigma", "bool-sigma", "str-grid_pitch",
+            "str-split_fractions", "list-protocol"])
+    def test_manifest_value_of_the_wrong_json_type_exits_2(self, tmp_path, dataset_dir, capsys,
+                                                          key, value, kind):
+        # each once loaded as int(), bool() or float() of itself, or as written
+        path = dataset_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        shown = value[0] if key == "split_fractions" else value
+        assert_one_line_error(capsys, f"{path}: malformed manifest: ",
+                              f"{key} must be a JSON {kind}, got {shown!r}")
         assert not (tmp_path / "m.csnn").exists()
 
     def test_seed_off_its_record_exits_2(self, tmp_path, dataset_dir, capsys, monkeypatch):

@@ -1,10 +1,8 @@
 import json
 import math
-import pickle
 import tempfile
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -309,48 +307,6 @@ class TestPersistence:
         assert len(back) == 0 and back.tensors.shape == (0, 4, 3, 2)
 
 
-class TestWorkers:
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        s = fast_scenario()
-        gen_resolution_set(s, 0.8, 16, 5, tmp_path / "serial")
-        monkeypatch.setenv("CSISENSE_WORKERS", "2")
-        monkeypatch.setattr(dataset_mod, "BLOCK", 5)        # seven pool tasks
-        gen_resolution_set(s, 0.8, 16, 5, tmp_path / "pool")
-        assert_same_files(tmp_path / "serial", tmp_path / "pool")
-
-    def test_pool_keeps_two_blocks_per_worker_in_flight(self, tmp_path, monkeypatch):
-        submitted = []
-
-        class CountingPool(ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                submitted.append(args[1])
-                return super().submit(fn, *args)
-
-        manifest = gen_resolution_set(fast_scenario(), 0.8, 20, 5, tmp_path / "d")  # 40 records
-        serial = list(generate(manifest))
-        monkeypatch.setattr(dataset_mod, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(dataset_mod, "BLOCK", 4)                     # ten tasks
-        monkeypatch.setenv("CSISENSE_WORKERS", "3")
-        got = []
-        for block in generate(manifest):
-            got.append(block)
-            assert len(submitted) <= len(got) + 2 * 3 - 1
-        assert submitted == list(range(0, 40, 4))
-        for name in Block._fields:
-            assert np.array_equal(np.concatenate([getattr(b, name) for b in serial]),
-                                  np.concatenate([getattr(b, name) for b in got]),
-                                  equal_nan=True), name
-
-    def test_scenario_pickles_without_its_geometry(self):
-        # every pool task pickles the manifest's scenario; its cached geometry stays behind
-        s = fast_scenario()
-        size = len(pickle.dumps(s))
-        geo = s.geometry
-        assert len(pickle.dumps(s)) == size
-        back = pickle.loads(pickle.dumps(s))
-        assert back == s and np.array_equal(back.geometry.response, geo.response)
-
-
 class TestBlocks:
     """Drops are drawn one at a time and synthesised in blocks of BLOCK: the
     block size must not change any drop."""
@@ -458,9 +414,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_gen_holds_a_few_blocks(self, tmp_path, monkeypatch, capsys, workers):
-        monkeypatch.setenv("CSISENSE_WORKERS", workers)
+    def test_gen_holds_a_few_blocks(self, tmp_path, capsys):
         gen = ["gen", "--scenario", "scenario1", "--n", "1100", "--out", str(tmp_path / "ds")]
         assert main(gen[:4] + ["1"] + gen[5:]) == 0           # link geometry and imports
         peak = self.traced_peak(gen)

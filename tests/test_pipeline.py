@@ -3,12 +3,13 @@
 Every artifact of `gen` (three protocols), `train` (detect and locate),
 `eval` (single sigma, --sigmas, locate), `coverage` (CSV and PGM) and
 `baseline --model` is compared with the copy under `tests/data/pipeline/`,
-and `gen` is repeated with a two-worker pool.  On the numeric build recorded
-in `build.json` beside the fixtures every file must match byte for byte; on
-any other build counts, labels and headers must match exactly and floats
-within 1e-9.  The model files (630 KB each) are pinned by their SHA-256 in
-`digests.json`, checked on the recorded build; elsewhere their training logs
-and every output computed from them stand in for them.
+and `gen` is repeated in blocks of 5 with CSISENSE_WORKERS=2 set, which no
+module reads.  On the numeric build recorded in `build.json` beside the
+fixtures every file must match byte for byte; on any other build counts,
+labels and headers must match exactly and floats within 1e-9.  The model
+files (630 KB each) are pinned by their SHA-256 in `digests.json`, checked on
+the recorded build; elsewhere their training logs and every output computed
+from them stand in for them.
 
 Regenerate (only when a change is meant to alter the numbers) with
 `PYTHONPATH=src python tests/test_pipeline.py`.
@@ -119,7 +120,6 @@ def compare(root: Path, names: list[str], exact: bool) -> None:
 
 
 def test_pipeline_matches_fixtures(tmp_path, monkeypatch):
-    monkeypatch.delenv("CSISENSE_WORKERS", raising=False)
     run(STEPS, tmp_path / "serial")
     exact = json.loads((FIXTURES / "build.json").read_text()) == build()
     digests = json.loads((FIXTURES / "digests.json").read_text())
@@ -129,20 +129,17 @@ def test_pipeline_matches_fixtures(tmp_path, monkeypatch):
     if exact:
         assert {name: sha256(tmp_path / "serial" / name) for name in digests} == digests
 
-    # The pool must not change a byte: several blocks, two workers.
+    # Neither the block size nor CSISENSE_WORKERS, which no module reads, may change a byte.
     monkeypatch.setenv("CSISENSE_WORKERS", "2")
     monkeypatch.setattr(dataset_mod, "BLOCK", 5)
-    run(GEN, tmp_path / "pool")
-    gen_names = artifacts(tmp_path / "pool")
+    run(GEN, tmp_path / "rerun")
+    gen_names = artifacts(tmp_path / "rerun")
     assert gen_names == [n for n in names if n.split("/")[0] in ("res", "pos", "cov")]
-    compare(tmp_path / "pool", gen_names, exact)
+    compare(tmp_path / "rerun", gen_names, exact)
 
 
 if __name__ == "__main__":
-    import os
     import shutil
-
-    os.environ.pop("CSISENSE_WORKERS", None)
 
     if FIXTURES.exists():
         shutil.rmtree(FIXTURES)

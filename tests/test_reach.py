@@ -1,7 +1,8 @@
 """No module code that only tests reach: every top-level function and class of
 the package, and every method but the dunder ones, is referenced somewhere in
 the package outside its own definition.  Code that only the tests need lives
-in tests/ (see oracles.py)."""
+in tests/ (see oracles.py).  And no module reads the environment: argv and
+the files it names are the only inputs."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,10 @@ def test_every_definition_is_reached_from_the_package():
                  if all(where == module and node.lineno <= line <= node.end_lineno
                         for where, line in refs.get(node.name, []))]
     assert not unreached, f"referenced only by their own definitions: {unreached}"
+
+
+def test_no_module_reads_the_environment():
+    reads = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+             for name, line in references(ast.parse(path.read_text()))
+             if name in ("environ", "environb", "getenv", "getenvb")]
+    assert not reads, f"environment reads: {reads}"

@@ -206,6 +206,17 @@ class TestPool:
         assert np.allclose(np.sort(np.abs(dx[selected])), np.sort(np.abs(dout.ravel()))[
             np.sort(np.abs(dout.ravel())).size - selected.sum():], atol=0)
 
+    def test_backward_writes_no_negative_zero(self):
+        # a negative gradient times an unrouted tap is -0.0 before the backward adds 0.0
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 4, 7, 3))
+        out, idx, shape = maxpool(x, 2)
+        dout = -rng.uniform(0.5, 1.0, out.shape)
+        dx = maxpool_backward(dout, idx, shape, 2)
+        assert not np.signbit(dx[dx == 0]).any()
+        assert np.array_equal(dx.view(np.uint64),
+                              _old_maxpool_backward(dout, idx, shape, 2).view(np.uint64))
+
 
 class TestForward:
     def test_sigmoid_output_range(self):
