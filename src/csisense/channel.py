@@ -26,16 +26,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget
+from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget, read_json
 from .geometry import TWO_PI, Point2D, elementwise, segments_blocked, wrap_angles
-
-# Config keys that may only be true: omni transmitter, narrowband captures.
-FIXED_TRUE_KEYS = ("tx_omni", "narrowband")
-
-# Config keys whose JSON type is checked: a float or a bool would be truncated
-# or taken for its truth value.
-TYPED_KEYS = {"n_clusters": int, "n_rays": int, "n_scatter": int, "env_seed": int,
-              "include_los": bool}
 
 # Table-style 7-beam sweep spanning [-pi/2, pi/2].
 DEFAULT_BEAM_ANGLES = (
@@ -86,8 +78,6 @@ class Scenario:
     env_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "receivers", tuple(self.receivers))
-        object.__setattr__(self, "beam_angles", tuple(float(b) for b in self.beam_angles))
         for name in ("room_side", "grid_pitch", "cluster_spread_deg", "los_gain", "scatter_coeff"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
@@ -95,8 +85,6 @@ class Scenario:
             raise ConfigError("beam_angles must name at least one beam")
         if self.cluster_spread_deg < 0:
             raise ConfigError(f"cluster_spread_deg must be >= 0, got {self.cluster_spread_deg}")
-        if not all(math.isfinite(b) for b in self.beam_angles):
-            raise ConfigError(f"beam angles must be finite, got {list(self.beam_angles)}")
         if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
             raise ConfigError(f"snr_db must be finite or inf (noiseless), got {self.snr_db}")
         if self.room_side <= 0:
@@ -112,7 +100,7 @@ class Scenario:
         if list(self.beam_angles) != sorted(self.beam_angles):
             raise ConfigError("beam angles must be sorted ascending")
         lim = math.pi / 2 + 1e-12
-        if any(abs(b) > lim for b in self.beam_angles):
+        if not all(abs(b) <= lim for b in self.beam_angles):     # NaN fails too
             raise ConfigError("beam angles must lie in [-pi/2, pi/2]")
         for p in [self.tx] + [rx.position for rx in self.receivers]:
             if not (0 <= p.x <= self.room_side and 0 <= p.y <= self.room_side):
@@ -159,58 +147,25 @@ class Scenario:
         return d
 
     @staticmethod
-    def from_dict(cfg: dict) -> "Scenario":
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"scenario config must be a JSON object, got {type(cfg).__name__}")
-        known = {f.name for f in fields(Scenario)}
-        for key in FIXED_TRUE_KEYS:
-            if cfg.get(key, True) is not True:
-                raise ConfigError(f"{key} must be true (the only modelled case), "
-                                  f"got {cfg[key]!r}")
-        unknown = set(cfg) - known - set(FIXED_TRUE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        missing = {"name", "tx", "receivers"} - set(cfg)
-        if missing:
-            raise ConfigError(f"scenario config missing keys: {sorted(missing)}")
-        for key, kind in TYPED_KEYS.items():
-            if key in cfg:
-                check_json_type(key, cfg[key], kind)
-        try:
-            receivers = tuple(
-                Receiver(
-                    position=Point2D(*[float(v) for v in r["position"]]),
-                    boresight=float(r["boresight"]),
-                    n_antennas=check_json_type("n_antennas", r.get("n_antennas", 8), int),
-                )
-                for r in cfg["receivers"]
-            )
-            kwargs = {
-                k: cfg[k]
-                for k in known - {"name", "tx", "receivers", "beam_angles"}
-                if k in cfg
-            }
-            if "beam_angles" in cfg:
-                kwargs["beam_angles"] = tuple(float(b) for b in cfg["beam_angles"])
-            return Scenario(
-                name=str(cfg["name"]),
-                tx=Point2D(*[float(v) for v in cfg["tx"]]),
-                receivers=receivers,
-                **kwargs,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed scenario config: {exc}") from exc
+    def from_dict(cfg) -> "Scenario":
+        """The scenario of a JSON object whose keys have the kinds of SCENARIO_KINDS."""
+        v = read_json(cfg, SCENARIO_KINDS, "scenario")
+        v.pop("tx_omni", None)
+        v.pop("narrowband", None)
+        return Scenario(**{**v, "tx": Point2D(*v["tx"]), "receivers": tuple(
+            Receiver(**{**r, "position": Point2D(*r["position"])}) for r in v["receivers"])})
 
 
-JSON_TYPE_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
-
-
-def check_json_type(name: str, value, kind: type):
-    """`value` when its JSON type is `kind`: a boolean is no integer or number
-    here, and a number (kind float) is an integer or a float, returned as a float."""
-    if type(value) not in ((int, float) if kind is float else (kind,)):
-        raise ConfigError(f"{name} must be a JSON {JSON_TYPE_NAMES[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+# The JSON kind of each scenario key (errors.read_json); one left out takes its default.
+# tx_omni and narrowband: the one modelled case, omni transmitter and narrowband captures.
+RECEIVER_KINDS = {"position": [float, float], "boresight": float, "n_antennas?": int}
+SCENARIO_KINDS = {
+    "name": str, "tx": [float, float], "receivers": [RECEIVER_KINDS, ...], "room_side?": float,
+    "beam_angles?": [float, ...], "n_clusters?": int, "n_rays?": int, "n_scatter?": int,
+    "cluster_spread_deg?": float, "grid_pitch?": float, "include_los?": bool,
+    "los_gain?": float, "scatter_coeff?": float, "snr_db?": float, "env_seed?": int,
+    "tx_omni?": True, "narrowband?": True,
+}
 
 
 def array_response(theta: float, n_antennas: int) -> np.ndarray:

@@ -18,16 +18,16 @@ import math
 import operator
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (Scenario, blocked_rays, capture, check_json_type, grid_points, ray_gains,
+from .channel import (SCENARIO_KINDS, Scenario, blocked_rays, capture, grid_points, ray_gains,
                       target_echo)
-from .errors import ConfigError, InvalidPitch, InvalidSize
+from .errors import ConfigError, InvalidPitch, InvalidSize, read_json
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
 from .geometry import exact_hypot
 
@@ -47,8 +47,8 @@ PAPER_SCALE_N_PER_BIN = 2000
 # Drops synthesised together: bounds the memory of generation and evaluation.
 # A multiple of sensenet.INFER_CHUNK, so model outputs do not depend on it.
 BLOCK = 64
-# Label seeds load_dataset checks at once: bounds the memory of the check.
-SEED_CHECK_ROWS = 1024
+# Label rows load_dataset checks at once: bounds the memory of the checks.
+CHECK_ROWS = 1024
 
 
 @dataclass
@@ -65,55 +65,39 @@ class DatasetManifest:
     count_target: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "protocol": self.protocol,
-            "sigma": self.sigma,
-            "n_per_hyp": self.n_per_hyp,
-            "master_seed": self.master_seed,
-            "grid_pitch": self.grid_pitch,
-            "split_fractions": list(self.split_fractions),
-            "bin_jitter": self.bin_jitter,
-            "count_null": self.count_null,
-            "count_target": self.count_target,
-        }
+        """One key per field; scenario and split_fractions in their JSON forms."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "scenario": self.scenario.to_dict(), "split_fractions": list(self.split_fractions)}
 
     @staticmethod
-    def from_dict(d: dict, source: str = "manifest") -> "DatasetManifest":
-        """A missing key, a value of the wrong JSON type or a wrong value raises
-        "<source>: malformed manifest: …"."""
+    def from_dict(d, source: str = "manifest") -> "DatasetManifest":
+        """The manifest of a JSON object whose keys have the kinds of
+        MANIFEST_KINDS, which name a wrong scenario key by its manifest path
+        (scenario.tx[0]); anything else raises "<source>: malformed manifest: …"."""
         try:
-            m = DatasetManifest(
-                scenario=Scenario.from_dict(d["scenario"]),
-                protocol=check_json_type("protocol", d["protocol"], str),
-                sigma=check_json_type("sigma", d["sigma"], float),
-                n_per_hyp=check_json_type("n_per_hyp", d["n_per_hyp"], int),
-                master_seed=check_json_type("master_seed", d["master_seed"], int),
-                grid_pitch=None if d.get("grid_pitch") is None
-                else check_json_type("grid_pitch", d["grid_pitch"], float),
-                split_fractions=tuple(check_json_type("split_fractions", v, float)
-                                      for v in d.get("split_fractions", (0.7, 0.3))),
-                bin_jitter=check_json_type("bin_jitter", d.get("bin_jitter", False), bool),
-                count_null=check_json_type("count_null", d.get("count_null", 0), int),
-                count_target=check_json_type("count_target", d.get("count_target", 0), int),
-            )
+            v = read_json(d, MANIFEST_KINDS, "manifest")
+            m = DatasetManifest(**{**v, "scenario": Scenario.from_dict(d["scenario"])})
             check_sigma(m.sigma)
             if m.protocol not in PROTOCOLS:
-                raise ValueError(f"unknown protocol {m.protocol!r}")
+                raise ConfigError(f"unknown protocol {m.protocol!r}")
             if m.master_seed < 0:
-                raise ValueError(f"master_seed must be >= 0, got {m.master_seed}")
+                raise ConfigError(f"master_seed must be >= 0, got {m.master_seed}")
             if m.n_per_hyp < 1:
-                raise ValueError(f"n_per_hyp must be >= 1, got {m.n_per_hyp}")
+                raise ConfigError(f"n_per_hyp must be >= 1, got {m.n_per_hyp}")
             if (m.grid_pitch is None) != (m.protocol == "resolution"):
-                raise ValueError(f"grid_pitch {m.grid_pitch} with protocol {m.protocol!r}: "
-                                 f"only the binned protocols have one")
-            if len(m.split_fractions) != 2:
-                raise ValueError(f"split_fractions must be two numbers, got {d['split_fractions']}")
-        except (KeyError, TypeError, ValueError, OverflowError, AttributeError, InvalidSize,
-                ConfigError, InvalidPitch) as exc:
-            raise ConfigError(
-                f"{source}: malformed manifest: {type(exc).__name__}: {exc}") from exc
+                raise ConfigError(f"grid_pitch {m.grid_pitch} with protocol {m.protocol!r}: "
+                                  f"only the binned protocols have one")
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: malformed manifest: {exc}") from exc
         return m
+
+
+# The JSON kind of each manifest key (errors.read_json); one left out takes its default.
+MANIFEST_KINDS = {
+    "scenario": SCENARIO_KINDS, "protocol": str, "sigma": float, "n_per_hyp": int,
+    "master_seed": int, "grid_pitch?": float | None, "split_fractions?": [float, float],
+    "bin_jitter?": bool, "count_null?": int, "count_target?": int,
+}
 
 
 class Block(NamedTuple):
@@ -539,7 +523,7 @@ def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
 
 def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(target, xy, sigma, seed) columns of a labels.csv whose index is the row
-    number; xy and sigma are NaN on null rows."""
+    number; xy and sigma are NaN on null rows, and _check_targets checks them."""
     target, values, seed = bytearray(), array("d"), array("Q")
     with open(path, newline="") as fc:
         rows = csv.reader(fc)
@@ -554,8 +538,6 @@ def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
                     raise ValueError(f"hyp {hyp!r}")
                 target.append(hyp == HYP_TARGET)
                 point = (float(x), float(y), float(sigma)) if target[-1] else (math.nan,) * 3
-                if target[-1] and not all(map(math.isfinite, point)):
-                    raise ValueError(f"non-finite point or sigma {point}")
                 values.extend(point)
                 seed.append(int(s))
             except (ValueError, OverflowError) as exc:
@@ -567,8 +549,9 @@ def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 def _check_targets(path: Path, manifest: DatasetManifest, target: np.ndarray,
                    xy: np.ndarray, sigma: np.ndarray, centers: np.ndarray) -> None:
-    """Target rows carry the manifest's sigma, and a binned set's targets sit
-    at their bin's center, or inside the bin when jittered."""
+    """Target rows carry the manifest's sigma, a binned set's targets sit at
+    their bin's center, or inside the bin when jittered, and every target keeps
+    the margin rule its center was drawn under."""
     rows = np.flatnonzero(target)
     if manifest.protocol != "resolution":
         off = np.abs(xy[rows] - centers[rows])
@@ -585,6 +568,13 @@ def _check_targets(path: Path, manifest: DatasetManifest, target: np.ndarray,
         i = rows[np.argmax(bad)]
         raise ConfigError(f"{path}: row {i}: sigma {float(sigma[i])!r}, manifest.json has "
                           f"{manifest.sigma!r}")
+    for lo in range(0, len(rows), CHECK_ROWS):
+        chunk = rows[lo:lo + CHECK_ROWS]
+        bad = ~target_margin_ok(manifest.scenario, manifest.sigma, xy[chunk])
+        if bad.any():
+            i = chunk[np.argmax(bad)]
+            raise ConfigError(f"{path}: row {i}: target at {tuple(xy[i].tolist())} breaks the "
+                              f"margin rule of a {manifest.sigma} m target")
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -606,13 +596,15 @@ def load_dataset(path: str | Path) -> Dataset:
     if len(frames) != len(target):
         raise ConfigError(f"{src}: frames.bin holds {len(frames)} records, "
                           f"labels.csv {len(target)}")
+    # the layout's length, checked before record_layout builds its columns
+    n_records = manifest.count_null + manifest.count_target
+    if len(target) != n_records:
+        raise ConfigError(f"{src / 'labels.csv'}: {len(target)} rows, the {manifest.protocol} "
+                          f"layout of manifest.json has {n_records}")
     try:
         layout, bins, centers = record_layout(manifest)
-    except (ConfigError, InvalidPitch) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{src / 'manifest.json'}: {exc}") from exc
-    if len(target) != len(layout):
-        raise ConfigError(f"{src / 'labels.csv'}: {len(target)} rows, the {manifest.protocol} "
-                          f"layout of manifest.json has {len(layout)}")
     wrong = np.flatnonzero(target != layout)
     if len(wrong):
         i = wrong[0]
@@ -621,8 +613,8 @@ def load_dataset(path: str | Path) -> Dataset:
                           f"layout of manifest.json has {HYP_TARGET if layout[i] else HYP_NULL} "
                           f"there")
     _check_targets(src / "labels.csv", manifest, target, xy, sigma, centers)
-    for lo in range(0, len(seed), SEED_CHECK_ROWS):
-        rows = range(lo, min(lo + SEED_CHECK_ROWS, len(seed)))
+    for lo in range(0, len(seed), CHECK_ROWS):
+        rows = range(lo, min(lo + CHECK_ROWS, len(seed)))
         wrong = np.flatnonzero(seed[lo:rows.stop] != record_seeds(manifest.master_seed, rows))
         if len(wrong):
             i = lo + wrong[0]

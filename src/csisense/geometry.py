@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment
+from .errors import ConfigError, DegenerateSegment
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,7 +29,7 @@ class Point2D:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
+            raise ConfigError(f"non-finite point ({self.x}, {self.y})")
 
 
 def elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:

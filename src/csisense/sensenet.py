@@ -13,14 +13,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
+from .errors import ConfigError, NonFiniteLoss, ShapeMismatch, read_json
 from .frame import NormStats, normalize
 
 PROB_CLAMP = 1e-7
@@ -51,6 +52,9 @@ class Architecture:
 
     def __post_init__(self):
         h, w, c = self.input_shape
+        if min(self.conv_filters + (self.kernel, self.dense_units, self.pool)) < 1:
+            raise ConfigError(f"conv_filters, kernel, dense_units and pool must be >= 1, "
+                              f"got {self}")
         if c != 2:
             raise ConfigError(f"expected 2 input channels, got {c}")
         if h < self.pool or w < self.pool:
@@ -459,18 +463,8 @@ class TrainedModel:
 
 def save_model(path: str | Path, model: TrainedModel) -> None:
     """CSNN v2 artifact: header, JSON descriptor, float64 LE PARAM_FIELDS blocks."""
-    arch = model.params.arch
-    desc = {
-        "input_shape": list(arch.input_shape),
-        "conv_filters": list(arch.conv_filters),
-        "kernel": arch.kernel,
-        "dense_units": arch.dense_units,
-        "pool": arch.pool,
-        "task": model.task,
-        "threshold": model.threshold,
-        "norm_mean": list(model.stats.mean),
-        "norm_std": list(model.stats.std),
-    }
+    desc = {**asdict(model.params.arch), "task": model.task, "threshold": model.threshold,
+            "norm_mean": model.stats.mean, "norm_std": model.stats.std}
     blob = json.dumps(desc, sort_keys=True).encode()
     with open(path, "wb") as fp:
         fp.write(MAGIC)
@@ -478,6 +472,14 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
         fp.write(blob)
         for _, arr in model.params.items():
             fp.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+# The JSON kind of each model descriptor key (errors.read_json).
+DESCRIPTOR_KINDS = {
+    "input_shape": [int, int, int], "conv_filters": [int, int], "kernel": int,
+    "dense_units": int, "pool": int, "task": str, "threshold?": float,
+    "norm_mean": [float, float], "norm_std": [float, float],
+}
 
 
 def load_model(path: str | Path) -> TrainedModel:
@@ -493,36 +495,34 @@ def load_model(path: str | Path) -> TrainedModel:
             raise ConfigError(f"{path}: unsupported model version {version}")
         try:
             desc = json.loads(fp.read(blob_len).decode())
-            arch = Architecture(input_shape=tuple(int(v) for v in desc["input_shape"]),
-                                conv_filters=tuple(int(v) for v in desc["conv_filters"]),
-                                **{k: int(desc[k]) for k in ("kernel", "dense_units", "pool")})
-            stats = NormStats(mean=tuple(float(v) for v in desc["norm_mean"]),
-                              std=tuple(float(v) for v in desc["norm_std"]))
-            task = desc["task"]
-            threshold = float(desc.get("threshold", 0.5))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ConfigError(
-                f"{path}: malformed model descriptor: {type(exc).__name__}: {exc}") from exc
-        if task not in TASK_LOSS:
-            raise ConfigError(f"{path}: malformed model descriptor: task {task!r}")
-        for name, values, n in (("threshold", [threshold], 1), ("norm_mean", stats.mean, 2),
-                                ("norm_std", stats.std, 2)):
-            if (len(values) != n or not all(math.isfinite(v) for v in values)
-                    or (name == "norm_std" and min(values) < 0)
-                    or (name == "threshold" and not 0.0 <= threshold <= 1.0)):
-                raise ConfigError(f"{path}: malformed model descriptor: {name} {list(values)}")
+        except ValueError as exc:    # not UTF-8, or not JSON
+            raise ConfigError(f"{path}: malformed model descriptor: {exc}") from exc
+        try:
+            d = read_json(desc, DESCRIPTOR_KINDS, "model descriptor")
+            arch = Architecture(**{f.name: d[f.name] for f in fields(Architecture)})
+            stats, task = NormStats(mean=d["norm_mean"], std=d["norm_std"]), d["task"]
+            threshold = d.get("threshold", 0.5)
+            if task not in TASK_LOSS:
+                raise ConfigError(f"task {task!r}")
+            for name, values, ok in (("threshold", [threshold], 0.0 <= threshold <= 1.0),
+                                     ("norm_mean", stats.mean, True),
+                                     ("norm_std", stats.std, min(stats.std) >= 0)):
+                if not (ok and all(map(math.isfinite, values))):
+                    raise ConfigError(f"{name} {list(values)}")
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: malformed model descriptor: {exc}") from exc
         blocks = list(param_shapes(arch, task).items())
         if version == 1:    # detect's head, then locate's; the other task's is read, not kept
             blocks[6:] = [(name if t == task else f"{t}_{name[5:]}", shape)
                           for t in ("detect", "locate")
                           for name, shape in list(param_shapes(arch, t).items())[6:]]
-        arrays = {}
+        arrays, left = {}, os.fstat(fp.fileno()).st_size - fp.tell()
         for name, shape in blocks:
             size = math.prod(shape) * 8
-            raw = fp.read(size)
-            if len(raw) != size:
+            if size > left:    # checked before reading: a descriptor's sizes may exceed memory
                 raise ConfigError(f"{path}: truncated parameter block {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            left -= size
+            arrays[name] = np.frombuffer(fp.read(size), dtype="<f8").reshape(shape).copy()
             if not np.isfinite(arrays[name]).all():
                 raise ConfigError(f"{path}: non-finite value in parameter block {name}")
         if fp.read(1):

@@ -1,16 +1,23 @@
+import copy
 import json
 import math
 import struct
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csisense import dataset as dataset_mod
 from csisense.channel import Scenario
-from csisense.cli import EXIT_CONFIG, EXIT_IO, load_scenario, main
+from csisense.cli import EXIT_CONFIG, EXIT_IO, PRESETS, load_scenario, main
+from csisense.errors import ConfigError
 from csisense.frame import NormStats
-from csisense.sensenet import Architecture, TrainedModel, init_params, save_model
+from csisense.sensenet import Architecture, TrainedModel, init_params, load_model, save_model
+
+DATA = Path(__file__).parent / "data"
 
 TINY_SCENARIO = dict(
     name="tiny",
@@ -56,6 +63,90 @@ class TestPresets:
         expected = (-math.pi / 2, -math.pi / 3, -math.pi / 6, 0.0,
                     math.pi / 6, math.pi / 3, math.pi / 2)
         assert np.allclose(beams, expected, atol=1e-12)
+
+
+def descriptor(raw: bytes) -> dict:
+    """The JSON descriptor of a model artifact's bytes."""
+    (blob_len,) = struct.unpack("<I", raw[6:10])
+    return json.loads(raw[10:10 + blob_len])
+
+
+def with_descriptor(raw: bytes, desc: dict) -> bytes:
+    """A model artifact's bytes with its descriptor replaced."""
+    (blob_len,) = struct.unpack("<I", raw[6:10])
+    blob = json.dumps(desc).encode()
+    return raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len:]
+
+
+def json_paths(doc, path=()):
+    """The key path of every value inside a parsed JSON document."""
+    items = (doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list)
+             else ())
+    return [p for key, value in items for p in [path + (key,), *json_paths(value, path + (key,))]]
+
+
+SMALL_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9), st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-3, 9), st.floats(-5, 5), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-1, 1), max_size=2),
+)
+
+
+class TestDocuments:
+    """Scenario, manifest and model descriptor go through one typed reader."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_round_trip(self, name):
+        doc = json.loads(resources.files("csisense.presets").joinpath(f"{name}.json").read_text())
+        d = Scenario.from_dict(doc).to_dict()
+        assert json.dumps({key: d[key] for key in doc}) == json.dumps(doc)
+        assert Scenario.from_dict(d) == Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["res", "pos", "cov"])
+    def test_manifest_round_trip(self, name):
+        text = (DATA / "pipeline" / name / "manifest.json").read_text()
+        m = dataset_mod.DatasetManifest.from_dict(json.loads(text))
+        assert json.dumps(m.to_dict(), indent=2, sort_keys=True) + "\n" == text
+
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_descriptor_round_trip(self, tmp_path, task):
+        # a v1 model is written back as v2 with the same descriptor bytes; v2 as itself
+        raw = (DATA / f"v1_{task}.csnn").read_bytes()
+        save_model(tmp_path / "v2.csnn", load_model(DATA / f"v1_{task}.csnn"))
+        v2 = (tmp_path / "v2.csnn").read_bytes()
+        end = 10 + struct.unpack("<I", raw[6:10])[0]
+        assert v2[6:end] == raw[6:end]
+        save_model(tmp_path / "again.csnn", load_model(tmp_path / "v2.csnn"))
+        assert (tmp_path / "again.csnn").read_bytes() == v2
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("document", ["scenario", "manifest", "descriptor"])
+    def test_one_value_replaced_reads_or_raises_config_error(self, tmp_path_factory, document,
+                                                            data):
+        if document == "scenario":
+            doc, read, kind = TINY_SCENARIO, Scenario.from_dict, Scenario
+        elif document == "manifest":
+            doc = json.loads((DATA / "pipeline" / "pos" / "manifest.json").read_text())
+            read, kind = dataset_mod.DatasetManifest.from_dict, dataset_mod.DatasetManifest
+        else:
+            raw = (DATA / "v1_detect.csnn").read_bytes()
+            doc, path = descriptor(raw), tmp_path_factory.getbasetemp() / "fuzz.csnn"
+
+            def read(desc):
+                path.write_bytes(with_descriptor(raw, desc))
+                return load_model(path)
+            kind = TrainedModel
+        key_path = data.draw(st.sampled_from(json_paths(doc)))
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in key_path[:-1]:
+            parent = parent[key]
+        parent[key_path[-1]] = data.draw(SMALL_JSON)
+        try:
+            assert isinstance(read(doc), kind)
+        except ConfigError:
+            pass
 
 
 class TestGen:
@@ -114,9 +205,20 @@ class TestGen:
         (lambda s: {**s, "beam_angles": []}, "beam_angles must name at least one beam"),
         (lambda s: {**s, "cluster_spread_deg": -1.0},
          "cluster_spread_deg must be >= 0, got -1.0"),
+        (lambda s: {**s, "tx": ["0.0", "0.5"]}, "tx[0] must be a JSON number, got '0.0'"),
+        (lambda s: {**s, "receivers": [{**s["receivers"][0], "boresight": "3.141592653589793"},
+                                       s["receivers"][1]]},
+         "receivers[0].boresight must be a JSON number, got '3.141592653589793'"),
+        (lambda s: {**s, "beam_angles": [-0.8, False, 0.8]},
+         "beam_angles[1] must be a JSON number, got False"),
+        (lambda s: {**s, "name": 5}, "name must be a JSON string, got 5"),
+        (lambda s: {**s, "snr_db": True}, "snr_db must be a JSON number, got True"),
+        (lambda s: {**s, "grid_pitch": True}, "grid_pitch must be a JSON number, got True"),
     ], ids=["list", "null", "string", "float-n_clusters", "float-n_rays", "float-n_scatter",
             "bool-n_clusters", "float-env_seed", "string-include_los", "float-n_antennas",
-            "empty-beam_angles", "negative-cluster_spread_deg"])
+            "empty-beam_angles", "negative-cluster_spread_deg", "string-tx",
+            "string-boresight", "false-beam_angle", "int-name", "bool-snr_db",
+            "bool-grid_pitch"])
     @pytest.mark.parametrize("where", ["scenario", "manifest"])
     def test_malformed_scenario_json_exits_2(self, tmp_path, scenario_file, capsys, where,
                                              document, message):
@@ -553,44 +655,56 @@ class TestBadFlags:
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys, "--drops must be >= 1, got 0")
 
-    @pytest.mark.parametrize("change", [
-        lambda d: d.pop("input_shape"),
-        lambda d: d.pop("norm_std"),
-        lambda d: d.update(input_shape=5),
-        lambda d: d.update(kernel="three"),
-        lambda d: d.update(norm_mean=None),
-        lambda d: d.update(task="classify"),
-        lambda d: d.update(threshold=math.nan),
-        lambda d: d.update(norm_mean=[0.0, math.nan]),
-        lambda d: d.update(norm_mean=[0.0]),
-        lambda d: d.update(norm_std=[math.inf, 1.0]),
-        lambda d: d.update(norm_std=[1.0, -0.5]),
-        lambda d: d.update(threshold=1.5),
-        lambda d: d.update(threshold=-0.1),
-    ], ids=["no-input_shape", "no-norm_std", "int-input_shape", "str-kernel",
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: d.pop("input_shape"), "missing model descriptor key 'input_shape'"),
+        (lambda d: d.pop("norm_std"), "missing model descriptor key 'norm_std'"),
+        (lambda d: d.update(bogus=1), "unknown model descriptor key 'bogus'"),
+        (lambda d: d.update(input_shape=5), "input_shape must be a JSON list of 3 values, got 5"),
+        (lambda d: d.update(kernel="three"), "kernel must be a JSON integer, got 'three'"),
+        (lambda d: d.update(norm_mean=None),
+         "norm_mean must be a JSON list of 2 values, got None"),
+        (lambda d: d.update(task="classify"), "task 'classify'"),
+        (lambda d: d.update(threshold=math.nan), "threshold [nan]"),
+        (lambda d: d.update(norm_mean=[0.0, math.nan]), "norm_mean [0.0, nan]"),
+        (lambda d: d.update(norm_mean=[0.0]), "norm_mean must be a JSON list of 2 values"),
+        (lambda d: d.update(norm_std=[math.inf, 1.0]), "norm_std [inf, 1.0]"),
+        (lambda d: d.update(norm_std=[1.0, -0.5]), "norm_std [1.0, -0.5]"),
+        (lambda d: d.update(threshold=1.5), "threshold [1.5]"),
+        (lambda d: d.update(threshold=-0.1), "threshold [-0.1]"),
+        (lambda d: d.update(task=["detect"]), "task must be a JSON string, got ['detect']"),
+        (lambda d: d.update(threshold=True), "threshold must be a JSON number, got True"),
+        (lambda d: d.update(norm_mean=["0.0", "0.0"]),
+         "norm_mean[0] must be a JSON number, got '0.0'"),
+        (lambda d: d.update(input_shape=[24.0, 7, 2]),
+         "input_shape[0] must be a JSON integer, got 24.0"),
+        (lambda d: d.update(pool=0), "conv_filters, kernel, dense_units and pool must be >= 1"),
+        (lambda d: d.update(kernel=-1), "conv_filters, kernel, dense_units and pool must be >= 1"),
+    ], ids=["no-input_shape", "no-norm_std", "unknown-key", "int-input_shape", "str-kernel",
             "null-norm_mean", "unknown-task", "nan-threshold", "nan-norm_mean",
             "short-norm_mean", "inf-norm_std", "negative-norm_std", "above-1-threshold",
-            "negative-threshold"])
+            "negative-threshold", "list-task", "bool-threshold", "str-norm_mean",
+            "float-input_shape", "zero-pool", "negative-kernel"])
     def test_malformed_model_descriptor_exits_2(self, tmp_path, scenario_file, capsys,
-                                                change):
+                                                change, message):
         path = tmp_path / "det.csnn"
         raw = Path(untrained_model(path, "detect")).read_bytes()
-        (blob_len,) = struct.unpack("<I", raw[6:10])
-        desc = json.loads(raw[10:10 + blob_len])
+        desc = descriptor(raw)
         change(desc)
-        blob = json.dumps(desc).encode()
-        path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + blob_len:])
+        path.write_bytes(with_descriptor(raw, desc))
         rc = main(["eval", "--model", str(path), "--scenario", scenario_file,
                    "--out", str(tmp_path / "e.csv")])
         assert rc == EXIT_CONFIG
-        assert_one_line_error(capsys, f"{path}: malformed model descriptor: ")
+        assert_one_line_error(capsys, f"{path}: malformed model descriptor: ", message)
 
 
     @pytest.mark.parametrize("change,message", [
         (lambda raw: raw[:-8] + struct.pack("<d", math.nan),
          "non-finite value in parameter block head_b"),
         (lambda raw: raw + b"\0" * 8, "trailing bytes after the last parameter block"),
-    ], ids=["nan-block", "trailing-bytes"])
+        # a 1 TB dense block used to be allocated for the read
+        (lambda raw: with_descriptor(raw, {**descriptor(raw), "dense_units": 10**9}),
+         "truncated parameter block dense_w"),
+    ], ids=["nan-block", "trailing-bytes", "huge-block"])
     def test_bad_parameter_blocks_exit_2(self, tmp_path, scenario_file, capsys, change,
                                          message):
         path = tmp_path / "det.csnn"
@@ -677,10 +791,12 @@ class TestBadDataset:
         assert_one_line_error(capsys, "narrowband must be true")
 
     @pytest.mark.parametrize("change,message", [
-        (lambda m: m.pop("protocol"), "KeyError: 'protocol'"),
+        (lambda m: m.pop("protocol"), "missing manifest key 'protocol'"),
+        (lambda m: m.update(bogus=1), "unknown manifest key 'bogus'"),
         (lambda m: m.update(split_fractions=["a", "b"]),
-         "split_fractions must be a JSON number, got 'a'"),
-        (lambda m: m.update(split_fractions=[1.0]), "split_fractions must be two numbers"),
+         "split_fractions[0] must be a JSON number, got 'a'"),
+        (lambda m: m.update(split_fractions=[1.0]),
+         "split_fractions must be a JSON list of 2 values, got [1.0]"),
         (lambda m: m.update(n_per_hyp=None), "n_per_hyp must be a JSON integer, got None"),
         (lambda m: m.update(n_per_hyp=0), "n_per_hyp must be >= 1, got 0"),
         (lambda m: m.update(protocol="spiral"), "unknown protocol 'spiral'"),
@@ -690,9 +806,10 @@ class TestBadDataset:
         (lambda m: m.update(protocol="coverage"), "grid_pitch None with protocol 'coverage'"),
         (lambda m: m.update(grid_pitch=0.5), "grid_pitch 0.5 with protocol 'resolution'"),
         (lambda m: m.update(master_seed=-1), "master_seed must be >= 0, got -1"),
-    ], ids=["no-protocol", "str-split_fractions", "one-split_fraction", "null-n_per_hyp",
-            "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma", "negative-sigma",
-            "binned-without-pitch", "resolution-with-pitch", "negative-master_seed"])
+    ], ids=["no-protocol", "unknown-key", "str-split_fractions", "one-split_fraction",
+            "null-n_per_hyp", "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma",
+            "negative-sigma", "binned-without-pitch", "resolution-with-pitch",
+            "negative-master_seed"])
     def test_malformed_manifest_exits_2(self, tmp_path, dataset_dir, capsys, change, message):
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -724,15 +841,25 @@ class TestBadDataset:
         manifest[key] = value
         path.write_text(json.dumps(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
-        shown = value[0] if key == "split_fractions" else value
+        shown = (f"{key}[0]", value[0]) if key == "split_fractions" else (key, value)
         assert_one_line_error(capsys, f"{path}: malformed manifest: ",
-                              f"{key} must be a JSON {kind}, got {shown!r}")
+                              f"{shown[0]} must be a JSON {kind}, got {shown[1]!r}")
         assert not (tmp_path / "m.csnn").exists()
+
+    def test_record_count_past_the_labels_exits_2(self, tmp_path, dataset_dir, capsys):
+        # 10**12 records used to be laid out in memory before the rows were counted
+        path = dataset_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest.update(count_null=5 * 10**11, count_target=5 * 10**11)
+        path.write_text(json.dumps(manifest))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{dataset_dir / 'labels.csv'}: 6 rows, the resolution "
+                                      f"layout of manifest.json has 1000000000000")
 
     def test_seed_off_its_record_exits_2(self, tmp_path, dataset_dir, capsys, monkeypatch):
         # a seed column that (master_seed, row) does not give used to load as written;
         # checked 4 rows at a time, row 4 opens the second chunk
-        monkeypatch.setattr(dataset_mod, "SEED_CHECK_ROWS", 4)
+        monkeypatch.setattr(dataset_mod, "CHECK_ROWS", 4)
         labels = dataset_dir / "labels.csv"
         lines = labels.read_text().splitlines(keepends=True)
         fields = lines[5].split(",")            # row 4
@@ -799,6 +926,29 @@ class TestBadDataset:
         assert main(["train", "--data", str(out), "--task", "locate", "--epochs", "1",
                      "--out", str(tmp_path / "m.csnn")]) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{labels}: ", message)
+        assert not (tmp_path / "m.csnn").exists()
+
+    @pytest.mark.parametrize("protocol,row,x,y,shown", [
+        ("resolution", 3, "1_0.5", " -3 ", "(10.5, -3.0)"),    # as float() reads them
+        ("positioning", 0, "0.1", "0.5", "(0.1, 0.5)"),       # in its bin, 0.1 m from a wall
+    ])
+    def test_target_off_the_margin_rule_exits_2(self, tmp_path, capsys, protocol, row, x, y,
+                                                shown):
+        # such a target used to be trained on as written
+        out = tmp_path / "ds"
+        argv = ["gen", "--protocol", protocol, "--n", "2", "--out", str(out)]
+        assert main(argv + (["--pitch", "1.0", "--bin-jitter"] if row == 0 else [])) == 0
+        labels = out / "labels.csv"
+        lines = labels.read_text().splitlines(keepends=True)
+        fields = lines[1 + row].split(",")
+        assert fields[1] == "target"
+        fields[2:4] = x, y
+        lines[1 + row] = ",".join(fields)
+        labels.write_text("".join(lines))
+        assert main(["train", "--data", str(out), "--task", "locate", "--epochs", "1",
+                     "--out", str(tmp_path / "m.csnn")]) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{labels}: row {row}: target at {shown} breaks the "
+                                      f"margin rule of a 0.8 m target")
         assert not (tmp_path / "m.csnn").exists()
 
     def test_jittered_target_outside_its_bin_exits_2(self, tmp_path, capsys):
