@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario, array_response
-from .errors import ShapeMismatch
+from .errors import ConfigError
 from .geometry import intersect_bearings, wrap_angles
 
 ENERGY_FLOOR = 1e-12
@@ -69,7 +69,7 @@ def attenuation_profiles(
     numerical safety.
     """
     if null.shape != alt.shape:
-        raise ShapeMismatch(f"frame shapes differ: {null.shape} vs {alt.shape}")
+        raise ConfigError(f"frame shapes differ: {null.shape} vs {alt.shape}")
     weights = _bank_weights(bank.angles, scenario.n_antennas)
     shape = (len(null), scenario.n_links, scenario.n_antennas, null.shape[2])
 

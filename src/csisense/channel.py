@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, EmptyGrid, InvalidPitch, ViewpointInsideTarget, read_json
+from .errors import ConfigError, read_json
 from .geometry import TWO_PI, Point2D, elementwise, segments_blocked, wrap_angles
 
 # Table-style 7-beam sweep spanning [-pi/2, pi/2].
@@ -198,11 +198,11 @@ def tiles_per_side(room_side: float, pitch: float) -> int:
     """Whole pitch x pitch cells along a side of the room, up to a rounding of
     1e-9: the one tiling of the scatter grid, dataset bins and coverage maps."""
     if not (math.isfinite(pitch) and pitch > 0):
-        raise InvalidPitch(f"pitch must be finite and > 0, got {pitch}")
+        raise ConfigError(f"pitch must be finite and > 0, got {pitch}")
     n = room_side / pitch + 1e-9
     if not n < MAX_TILES_PER_SIDE + 1:
-        raise InvalidPitch(f"pitch {pitch} tiles the {room_side} m room into more than "
-                           f"{MAX_TILES_PER_SIDE} x {MAX_TILES_PER_SIDE} cells")
+        raise ConfigError(f"pitch {pitch} tiles the {room_side} m room into more than "
+                          f"{MAX_TILES_PER_SIDE} x {MAX_TILES_PER_SIDE} cells")
     return math.floor(n)
 
 
@@ -252,7 +252,7 @@ def snap_to_grid(tx: tuple[float, float], raw_aod: np.ndarray, grid_pitch: float
     dist = np.hypot(dx, dy)
     usable = np.flatnonzero(dist > 1e-12)
     if not len(usable):
-        raise EmptyGrid("no grid point distinct from the transmitter")
+        raise ConfigError("no grid point distinct from the transmitter")
     bearings, dist = np.arctan2(dy[usable], dx[usable]), dist[usable]
     chosen = np.empty(raw_aod.size, dtype=np.intp)
     for i, raw in enumerate(raw_aod.ravel().tolist()):
@@ -389,8 +389,8 @@ def target_echo(geo: LinkGeometry, centers: np.ndarray, radii: np.ndarray,
              & np.all(np.concatenate([d_tx, d_rx], axis=1) > radii[:, None], axis=1))
     if not valid.all():
         x, y = centers[np.argmin(valid)]
-        raise ViewpointInsideTarget(f"target at ({x}, {y}) is not strictly inside the room "
-                                    f"or covers a device")
+        raise ConfigError(f"target at ({x}, {y}) is not strictly inside the room "
+                          f"or covers a device")
     aoa = wrap_angles(elementwise(math.atan2, dy, dx) - geo.boresight)
     n_r = s.n_antennas
     steer = np.exp(1j * np.pi * (np.arange(n_r) * np.sin(aoa)[..., None]))  # (D, L, N_r)

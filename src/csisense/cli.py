@@ -14,6 +14,7 @@ as it is made.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from . import dataset as dataset_mod
 from . import metrics as metrics_mod
 from . import sensenet as nn
 from .channel import Scenario
-from .errors import ConfigError, CsiSenseError, NonFiniteLoss
+from .errors import ConfigError, NonFiniteLoss
 from .frame import compute_stats, normalize
 
 PRESETS = ("scenario1", "scenario2", "scenario3")
@@ -59,11 +60,7 @@ def _scenario_with(args, scenario: Scenario) -> Scenario:
         kwargs["snr_db"] = args.snr_db
     if args.scatter_coeff is not None:
         kwargs["scatter_coeff"] = args.scatter_coeff
-    if not kwargs:
-        return scenario
-    d = scenario.to_dict()
-    d.update(kwargs)
-    return Scenario.from_dict(d)
+    return dataclasses.replace(scenario, **kwargs) if kwargs else scenario
 
 
 def _add_variant_flags(p: argparse.ArgumentParser) -> None:
@@ -167,12 +164,12 @@ def fit(
     if val_fraction is not None:
         fractions = (1.0 - val_fraction, val_fraction)
     train_idx, val_idx = dataset_mod.split(ds, fractions, seed)
+    if task == "locate":
+        train_idx, val_idx = train_idx[ds.target[train_idx]], val_idx[ds.target[val_idx]]
+    if not len(train_idx):
+        raise ConfigError(f"no usable records for task {task!r}")
 
     def arrays(idx: np.ndarray):
-        if task == "locate":
-            idx = idx[ds.target[idx]]
-        if not len(idx):
-            raise ConfigError(f"no usable records for task {task!r}")
         y = ds.target[idx].astype(float) if task == "detect" else ds.xy[idx]
         return ds.tensors[idx], y
 
@@ -180,11 +177,10 @@ def fit(
     x_train, y_train = arrays(train_idx)
     stats = compute_stats(x_train)
     normalize(x_train, stats, out=x_train)
-    try:
+    validation = None
+    if len(val_idx):
         x_val, y_val = arrays(val_idx)
         validation = (normalize(x_val, stats, out=x_val), y_val)
-    except ConfigError:
-        validation = None
     params, log = nn.train((x_train, y_train), config, validation)
     return nn.TrainedModel(params=params, stats=stats), log
 
@@ -362,7 +358,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
-    except (CsiSenseError, ValueError, OSError) as exc:
+    except (ConfigError, NonFiniteLoss, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonFiniteLoss):
             return EXIT_NUMERIC

@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import (SCENARIO_KINDS, Scenario, blocked_rays, capture, grid_points, ray_gains,
                       target_echo)
-from .errors import ConfigError, InvalidPitch, InvalidSize, read_json
+from .errors import ConfigError, read_json
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
 from .geometry import exact_hypot
 
@@ -43,6 +43,9 @@ DESK_SCALE_N_PER_BIN = 20
 BIN_PITCH = 0.25            # default bin pitch of the binned protocols
 PAPER_SCALE_N = 2000
 PAPER_SCALE_N_PER_BIN = 2000
+# Records a dataset may hold: record_layout builds O(N) label columns, and this
+# is 16x the 1,024,000 records of a paper-scale binned set.
+MAX_RECORDS = 2**24
 
 # Drops synthesised together: bounds the memory of generation and evaluation.
 # A multiple of sensenet.INFER_CHUNK, so model outputs do not depend on it.
@@ -129,7 +132,7 @@ class Dataset:
 def check_sigma(sigma: float, name: str = "sigma") -> None:
     """Target diameters must be finite and positive."""
     if not (math.isfinite(sigma) and sigma > 0):
-        raise InvalidSize(f"{name} must be finite and > 0, got {sigma}")
+        raise ConfigError(f"{name} must be finite and > 0, got {sigma}")
 
 
 # numpy's SeedSequence (NEP 19, after O'Neill's seed_seq) and PCG64 seeding
@@ -266,7 +269,7 @@ def sample_target_center(
             x, y = float(rng.uniform(lo[0], hi[0])), float(rng.uniform(lo[1], hi[1]))
             if target_margin_ok(scenario, sigma, (x, y)):
                 return x, y
-    raise InvalidSize(f"no margin-valid center for a {sigma} m target in "
+    raise ConfigError(f"no margin-valid center for a {sigma} m target in "
                       f"[{lo[0]}, {hi[0]}] x [{lo[1]}, {hi[1]}]")
 
 
@@ -360,9 +363,13 @@ def record_layout(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray, np
     Resolution: count_null null rows, then count_target target rows, bin -1.
     Binned: per margin-valid bin, in valid_bin_centers order, n target rows
     then n null rows, n = n_per_hyp / bins; a target row's center (N, 2) is
-    its bin's center, NaN elsewhere.
+    its bin's center, NaN elsewhere.  More than MAX_RECORDS records raise
+    ConfigError before any column is built.
     """
     m = manifest
+    if m.count_null + m.count_target > MAX_RECORDS:
+        raise ConfigError(f"{m.count_null + m.count_target} records: a dataset holds at "
+                          f"most {MAX_RECORDS}")
     if m.protocol == "resolution":
         target = np.repeat([False, True], [m.count_null, m.count_target])
         return target, np.full(len(target), -1), np.full((len(target), 2), np.nan)
@@ -423,11 +430,11 @@ def gen_resolution_set(
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> np.ndarray:
     """(n, 2) margin-valid bin centers of the pitch x pitch tiling, row-major in
-    (x, y); a tiling without one raises InvalidPitch."""
+    (x, y); a tiling without one raises ConfigError."""
     pts = grid_points(scenario.room_side, pitch)
     centers = pts[target_margin_ok(scenario, sigma, pts)]
     if not len(centers):
-        raise InvalidPitch(f"no margin-valid bin centers at pitch {pitch}")
+        raise ConfigError(f"no margin-valid bin centers at pitch {pitch}")
     return centers
 
 

@@ -1,51 +1,17 @@
-"""Exception types shared across the toolkit, and the typed reader of its JSON
-documents, which raises ConfigError."""
+"""The toolkit's exception types, one per exit code that is not an I/O error
+(OSError, exit 3), and the typed reader of its JSON documents, which raises
+ConfigError."""
 
 from types import UnionType
 
 
-class CsiSenseError(Exception):
-    """Base class for all toolkit errors."""
+class ConfigError(Exception):
+    """Input csisense cannot use, whether from a flag, a scenario, a dataset or
+    a model file (exit 2)."""
 
 
-class ViewpointInsideTarget(CsiSenseError):
-    """Viewpoint lies on or inside the target disk; occlusion geometry undefined."""
-
-
-class DegenerateSegment(CsiSenseError):
-    """Segment endpoints coincide."""
-
-
-class EmptyGrid(CsiSenseError):
-    """No scatter-grid point available inside the room / angular span."""
-
-
-class ShapeMismatch(CsiSenseError):
-    """Array or frame dimensions do not match the declared layout."""
-
-
-class LengthMismatch(CsiSenseError):
-    """Paired sequences differ in length."""
-
-
-class MissingClass(CsiSenseError):
-    """An evaluation set has zero samples for one hypothesis."""
-
-
-class NonFiniteLoss(CsiSenseError):
-    """Training loss became NaN or infinite."""
-
-
-class ConfigError(CsiSenseError):
-    """Invalid or unknown configuration content."""
-
-
-class InvalidSize(ConfigError):
-    """Target diameter is not positive."""
-
-
-class InvalidPitch(ConfigError):
-    """Grid pitch is not positive."""
+class NonFiniteLoss(Exception):
+    """Training loss became NaN or infinite (exit 4)."""
 
 
 def read_json(value, kind, what: str, path: str = ""):

@@ -18,7 +18,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import ConfigError
 
 MAGIC = b"CSIF"
 VERSION = 1
@@ -43,13 +43,13 @@ def to_tensor(h: np.ndarray) -> np.ndarray:
     channel 0 holds the real part, channel 1 the imaginary part.
     """
     if h.ndim < 3 or 0 in h.shape[-3:]:
-        raise ShapeMismatch(f"need non-empty (..., links, antennas, beams) captures, "
-                            f"got {h.shape}")
+        raise ConfigError(f"need non-empty (..., links, antennas, beams) captures, "
+                          f"got {h.shape}")
     *lead, n_links, n_antennas, n_beams = h.shape
     tensors = np.ascontiguousarray(h, dtype=complex).view(float).reshape(
         *lead, n_links * n_antennas, n_beams, 2)
     if not np.all(np.isfinite(tensors)):
-        raise ShapeMismatch("frame contains non-finite entries")
+        raise ConfigError("frame contains non-finite entries")
     return tensors
 
 
@@ -119,7 +119,7 @@ def write_frames(file: str | Path | BinaryIO, tensors: np.ndarray, meta: FrameMe
     path, or append them to an open binary file."""
     records = np.empty(len(tensors), dtype=record_dtype(meta))
     if np.shape(tensors)[1:] != records["data"].shape[1:]:
-        raise ShapeMismatch(f"frame tensors {np.shape(tensors)} do not match {meta}")
+        raise ConfigError(f"frame tensors {np.shape(tensors)} do not match {meta}")
     for name, value in _header(meta).items():
         records[name] = value
     records["data"] = tensors
@@ -141,8 +141,8 @@ class FrameFile:
         self.dtype = record_dtype(meta)
         size = self.path.stat().st_size
         if size % self.dtype.itemsize:
-            raise ShapeMismatch(f"{path}: truncated: {size} bytes is not a whole number "
-                                f"of {self.dtype.itemsize}-byte frame records")
+            raise ConfigError(f"{path}: truncated: {size} bytes is not a whole number "
+                              f"of {self.dtype.itemsize}-byte frame records")
         self.shape = (size // self.dtype.itemsize,) + self.dtype["data"].shape
         self._per = max(1, CHUNK_BYTES // self.dtype.itemsize)   # records per chunk
         want = _header(meta)
@@ -150,10 +150,10 @@ class FrameFile:
             for name, value in want.items():
                 bad = np.flatnonzero(records[name] != value)
                 if bad.size:
-                    raise ShapeMismatch(f"{path}: record {lo + bad[0]} has {name} "
-                                        f"{records[name][bad[0]].item()!r}, expected {value!r}")
+                    raise ConfigError(f"{path}: record {lo + bad[0]} has {name} "
+                                      f"{records[name][bad[0]].item()!r}, expected {value!r}")
             if not np.all(np.isfinite(records["data"])):
-                raise ShapeMismatch(f"{path}: frame contains non-finite entries")
+                raise ConfigError(f"{path}: frame contains non-finite entries")
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -167,7 +167,7 @@ class FrameFile:
                 records = buf[:min(self._per, len(self) - lo)]
                 fp.seek(int(lo) * self.dtype.itemsize)
                 if fp.readinto(records) != records.nbytes:
-                    raise ShapeMismatch(f"{self.path}: shorter than when it was opened")
+                    raise ConfigError(f"{self.path}: shorter than when it was opened")
                 yield int(lo), records
 
     def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateSegment
+from .errors import ConfigError
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,12 +63,12 @@ def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
     A segment meets a disk when the distance from the disk's center to its
     nearest point on the segment (the center's projection, clamped to the
     segment's ends) is at most the radius, that distance taken by exact_hypot;
-    tangency counts as blocked.  Coinciding endpoints raise DegenerateSegment.
+    tangency counts as blocked.  Coinciding endpoints raise ConfigError.
     """
     d = b - a
     seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
     if np.any(seg_len2 == 0.0):
-        raise DegenerateSegment("segment endpoints coincide")
+        raise ConfigError("segment endpoints coincide")
     cx = center[..., 0] - a[..., 0]
     cy = center[..., 1] - a[..., 1]
     t = np.clip((cx * d[..., 0] + cy * d[..., 1]) / seg_len2, 0.0, 1.0)

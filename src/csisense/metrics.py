@@ -17,7 +17,7 @@ from .baseline import BeamBank, estimate_positions
 from .channel import Scenario, tiles_per_side
 from .dataset import (Draws, draw, in_blocks, record_seeds, streams, synthesize,
                       valid_bin_centers)
-from .errors import LengthMismatch, MissingClass
+from .errors import ConfigError
 from .geometry import Point2D, elementwise
 from .sensenet import TrainedModel
 
@@ -44,7 +44,7 @@ def accuracy_score(counts: ConfusionCounts, priors: tuple[float, float] | None =
     n_null = counts.null_as_null + counts.null_as_target
     n_target = counts.target_as_null + counts.target_as_target
     if n_null == 0 or n_target == 0:
-        raise MissingClass(f"need samples of both hypotheses, got {n_null} null / {n_target} target")
+        raise ConfigError(f"need samples of both hypotheses, got {n_null} null / {n_target} target")
     p_fa = counts.null_as_target / n_null
     p_miss = counts.target_as_null / n_target
     if priors is None:
@@ -185,9 +185,9 @@ def error_summary(estimates: np.ndarray, truths: np.ndarray) -> ErrorSummary:
     """Euclidean position errors of (D, 2) estimates and truths: mean, linearly
     interpolated 90th percentile, and the sorted error list backing the empirical CDF."""
     if len(estimates) != len(truths):
-        raise LengthMismatch(f"{len(estimates)} estimates vs {len(truths)} truths")
+        raise ConfigError(f"{len(estimates)} estimates vs {len(truths)} truths")
     if not len(estimates):
-        raise LengthMismatch("need at least one estimate")
+        raise ConfigError("need at least one estimate")
     errs = np.sort(position_errors(estimates, truths))
     return ErrorSummary(
         mean=float(errs.mean()),

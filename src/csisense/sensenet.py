@@ -21,7 +21,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss, ShapeMismatch, read_json
+from .errors import ConfigError, NonFiniteLoss, read_json
 from .frame import NormStats, normalize
 
 PROB_CLAMP = 1e-7
@@ -193,9 +193,8 @@ def _as_batch(params: ModelParams, tensor: np.ndarray) -> np.ndarray:
     if x.shape == params.arch.input_shape:
         x = x[None]
     if x.ndim != 4 or x.shape[1:] != params.arch.input_shape:
-        raise ShapeMismatch(
-            f"input {x.shape} incompatible with model input {params.arch.input_shape}"
-        )
+        raise ConfigError(f"input {x.shape} incompatible with model input "
+                          f"{params.arch.input_shape}")
     return x
 
 
@@ -288,7 +287,7 @@ def loss_and_grads(
     x_raw, y = batch
     x = _as_batch(params, x_raw)
     if x.shape[0] == 0:
-        raise ShapeMismatch("empty batch")
+        raise ConfigError("empty batch")
     feats, cache = _trunk_forward(params, x)
     losses, _, dout = _head(params, feats, y)
     grads = {"head_w": feats.T @ dout, "head_b": dout.sum(axis=0)}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from csisense.dataset import DEVICE_CLEARANCE
-from csisense.errors import DegenerateSegment, InvalidSize, ViewpointInsideTarget
+from csisense.errors import ConfigError
 from csisense.geometry import TWO_PI, Point2D
 
 
@@ -48,7 +48,7 @@ class Target:
 
     def __post_init__(self):
         if not (self.diameter > 0.0 and math.isfinite(self.diameter)):
-            raise InvalidSize(f"target diameter must be > 0, got {self.diameter}")
+            raise ConfigError(f"target diameter must be > 0, got {self.diameter}")
 
     @property
     def radius(self) -> float:
@@ -69,7 +69,7 @@ def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
     dx, dy = b.x - a.x, b.y - a.y
     seg_len2 = dx * dx + dy * dy
     if seg_len2 == 0.0:
-        raise DegenerateSegment(f"segment endpoints coincide at ({ax}, {ay})")
+        raise ConfigError(f"segment endpoints coincide at ({ax}, {ay})")
     cx, cy = target.center.x - ax, target.center.y - ay
     # Projection parameter of the center onto the segment, clamped to [0, 1].
     t = (cx * dx + cy * dy) / seg_len2
@@ -86,7 +86,7 @@ def in_shadow(x: Point2D, viewpoint: Point2D, target: Target) -> bool:
     inside the disk itself).
     """
     if target.contains(viewpoint):
-        raise ViewpointInsideTarget("viewpoint on or inside the target disk")
+        raise ConfigError("viewpoint on or inside the target disk")
     return segment_blocked(viewpoint, x, target)
 
 

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csisense import cli
 from csisense import dataset as dataset_mod
+from csisense import errors
 from csisense.channel import Scenario
-from csisense.cli import EXIT_CONFIG, EXIT_IO, PRESETS, load_scenario, main
+from csisense.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, PRESETS, fit, load_scenario, main
 from csisense.errors import ConfigError
-from csisense.frame import NormStats
+from csisense.frame import FrameFile, NormStats
 from csisense.sensenet import Architecture, TrainedModel, init_params, load_model, save_model
 
 DATA = Path(__file__).parent / "data"
@@ -341,6 +343,29 @@ class TestTrainEvalFlow:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {model}: truncated model header\n"
 
+    def test_validation_read_error_propagates(self, dataset_dir, monkeypatch):
+        # frames.bin is emptied before the second read, the validation split's:
+        # its error is not taken for a split without validation rows
+        ds = dataset_mod.load_dataset(dataset_dir)
+        read, calls = FrameFile.__getitem__, []
+
+        def failing_read(frames, rows):
+            calls.append(rows)
+            if len(calls) == 2:
+                frames.path.write_bytes(b"")
+            return read(frames, rows)
+        monkeypatch.setattr(FrameFile, "__getitem__", failing_read)
+        with pytest.raises(ConfigError, match="shorter than when it was opened"):
+            fit(ds, "detect", epochs=1)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_split_without_validation_rows_trains(self, dataset_dir, task):
+        ds = dataset_mod.load_dataset(dataset_dir)
+        model, log = fit(ds, task, epochs=2, val_fraction=0.0)
+        assert model.task == task and len(log) == 2
+        assert all(math.isnan(e.val_loss) and math.isnan(e.val_metric) for e in log)
+
     def test_train_missing_dataset_exits_3(self, tmp_path):
         rc = main(["train", "--data", str(tmp_path / "nope"), "--out",
                    str(tmp_path / "m.csnn")])
@@ -521,6 +546,21 @@ class TestBadFlags:
         assert rc == EXIT_CONFIG
         assert_one_line_error(capsys, f"--n must be >= 1, got {n}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("protocol", ["resolution", "positioning"])
+    def test_dataset_past_the_size_bound_exits_2(self, tmp_path, commands, capsys, protocol):
+        # the label columns of 10**12 records per hypothesis used to be built in memory
+        rc = main(commands["gen"] + ["--protocol", protocol, "--n", str(10**12)])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, f"records: a dataset holds at most "
+                                      f"{dataset_mod.MAX_RECORDS}")
+        assert not (tmp_path / "out").exists()
+
+    def test_size_bound_admits_max_records(self, tmp_path, commands, capsys, monkeypatch):
+        monkeypatch.setattr(dataset_mod, "MAX_RECORDS", 8)
+        assert main(commands["gen"] + ["--n", "4"]) == 0
+        assert main(commands["gen"] + ["--n", "5"]) == EXIT_CONFIG
+        assert_one_line_error(capsys, "10 records: a dataset holds at most 8")
 
     @pytest.mark.parametrize("command,flag,extra,value", [
         ("eval", "--threshold", [], "7"),
@@ -727,6 +767,20 @@ class TestBadFlags:
         assert main(argv) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{needs}, {model} is a {task} model")
         assert not (tmp_path / "out").exists()
+
+
+class TestExitCodes:
+    def test_one_exception_class_per_exit_code(self, monkeypatch, capsys):
+        classes = [c for c in vars(errors).values() if isinstance(c, type)
+                   and issubclass(c, Exception) and c.__module__ == errors.__name__]
+        codes = []
+        for cls in classes:
+            def fail(args, cls=cls):
+                raise cls(f"{cls.__name__} raised")
+            monkeypatch.setattr(cli, "cmd_baseline", fail)
+            codes.append(main(["baseline", "--out", "unused.csv"]))
+            assert_one_line_error(capsys, f"{cls.__name__} raised")
+        assert sorted(codes) == [EXIT_CONFIG, EXIT_NUMERIC]
 
 
 class TestBadDataset:

@@ -34,7 +34,7 @@ from csisense.dataset import (
     target_margin_ok,
     valid_bin_centers,
 )
-from csisense.errors import ConfigError, InvalidPitch, InvalidSize
+from csisense.errors import ConfigError
 from oracles import scalar_margin_ok
 
 
@@ -106,9 +106,9 @@ class TestResolutionSet:
     def test_invalid_sigma(self, tmp_path):
         out = tmp_path / "d"
         for sigma in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(InvalidSize, match="finite and > 0"):
+            with pytest.raises(ConfigError, match="finite and > 0"):
                 gen_resolution_set(fast_scenario(), sigma, 4, 0, out)
-            with pytest.raises(InvalidSize, match="finite and > 0"):
+            with pytest.raises(ConfigError, match="finite and > 0"):
                 gen_binned_set(fast_scenario(), sigma, 2, 1.0, 0, out)
         assert not out.exists()
 
@@ -123,7 +123,7 @@ class TestResolutionSet:
 
     def test_nonfinite_pitch_rejected(self, tmp_path):
         for pitch in (math.nan, math.inf):
-            with pytest.raises(InvalidPitch, match="finite and > 0"):
+            with pytest.raises(ConfigError, match="finite and > 0"):
                 gen_binned_set(fast_scenario(), 0.8, 1, pitch, 0, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
@@ -147,7 +147,7 @@ class TestBinnedSet:
         s = load_scenario(preset)
         want = bin_center_oracle(s, sigma, pitch)
         if not want:
-            with pytest.raises(InvalidPitch, match=f"no margin-valid bin centers at pitch {pitch}"):
+            with pytest.raises(ConfigError, match=f"no margin-valid bin centers at pitch {pitch}"):
                 valid_bin_centers(s, sigma, pitch)
             return
         centers = valid_bin_centers(s, sigma, pitch)
@@ -214,7 +214,7 @@ class TestBinnedSet:
         assert ds.bin.tolist() == [b for b in range(len(ds) // 4) for _ in range(4)]
 
     def test_invalid_pitch(self, tmp_path):
-        with pytest.raises(InvalidPitch):
+        with pytest.raises(ConfigError, match="pitch must be finite and > 0, got -0.5"):
             gen_binned_set(fast_scenario(), 0.8, 2, -0.5, 5, tmp_path / "d")
 
 
@@ -340,12 +340,12 @@ class TestBlocks:
 
 class TestSampling:
     def test_rejects_oversize_target(self):
-        with pytest.raises(InvalidSize, match=r"in \[3.0, 2.0\] x \[3.0, 2.0\]"):
+        with pytest.raises(ConfigError, match=r"in \[3.0, 2.0\] x \[3.0, 2.0\]"):
             draw(fast_scenario(), np.random.default_rng(0), 6.0)
 
     def test_rejects_bin_without_valid_center(self):
         # every center of the bin around (0.125, 2.5) is within sigma/2 of the west wall
-        with pytest.raises(InvalidSize, match="no margin-valid center for a 0.8 m target"):
+        with pytest.raises(ConfigError, match="no margin-valid center for a 0.8 m target"):
             draw(fast_scenario(), np.random.default_rng(0), 0.8, (0.125, 2.5),
                  jitter_pitch=0.25)
 

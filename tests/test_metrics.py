@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from csisense import dataset as dataset_mod
 from csisense.baseline import overlapped_bank, swept_bank
 from csisense.channel import Scenario
-from csisense.errors import LengthMismatch, MissingClass
+from csisense.errors import ConfigError
 from csisense.frame import NormStats
 from csisense.metrics import (
     ConfusionCounts,
@@ -61,7 +61,7 @@ class TestAccuracyScore:
         assert accuracy_score(counts) == pytest.approx(0.85, abs=1e-12)
 
     def test_missing_class(self):
-        with pytest.raises(MissingClass):
+        with pytest.raises(ConfigError, match="need samples of both hypotheses, got 0 null"):
             accuracy_score(ConfusionCounts(0, 0, 10, 10))
 
     def test_explicit_priors(self):
@@ -84,7 +84,7 @@ class TestErrorSummary:
         assert s.mean == pytest.approx(5.5, abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ConfigError, match="1 estimates vs 0 truths"):
             error_summary(np.zeros((1, 2)), np.zeros((0, 2)))
 
     def test_layer_cake_equals_mean(self):

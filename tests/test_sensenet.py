@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csisense.errors import ConfigError, NonFiniteLoss, ShapeMismatch
+from csisense.errors import ConfigError, NonFiniteLoss
 from csisense.frame import NormStats, compute_stats, normalize
 from csisense.sensenet import (
     ADAM_BETA1,
@@ -247,7 +247,7 @@ class TestForward:
 
     def test_shape_mismatch(self):
         params = init_params(TINY, 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ConfigError, match=r"input \(5, 3, 2\) incompatible"):
             detect_batch(params, np.zeros((5, 3, 2)))
 
 
