@@ -189,8 +189,8 @@ def beam_gain(aoa: float | np.ndarray, beam_angle: float, n_antennas: int) -> fl
 # The finest tiling of a room: 512 x 512 = 262,144 cells (a 1 cm pitch tiles a
 # 5 m room into 500 x 500).  Its cell centers take 4 MB as float64 pairs; at
 # that size, in scenario1, filtering the margin-valid bin centers peaks at
-# 42 MB and a coverage map's per-bin keys add 66 MB (tracemalloc), where a
-# pitch of 1e-300 asked for more memory than any machine has.
+# 42 MB (tracemalloc), where a pitch of 1e-300 asked for more memory than any
+# machine has.
 MAX_TILES_PER_SIDE = 512
 
 

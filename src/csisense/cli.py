@@ -115,8 +115,8 @@ def cmd_gen(args) -> int:
             dataset_mod.BIN_PITCH if args.pitch is None else args.pitch, args.seed,
             protocol=args.protocol, bin_jitter=args.bin_jitter, out=args.out,
         )
-    print(f"wrote {manifest.count_null + manifest.count_target} records "
-          f"({manifest.count_null} null, {manifest.count_target} target) to {args.out}")
+    n = manifest.n_per_hyp
+    print(f"wrote {2 * n} records ({n} null, {n} target) to {args.out}")
     return EXIT_OK
 
 
@@ -153,17 +153,14 @@ def fit(
     learning_rate: float = 1e-3,
     seed: int = 0,
     patience: int = 0,
-    val_fraction: float | None = None,
+    val_fraction: float = dataset_mod.VAL_FRACTION,
 ) -> tuple[nn.TrainedModel, list[nn.LogEntry]]:
     """Split, normalize on the training side only, and train one head."""
     config = nn.TrainConfig(
         task=task, batch_size=batch_size, learning_rate=learning_rate,
         epochs=epochs, seed=seed, patience=patience,
     )
-    fractions = ds.manifest.split_fractions
-    if val_fraction is not None:
-        fractions = (1.0 - val_fraction, val_fraction)
-    train_idx, val_idx = dataset_mod.split(ds, fractions, seed)
+    train_idx, val_idx = dataset_mod.split(ds, (1.0 - val_fraction, val_fraction), seed)
     if task == "locate":
         train_idx, val_idx = train_idx[ds.target[train_idx]], val_idx[ds.target[val_idx]]
     if not len(train_idx):
@@ -186,13 +183,23 @@ def fit(
 
 
 def cmd_eval(args) -> int:
-    dataset_mod.check_sigma(args.sigma, "--sigma")
-    sigmas = sorted(float(s) for s in args.sigmas.split(",")) if args.sigmas else []
-    for sigma in sigmas:
-        dataset_mod.check_sigma(sigma, "--sigmas")
+    try:
+        sigmas = sorted(float(s) for s in args.sigmas.split(",")) if args.sigmas else []
+    except ValueError:
+        raise ConfigError(f"--sigmas must be comma-separated numbers, "
+                          f"got {args.sigmas!r}") from None
+    if sigmas and args.sigma is not None:
+        raise ConfigError("--sigma does not apply to a --sigmas sweep")
+    if not sigmas and args.gamma is not None:
+        raise ConfigError("--gamma applies only to a --sigmas sweep")
+    sigma = 0.8 if args.sigma is None else args.sigma
+    gamma = 0.9 if args.gamma is None else args.gamma
+    dataset_mod.check_sigma(sigma, "--sigma")
+    for s in sigmas:
+        dataset_mod.check_sigma(s, "--sigmas")
     _check_count("--drops", args.drops)
     _check_float("--threshold", args.threshold, 0.0, 1.0)
-    _check_float("--gamma", args.gamma, 0.0, 1.0)
+    _check_float("--gamma", gamma, 0.0, 1.0)
     # --sigmas and --threshold score detections, so they need a detect model
     flag = "--sigmas" if sigmas else "--threshold" if args.threshold is not None else None
     model = _load_model(args.model, "detect" if flag else None, flag or "")
@@ -203,22 +210,22 @@ def cmd_eval(args) -> int:
     if model.task == "detect":
         if sigmas:
             curve, crossing = metrics_mod.resolution_curve(
-                model, scenario, sigmas, drops, args.gamma, args.seed)
+                model, scenario, sigmas, drops, gamma, args.seed)
             with open(args.out, "w") as fp:
                 metrics_mod.write_resolution_csv(fp, curve, drops)
             for sigma, p in curve:
                 print(f"sigma={sigma:g}  P={p:.4f}")
-            print(f"resolution at gamma={args.gamma:g}: "
+            print(f"resolution at gamma={gamma:g}: "
                   f"{crossing if crossing is not None else 'not reached'}")
         else:
-            counts = metrics_mod.detection_counts(model, scenario, args.sigma, drops, args.seed)
+            counts = metrics_mod.detection_counts(model, scenario, sigma, drops, args.seed)
             p = metrics_mod.accuracy_score(counts)
             with open(args.out, "w") as fp:
-                metrics_mod.write_resolution_csv(fp, [(args.sigma, p)], drops)
+                metrics_mod.write_resolution_csv(fp, [(sigma, p)], drops)
             print(f"accuracy score P={p:.4f} over {drops} drops/hypothesis "
                   f"(fa={counts.null_as_target}, miss={counts.target_as_null})")
     else:
-        result = metrics_mod.drop_positions(scenario, args.sigma, drops, args.seed,
+        result = metrics_mod.drop_positions(scenario, sigma, drops, args.seed,
                                             model=model)[0]
         summary = result.summary()
         with open(args.out, "w") as fp:
@@ -302,16 +309,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", type=float, default=1e-3)
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--patience", type=int, default=0)
-    t.add_argument("--val-frac", type=float, default=None)
+    t.add_argument("--val-frac", type=float, default=dataset_mod.VAL_FRACTION,
+                   help=f"validation share of the split (default {dataset_mod.VAL_FRACTION})")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a trained model on fresh drops")
     e.add_argument("--model", required=True)
     e.add_argument("--scenario", default="scenario1")
-    e.add_argument("--sigma", type=float, default=0.8)
+    e.add_argument("--sigma", type=float, default=None,
+                   help="target size without --sigmas (default 0.8)")
     e.add_argument("--sigmas", default=None,
                    help="comma-separated sizes for a resolution sweep")
-    e.add_argument("--gamma", type=float, default=0.9)
+    e.add_argument("--gamma", type=float, default=None,
+                   help="accuracy the --sigmas sweep must exceed (default 0.9)")
     e.add_argument("--drops", type=int, default=None,
                    help="default 700 for detection, 1000 for positioning")
     e.add_argument("--threshold", type=float, default=None,

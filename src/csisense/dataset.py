@@ -54,42 +54,60 @@ BLOCK = 64
 CHECK_ROWS = 1024
 
 
+VAL_FRACTION = 0.3    # train --val-frac's default; manifest.json records its split
+
+
 @dataclass
 class DatasetManifest:
+    """What a dataset's records are a function of.  A set holds n_per_hyp
+    null and n_per_hyp target records; the values are checked when a manifest
+    is made, by gen or from a manifest.json alike."""
+
     scenario: Scenario
     protocol: str  # one of PROTOCOLS
     sigma: float
     n_per_hyp: int
     master_seed: int
-    grid_pitch: float | None = None
-    split_fractions: tuple[float, float] = (0.7, 0.3)
+    grid_pitch: float | None = None    # the bin pitch, binned protocols only
     bin_jitter: bool = False
-    count_null: int = 0
-    count_target: int = 0
+
+    def __post_init__(self):
+        check_sigma(self.sigma)
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"unknown protocol {self.protocol!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.n_per_hyp < 1:
+            raise ConfigError(f"n_per_hyp must be >= 1, got {self.n_per_hyp}")
+        if (self.grid_pitch is None) != (self.protocol == "resolution"):
+            raise ConfigError(f"grid_pitch {self.grid_pitch} with protocol {self.protocol!r}: "
+                              f"only the binned protocols have one")
+        if self.bin_jitter and self.grid_pitch is None:
+            raise ConfigError(f"bin_jitter with protocol {self.protocol!r}: only the binned "
+                              f"protocols jitter")
 
     def to_dict(self) -> dict:
-        """One key per field; scenario and split_fractions in their JSON forms."""
+        """One key per field, the scenario in its JSON form, and the keys
+        DERIVED_KEYS names, which every set has as n_per_hyp and the split."""
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "scenario": self.scenario.to_dict(), "split_fractions": list(self.split_fractions)}
+                "scenario": self.scenario.to_dict(), "count_null": self.n_per_hyp,
+                "count_target": self.n_per_hyp,
+                "split_fractions": [1.0 - VAL_FRACTION, VAL_FRACTION]}
 
     @staticmethod
     def from_dict(d, source: str = "manifest") -> "DatasetManifest":
         """The manifest of a JSON object whose keys have the kinds of
         MANIFEST_KINDS, which name a wrong scenario key by its manifest path
-        (scenario.tx[0]); anything else raises "<source>: malformed manifest: …"."""
+        (scenario.tx[0]), and whose DERIVED_KEYS, if given, are to_dict's;
+        anything else raises "<source>: malformed manifest: …"."""
         try:
             v = read_json(d, MANIFEST_KINDS, "manifest")
-            m = DatasetManifest(**{**v, "scenario": Scenario.from_dict(d["scenario"])})
-            check_sigma(m.sigma)
-            if m.protocol not in PROTOCOLS:
-                raise ConfigError(f"unknown protocol {m.protocol!r}")
-            if m.master_seed < 0:
-                raise ConfigError(f"master_seed must be >= 0, got {m.master_seed}")
-            if m.n_per_hyp < 1:
-                raise ConfigError(f"n_per_hyp must be >= 1, got {m.n_per_hyp}")
-            if (m.grid_pitch is None) != (m.protocol == "resolution"):
-                raise ConfigError(f"grid_pitch {m.grid_pitch} with protocol {m.protocol!r}: "
-                                  f"only the binned protocols have one")
+            m = DatasetManifest(**{k: x for k, x in v.items() if k not in DERIVED_KEYS}
+                                | {"scenario": Scenario.from_dict(d["scenario"])})
+            written = m.to_dict()
+            for key, why in DERIVED_KEYS.items():
+                if d.get(key, written[key]) != written[key]:
+                    raise ConfigError(f"{key} must be {written[key]!r}, got {d[key]!r}: {why}")
         except ConfigError as exc:
             raise ConfigError(f"{source}: malformed manifest: {exc}") from exc
         return m
@@ -101,15 +119,10 @@ MANIFEST_KINDS = {
     "master_seed": int, "grid_pitch?": float | None, "split_fractions?": [float, float],
     "bin_jitter?": bool, "count_null?": int, "count_target?": int,
 }
-
-
-class Block(NamedTuple):
-    """Consecutive records of a dataset, one array per field."""
-
-    target: np.ndarray     # (n,) bool, True for target records
-    tensors: np.ndarray    # (n, rows, beams, 2) float64 frame tensors
-    xy: np.ndarray         # (n, 2) target centers, NaN on null rows
-    seed: np.ndarray       # (n,) uint64 record stream seeds
+# manifest.json keys that are not fields: each has one value per set, given with why
+DERIVED_KEYS = {"count_null": "a set holds n_per_hyp null records",
+                "count_target": "a set holds n_per_hyp target records",
+                "split_fractions": "train --val-frac sets the split"}
 
 
 @dataclass
@@ -360,26 +373,23 @@ def record_layout(manifest: DatasetManifest) -> tuple[np.ndarray, np.ndarray, np
     """The (target, bin, centers) label columns of a manifest's records, the one
     layout that generation writes and load_dataset checks.
 
-    Resolution: count_null null rows, then count_target target rows, bin -1.
+    Resolution: n_per_hyp null rows, then n_per_hyp target rows, bin -1.
     Binned: per margin-valid bin, in valid_bin_centers order, n target rows
     then n null rows, n = n_per_hyp / bins; a target row's center (N, 2) is
     its bin's center, NaN elsewhere.  More than MAX_RECORDS records raise
     ConfigError before any column is built.
     """
     m = manifest
-    if m.count_null + m.count_target > MAX_RECORDS:
-        raise ConfigError(f"{m.count_null + m.count_target} records: a dataset holds at "
-                          f"most {MAX_RECORDS}")
+    if 2 * m.n_per_hyp > MAX_RECORDS:
+        raise ConfigError(f"{2 * m.n_per_hyp} records: a dataset holds at most {MAX_RECORDS}")
     if m.protocol == "resolution":
-        target = np.repeat([False, True], [m.count_null, m.count_target])
+        target = np.repeat([False, True], m.n_per_hyp)
         return target, np.full(len(target), -1), np.full((len(target), 2), np.nan)
     bin_centers = valid_bin_centers(m.scenario, m.sigma, m.grid_pitch)
     n, rest = divmod(m.n_per_hyp, len(bin_centers))
-    if rest or not m.count_null == m.count_target == m.n_per_hyp:
-        raise ConfigError(
-            f"{m.protocol} layout: n_per_hyp {m.n_per_hyp}, count_null {m.count_null} and "
-            f"count_target {m.count_target} must be equal and a multiple of the "
-            f"{len(bin_centers)} margin-valid bins at pitch {m.grid_pitch}")
+    if rest:
+        raise ConfigError(f"{m.protocol} layout: n_per_hyp {m.n_per_hyp} is not a multiple of "
+                          f"the {len(bin_centers)} margin-valid bins at pitch {m.grid_pitch}")
     target = np.tile(np.repeat([True, False], n), len(bin_centers))
     bins = np.repeat(np.arange(len(bin_centers)), 2 * n)
     return target, bins, np.where(target[:, None], bin_centers[bins], np.nan)
@@ -402,28 +412,12 @@ def _generate_block(manifest: DatasetManifest, start: int, target: np.ndarray,
     return tensors, xy, seeds
 
 
-def generate(manifest: DatasetManifest) -> Iterator[Block]:
-    """The records of the manifest's layout as blocks in row order, each made
-    when the previous one has been taken.  The layout is checked before this
-    returns."""
-    target, _, centers = record_layout(manifest)
-    blocks = ((lo, target[lo:lo + BLOCK], centers[lo:lo + BLOCK])
-              for lo in range(0, len(target), BLOCK))
-    return (Block(t, *_generate_block(manifest, lo, t, c)) for lo, t, c in blocks)
-
-
 def gen_resolution_set(
     scenario: Scenario, sigma: float, n_per_hyp: int, master_seed: int, out: str | Path,
 ) -> DatasetManifest:
     """Write n null + n target records, target centers uniform under the margin
     rule, into the directory `out`; returns the manifest written."""
-    check_sigma(sigma)
-    if n_per_hyp < 1:
-        raise ConfigError(f"n_per_hyp must be >= 1, got {n_per_hyp}")
-    manifest = DatasetManifest(
-        scenario=scenario, protocol="resolution", sigma=sigma, n_per_hyp=n_per_hyp,
-        master_seed=master_seed, count_null=n_per_hyp, count_target=n_per_hyp,
-    )
+    manifest = DatasetManifest(scenario, "resolution", sigma, n_per_hyp, master_seed)
     save_dataset(out, manifest)
     return manifest
 
@@ -450,15 +444,9 @@ def gen_binned_set(
 ) -> DatasetManifest:
     """Write, per margin-valid bin, n target records at the bin center plus n
     null records into the directory `out`; returns the manifest written."""
-    check_sigma(sigma)
-    if n_per_bin < 1:
-        raise ConfigError(f"n_per_bin must be >= 1, got {n_per_bin}")
-    n = n_per_bin * len(valid_bin_centers(scenario, sigma, pitch))
-    manifest = DatasetManifest(
-        scenario=scenario, protocol=protocol, sigma=sigma, n_per_hyp=n,
-        master_seed=master_seed, grid_pitch=pitch, bin_jitter=bin_jitter,
-        count_null=n, count_target=n,
-    )
+    # checked as one bin's records, then counted over the bins
+    manifest = DatasetManifest(scenario, protocol, sigma, n_per_bin, master_seed, pitch, bin_jitter)
+    manifest.n_per_hyp *= len(valid_bin_centers(scenario, sigma, pitch))
     save_dataset(out, manifest)
     return manifest
 
@@ -499,24 +487,26 @@ def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
     place; an old manifest.json is removed first, so a write that stops early
     leaves nothing loadable.
     """
-    blocks = generate(manifest)    # checks the layout first
+    # target and centers, checked before anything is made; bin is not kept
+    target, centers = record_layout(manifest)[::2]
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     part = {name: out / f"{name}.part" for name in ("frames.bin", "labels.csv", "manifest.json")}
-    meta, sigma, i = _frame_meta(manifest.scenario), repr(float(manifest.sigma)), 0
+    meta, sigma = _frame_meta(manifest.scenario), repr(float(manifest.sigma))
     try:
         with open(part["frames.bin"], "wb") as ff, \
                 open(part["labels.csv"], "w", newline="") as fc:
             w = csv.writer(fc)
             w.writerow(LABEL_COLUMNS)
-            for block in blocks:
-                write_frames(ff, block.tensors, meta)
-                for is_target, (x, y), seed in zip(block.target.tolist(), block.xy.tolist(),
-                                                   block.seed.tolist()):
+            for lo in range(0, len(target), BLOCK):
+                t = target[lo:lo + BLOCK]
+                tensors, xy, seeds = _generate_block(manifest, lo, t, centers[lo:lo + BLOCK])
+                write_frames(ff, tensors, meta)
+                for i, (is_target, (x, y), seed) in enumerate(
+                        zip(t.tolist(), xy.tolist(), seeds.tolist()), lo):
                     w.writerow([i, HYP_TARGET, repr(x), repr(y), sigma, seed] if is_target
                                else [i, HYP_NULL, "", "", "", seed])
-                    i += 1
         with open(part["manifest.json"], "w") as fp:
             json.dump(manifest.to_dict(), fp, indent=2, sort_keys=True)
             fp.write("\n")
@@ -604,7 +594,7 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ConfigError(f"{src}: frames.bin holds {len(frames)} records, "
                           f"labels.csv {len(target)}")
     # the layout's length, checked before record_layout builds its columns
-    n_records = manifest.count_null + manifest.count_target
+    n_records = 2 * manifest.n_per_hyp
     if len(target) != n_records:
         raise ConfigError(f"{src / 'labels.csv'}: {len(target)} rows, the {manifest.protocol} "
                           f"layout of manifest.json has {n_records}")

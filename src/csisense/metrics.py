@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import BeamBank, estimate_positions
 from .channel import Scenario, tiles_per_side
-from .dataset import (Draws, draw, in_blocks, record_seeds, streams, synthesize,
+from .dataset import (BLOCK, Draws, draw, in_blocks, record_seeds, streams, synthesize,
                       valid_bin_centers)
 from .errors import ConfigError
 from .geometry import Point2D, elementwise
@@ -35,23 +35,19 @@ class ConfusionCounts:
                 + self.target_as_null + self.target_as_target)
 
 
-def accuracy_score(counts: ConfusionCounts, priors: tuple[float, float] | None = None) -> float:
-    """P = 1 - (p(target|null) p(null) + p(null|target) p(target)).
-
-    Priors default to the empirical class fractions; conditional error rates
-    are always estimated from the counts.
+def accuracy_score(counts: ConfusionCounts) -> float:
+    """P = 1 - (p(target|null) p(null) + p(null|target) p(target)), the priors
+    and the conditional error rates estimated from the counts.  Counts that
+    are arrays give an array of scores, each with the bits of its scalar one.
     """
     n_null = counts.null_as_null + counts.null_as_target
     n_target = counts.target_as_null + counts.target_as_target
-    if n_null == 0 or n_target == 0:
+    if not (np.all(n_null > 0) and np.all(n_target > 0)):
         raise ConfigError(f"need samples of both hypotheses, got {n_null} null / {n_target} target")
     p_fa = counts.null_as_target / n_null
     p_miss = counts.target_as_null / n_target
-    if priors is None:
-        p_null = n_null / counts.total
-        p_target = n_target / counts.total
-    else:
-        p_null, p_target = priors
+    p_null = n_null / counts.total
+    p_target = n_target / counts.total
     return 1.0 - (p_fa * p_null + p_miss * p_target)
 
 
@@ -93,12 +89,6 @@ def _decisions(
     return np.concatenate(null_hits), np.concatenate(alt_hits)
 
 
-def _confusion(null_hits: np.ndarray, alt_hits: np.ndarray) -> ConfusionCounts:
-    fa, det = int(np.sum(null_hits)), int(np.sum(alt_hits))
-    return ConfusionCounts(null_as_null=len(null_hits) - fa, null_as_target=fa,
-                           target_as_null=len(alt_hits) - det, target_as_target=det)
-
-
 def detection_counts(
     model: TrainedModel,
     scenario: Scenario,
@@ -109,7 +99,9 @@ def detection_counts(
     """Fresh paired drops pushed through the detector at its threshold, the
     target drawn per drop."""
     keys = ((master_seed, i, None) for i in range(n_drops))
-    return _confusion(*_decisions(model, scenario, sigma, keys))
+    null_hits, alt_hits = _decisions(model, scenario, sigma, keys)
+    fa, det = int(null_hits.sum()), int(alt_hits.sum())
+    return ConfusionCounts(n_drops - fa, fa, n_drops - det, det)
 
 
 def resolution_curve(
@@ -150,22 +142,29 @@ def coverage_map(
     master_seed: int,
 ) -> CoverageMap:
     """Per-bin accuracy score from paired drops at each margin-valid bin center,
-    the drops of all bins synthesised and scored in one pass."""
-    centers = valid_bin_centers(scenario, sigma, pitch).tolist()
-    n = tiles_per_side(scenario.room_side, pitch)
+    the drops of all bins synthesised and scored in one pass; the drop keys
+    are made a block of bins at a time."""
+    centers = valid_bin_centers(scenario, sigma, pitch)
+    n, d = tiles_per_side(scenario.room_side, pitch), drops_per_bin
+    fa, det = (h.reshape(len(centers), d).sum(axis=1) for h in _decisions(
+        model, scenario, sigma, _bin_keys(master_seed, centers, d)))
+    ix, iy = (centers / pitch).astype(int).T
     score = np.full((n, n), np.nan)
     counts = np.zeros((n, n), dtype=int)
-    bin_keys = [(seed, Point2D(x, y)) for seed, (x, y) in
-                zip(record_seeds(master_seed, range(len(centers))).tolist(), centers)]
-    keys = ((seed, i, c) for seed, c in bin_keys for i in range(drops_per_bin))
-    null_hits, alt_hits = (h.reshape(len(centers), drops_per_bin)
-                           for h in _decisions(model, scenario, sigma, keys))
-    for b, (x, y) in enumerate(centers):
-        ix = int(x / pitch)
-        iy = int(y / pitch)
-        score[ix, iy] = accuracy_score(_confusion(null_hits[b], alt_hits[b]))
-        counts[ix, iy] = drops_per_bin
+    score[ix, iy] = accuracy_score(ConfusionCounts(d - fa, fa, d - det, det))
+    counts[ix, iy] = d
     return CoverageMap(pitch=pitch, score=score, counts=counts)
+
+
+def _bin_keys(master_seed: int, centers: np.ndarray, drops: int) -> Iterator[tuple]:
+    """The (seed, index, center) keys of `drops` drops at each of the (B, 2)
+    centers, bin b's seed that of record (master_seed, b), a block at a time."""
+    for lo in range(0, len(centers), BLOCK):
+        block = centers[lo:lo + BLOCK].tolist()
+        for seed, (x, y) in zip(record_seeds(master_seed, range(lo, lo + len(block))).tolist(),
+                                block):
+            center = Point2D(x, y)
+            yield from ((seed, i, center) for i in range(drops))
 
 
 @dataclass

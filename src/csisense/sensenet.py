@@ -190,8 +190,6 @@ def maxpool_backward(dout: np.ndarray, idx: np.ndarray, x_shape: tuple, p: int) 
 
 def _as_batch(params: ModelParams, tensor: np.ndarray) -> np.ndarray:
     x = np.asarray(tensor, dtype=params.conv1_w.dtype)
-    if x.shape == params.arch.input_shape:
-        x = x[None]
     if x.ndim != 4 or x.shape[1:] != params.arch.input_shape:
         raise ConfigError(f"input {x.shape} incompatible with model input "
                           f"{params.arch.input_shape}")

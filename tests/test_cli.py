@@ -598,6 +598,36 @@ class TestBadFlags:
         assert_one_line_error(capsys, "--threshold needs a detect model", "is a locate model")
         assert not out.exists()
 
+    @pytest.mark.parametrize("task", ["detect", "locate"])
+    def test_gamma_without_sigmas_exits_2(self, tmp_path, scenario_file, capsys, task):
+        # the gamma used to be ignored
+        model = untrained_model(tmp_path / f"{task}.csnn", task)
+        out = tmp_path / "e.csv"
+        rc = main(["eval", "--model", model, "--scenario", scenario_file, "--drops", "2",
+                   "--gamma", "0.3", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "error: --gamma applies only to a --sigmas sweep\n")
+        assert not out.exists()
+
+    def test_sigma_with_sigmas_exits_2(self, tmp_path, commands, capsys):
+        # the --sigma used to be ignored
+        assert main(commands["eval"] + ["--sigmas", "0.4", "--sigma", "3.0"]) == EXIT_CONFIG
+        assert_one_line_error(capsys, "error: --sigma does not apply to a --sigmas sweep\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("sigmas", ["0.4,,0.6", "0.4,big", ","])
+    def test_unreadable_sigmas_exits_2(self, tmp_path, commands, capsys, sigmas):
+        assert main(commands["eval"] + ["--sigmas", sigmas]) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"error: --sigmas must be comma-separated numbers, "
+                                      f"got {sigmas!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_sigma_and_gamma_defaults(self, tmp_path, commands, capsys):
+        assert main(commands["eval"]) == 0
+        assert (tmp_path / "out").read_text().splitlines()[1].startswith("0.8,")
+        assert main(commands["eval"] + ["--sigmas", "0.4,0.6"]) == 0
+        assert "resolution at gamma=0.9: " in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["gen", "train", "eval", "coverage", "baseline"])
     def test_negative_seed_exits_2(self, tmp_path, commands, capsys, command):
         rc = main(commands[command] + ["--seed", "-1"])
@@ -860,10 +890,16 @@ class TestBadDataset:
         (lambda m: m.update(protocol="coverage"), "grid_pitch None with protocol 'coverage'"),
         (lambda m: m.update(grid_pitch=0.5), "grid_pitch 0.5 with protocol 'resolution'"),
         (lambda m: m.update(master_seed=-1), "master_seed must be >= 0, got -1"),
+        (lambda m: m.update(count_null=0), "count_null must be 3, got 0"),
+        (lambda m: m.update(count_target=4), "count_target must be 3, got 4"),
+        (lambda m: m.update(split_fractions=[0.5, 0.5]),
+         "split_fractions must be [0.7, 0.3], got [0.5, 0.5]: train --val-frac sets the split"),
+        (lambda m: m.update(bin_jitter=True), "bin_jitter with protocol 'resolution'"),
     ], ids=["no-protocol", "unknown-key", "str-split_fractions", "one-split_fraction",
             "null-n_per_hyp", "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma",
             "negative-sigma", "binned-without-pitch", "resolution-with-pitch",
-            "negative-master_seed"])
+            "negative-master_seed", "zero-count_null", "count_target-off-n_per_hyp",
+            "other-split_fractions", "resolution-with-jitter"])
     def test_malformed_manifest_exits_2(self, tmp_path, dataset_dir, capsys, change, message):
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -904,7 +940,7 @@ class TestBadDataset:
         # 10**12 records used to be laid out in memory before the rows were counted
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest.update(count_null=5 * 10**11, count_target=5 * 10**11)
+        manifest.update(n_per_hyp=5 * 10**11, count_null=5 * 10**11, count_target=5 * 10**11)
         path.write_text(json.dumps(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{dataset_dir / 'labels.csv'}: 6 rows, the resolution "

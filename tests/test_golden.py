@@ -61,17 +61,17 @@ def _drop_cases():
 def _record_cases():
     """(case, manifest, index, target, center) of each generated dataset record;
     the manifest gives the scenario, sigma, master seed and jitter pitch."""
-    def manifest(scenario, seed, jitter_pitch=None):
+    def manifest(scenario, seed, jitter=False):
         return DatasetManifest(scenario=scenario, protocol="positioning", sigma=0.8,
-                               n_per_hyp=1, master_seed=seed, grid_pitch=jitter_pitch,
-                               bin_jitter=jitter_pitch is not None)
+                               n_per_hyp=1, master_seed=seed, grid_pitch=0.25,
+                               bin_jitter=jitter)
 
     s1 = _scenario("scenario1")
     s2 = _scenario("scenario2", snr_db=math.inf)
     bin_center, drawn = (2.625, 1.375), (math.nan, math.nan)
-    records = [(0, False, drawn, None), (1, True, drawn, None), (2, True, bin_center, None),
-               (3, True, bin_center, 0.25), (4, False, drawn, None)]
-    return ([(f"gen1-{i}", manifest(s1, 21, pitch), i, t, c) for i, t, c, pitch in records]
+    records = [(0, False, drawn, False), (1, True, drawn, False), (2, True, bin_center, False),
+               (3, True, bin_center, True), (4, False, drawn, False)]
+    return ([(f"gen1-{i}", manifest(s1, 21, jitter), i, t, c) for i, t, c, jitter in records]
             + [(f"gen2-{i}", manifest(s2, 22), i, t, c) for i, t, c, _ in records[:2]])
 
 

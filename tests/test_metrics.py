@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from csisense import dataset as dataset_mod
+from csisense import metrics as metrics_mod
 from csisense.baseline import overlapped_bank, swept_bank
 from csisense.channel import Scenario
 from csisense.errors import ConfigError
@@ -54,7 +56,7 @@ class TestAccuracyScore:
         assert accuracy_score(ConfusionCounts(50, 0, 0, 50)) == 1.0
 
     def test_constant_null_detector(self):
-        assert accuracy_score(ConfusionCounts(50, 0, 50, 0), priors=(0.5, 0.5)) == 0.5
+        assert accuracy_score(ConfusionCounts(50, 0, 50, 0)) == 0.5
 
     def test_hand_computed_example(self):
         counts = ConfusionCounts(90, 10, 20, 80)
@@ -64,10 +66,11 @@ class TestAccuracyScore:
         with pytest.raises(ConfigError, match="need samples of both hypotheses, got 0 null"):
             accuracy_score(ConfusionCounts(0, 0, 10, 10))
 
-    def test_explicit_priors(self):
-        counts = ConfusionCounts(90, 10, 20, 80)
-        assert accuracy_score(counts, priors=(0.8, 0.2)) == pytest.approx(
-            1 - (0.10 * 0.8 + 0.20 * 0.2), abs=1e-12)
+    def test_array_counts_score_like_scalars(self):
+        # coverage_map scores every bin in one call: each score has its scalar's bits
+        counts = np.random.default_rng(8).integers(0, 40, (200, 4)) + [1, 0, 0, 1]
+        got = accuracy_score(ConfusionCounts(*counts.T))
+        assert got.tolist() == [accuracy_score(ConfusionCounts(*c)) for c in counts.tolist()]
 
 
 class TestErrorSummary:
@@ -169,6 +172,28 @@ class TestCoverageMap:
         a = coverage_map(model, s, 0.4, 3, 1.0, 7)
         b = coverage_map(model, s, 0.4, 3, 1.0, 7)
         assert np.array_equal(a.score, b.score, equal_nan=True)
+
+    def test_drop_keys_made_a_block_of_bins_at_a_time(self, monkeypatch):
+        # every bin's key was once made up front: 66 MB on the 512 x 512 tiling
+        s = tiny_scenario()
+        pitch = s.room_side / 256
+        centers = dataset_mod.valid_bin_centers(s, 0.05, pitch)    # caches the tiling
+        held = []
+
+        def decisions(model, scenario, sigma, keys):
+            tracemalloc.reset_peak()
+            n = sum(1 for _ in keys)
+            held.append(tracemalloc.get_traced_memory()[1])
+            return np.zeros(n, bool), np.arange(n) % 2 == 0
+
+        monkeypatch.setattr(metrics_mod, "_decisions", decisions)
+        tracemalloc.start()
+        try:
+            cmap = coverage_map(None, s, 0.05, 2, pitch, 0)
+        finally:
+            tracemalloc.stop()
+        assert cmap.counts.sum() == 2 * len(centers) and np.all(cmap.defined_scores() == 0.75)
+        assert held[0] < 2 * centers.nbytes      # the centers and a block of keys
 
 
 class TestWriters:

@@ -230,19 +230,20 @@ class TestForward:
         params = init_params(TINY, 0)
         for name, arr in params.items():
             arr[...] = 0.0
-        assert detect_batch(params, np.ones(TINY.input_shape))[0] == pytest.approx(0.5)
+        assert detect_batch(params, np.ones((1,) + TINY.input_shape))[0] == pytest.approx(0.5)
 
     def test_bias_only_position_head(self):
         params = init_params(TINY, 0, "locate")
         for name, arr in params.items():
             arr[...] = 0.0
         params.head_b[:] = (2.5, 2.5)
-        est = locate_batch(params, np.random.default_rng(4).standard_normal(TINY.input_shape))
+        est = locate_batch(params,
+                           np.random.default_rng(4).standard_normal((1,) + TINY.input_shape))
         assert est.tolist() == [[2.5, 2.5]]
 
     def test_deterministic(self):
         params = init_params(TINY, 1)
-        x = np.random.default_rng(5).standard_normal(TINY.input_shape)
+        x = np.random.default_rng(5).standard_normal((1,) + TINY.input_shape)
         assert detect_batch(params, x)[0] == detect_batch(params, x)[0]
 
     def test_shape_mismatch(self):
