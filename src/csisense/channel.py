@@ -85,8 +85,10 @@ class Scenario:
             raise ConfigError("beam_angles must name at least one beam")
         if self.cluster_spread_deg < 0:
             raise ConfigError(f"cluster_spread_deg must be >= 0, got {self.cluster_spread_deg}")
-        if not (math.isfinite(self.snr_db) or self.snr_db == math.inf):
-            raise ConfigError(f"snr_db must be finite or inf (noiseless), got {self.snr_db}")
+        if not self.snr_db >= -3082.0:     # NaN fails; the noise level 10 ** 308.2 is a float
+            raise ConfigError(f"snr_db must be >= -3082 or inf (noiseless), got {self.snr_db}")
+        if self.env_seed < 0:
+            raise ConfigError(f"env_seed must be >= 0, got {self.env_seed}")
         if self.room_side <= 0:
             raise ConfigError(f"room side must be > 0, got {self.room_side}")
         if not self.receivers:
@@ -189,7 +191,7 @@ def beam_gain(aoa: float | np.ndarray, beam_angle: float, n_antennas: int) -> fl
 # The finest tiling of a room: 512 x 512 = 262,144 cells (a 1 cm pitch tiles a
 # 5 m room into 500 x 500).  Its cell centers take 4 MB as float64 pairs; at
 # that size, in scenario1, filtering the margin-valid bin centers peaks at
-# 42 MB (tracemalloc), where a pitch of 1e-300 asked for more memory than any
+# 4.7 MB (tracemalloc), where a pitch of 1e-300 asked for more memory than any
 # machine has.
 MAX_TILES_PER_SIDE = 512
 

@@ -218,12 +218,12 @@ def cmd_eval(args) -> int:
             print(f"resolution at gamma={gamma:g}: "
                   f"{crossing if crossing is not None else 'not reached'}")
         else:
-            counts = metrics_mod.detection_counts(model, scenario, sigma, drops, args.seed)
-            p = metrics_mod.accuracy_score(counts)
+            fa, miss = metrics_mod.detection_counts(model, scenario, sigma, drops, args.seed)
+            p = metrics_mod.accuracy_score(fa, miss, drops)
             with open(args.out, "w") as fp:
                 metrics_mod.write_resolution_csv(fp, [(sigma, p)], drops)
             print(f"accuracy score P={p:.4f} over {drops} drops/hypothesis "
-                  f"(fa={counts.null_as_target}, miss={counts.target_as_null})")
+                  f"(fa={fa}, miss={miss})")
     else:
         result = metrics_mod.drop_positions(scenario, sigma, drops, args.seed,
                                             model=model)[0]

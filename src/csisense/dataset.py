@@ -50,7 +50,7 @@ MAX_RECORDS = 2**24
 # Drops synthesised together: bounds the memory of generation and evaluation.
 # A multiple of sensenet.INFER_CHUNK, so model outputs do not depend on it.
 BLOCK = 64
-# Label rows load_dataset checks at once: bounds the memory of the checks.
+# Rows load_dataset checks, and cells valid_bin_centers tests, at once: bounds their memory.
 CHECK_ROWS = 1024
 
 
@@ -424,9 +424,11 @@ def gen_resolution_set(
 
 def valid_bin_centers(scenario: Scenario, sigma: float, pitch: float) -> np.ndarray:
     """(n, 2) margin-valid bin centers of the pitch x pitch tiling, row-major in
-    (x, y); a tiling without one raises ConfigError."""
+    (x, y); a tiling without one raises ConfigError.  The cells are tested
+    CHECK_ROWS at a time, which bounds the memory of the test."""
     pts = grid_points(scenario.room_side, pitch)
-    centers = pts[target_margin_ok(scenario, sigma, pts)]
+    centers = pts[np.concatenate([target_margin_ok(scenario, sigma, pts[lo:lo + CHECK_ROWS])
+                                  for lo in range(0, len(pts), CHECK_ROWS)])]
     if not len(centers):
         raise ConfigError(f"no margin-valid bin centers at pitch {pitch}")
     return centers

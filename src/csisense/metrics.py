@@ -1,8 +1,9 @@
 """Evaluation statistics: accuracy score, resolution, coverage, error CDF.
 
 The accuracy score is one minus the prior-weighted misclassification
-probability, estimated empirically.  All evaluation drops are derived from
-(master seed, drop index) so every metric run is reproducible.
+probability over paired drops, each with one null and one target frame, so
+the two priors are 1/2.  All evaluation drops are derived from (master seed,
+drop index) so every metric run is reproducible.
 """
 
 from __future__ import annotations
@@ -22,33 +23,13 @@ from .geometry import Point2D, elementwise
 from .sensenet import TrainedModel
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    null_as_null: int
-    null_as_target: int
-    target_as_null: int
-    target_as_target: int
-
-    @property
-    def total(self) -> int:
-        return (self.null_as_null + self.null_as_target
-                + self.target_as_null + self.target_as_target)
-
-
-def accuracy_score(counts: ConfusionCounts) -> float:
-    """P = 1 - (p(target|null) p(null) + p(null|target) p(target)), the priors
-    and the conditional error rates estimated from the counts.  Counts that
-    are arrays give an array of scores, each with the bits of its scalar one.
+def accuracy_score(false_alarms: int | np.ndarray, misses: int | np.ndarray,
+                   n: int) -> float | np.ndarray:
+    """P = 1 - (p(target|null) p(null) + p(null|target) p(target)) over n paired
+    drops, whose priors are 1/2.  Counts that are arrays give an array of
+    scores, each with the bits of its scalar one.
     """
-    n_null = counts.null_as_null + counts.null_as_target
-    n_target = counts.target_as_null + counts.target_as_target
-    if not (np.all(n_null > 0) and np.all(n_target > 0)):
-        raise ConfigError(f"need samples of both hypotheses, got {n_null} null / {n_target} target")
-    p_fa = counts.null_as_target / n_null
-    p_miss = counts.target_as_null / n_target
-    p_null = n_null / counts.total
-    p_target = n_target / counts.total
-    return 1.0 - (p_fa * p_null + p_miss * p_target)
+    return 1.0 - 0.5 * (false_alarms / n + misses / n)
 
 
 def paired_drop(
@@ -67,26 +48,28 @@ def paired_drop(
 
 def _paired_blocks(
     scenario: Scenario, sigma: float, keys: Iterable[tuple[int, int, Point2D | None]]
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(null tensors, target tensors, centers) of the paired drops named by
-    (master seed, index, center) keys, one block of drops at a time."""
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(first drop index, null tensors, target tensors, centers) of the paired
+    drops named by (master seed, index, center) keys, one block of drops at a time."""
+    lo = 0
     for block in in_blocks(keys):
         rngs = streams(record_seeds([k[0] for k in block], [k[1] for k in block]))
-        yield synthesize(scenario, [paired_drop(scenario, sigma, *key, rng)
-                                    for key, rng in zip(block, rngs)])
+        yield lo, *synthesize(scenario, [paired_drop(scenario, sigma, *key, rng)
+                                         for key, rng in zip(block, rngs)])
+        lo += len(block)
 
 
 def _decisions(
     model: TrainedModel, scenario: Scenario, sigma: float,
     keys: Iterable[tuple[int, int, Point2D | None]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The detector's target decisions on the null and target frames of paired drops."""
-    null_hits, alt_hits, lo = [], [], 0
-    for null, alt, _ in _paired_blocks(scenario, sigma, keys):
-        null_hits.append(model.predict(null, lo) >= model.threshold)
-        alt_hits.append(model.predict(alt, lo) >= model.threshold)
-        lo += len(alt)
-    return np.concatenate(null_hits), np.concatenate(alt_hits)
+    """The false alarms and the misses of the detector at its threshold, one
+    flag of each per paired drop."""
+    false_alarms, misses = [], []
+    for lo, null, alt, _ in _paired_blocks(scenario, sigma, keys):
+        false_alarms.append(model.predict(null, lo) >= model.threshold)
+        misses.append(model.predict(alt, lo) < model.threshold)
+    return np.concatenate(false_alarms), np.concatenate(misses)
 
 
 def detection_counts(
@@ -95,13 +78,12 @@ def detection_counts(
     sigma: float,
     n_drops: int,
     master_seed: int,
-) -> ConfusionCounts:
-    """Fresh paired drops pushed through the detector at its threshold, the
-    target drawn per drop."""
+) -> tuple[int, int]:
+    """(false alarms, misses) of fresh paired drops pushed through the detector
+    at its threshold, the target drawn per drop."""
     keys = ((master_seed, i, None) for i in range(n_drops))
-    null_hits, alt_hits = _decisions(model, scenario, sigma, keys)
-    fa, det = int(null_hits.sum()), int(alt_hits.sum())
-    return ConfusionCounts(n_drops - fa, fa, n_drops - det, det)
+    false_alarms, misses = _decisions(model, scenario, sigma, keys)
+    return int(false_alarms.sum()), int(misses.sum())
 
 
 def resolution_curve(
@@ -117,8 +99,8 @@ def resolution_curve(
         raise ValueError("sigma list must be sorted ascending")
     curve = []
     for sigma, seed in zip(sigmas, record_seeds(master_seed, range(len(sigmas))).tolist()):
-        counts = detection_counts(model, scenario, sigma, drops_per_sigma, seed)
-        curve.append((float(sigma), accuracy_score(counts)))
+        fa, miss = detection_counts(model, scenario, sigma, drops_per_sigma, seed)
+        curve.append((float(sigma), accuracy_score(fa, miss, drops_per_sigma)))
     crossing = next((s for s, p in curve if p > gamma), None)
     return curve, crossing
 
@@ -127,10 +109,10 @@ def resolution_curve(
 class CoverageMap:
     pitch: float
     score: np.ndarray      # (n, n), NaN where no samples; index [ix, iy]
-    counts: np.ndarray     # evaluation drops per bin (per hypothesis)
+    drops: int             # evaluation drops per scored bin
 
     def defined_scores(self) -> np.ndarray:
-        return self.score[self.counts > 0]
+        return self.score[np.isfinite(self.score)]
 
 
 def coverage_map(
@@ -146,14 +128,12 @@ def coverage_map(
     are made a block of bins at a time."""
     centers = valid_bin_centers(scenario, sigma, pitch)
     n, d = tiles_per_side(scenario.room_side, pitch), drops_per_bin
-    fa, det = (h.reshape(len(centers), d).sum(axis=1) for h in _decisions(
+    fa, miss = (h.reshape(len(centers), d).sum(axis=1) for h in _decisions(
         model, scenario, sigma, _bin_keys(master_seed, centers, d)))
     ix, iy = (centers / pitch).astype(int).T
     score = np.full((n, n), np.nan)
-    counts = np.zeros((n, n), dtype=int)
-    score[ix, iy] = accuracy_score(ConfusionCounts(d - fa, fa, d - det, det))
-    counts[ix, iy] = d
-    return CoverageMap(pitch=pitch, score=score, counts=counts)
+    score[ix, iy] = accuracy_score(fa, miss, d)
+    return CoverageMap(pitch=pitch, score=score, drops=d)
 
 
 def _bin_keys(master_seed: int, centers: np.ndarray, drops: int) -> Iterator[tuple]:
@@ -226,8 +206,7 @@ def drop_positions(
     truths, net = [], []
     per_bank = [([], []) for _ in banks]
     keys = ((master_seed, i, None) for i in range(n_drops))
-    lo = 0
-    for null, alt, centers in _paired_blocks(scenario, sigma, keys):
+    for lo, null, alt, centers in _paired_blocks(scenario, sigma, keys):
         truths.append(centers)
         for bank, (estimates, degraded) in zip(banks, per_bank):
             xy, flags = estimate_positions(null, alt, scenario, bank)
@@ -235,7 +214,6 @@ def drop_positions(
             degraded.append(flags)
         if model is not None:
             net.append(np.minimum(np.maximum(model.predict(alt, lo), 0.0), scenario.room_side))
-        lo += len(alt)
 
     truths = np.concatenate(truths)
     results = [PositioningResult(truths, np.concatenate(estimates), bank.variant,
@@ -258,10 +236,10 @@ def write_coverage_csv(fp: IO[str], cmap: CoverageMap) -> None:
     n = cmap.score.shape[0]
     for ix in range(n):
         for iy in range(n):
-            if cmap.counts[ix, iy] > 0:
+            if np.isfinite(cmap.score[ix, iy]):
                 x = (ix + 0.5) * cmap.pitch
                 y = (iy + 0.5) * cmap.pitch
-                fp.write(f"{x!r},{y!r},{float(cmap.score[ix, iy])!r},{int(cmap.counts[ix, iy])}\n")
+                fp.write(f"{x!r},{y!r},{float(cmap.score[ix, iy])!r},{cmap.drops}\n")
 
 
 def write_coverage_pgm(fp: IO[str], cmap: CoverageMap) -> None:

@@ -35,30 +35,29 @@ VERSION = 2                  # v1 stored both heads; load_model still reads it
 
 TASK_LOSS = {"detect": "bce", "locate": "mse"}     # the loss that trains each task's head
 HEAD_UNITS = {"detect": 1, "locate": 2}
+KERNEL = 3                   # both convolutions are KERNEL x KERNEL
+POOL = 2                     # POOL x POOL max pooling with stride POOL
 
 
 @dataclass(frozen=True)
 class Architecture:
     input_shape: tuple[int, int, int]          # (rows, beams, 2)
     conv_filters: tuple[int, int] = (16, 32)
-    kernel: int = 3
     dense_units: int = 64
-    pool: int = 2
 
     @property
     def flat_units(self) -> int:
         h, w, _ = self.input_shape
-        return (h // self.pool) * (w // self.pool) * self.conv_filters[1]
+        return (h // POOL) * (w // POOL) * self.conv_filters[1]
 
     def __post_init__(self):
         h, w, c = self.input_shape
-        if min(self.conv_filters + (self.kernel, self.dense_units, self.pool)) < 1:
-            raise ConfigError(f"conv_filters, kernel, dense_units and pool must be >= 1, "
-                              f"got {self}")
+        if min(self.conv_filters + (self.dense_units,)) < 1:
+            raise ConfigError(f"conv_filters and dense_units must be >= 1, got {self}")
         if c != 2:
             raise ConfigError(f"expected 2 input channels, got {c}")
-        if h < self.pool or w < self.pool:
-            raise ConfigError(f"input {h}x{w} too small for {self.pool}x{self.pool} pooling")
+        if h < POOL or w < POOL:
+            raise ConfigError(f"input {h}x{w} too small for {POOL}x{POOL} pooling")
 
 
 # Parameter fields in fixed serialization order: the trunk, then the head.
@@ -68,7 +67,7 @@ PARAM_FIELDS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "dense_w", "dense_b"
 
 def param_shapes(arch: Architecture, task: str) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter of a `task` model, in PARAM_FIELDS order."""
-    k, c, (f1, f2), d = arch.kernel, arch.input_shape[2], arch.conv_filters, arch.dense_units
+    k, c, (f1, f2), d = KERNEL, arch.input_shape[2], arch.conv_filters, arch.dense_units
     u = HEAD_UNITS[task]
     return dict(zip(PARAM_FIELDS, [(k, k, c, f1), (f1,), (k, k, f1, f2), (f2,),
                                    (arch.flat_units, d), (d,), (d, u), (u,)]))
@@ -200,16 +199,15 @@ def _trunk_forward(params: ModelParams, x: np.ndarray, train: bool = True) -> tu
     """Trunk features, plus the backward-pass cache when `train` is set.
 
     conv2 is computed only over the window pooling reads, and its ReLU runs
-    after pooling (max commutes with ReLU) on the p*p times smaller map.  The
+    after pooling (max commutes with ReLU) on the POOL*POOL times smaller map.  The
     backward pass takes each ReLU mask from its output (a > 0 iff z > 0), so
     conv1's and the dense layer's ReLUs overwrite their inputs.
     """
-    p = params.arch.pool
     n, h, w, _ = x.shape
     z1, cols1 = conv2d(x, params.conv1_w, params.conv1_b)
     a1 = np.maximum(z1, 0.0, out=z1)
-    z2, cols2 = conv2d(a1, params.conv2_w, params.conv2_b, crop=(h // p * p, w // p * p))
-    pooled, pidx, pshape = maxpool(z2, p, route=train)
+    z2, cols2 = conv2d(a1, params.conv2_w, params.conv2_b, crop=(h - h % POOL, w - w % POOL))
+    pooled, pidx, pshape = maxpool(z2, POOL, route=train)
     flat = np.maximum(pooled.reshape(n, -1), 0.0)
     z3 = flat @ params.dense_w + params.dense_b
     a3 = np.maximum(z3, 0.0, out=z3)
@@ -225,7 +223,7 @@ def _trunk_backward(params: ModelParams, cache: dict, da3: np.ndarray, grads: di
     grads["dense_b"] = dz3.sum(axis=0)
     dflat = (dz3 @ params.dense_w.T) * (cache["flat"] > 0)
     pidx = cache["pidx"]
-    dz2 = maxpool_backward(dflat.reshape(pidx.shape), pidx, cache["pshape"], params.arch.pool)
+    dz2 = maxpool_backward(dflat.reshape(pidx.shape), pidx, cache["pshape"], POOL)
     da1, grads["conv2_w"], grads["conv2_b"] = conv2d_backward(
         dz2, cache["cols2"], cache["a1"].shape, params.conv2_w
     )
@@ -460,7 +458,8 @@ class TrainedModel:
 
 def save_model(path: str | Path, model: TrainedModel) -> None:
     """CSNN v2 artifact: header, JSON descriptor, float64 LE PARAM_FIELDS blocks."""
-    desc = {**asdict(model.params.arch), "task": model.task, "threshold": model.threshold,
+    desc = {**asdict(model.params.arch), "kernel": KERNEL, "pool": POOL,
+            "task": model.task, "threshold": model.threshold,
             "norm_mean": model.stats.mean, "norm_std": model.stats.std}
     blob = json.dumps(desc, sort_keys=True).encode()
     with open(path, "wb") as fp:
@@ -496,6 +495,9 @@ def load_model(path: str | Path) -> TrainedModel:
             raise ConfigError(f"{path}: malformed model descriptor: {exc}") from exc
         try:
             d = read_json(desc, DESCRIPTOR_KINDS, "model descriptor")
+            for key, value in (("kernel", KERNEL), ("pool", POOL)):
+                if d[key] != value:
+                    raise ConfigError(f"{key} must be {value}, got {d[key]}")
             arch = Architecture(**{f.name: d[f.name] for f in fields(Architecture)})
             stats, task = NormStats(mean=d["norm_mean"], std=d["norm_std"]), d["task"]
             threshold = d.get("threshold", 0.5)

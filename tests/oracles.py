@@ -5,7 +5,8 @@ arrays: wrap_angle for geometry.wrap_angles, distance and bearing for the
 math.hypot and math.atan2 that the array code applies through
 geometry.elementwise, segment_blocked and in_shadow for
 geometry.segments_blocked, scalar_margin_ok for dataset.target_margin_ok,
-layer_cake_mean for the mean of metrics.error_summary.
+layer_cake_mean for the mean of metrics.error_summary, four_count_accuracy for
+metrics.accuracy_score.
 """
 
 from __future__ import annotations
@@ -98,6 +99,17 @@ def scalar_margin_ok(scenario, sigma: float, x: float, y: float) -> bool:
         return False
     clear = r + DEVICE_CLEARANCE
     return all(math.hypot(x - p.x, y - p.y) >= clear for p in scenario.device_positions())
+
+
+def four_count_accuracy(null_as_null, null_as_target, target_as_null, target_as_target):
+    """P = 1 - (p(target|null) p(null) + p(null|target) p(target)), the priors and
+    the conditional error rates estimated from the four confusion counts."""
+    n_null = null_as_null + null_as_target
+    n_target = target_as_null + target_as_target
+    total = n_null + n_target
+    p_fa = null_as_target / n_null
+    p_miss = target_as_null / n_target
+    return 1.0 - (p_fa * (n_null / total) + p_miss * (n_target / total))
 
 
 def layer_cake_mean(summary) -> float:

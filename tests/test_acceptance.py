@@ -195,9 +195,9 @@ def detection_table(tmp_path_factory):
             out = tmp_path_factory.mktemp("detect")
             gen_resolution_set(scenario, sigma, TRAIN_DROPS, seed, out)
             model, _ = fit(load_dataset(out), "detect", epochs=150, seed=3, patience=40)
-            counts = metrics_mod.detection_counts(
+            fa, miss = metrics_mod.detection_counts(
                 model, scenario, sigma, TEST_DROPS, seed + 500000)
-            table[(li, sigma)] = metrics_mod.accuracy_score(counts)
+            table[(li, sigma)] = metrics_mod.accuracy_score(fa, miss, TEST_DROPS)
     return table, time.perf_counter() - start
 
 
@@ -243,7 +243,7 @@ def test_coverage_orderings(coverage_maps):
     near, far = [], []
     for ix in range(n):
         for iy in range(n):
-            if cmap.counts[ix, iy] == 0:
+            if np.isnan(cmap.score[ix, iy]):
                 continue
             c = Point2D((ix + 0.5) * cmap.pitch, (iy + 0.5) * cmap.pitch)
             dmin = min(distance(c, d) for d in devices)
@@ -251,7 +251,7 @@ def test_coverage_orderings(coverage_maps):
                 near.append(cmap.score[ix, iy])
             if dmin >= 3.0:
                 far.append(cmap.score[ix, iy])
-    common = (maps[0.8].counts > 0) & (maps[0.5].counts > 0)
+    common = np.isfinite(maps[0.8].score) & np.isfinite(maps[0.5].score)
     mean_08 = float(maps[0.8].score[common].mean())
     mean_05 = float(maps[0.5].score[common].mean())
     near_mean, far_mean = float(np.mean(near)), float(np.mean(far))

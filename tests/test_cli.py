@@ -216,11 +216,16 @@ class TestGen:
         (lambda s: {**s, "name": 5}, "name must be a JSON string, got 5"),
         (lambda s: {**s, "snr_db": True}, "snr_db must be a JSON number, got True"),
         (lambda s: {**s, "grid_pitch": True}, "grid_pitch must be a JSON number, got True"),
+        # numpy's SeedSequence used to reject it later, without naming the key
+        (lambda s: {**s, "env_seed": -1}, "env_seed must be >= 0, got -1"),
+        # 10 ** 400 used to overflow in Scenario.noise_level, a traceback
+        (lambda s: {**s, "snr_db": -4000.0},
+         "snr_db must be >= -3082 or inf (noiseless), got -4000.0"),
     ], ids=["list", "null", "string", "float-n_clusters", "float-n_rays", "float-n_scatter",
             "bool-n_clusters", "float-env_seed", "string-include_los", "float-n_antennas",
             "empty-beam_angles", "negative-cluster_spread_deg", "string-tx",
             "string-boresight", "false-beam_angle", "int-name", "bool-snr_db",
-            "bool-grid_pitch"])
+            "bool-grid_pitch", "negative-env_seed", "overflowing-snr_db"])
     @pytest.mark.parametrize("where", ["scenario", "manifest"])
     def test_malformed_scenario_json_exits_2(self, tmp_path, scenario_file, capsys, where,
                                              document, message):
@@ -253,6 +258,24 @@ class TestGen:
         assert rc == EXIT_CONFIG
         assert "snr_db" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "baseline"])
+    def test_snr_beyond_the_float_range_exits_2(self, tmp_path, scenario_file, capsys,
+                                                command):
+        # --snr-db -4000 used to exit 1 with an OverflowError traceback
+        out = tmp_path / "x"
+        argv = ["gen", "--n", "2"] if command == "gen" else ["baseline", "--drops", "2"]
+        rc = main(argv + ["--scenario", scenario_file, "--sigma", "0.4",
+                          "--snr-db=-4000", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "snr_db must be >= -3082 or inf (noiseless), got -4000.0")
+        assert not out.exists()
+
+    def test_lowest_snr_still_runs(self, tmp_path, scenario_file):
+        # its noise level, 10 ** 308.2, is still a float
+        rc = main(["gen", "--scenario", scenario_file, "--sigma", "0.4", "--n", "2",
+                   "--snr-db=-3082", "--out", str(tmp_path / "x")])
+        assert rc == 0
 
     def test_paper_scale_counts(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "full"
@@ -747,13 +770,16 @@ class TestBadFlags:
          "norm_mean[0] must be a JSON number, got '0.0'"),
         (lambda d: d.update(input_shape=[24.0, 7, 2]),
          "input_shape[0] must be a JSON integer, got 24.0"),
-        (lambda d: d.update(pool=0), "conv_filters, kernel, dense_units and pool must be >= 1"),
-        (lambda d: d.update(kernel=-1), "conv_filters, kernel, dense_units and pool must be >= 1"),
+        (lambda d: d.update(pool=0), "pool must be 2, got 0"),
+        (lambda d: d.update(kernel=-1), "kernel must be 3, got -1"),
+        # a 4 x 4 kernel's patch window read past conv2d's padded buffer
+        (lambda d: d.update(kernel=4), "kernel must be 3, got 4"),
+        (lambda d: d.update(pool=3), "pool must be 2, got 3"),
     ], ids=["no-input_shape", "no-norm_std", "unknown-key", "int-input_shape", "str-kernel",
             "null-norm_mean", "unknown-task", "nan-threshold", "nan-norm_mean",
             "short-norm_mean", "inf-norm_std", "negative-norm_std", "above-1-threshold",
             "negative-threshold", "list-task", "bool-threshold", "str-norm_mean",
-            "float-input_shape", "zero-pool", "negative-kernel"])
+            "float-input_shape", "zero-pool", "negative-kernel", "four-kernel", "three-pool"])
     def test_malformed_model_descriptor_exits_2(self, tmp_path, scenario_file, capsys,
                                                 change, message):
         path = tmp_path / "det.csnn"

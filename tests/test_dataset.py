@@ -11,7 +11,7 @@ import pytest
 
 from csisense import dataset as dataset_mod
 from csisense import frame as frame_mod
-from csisense.channel import Scenario
+from csisense.channel import Scenario, grid_points
 from csisense.cli import EXIT_CONFIG, EXIT_IO, PRESETS, load_scenario, main
 from csisense.dataset import (
     DEVICE_CLEARANCE,
@@ -482,6 +482,19 @@ class TestMemory:
         # 1.9 MB at 2^17 slots, at whatever line fills it, which earlier tests decide
         assert main(train) == 0
         assert self.traced_peak(train) < frames
+
+    def test_bin_centers_test_the_tiling_in_chunks(self):
+        # every cell tested at once peaked at 42 MB on the 512 x 512 tiling
+        s = load_scenario("scenario1")
+        pitch = s.room_side / 512
+        grid_points(s.room_side, pitch)          # cached, so not part of the peak
+        tracemalloc.start()
+        try:
+            centers = valid_bin_centers(s, 0.8, pitch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * centers.nbytes
 
     def test_interrupted_gen_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "ds"

@@ -97,7 +97,7 @@ def synthesize_cases(monkeypatch) -> dict[str, np.ndarray]:
         monkeypatch.setattr(module, "draw", spy)
     out: dict[str, np.ndarray] = {}
     for case, s, sigma, seed, index, center in _drop_cases():
-        null, alt, centers = next(_paired_blocks(s, sigma, [(seed, index, center)]))
+        _, null, alt, centers = next(_paired_blocks(s, sigma, [(seed, index, center)]))
         out[f"{case}.center"] = centers[0]
         out[f"{case}.null"] = _matrix(null[0])
         out[f"{case}.alt"] = _matrix(alt[0])

@@ -14,7 +14,6 @@ from csisense.channel import Scenario
 from csisense.errors import ConfigError
 from csisense.frame import NormStats
 from csisense.metrics import (
-    ConfusionCounts,
     CoverageMap,
     _paired_blocks,
     accuracy_score,
@@ -29,7 +28,7 @@ from csisense.metrics import (
     write_resolution_csv,
 )
 from csisense.sensenet import Architecture, TrainedModel, init_params
-from oracles import layer_cake_mean
+from oracles import four_count_accuracy, layer_cake_mean
 
 
 def tiny_scenario() -> Scenario:
@@ -53,24 +52,29 @@ def untrained_model(scenario) -> TrainedModel:
 
 class TestAccuracyScore:
     def test_perfect_detector(self):
-        assert accuracy_score(ConfusionCounts(50, 0, 0, 50)) == 1.0
+        assert accuracy_score(0, 0, 50) == 1.0
 
     def test_constant_null_detector(self):
-        assert accuracy_score(ConfusionCounts(50, 0, 50, 0)) == 0.5
+        assert accuracy_score(0, 50, 50) == 0.5
 
     def test_hand_computed_example(self):
-        counts = ConfusionCounts(90, 10, 20, 80)
-        assert accuracy_score(counts) == pytest.approx(0.85, abs=1e-12)
+        assert accuracy_score(10, 20, 100) == pytest.approx(0.85, abs=1e-12)
 
-    def test_missing_class(self):
-        with pytest.raises(ConfigError, match="need samples of both hypotheses, got 0 null"):
-            accuracy_score(ConfusionCounts(0, 0, 10, 10))
+    @given(st.integers(1, 10**6).flatmap(
+        lambda n: st.tuples(st.integers(0, n), st.integers(0, n), st.just(n))))
+    def test_paired_drops_score_like_four_counts(self, counts):
+        # n paired drops hold n frames of each hypothesis: both priors are n / 2n
+        fa, miss, n = counts
+        assert accuracy_score(fa, miss, n) == four_count_accuracy(n - fa, fa, miss, n - miss)
 
     def test_array_counts_score_like_scalars(self):
         # coverage_map scores every bin in one call: each score has its scalar's bits
-        counts = np.random.default_rng(8).integers(0, 40, (200, 4)) + [1, 0, 0, 1]
-        got = accuracy_score(ConfusionCounts(*counts.T))
-        assert got.tolist() == [accuracy_score(ConfusionCounts(*c)) for c in counts.tolist()]
+        n = 40
+        fa, miss = np.random.default_rng(8).integers(0, n + 1, (2, 200))
+        got = accuracy_score(fa, miss, n)
+        assert got.tolist() == [accuracy_score(f, m, n)
+                                for f, m in zip(fa.tolist(), miss.tolist())]
+        assert got.tolist() == four_count_accuracy(n - fa, fa, miss, n - miss).tolist()
 
 
 class TestErrorSummary:
@@ -112,7 +116,8 @@ class TestDrops:
         s = tiny_scenario()
         alone = next(_paired_blocks(s, 0.4, [(5, 0, None)]))
         again = next(_paired_blocks(s, 0.4, [(2**64, 3, None), (5, 0, None)]))
-        for x, y in zip(alone, again):
+        assert alone[0] == again[0] == 0     # each block's first drop index
+        for x, y in zip(alone[1:], again[1:]):
             assert np.array_equal(x[0], y[1])
 
     @pytest.mark.parametrize("block", [1, 7])
@@ -130,8 +135,8 @@ class TestDrops:
     def test_detection_counts_totals(self):
         s = tiny_scenario()
         model = untrained_model(s)
-        counts = detection_counts(model, s, 0.4, 6, 3)
-        assert counts.total == 12
+        fa, miss = detection_counts(model, s, 0.4, 6, 3)
+        assert type(fa) is int and type(miss) is int and 0 <= fa <= 6 and 0 <= miss <= 6
 
 
 class TestResolutionCurve:
@@ -156,7 +161,7 @@ class TestCoverageMap:
         model = untrained_model(s)
         cmap = coverage_map(model, s, 0.4, 4, 2.0, 11)
         assert cmap.score.shape == (1, 1)
-        assert cmap.counts[0, 0] == 4
+        assert cmap.drops == 4
         assert 0.0 <= cmap.score[0, 0] <= 1.0
 
     def test_margin_excluded_bins_undefined(self):
@@ -164,7 +169,7 @@ class TestCoverageMap:
         model = untrained_model(s)
         cmap = coverage_map(model, s, 0.6, 2, 0.5, 11)
         assert np.isnan(cmap.score[0, 0])        # corner bin violates margin
-        assert cmap.counts[0, 0] == 0
+        assert np.isfinite(cmap.score[1, 1])
 
     def test_deterministic(self):
         s = tiny_scenario()
@@ -192,7 +197,8 @@ class TestCoverageMap:
             cmap = coverage_map(None, s, 0.05, 2, pitch, 0)
         finally:
             tracemalloc.stop()
-        assert cmap.counts.sum() == 2 * len(centers) and np.all(cmap.defined_scores() == 0.75)
+        assert cmap.defined_scores().size == len(centers)
+        assert np.all(cmap.defined_scores() == 0.75)
         assert held[0] < 2 * centers.nbytes      # the centers and a block of keys
 
 
@@ -206,8 +212,7 @@ class TestWriters:
 
     def test_coverage_csv_and_pgm(self):
         score = np.array([[0.5, np.nan], [1.0, 0.0]])
-        counts = np.array([[3, 0], [3, 3]])
-        cmap = CoverageMap(pitch=1.0, score=score, counts=counts)
+        cmap = CoverageMap(pitch=1.0, score=score, drops=3)
         buf = io.StringIO()
         write_coverage_csv(buf, cmap)
         lines = buf.getvalue().strip().splitlines()

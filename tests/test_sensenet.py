@@ -12,7 +12,9 @@ from csisense.sensenet import (
     ADAM_BETA2,
     ADAM_EPSILON,
     INFER_CHUNK,
+    KERNEL,
     PARAM_FIELDS,
+    POOL,
     Architecture,
     TrainConfig,
     TrainedModel,
@@ -437,7 +439,7 @@ class TestInit:
         # the two-head initialisation: each weight drawn in field order, the
         # detection head (d, 1) before the position head (d, 2)
         rng = np.random.default_rng(6)
-        k, d, flat = TINY.kernel, TINY.dense_units, TINY.flat_units
+        k, d, flat = KERNEL, TINY.dense_units, TINY.flat_units
         f1, f2 = TINY.conv_filters
         v1 = {}
         for name, shape, fan_in, fan_out in (
@@ -605,7 +607,7 @@ def _old_sigmoid(z):
 
 
 def _old_loss_and_grads(params, x, y, loss):
-    pool = params.arch.pool
+    pool = POOL
     n = x.shape[0]
     z1, cols1 = _old_conv2d(x, params.conv1_w, params.conv1_b)
     a1 = np.maximum(z1, 0.0)
