@@ -59,9 +59,11 @@ def attenuation_profiles(
     alt: np.ndarray,
     scenario: Scenario,
     bank: BeamBank,
+    start: int = 0,
 ) -> np.ndarray:
-    """(D, L, bank) attenuation in dB per receiver and bank angle, from D drops'
-    null and perturbed frame tensors (D, rows, beams, 2).
+    """(D, L, bank) attenuation in dB per receiver and bank angle, from the
+    null and perturbed frame tensors (D, rows, beams, 2) of drops start,
+    start+1, ...; a profile that is not finite raises ConfigError naming its drop.
 
     Attenuation at steering angle theta is 20*log10 of the ratio of
     beamformed energies |a(theta)^H H| between the null and perturbed frame,
@@ -79,7 +81,13 @@ def attenuation_profiles(
         norms = [np.linalg.norm(weights @ h[:, l], axis=-1) for l in range(shape[1])]
         return np.maximum(np.stack(norms, axis=1), ENERGY_FLOOR)
 
-    return 20.0 * np.log10(energy(null) / energy(alt))
+    with np.errstate(all="ignore"):    # an energy that overflows shows as the check below
+        profiles = 20.0 * np.log10(energy(null) / energy(alt))
+    finite = np.isfinite(profiles.reshape(len(profiles), -1)).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"attenuation profile of drop {start + np.argmin(finite)} "
+                          f"is not finite")
+    return profiles
 
 
 def estimate_positions(
@@ -87,9 +95,10 @@ def estimate_positions(
     alt: np.ndarray,
     scenario: Scenario,
     bank: BeamBank,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(D, 2) triangulated target positions of D drops, clamped to the room,
-    and the (D,) mask of degraded ones.
+    """(D, 2) triangulated target positions of drops start, start+1, ...,
+    clamped to the room, and the (D,) mask of degraded ones.
 
     Each receiver takes the bearing of its maximum-attenuation beam, ties
     resolved toward broadside (smaller |angle|); a drop's bearings are
@@ -97,7 +106,7 @@ def estimate_positions(
     drop whose bearings are all parallel, falls back to bearing_segment_midpoint
     of receiver 0's bearing and is marked degraded.
     """
-    profiles = attenuation_profiles(null, alt, scenario, bank)
+    profiles = attenuation_profiles(null, alt, scenario, bank, start)
     tied = profiles == profiles.max(axis=-1, keepdims=True)
     angles = np.asarray(bank.angles)
     rank = np.argsort(np.lexsort((angles, np.abs(angles))))   # tie-break order of each beam

@@ -8,9 +8,7 @@ ray population by zeroing every ray whose tx->scatter or scatter->rx segment
 crosses the disk, and adds target-scattered rays.
 
 Everything is array code over the whole ray population: link_geometry snaps
-all of a deployment's departures at once, and its arrival angles and
-direct-path amplitudes come from math.atan2 and math.hypot (through
-geometry.elementwise), so they carry math's bits rather than numpy's.
+all of a deployment's departures at once.
 
 Angle conventions: transmitter local frame equals the global frame (omni tx).
 A receiver-local angle is the global bearing minus the receiver boresight.
@@ -27,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, read_json
-from .geometry import TWO_PI, Point2D, elementwise, segments_blocked, wrap_angles
+from .geometry import TWO_PI, Point2D, segments_blocked, wrap_angles
 
 # Table-style 7-beam sweep spanning [-pi/2, pi/2].
 DEFAULT_BEAM_ANGLES = (
@@ -317,12 +315,10 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
     source = np.concatenate([scatter, tx_xy], axis=1)
     to_rx = rx_xy - source
     boresight = np.array([rx.boresight for rx in s.receivers])
-    aoa = wrap_angles(elementwise(math.atan2, to_rx[..., 1], to_rx[..., 0])
-                      - boresight[:, None])
+    aoa = wrap_angles(np.arctan2(to_rx[..., 1], to_rx[..., 0]) - boresight[:, None])
     los_amp = np.zeros(n_links)
     if s.include_los:
-        los_amp[:] = s.los_gain / elementwise(math.hypot, tx[0] - rx_xy[:, 0, 0],
-                                              tx[1] - rx_xy[:, 0, 1])
+        los_amp[:] = s.los_gain / np.hypot(tx[0] - rx_xy[:, 0, 0], tx[1] - rx_xy[:, 0, 1])
 
     weights = np.exp(-np.arange(1, n_cl + 1, dtype=float))
     ray_sd = np.repeat(np.sqrt(weights / (n_ray * weights.sum()) / 2.0), n_ray)
@@ -379,21 +375,20 @@ def target_echo(geo: LinkGeometry, centers: np.ndarray, radii: np.ndarray,
     Each link receives n_scatter paths from the target center with amplitude
     scatter_coeff * radius / (d_tx * d_rx) and the drawn (D, L, n_scatter)
     phases.  They share one arrival angle, so together they are the rank-1
-    term steer(aoa) B(aoa; beam) times the sum of their gains.  Distances and
-    bearings are math.hypot and math.atan2, as in Point2D.
+    term steer(aoa) B(aoa; beam) times the sum of their gains.
     """
     s = geo.scenario
     cx, cy = centers[:, :1], centers[:, 1:]
-    d_tx = elementwise(math.hypot, s.tx.x - cx, s.tx.y - cy)            # (D, 1)
+    d_tx = np.hypot(s.tx.x - cx, s.tx.y - cy)                           # (D, 1)
     dx, dy = geo.rx_xy[:, 0] - cx, geo.rx_xy[:, 1] - cy                  # (D, L)
-    d_rx = elementwise(math.hypot, dx, dy)
+    d_rx = np.hypot(dx, dy)
     valid = (np.all((0.0 < centers) & (centers < s.room_side), axis=1)
              & np.all(np.concatenate([d_tx, d_rx], axis=1) > radii[:, None], axis=1))
     if not valid.all():
         x, y = centers[np.argmin(valid)]
         raise ConfigError(f"target at ({x}, {y}) is not strictly inside the room "
                           f"or covers a device")
-    aoa = wrap_angles(elementwise(math.atan2, dy, dx) - geo.boresight)
+    aoa = wrap_angles(np.arctan2(dy, dx) - geo.boresight)
     n_r = s.n_antennas
     steer = np.exp(1j * np.pi * (np.arange(n_r) * np.sin(aoa)[..., None]))  # (D, L, N_r)
     gain = np.abs(steer @ geo.beam_conj.T) / n_r                            # (D, L, B)

@@ -29,7 +29,6 @@ from .channel import (SCENARIO_KINDS, Scenario, blocked_rays, capture, grid_poin
                       target_echo)
 from .errors import ConfigError, read_json
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
-from .geometry import exact_hypot
 
 HYP_NULL = "null"
 HYP_TARGET = "target"
@@ -260,14 +259,13 @@ def streams(seeds: np.ndarray) -> Iterator[np.random.Generator]:
 
 def target_margin_ok(scenario: Scenario, sigma: float, xy: np.ndarray) -> np.ndarray:
     """The margin rule at target centers xy[..., :] (last axis x, y): sigma/2
-    clearance from the walls and sigma/2 + DEVICE_CLEARANCE from every device,
-    device distances taken by exact_hypot, so they compare as math.hypot's."""
+    clearance from the walls and sigma/2 + DEVICE_CLEARANCE from every device."""
     r = sigma / 2.0
     xy = np.asarray(xy, dtype=float)
     inside = ((r <= xy) & (xy <= scenario.room_side - r)).all(axis=-1)
     d = xy[..., None, :] - [(p.x, p.y) for p in scenario.device_positions()]
     clear = r + DEVICE_CLEARANCE
-    return inside & (exact_hypot(d[..., 0], d[..., 1], clear) >= clear).all(axis=-1)
+    return inside & (np.hypot(d[..., 0], d[..., 1]) >= clear).all(axis=-1)
 
 
 def sample_target_center(

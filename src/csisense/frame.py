@@ -68,7 +68,8 @@ def compute_stats(tensors: np.ndarray) -> NormStats:
 
     numpy reduces such an array in element order into one running sum per
     channel; each chunk continues those sums (np.add.accumulate), so the bits
-    are numpy's whatever the chunk size.
+    are numpy's whatever the chunk size.  A sum that overflows, and so a mean
+    or std that is not finite, raises ConfigError.
     """
     x = np.asarray(tensors, dtype=float)
     rows = max(1, CHUNK_BYTES // (8 * math.prod(x.shape[1:])))
@@ -86,8 +87,12 @@ def compute_stats(tensors: np.ndarray) -> NormStats:
         return total
 
     count = math.prod(x.shape[:-1])
-    mean = running_sum() / count
-    std = np.sqrt(running_sum(mean) / count)
+    with np.errstate(all="ignore"):    # an overflowed sum shows as the check below
+        mean = running_sum() / count
+        std = np.sqrt(running_sum(mean) / count)
+    if not np.isfinite([mean, std]).all():
+        raise ConfigError(f"the training frames' mean {mean.tolist()} or std "
+                          f"{std.tolist()} is not finite")
     return NormStats(mean=(float(mean[0]), float(mean[1])),
                      std=(float(std[0]), float(std[1])))
 

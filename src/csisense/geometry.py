@@ -3,9 +3,7 @@
 Conventions: global frame has +x right, +y up, angles in radians measured
 counterclockwise from +x and normalized to (-pi, pi].  The target is a closed
 disk; rays grazing the boundary count as blocked.  Point2D is the validated
-position of a device; everything else takes coordinate arrays, with distances
-and bearings from math.hypot and math.atan2 (through elementwise) wherever
-their last bit matters.
+position of a device; everything else takes coordinate arrays.
 """
 
 from __future__ import annotations
@@ -32,29 +30,6 @@ class Point2D:
             raise ConfigError(f"non-finite point ({self.x}, {self.y})")
 
 
-def elementwise(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """fn(x, y) over broadcast arrays, for math.hypot and math.atan2, whose
-    numpy counterparts differ from them in the last bit for some inputs."""
-    x, y = np.broadcast_arrays(x, y)
-    return np.fromiter(map(fn, x.ravel().tolist(), y.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
-
-
-def exact_hypot(x: np.ndarray, y: np.ndarray, threshold: np.ndarray | float) -> np.ndarray:
-    """np.hypot of equally shaped arrays, recomputed with math.hypot wherever it
-    lies within 1e-9 (relative) of `threshold` (broadcast).
-
-    np.hypot may differ from math.hypot in the last bit, which can only change
-    a comparison with the threshold that close to it; so comparing the result
-    with `threshold` gives math.hypot's booleans.
-    """
-    dist = np.hypot(x, y)
-    near = np.abs(dist - threshold) <= 1e-9 * threshold
-    if near.any():
-        dist[near] = elementwise(math.hypot, x[near], y[near])
-    return dist
-
-
 def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
                      radius: np.ndarray | float) -> np.ndarray:
     """Whether the closed segments a[..., :] -> b[..., :] meet the closed disks
@@ -62,8 +37,8 @@ def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
 
     A segment meets a disk when the distance from the disk's center to its
     nearest point on the segment (the center's projection, clamped to the
-    segment's ends) is at most the radius, that distance taken by exact_hypot;
-    tangency counts as blocked.  Coinciding endpoints raise ConfigError.
+    segment's ends) is at most the radius; tangency counts as blocked.
+    Coinciding endpoints raise ConfigError.
     """
     d = b - a
     seg_len2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
@@ -72,7 +47,7 @@ def segments_blocked(a: np.ndarray, b: np.ndarray, center: np.ndarray,
     cx = center[..., 0] - a[..., 0]
     cy = center[..., 1] - a[..., 1]
     t = np.clip((cx * d[..., 0] + cy * d[..., 1]) / seg_len2, 0.0, 1.0)
-    return exact_hypot(cx - t * d[..., 0], cy - t * d[..., 1], radius) <= radius
+    return np.hypot(cx - t * d[..., 0], cy - t * d[..., 1]) <= radius
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:

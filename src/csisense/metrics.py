@@ -8,7 +8,6 @@ drop index) so every metric run is reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -19,7 +18,7 @@ from .channel import Scenario, tiles_per_side
 from .dataset import (BLOCK, Draws, draw, in_blocks, record_seeds, streams, synthesize,
                       valid_bin_centers)
 from .errors import ConfigError
-from .geometry import Point2D, elementwise
+from .geometry import Point2D
 from .sensenet import TrainedModel
 
 
@@ -155,9 +154,9 @@ class ErrorSummary:
 
 
 def position_errors(estimates: np.ndarray, truths: np.ndarray) -> np.ndarray:
-    """(D,) Euclidean distances between (D, 2) estimates and truths, by math.hypot."""
+    """(D,) Euclidean distances between (D, 2) estimates and truths."""
     d = estimates - truths
-    return elementwise(math.hypot, d[:, 0], d[:, 1])
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 def error_summary(estimates: np.ndarray, truths: np.ndarray) -> ErrorSummary:
@@ -209,7 +208,7 @@ def drop_positions(
     for lo, null, alt, centers in _paired_blocks(scenario, sigma, keys):
         truths.append(centers)
         for bank, (estimates, degraded) in zip(banks, per_bank):
-            xy, flags = estimate_positions(null, alt, scenario, bank)
+            xy, flags = estimate_positions(null, alt, scenario, bank, lo)
             estimates.append(xy)
             degraded.append(flags)
         if model is not None:

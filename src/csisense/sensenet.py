@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -429,6 +429,15 @@ class TrainedModel:
     stats: NormStats
     threshold: float = 0.5
 
+    def __post_init__(self):
+        if self.task not in TASK_LOSS:
+            raise ConfigError(f"task {self.task!r}")
+        for name, values, ok in (("threshold", [self.threshold], 0.0 <= self.threshold <= 1.0),
+                                 ("norm_mean", self.stats.mean, True),
+                                 ("norm_std", self.stats.std, min(self.stats.std) >= 0)):
+            if not (ok and all(map(math.isfinite, values))):
+                raise ConfigError(f"{name} {list(values)}")
+
     @property
     def task(self) -> str:
         return self.params.task
@@ -499,20 +508,13 @@ def load_model(path: str | Path) -> TrainedModel:
                 if d[key] != value:
                     raise ConfigError(f"{key} must be {value}, got {d[key]}")
             arch = Architecture(**{f.name: d[f.name] for f in fields(Architecture)})
-            stats, task = NormStats(mean=d["norm_mean"], std=d["norm_std"]), d["task"]
-            threshold = d.get("threshold", 0.5)
-            if task not in TASK_LOSS:
-                raise ConfigError(f"task {task!r}")
-            for name, values, ok in (("threshold", [threshold], 0.0 <= threshold <= 1.0),
-                                     ("norm_mean", stats.mean, True),
-                                     ("norm_std", stats.std, min(stats.std) >= 0)):
-                if not (ok and all(map(math.isfinite, values))):
-                    raise ConfigError(f"{name} {list(values)}")
+            model = TrainedModel(ModelParams(arch, d["task"], *[None] * len(PARAM_FIELDS)),
+                                 NormStats(d["norm_mean"], d["norm_std"]), d.get("threshold", 0.5))
         except ConfigError as exc:
             raise ConfigError(f"{path}: malformed model descriptor: {exc}") from exc
-        blocks = list(param_shapes(arch, task).items())
+        blocks = list(param_shapes(arch, model.task).items())
         if version == 1:    # detect's head, then locate's; the other task's is read, not kept
-            blocks[6:] = [(name if t == task else f"{t}_{name[5:]}", shape)
+            blocks[6:] = [(name if t == model.task else f"{t}_{name[5:]}", shape)
                           for t in ("detect", "locate")
                           for name, shape in list(param_shapes(arch, t).items())[6:]]
         arrays, left = {}, os.fstat(fp.fileno()).st_size - fp.tell()
@@ -526,5 +528,4 @@ def load_model(path: str | Path) -> TrainedModel:
                 raise ConfigError(f"{path}: non-finite value in parameter block {name}")
         if fp.read(1):
             raise ConfigError(f"{path}: trailing bytes after the last parameter block")
-    params = ModelParams(arch, task, *[arrays[n] for n in PARAM_FIELDS])
-    return TrainedModel(params=params, stats=stats, threshold=threshold)
+    return replace(model, params=ModelParams(arch, model.task, *map(arrays.get, PARAM_FIELDS)))

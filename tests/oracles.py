@@ -2,11 +2,12 @@
 
 Each is the per-object form of a rule that the package applies to whole
 arrays: wrap_angle for geometry.wrap_angles, distance and bearing for the
-math.hypot and math.atan2 that the array code applies through
-geometry.elementwise, segment_blocked and in_shadow for
-geometry.segments_blocked, scalar_margin_ok for dataset.target_margin_ok,
-layer_cake_mean for the mean of metrics.error_summary, four_count_accuracy for
-metrics.accuracy_score.
+np.hypot and np.arctan2 of the channel's distances and arrival angles,
+segment_blocked and in_shadow for geometry.segments_blocked, scalar_margin_ok
+for dataset.target_margin_ok, layer_cake_mean for the mean of
+metrics.error_summary, four_count_accuracy for metrics.accuracy_score.  The
+oracles take distances and bearings from numpy's functions, as the array code
+does, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -32,12 +33,12 @@ def wrap_angle(angle: float) -> float:
 
 
 def distance(a: Point2D, b: Point2D) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
+    return float(np.hypot(a.x - b.x, a.y - b.y))
 
 
 def bearing(a: Point2D, b: Point2D) -> float:
     """Angle of the vector a -> b in the global frame."""
-    return math.atan2(b.y - a.y, b.x - a.x)
+    return float(np.arctan2(b.y - a.y, b.x - a.x))
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ def segment_blocked(a: Point2D, b: Point2D, target: Target) -> bool:
     t = (cx * dx + cy * dy) / seg_len2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     ex, ey = cx - t * dx, cy - t * dy
-    return math.hypot(ex, ey) <= target.radius
+    return bool(np.hypot(ex, ey) <= target.radius)
 
 
 def in_shadow(x: Point2D, viewpoint: Point2D, target: Target) -> bool:
@@ -98,7 +99,7 @@ def scalar_margin_ok(scenario, sigma: float, x: float, y: float) -> bool:
     if not (r <= x <= s - r and r <= y <= s - r):
         return False
     clear = r + DEVICE_CLEARANCE
-    return all(math.hypot(x - p.x, y - p.y) >= clear for p in scenario.device_positions())
+    return all(np.hypot(x - p.x, y - p.y) >= clear for p in scenario.device_positions())
 
 
 def four_count_accuracy(null_as_null, null_as_target, target_as_null, target_as_target):

@@ -277,6 +277,20 @@ class TestGen:
                    "--snr-db=-3082", "--out", str(tmp_path / "x")])
         assert rc == 0
 
+    @pytest.mark.parametrize("flag", ["--snr-db=-3082", "--scatter-coeff=1e160"])
+    def test_train_refuses_overflowed_statistics(self, tmp_path, scenario_file, capsys, flag):
+        # the frames are finite, their sum of squares is not; train used to exit 0
+        # with a model whose norm_std [inf, inf] eval then rejected
+        ds, model = tmp_path / "ds", tmp_path / "m.csnn"
+        assert main(["gen", "--scenario", scenario_file, "--sigma", "0.4", "--n", "2",
+                     flag, "--out", str(ds)]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--data", str(ds), "--task", "detect", "--epochs", "1",
+                   "--out", str(model)])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "the training frames' mean", "is not finite")
+        assert not model.exists()
+
     def test_paper_scale_counts(self, tmp_path, scenario_file, capsys):
         out = tmp_path / "full"
         rc = main(["gen", "--scenario", scenario_file, "--protocol", "resolution",
@@ -464,6 +478,17 @@ class TestCoverageAndBaseline:
         assert len(lines) == 1 + 2 * 4  # both variants on the same drops
         printed = capsys.readouterr().out
         assert "swept-7" in printed and "overlapped-180" in printed
+
+    def test_baseline_refuses_overflowed_profiles(self, tmp_path, scenario_file, capsys):
+        # the beamformed energies overflow; baseline used to warn, exit 0 and write
+        # the same estimate for every drop from NaN profiles (pyproject turns any
+        # warning into an error, so this also checks that none is shown)
+        out = tmp_path / "base.csv"
+        rc = main(["baseline", "--scenario", scenario_file, "--sigma", "0.4",
+                   "--drops", "3", "--snr-db=-3082", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "attenuation profile of drop 0 is not finite")
+        assert not out.exists()
 
     def test_baseline_deterministic(self, tmp_path, scenario_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -156,7 +156,7 @@ class TestBinnedSet:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_margin_rule_on_its_boundaries(self, preset):
         # Points on each device's clearance circle sit within an ulp or two of
-        # the threshold, where np.hypot and math.hypot can disagree; points on
+        # the threshold, where the last bit of the distance decides; points on
         # and next to the sigma/2 wall lines test the closed wall bounds.
         s = load_scenario(preset)
         rng = np.random.default_rng(11)

@@ -119,6 +119,15 @@ class TestChunkedStats:
             assert stats.mean == tuple(x.mean(axis=(0, 1, 2)).tolist())
             assert stats.std == tuple(x.std(axis=(0, 1, 2)).tolist())
 
+    @pytest.mark.parametrize("value", [1e160, 1e308])
+    def test_overflowed_sums_raise(self, value):
+        # finite frames whose sum of squares (1e160) or sum (1e308) overflows;
+        # pyproject turns a warning into an error, so none shows
+        x = np.full((2, 4, 3, 2), value)
+        x[0] = -value
+        with pytest.raises(ConfigError, match="training frames' mean .* is not finite"):
+            compute_stats(x)
+
     def test_in_place_normalize_matches(self):
         x = np.random.default_rng(4).standard_normal((9, 6, 5, 2)) * 3 + 1
         stats = compute_stats(x)

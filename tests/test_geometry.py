@@ -143,21 +143,22 @@ class TestSegmentsBlocked:
             assert got[0, :4].all()
 
     def test_radius_at_a_last_bit_hypot_difference(self):
-        # np.hypot and math.hypot differ in the last bit for these offsets; with
-        # the radius equal to math.hypot's distance (tangency, blocked) or to
-        # np.hypot's (one ulp past math's when it is the smaller), the mask
-        # must still follow segment_blocked.  The segment points away from
-        # the center, so its closest point is `a` and the offset is exact.
+        # np.hypot and math.hypot differ in the last bit for these offsets, so
+        # a distance taken any other way would flip the tangent case.  With the
+        # radius equal to np.hypot's distance the segment is tangent (blocked);
+        # one ulp below it, it is not.  The segment points away from the
+        # center, so its closest point is `a` and the offset is exact.
         offsets = [(1.212664907359462, 1.246387191446326),     # np.hypot is larger
                    (1.300472059149059, 1.381326852995591)]     # np.hypot is smaller
         for ex, ey in offsets:
-            assert np.hypot(ex, ey) != math.hypot(ex, ey)
-            for r in (math.hypot(ex, ey), float(np.hypot(ex, ey))):
+            tangent = float(np.hypot(ex, ey))
+            assert tangent != math.hypot(ex, ey)
+            for r, blocked in ((tangent, True), (np.nextafter(tangent, 0.0), False)):
                 t = Target(Point2D(ex, ey), 2 * r)
-                want = segment_blocked(Point2D(0.0, 0.0), Point2D(-1.0, 0.0), t)
+                assert segment_blocked(Point2D(0.0, 0.0), Point2D(-1.0, 0.0), t) is blocked
                 got = segments_blocked(np.zeros((1, 2)), np.array([[-1.0, 0.0]]),
                                        np.array([ex, ey]), r)
-                assert got.tolist() == [want]
+                assert got.tolist() == [blocked]
 
     def test_degenerate_segment(self):
         a = np.array([[0.0, 0.0], [1.0, 1.0]])

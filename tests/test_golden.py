@@ -134,26 +134,26 @@ def test_frames_match_golden_set(monkeypatch):
 
 # SHA-256 of each case's aoa, scatter, los_amp and response bytes, in that order.
 GEOMETRY_DIGESTS = {
-    "scenario1-0.25-0": "0a0e9f1992f194685453bbf8065cca8d13a959ed577c2d35a56af4663a789a0d",
-    "scenario1-0.25-1": "0df59757d1a186f14341a7871dd7a3275a9830937475a209aae086e40f0d19b6",
+    "scenario1-0.25-0": "a6fd0dc1b883cd2d9717163694a24aba2101891880711a56dc7dd2825e13b735",
+    "scenario1-0.25-1": "bff07401277a0797de9be02da7188e3648fda7c3cfcee7de77107ac5c011aa6a",
     "scenario1-0.25-7": "89478bd6f334c54a014436c79e8672b2938b72c5b8171c9d27bdc3f719268a86",
-    "scenario1-0.3-0": "9efd4b40241843e0ddf7ec32b528903730f732df38d5cc6a29eba6711b8d6b0e",
-    "scenario1-0.3-1": "c5ec2b94f9cdefe94794a0095ba518de2af7d30fd03542571d56707b79f80ce1",
-    "scenario1-0.3-7": "f3871d77e90f4e42a985af4483290591e94179ad910541a0de95e5df4ef7dd57",
-    "scenario1-1.0-0": "04597d8d6fdebe0f4568cc9f675470e857e2db924eeca62a80197429a3c8de3e",
+    "scenario1-0.3-0": "87699d098f5ee35b3473306c13b9be5464759b69db74f5ac12f137ae6e649966",
+    "scenario1-0.3-1": "22ecd88f246dc13658512897db1b6c071ecb3aa067f3fd33517cfbdd5c73ccbf",
+    "scenario1-0.3-7": "eb06be33b12173dd72999b3be5706368006c75e12116d16ad7a49baa00310d76",
+    "scenario1-1.0-0": "47a7266b24ae4885fb9703430b1012ba04d8062f30859f97ac2c5b16fecff965",
     "scenario1-1.0-1": "6fe73f02c29208ea98b3b0a533d1ad529fc1017fc1bfc45b9999384232bea9d1",
     "scenario1-1.0-7": "a883fb70d771b41d95479ce3aff0b822f0215e200e12789652158b12ff213739",
-    "scenario2-0.25-0": "c6360a9f8b6361dda2b53dce5867877253d5679333f26a187d479a735b93114b",
-    "scenario2-0.25-1": "a57e3abcef34c0cb69c2afe10cd54dccc63eaecd08d1e0288fcdc3358d1ce2e5",
+    "scenario2-0.25-0": "26bcc5e32e564ea8e18604f342b156d3265629e52dd1dbc748cb4b72b6d80b63",
+    "scenario2-0.25-1": "330658895478f88b19e5f46bbd24c7913c89cb41abb18afca705d8d01c47ad44",
     "scenario2-0.25-7": "5dbe80b5c68ffad22a93e54f2c80547c9ba8234b947412763f2857c0e8ee05a5",
     "scenario2-0.3-0": "7103180109097054f16df735c8ec32a51a2afe3b51b3bd8fe0d05ff9a2560944",
     "scenario2-0.3-1": "be0604b64fa26d0a1b17f45d61ebb2aa9f18c4a19c3682e6d790456927943c6a",
-    "scenario2-0.3-7": "9442caa98d2f2b2a86e45b2c489ffc60bd654d978637e93db5f59c4b3c5bc30e",
+    "scenario2-0.3-7": "0b00f7ae88c6cde93f06140b6180655254218dac4892df1ef5486eee460ed39f",
     "scenario2-1.0-0": "0b4219241524f2cd55aa73d897613e383b3d06eccdd612e2bcbd7bc5bcf41da5",
     "scenario2-1.0-1": "b6dd626d60ba9024ff540badadded5531b38918621b81b5a9c21ed4dbbd97513",
     "scenario2-1.0-7": "cec20ab98221fd3d6f50548c364e69c8e176aaf5d1eced39cad74a6c816f750a",
     "scenario3-0.25-0": "76644368cb40646d474625098d7cb1b9ba1e89571e3c186d362157c4a6b55894",
-    "scenario3-0.25-1": "18636b490d383d450ef1e0fb18a9a64d033c7b56f4f7cbe0c211a34957b962a8",
+    "scenario3-0.25-1": "c74903d517f5c3d687f21fb98b4b08f1f0985350de0f04c9e1913b4de580fb14",
     "scenario3-0.25-7": "eac771ba726e25e60b693966a2910dd0f4156b5d38d6a5549528033701d664d1",
     "scenario3-0.3-0": "90b75fd86fe9b82084a1460a19f07fe7be78ee4a9d38f4342f04310dcb4975bb",
     "scenario3-0.3-1": "2ecc1ae24454b2cd6bcec6f195dc66936c46b6188172d9a5270a8a3c834d5e62",
@@ -161,8 +161,8 @@ GEOMETRY_DIGESTS = {
     "scenario3-1.0-0": "9d380a66cfac0c65fcd6c2d846e55cd494adca1f1829a0da743795eb58418dbe",
     "scenario3-1.0-1": "8fa6df0816b9c9c7b29d8ae479e2e78d9a90dceb6bd5ae562a6bd3cf7590bc52",
     "scenario3-1.0-7": "d9321bf9683e52047021ffa80903c40d14d698601cedc080451b764179ec521b",
-    "interior-tx": "1556472688decbda3d1342af9a016b0cd1ac23011ea9d7a6987910851ccd8b0f",
-    "corner-tx": "562e5f7175d4675f68882ab79f9ad370abed270d37b2cc84b95a5cdd04f658e6",
+    "interior-tx": "aa581fd28f58b9e5bf61a840be671e1024dc31cd1605ccc5c60faade935afb58",
+    "corner-tx": "f81d029cc4d9ec23676ead579f48eb7fd3b45ed2834fb1efa206d723da85f03f",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -393,6 +394,20 @@ class TestArtifact:
         (tmp_path / "junk").write_bytes(b"NOPE" + b"\0" * 32)
         with pytest.raises(ConfigError):
             load_model(tmp_path / "junk")
+
+    @pytest.mark.parametrize("task,stats,threshold,message", [
+        ("detect", NormStats((0.0, 0.0), (math.inf, math.inf)), 0.5, "norm_std [inf, inf]"),
+        ("detect", NormStats((math.nan, 0.0), (1.0, 1.0)), 0.5, "norm_mean [nan, 0.0]"),
+        ("detect", NormStats((0.0, 0.0), (1.0, -1.0)), 0.5, "norm_std [1.0, -1.0]"),
+        ("detect", NormStats((0.0, 0.0), (1.0, 1.0)), 1.5, "threshold [1.5]"),
+        ("classify", NormStats((0.0, 0.0), (1.0, 1.0)), 0.5, "task 'classify'"),
+    ])
+    def test_model_values_checked_where_it_is_made(self, task, stats, threshold, message):
+        # the check load_model applies to a descriptor holds for a model fit makes
+        params = init_params(TINY, 3)
+        params.task = task
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            TrainedModel(params=params, stats=stats, threshold=threshold)
 
 
 class TestInferencePrecision:
