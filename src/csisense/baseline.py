@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Scenario, array_response
+from .channel import Scenario, steering
 from .errors import ConfigError
 from .geometry import intersect_bearings, wrap_angles
 
@@ -49,7 +49,7 @@ def overlapped_bank() -> BeamBank:
 @lru_cache(maxsize=8)
 def _bank_weights(angles: tuple[float, ...], n_antennas: int) -> np.ndarray:
     """(bank, N_r) conjugate steering matrix a(theta)^H of a beam bank."""
-    weights = np.array([array_response(a, n_antennas) for a in angles]).conj()
+    weights = steering(angles, n_antennas).conj()
     weights.setflags(write=False)    # cached and shared between callers
     return weights
 

@@ -38,6 +38,16 @@ DEFAULT_BEAM_ANGLES = (
     math.pi / 2,
 )
 
+# Bounds on what one drop synthesizes.  The beam responses of a deployment hold
+# n_links * n_antennas * n_beams * (n_clusters * n_rays + 1) complex values.  At
+# that bound the ray-heaviest deployment (one link, one antenna, one beam and
+# 65,535 rays) peaks at 363 MB (tracemalloc) generating a 64-record block;
+# 10**9 rays in scenario1 asked for 134 GiB.
+MAX_RESPONSE_SIZE = 2**16
+# Each drop draws n_links * n_scatter target-scattered paths; at the bound a
+# 64-record block peaks at 97 MB, where 10**9 of them asked for 22.4 GiB.
+MAX_SCATTER_PATHS = 2**16
+
 
 @dataclass(frozen=True)
 class Receiver:
@@ -97,6 +107,14 @@ class Scenario:
         tiles_per_side(self.room_side, self.grid_pitch)     # a bounded tiling of the room
         if self.n_clusters < 1 or self.n_rays < 1 or self.n_scatter < 0:
             raise ConfigError("need n_clusters >= 1, n_rays >= 1, n_scatter >= 0")
+        size = self.n_links * self.n_antennas * self.n_beams * (self.n_clusters * self.n_rays + 1)
+        if size > MAX_RESPONSE_SIZE:
+            raise ConfigError(f"{size} beam response values (receivers x n_antennas x beam_angles"
+                              f" x (n_clusters x n_rays + 1)): a scenario holds at most "
+                              f"{MAX_RESPONSE_SIZE}")
+        if self.n_links * self.n_scatter > MAX_SCATTER_PATHS:
+            raise ConfigError(f"{self.n_links * self.n_scatter} target-scattered paths (receivers"
+                              f" x n_scatter): a scenario holds at most {MAX_SCATTER_PATHS}")
         if list(self.beam_angles) != sorted(self.beam_angles):
             raise ConfigError("beam angles must be sorted ascending")
         lim = math.pi / 2 + 1e-12
@@ -168,22 +186,20 @@ SCENARIO_KINDS = {
 }
 
 
-def array_response(theta: float, n_antennas: int) -> np.ndarray:
-    """ULA response at half-wavelength spacing: element k is exp(j*pi*k*sin(theta))."""
-    if n_antennas < 1:
-        raise ConfigError(f"need >= 1 antenna, got {n_antennas}")
-    k = np.arange(n_antennas)
-    return np.exp(1j * np.pi * k * math.sin(theta))
+def steering(angles, n_antennas: int) -> np.ndarray:
+    """ULA responses at half-wavelength spacing, shape angles.shape + (n_antennas,):
+    element k of a(theta) is exp(j*pi*k*sin(theta))."""
+    return np.exp(1j * np.pi * (np.arange(n_antennas) * np.sin(angles)[..., None]))
 
 
-def beam_gain(aoa: float | np.ndarray, beam_angle: float, n_antennas: int) -> float | np.ndarray:
-    """Conjugate-beamformer amplitude gain |a(beam)^H a(aoa)| / N, in [0, 1]."""
-    a_beam = array_response(beam_angle, n_antennas)
-    sin_aoa = np.sin(np.asarray(aoa, dtype=float))
-    phases = np.pi * np.outer(np.arange(n_antennas), sin_aoa)
-    dots = a_beam.conj() @ np.exp(1j * phases)
-    g = np.abs(dots) / n_antennas
-    return float(g[0]) if np.isscalar(aoa) else g
+def beam_response(aoa: np.ndarray, beam_conj: np.ndarray) -> np.ndarray:
+    """(..., N_r, B) captures of unit paths arriving at angles aoa through the
+    beams whose (B, N_r) conjugated steering vectors are beam_conj: a(aoa)
+    times the conjugate-beamformer amplitude gain |a(beam)^H a(aoa)| / N_r."""
+    n_r = beam_conj.shape[1]
+    steer = steering(aoa, n_r)
+    gain = np.abs(steer @ beam_conj.T) / n_r
+    return steer[..., :, None] * gain[..., None, :]
 
 
 # The finest tiling of a room: 512 x 512 = 262,144 cells (a 1 cm pitch tiles a
@@ -277,7 +293,7 @@ class LinkGeometry:
     scatter: np.ndarray      # (L, R, 2) bounce points
     los_amp: np.ndarray      # (L,) direct-path amplitude los_gain / distance, or 0
     ray_sd: np.ndarray       # (R,) standard deviation of each bounce gain's real and imag part
-    response: np.ndarray     # (L, N_r, B, R+1) steer(aoa) * B(aoa; beam)
+    response: np.ndarray     # (L, N_r, B, R+1) beam_response of aoa, path axis last
     beam_conj: np.ndarray    # (B, N_r) conjugated beam steering vectors a(beam)^*
     leg_start: np.ndarray    # (2, L, R+1, 2) tx->bounce and bounce->rx legs of each ray;
     leg_end: np.ndarray      # the direct path has tx->rx for both
@@ -299,7 +315,7 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
     tx = (s.tx.x, s.tx.y)
     span_start, span_width = room_angular_span(tx, s.room_side)
     spread = math.radians(s.cluster_spread_deg)
-    n_cl, n_ray, n_r = s.n_clusters, s.n_rays, s.n_antennas
+    n_cl, n_ray = s.n_clusters, s.n_rays
     n_links, n_bounce = s.n_links, n_cl * n_ray
     raw = np.empty((n_links, n_bounce))
     for l in range(n_links):
@@ -314,6 +330,12 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
     rx_xy = np.array([[[rx.position.x, rx.position.y]] for rx in s.receivers])
     source = np.concatenate([scatter, tx_xy], axis=1)
     to_rx = rx_xy - source
+    # A ray without an arrival angle: only a bounce point can be, Scenario keeps tx off rx.
+    on_rx = np.argwhere((to_rx == 0.0).all(axis=-1))
+    if len(on_rx):
+        l, r = on_rx[0]
+        x, y = scatter[l, r].tolist()
+        raise ConfigError(f"link {l}: bounce point ({x}, {y}) lands on its receiver")
     boresight = np.array([rx.boresight for rx in s.receivers])
     aoa = wrap_angles(np.arctan2(to_rx[..., 1], to_rx[..., 0]) - boresight[:, None])
     los_amp = np.zeros(n_links)
@@ -322,14 +344,12 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
 
     weights = np.exp(-np.arange(1, n_cl + 1, dtype=float))
     ray_sd = np.repeat(np.sqrt(weights / (n_ray * weights.sum()) / 2.0), n_ray)
-    steer = np.exp(1j * np.pi * (np.arange(n_r)[:, None] * np.sin(aoa)[:, None, :]))
-    gain = np.stack([beam_gain(aoa.ravel(), b, n_r).reshape(aoa.shape)
-                     for b in s.beam_angles], axis=1)
-    beam_conj = np.array([array_response(b, n_r) for b in s.beam_angles]).conj()
+    beam_conj = steering(s.beam_angles, s.n_antennas).conj()
+    response = np.moveaxis(beam_response(aoa, beam_conj), 1, -1)
 
     geo = LinkGeometry(
         scenario=s, aoa=aoa, scatter=scatter, los_amp=los_amp, ray_sd=ray_sd,
-        response=steer[:, :, None, :] * gain[:, None, :, :], beam_conj=beam_conj,
+        response=np.ascontiguousarray(response), beam_conj=beam_conj,
         leg_start=np.stack([np.broadcast_to(tx_xy, (n_links, n_bounce + 1, 2)), source]),
         leg_end=np.stack([np.concatenate([scatter, rx_xy], axis=1),
                           np.broadcast_to(rx_xy, (n_links, n_bounce + 1, 2))]),
@@ -375,7 +395,7 @@ def target_echo(geo: LinkGeometry, centers: np.ndarray, radii: np.ndarray,
     Each link receives n_scatter paths from the target center with amplitude
     scatter_coeff * radius / (d_tx * d_rx) and the drawn (D, L, n_scatter)
     phases.  They share one arrival angle, so together they are the rank-1
-    term steer(aoa) B(aoa; beam) times the sum of their gains.
+    term beam_response(aoa, beam_conj) times the sum of their gains.
     """
     s = geo.scenario
     cx, cy = centers[:, :1], centers[:, 1:]
@@ -389,12 +409,9 @@ def target_echo(geo: LinkGeometry, centers: np.ndarray, radii: np.ndarray,
         raise ConfigError(f"target at ({x}, {y}) is not strictly inside the room "
                           f"or covers a device")
     aoa = wrap_angles(np.arctan2(dy, dx) - geo.boresight)
-    n_r = s.n_antennas
-    steer = np.exp(1j * np.pi * (np.arange(n_r) * np.sin(aoa)[..., None]))  # (D, L, N_r)
-    gain = np.abs(steer @ geo.beam_conj.T) / n_r                            # (D, L, B)
     amp = s.scatter_coeff * radii[:, None] / (d_tx * d_rx)
     weight = amp * np.exp(1j * phases).sum(axis=-1)
-    return weight[..., None, None] * steer[..., :, None] * gain[..., None, :]
+    return weight[..., None, None] * beam_response(aoa, geo.beam_conj)
 
 
 def capture(
@@ -405,11 +422,10 @@ def capture(
 ) -> np.ndarray:
     """(D, L, N_r, B) coherent captures of D realizations across all links and beams.
 
-    Each ray contributes gain * B(aoa; beam) * a(aoa), B the conjugate-
-    beamformer amplitude gain, for the (D, L, R+1) `gains`; the (D, L, N_r, B)
-    `echo` is added when given, then the noise of a (D, L, B, 2, N_r) standard
-    normal draw (link-major, then beam, then real/imaginary part) scaled to
-    per-element variance noise_level.
+    Each ray contributes its gain times its beam_response, for the (D, L, R+1)
+    `gains`; the (D, L, N_r, B) `echo` is added when given, then the noise of
+    a (D, L, B, 2, N_r) standard normal draw (link-major, then beam, then
+    real/imaginary part) scaled to per-element variance noise_level.
     """
     n_links, n_r, n_beams, n_paths = geo.response.shape
     h = geo.response.reshape(n_links, n_r * n_beams, n_paths) @ gains[..., None]

@@ -134,7 +134,6 @@ class Dataset:
     tensors: FrameFile     # (N, rows, beams, 2) float64 frame tensors
     target: np.ndarray     # (N,) bool, True for target records
     xy: np.ndarray         # (N, 2) target centers, NaN on null rows
-    seed: np.ndarray       # (N,) uint64 record stream seeds
     bin: np.ndarray        # (N,) int bin index, -1 when unbinned
 
     def __len__(self) -> int:
@@ -487,8 +486,9 @@ def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
     place; an old manifest.json is removed first, so a write that stops early
     leaves nothing loadable.
     """
-    # target and centers, checked before anything is made; bin is not kept
+    # target, centers and the link geometry, checked before anything is made; bin is not kept
     target, centers = record_layout(manifest)[::2]
+    manifest.scenario.geometry
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
@@ -617,5 +617,4 @@ def load_dataset(path: str | Path) -> Dataset:
             i = lo + wrong[0]
             raise ConfigError(f"{src / 'labels.csv'}: row {i}: seed {seed[i]} is not the "
                               f"record seed of master_seed {manifest.master_seed}")
-    return Dataset(manifest=manifest, tensors=frames, target=target, xy=xy, seed=seed,
-                   bin=bins)
+    return Dataset(manifest=manifest, tensors=frames, target=target, xy=xy, bin=bins)

@@ -3,11 +3,14 @@
 Each is the per-object form of a rule that the package applies to whole
 arrays: wrap_angle for geometry.wrap_angles, distance and bearing for the
 np.hypot and np.arctan2 of the channel's distances and arrival angles,
-segment_blocked and in_shadow for geometry.segments_blocked, scalar_margin_ok
-for dataset.target_margin_ok, layer_cake_mean for the mean of
-metrics.error_summary, four_count_accuracy for metrics.accuracy_score.  The
-oracles take distances and bearings from numpy's functions, as the array code
-does, so the two agree bit for bit.
+array_response for channel.steering and beam_gain for the conjugate-beamformer
+gain of channel.beam_response, segment_blocked and in_shadow for
+geometry.segments_blocked, scalar_margin_ok for dataset.target_margin_ok,
+layer_cake_mean for the mean of metrics.error_summary, four_count_accuracy
+for metrics.accuracy_score.  The oracles take distances and bearings from
+numpy's functions, as the array code does, so the two agree bit for bit; the
+two beam oracles compute the array response one angle at a time, so they
+agree with the array code up to rounding.
 """
 
 from __future__ import annotations
@@ -39,6 +42,24 @@ def distance(a: Point2D, b: Point2D) -> float:
 def bearing(a: Point2D, b: Point2D) -> float:
     """Angle of the vector a -> b in the global frame."""
     return float(np.arctan2(b.y - a.y, b.x - a.x))
+
+
+def array_response(theta: float, n_antennas: int) -> np.ndarray:
+    """ULA response at half-wavelength spacing: element k is exp(j*pi*k*sin(theta))."""
+    if n_antennas < 1:
+        raise ConfigError(f"need >= 1 antenna, got {n_antennas}")
+    k = np.arange(n_antennas)
+    return np.exp(1j * np.pi * k * math.sin(theta))
+
+
+def beam_gain(aoa: float | np.ndarray, beam_angle: float, n_antennas: int) -> float | np.ndarray:
+    """Conjugate-beamformer amplitude gain |a(beam)^H a(aoa)| / N, in [0, 1]."""
+    a_beam = array_response(beam_angle, n_antennas)
+    sin_aoa = np.sin(np.asarray(aoa, dtype=float))
+    phases = np.pi * np.outer(np.arange(n_antennas), sin_aoa)
+    dots = a_beam.conj() @ np.exp(1j * phases)
+    g = np.abs(dots) / n_antennas
+    return float(g[0]) if np.isscalar(aoa) else g
 
 
 @dataclass(frozen=True)

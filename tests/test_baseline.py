@@ -10,10 +10,10 @@ from csisense.baseline import (
     overlapped_bank,
     swept_bank,
 )
-from csisense.channel import Scenario, array_response
+from csisense.channel import Scenario
 from csisense.frame import to_tensor
 from csisense.geometry import Point2D
-from oracles import bearing, wrap_angle
+from oracles import array_response, bearing, wrap_angle
 
 
 def two_link_scenario() -> Scenario:

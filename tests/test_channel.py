@@ -6,14 +6,14 @@ import pytest
 
 from csisense.channel import (
     Scenario,
-    array_response,
-    beam_gain,
+    beam_response,
     blocked_rays,
     capture,
     link_geometry,
     ray_gains,
     room_angular_span,
     snap_to_grid,
+    steering,
     target_echo,
     tiles_per_side,
 )
@@ -21,7 +21,8 @@ from csisense.dataset import draw
 from csisense.frame import to_tensor
 from csisense.errors import ConfigError
 from csisense.geometry import Point2D
-from oracles import Target, bearing, distance, in_shadow, wrap_angle
+from oracles import (Target, array_response, beam_gain, bearing, distance, in_shadow,
+                     wrap_angle)
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -56,16 +57,30 @@ def brute_force_quantize(tx, raw_aod, pitch, room_side):
     return best[1]
 
 
+def gain_of(aoa, beam: float, n_antennas: int):
+    """beam_response's gain of paths at arrival angles aoa in one beam."""
+    beam_conj = steering([beam], n_antennas).conj()
+    return np.abs(beam_response(aoa, beam_conj)[..., 0, 0])
+
+
 class TestArrayResponse:
     def test_broadside_all_ones(self):
-        assert np.allclose(array_response(0.0, 8), np.ones(8), atol=0)
+        assert np.allclose(steering(0.0, 8), np.ones(8), atol=0)
 
     def test_endfire_alternates(self):
-        assert np.allclose(array_response(math.pi / 2, 4), [1, -1, 1, -1], atol=1e-12)
+        assert np.allclose(steering(math.pi / 2, 4), [1, -1, 1, -1], atol=1e-12)
 
     def test_unit_modulus(self):
-        for theta in np.linspace(-math.pi, math.pi, 17):
-            assert np.max(np.abs(np.abs(array_response(theta, 8)) - 1.0)) < 1e-12
+        a = steering(np.linspace(-math.pi, math.pi, 17), 8)
+        assert a.shape == (17, 8)
+        assert np.max(np.abs(np.abs(a) - 1.0)) < 1e-12
+
+    def test_matches_scalar_oracle(self):
+        angles = np.random.default_rng(1).uniform(-math.pi, math.pi, size=(3, 5))
+        a = steering(angles, 8)
+        assert a.shape == (3, 5, 8)
+        for idx in np.ndindex(angles.shape):
+            assert np.allclose(a[idx], array_response(angles[idx], 8), rtol=0, atol=1e-14)
 
 
 class TestBeamGain:
@@ -74,12 +89,23 @@ class TestBeamGain:
         for _ in range(200):
             phi = rng.uniform(-math.pi, math.pi)
             theta = rng.uniform(-math.pi / 2, math.pi / 2)
-            g = beam_gain(phi, theta, 8)
+            g = gain_of(phi, theta, 8)
             assert -1e-12 <= g <= 1.0 + 1e-12
-        assert beam_gain(0.3, 0.3, 8) == pytest.approx(1.0, abs=1e-12)
+        assert gain_of(0.3, 0.3, 8) == pytest.approx(1.0, abs=1e-12)
         # same sine, different angle: still full gain
-        assert beam_gain(math.pi - 0.3, 0.3, 8) == pytest.approx(1.0, abs=1e-12)
-        assert beam_gain(0.31, 0.3, 8) < 1.0
+        assert gain_of(math.pi - 0.3, 0.3, 8) == pytest.approx(1.0, abs=1e-12)
+        assert gain_of(0.31, 0.3, 8) < 1.0
+
+    def test_response_matches_scalar_oracles(self):
+        rng = np.random.default_rng(2)
+        aoa = rng.uniform(-math.pi, math.pi, size=(4, 6))
+        beams = np.sort(rng.uniform(-math.pi / 2, math.pi / 2, size=5))
+        r = beam_response(aoa, steering(beams, 8).conj())
+        assert r.shape == (4, 6, 8, 5)
+        for idx in np.ndindex(aoa.shape):
+            for b, beam in enumerate(beams):
+                expected = beam_gain(aoa[idx], beam, 8) * array_response(aoa[idx], 8)
+                assert np.allclose(r[idx][:, b], expected, rtol=0, atol=1e-14)
 
 
 class TestRoomSpan:

@@ -705,6 +705,53 @@ class TestBadFlags:
                                       "512 x 512 cells")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["gen", "manifest"])
+    @pytest.mark.parametrize("key,message", [
+        ("n_clusters", "120000000024 beam response values (receivers x n_antennas x "
+                       "beam_angles x (n_clusters x n_rays + 1)): a scenario holds at most 65536"),
+        ("n_rays", "72000000024 beam response values"),
+        ("n_antennas", "96000000000 beam response values"),
+        ("n_scatter", "2000000000 target-scattered paths (receivers x n_scatter): a scenario "
+                      "holds at most 65536"),
+    ])
+    def test_per_drop_size_past_its_bound_exits_2(self, tmp_path, commands, capsys, where,
+                                                  key, message):
+        # 10**9 of any of these once ended in a numpy MemoryError traceback (22 to
+        # 313 GiB asked in scenario1); without the bounds this test would exhaust memory
+        if key == "n_antennas":
+            big = {"receivers": [{**rx, key: 10**9} for rx in TINY_SCENARIO["receivers"]]}
+        else:
+            big = {key: 10**9}
+        if where == "manifest":
+            ds = tmp_path / "ds"
+            assert main(commands["gen"][:-1] + [str(ds)]) == 0
+            manifest = json.loads((ds / "manifest.json").read_text())
+            manifest["scenario"].update(big)
+            (ds / "manifest.json").write_text(json.dumps(manifest))
+            argv = ["train", "--data", str(ds), "--epochs", "1", "--out", str(tmp_path / "out")]
+        else:
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps({**TINY_SCENARIO, **big}))
+            argv = commands["gen"][:1] + ["--scenario", str(path)] + commands["gen"][3:]
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert_one_line_error(capsys, message)
+        assert not (tmp_path / "out").exists()
+
+    def test_bounce_point_on_its_receiver_exits_2(self, tmp_path, capsys):
+        # four of link 0's rays snap onto the receiver at (3.75, 3.75), a grid
+        # point; their segments once failed at the first target block
+        path = tmp_path / "onrx.json"
+        path.write_text(json.dumps({
+            "name": "onrx", "tx": [0.0, 2.5], "grid_pitch": 2.5,
+            "receivers": [{"position": [3.75, 3.75], "boresight": 0.0},
+                          {"position": [5.0, 1.0], "boresight": math.pi}]}))
+        rc = main(["gen", "--scenario", str(path), "--n", "5", "--sigma", "0.3",
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "link 0: bounce point (3.75, 3.75) lands on its receiver")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag", [["--bin-jitter"], ["--pitch", "0.3"]])
     def test_binned_flag_on_resolution_gen_exits_2(self, tmp_path, commands, capsys, flag):
         assert main(commands["gen"] + ["--protocol", "resolution"] + flag) == EXIT_CONFIG

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -68,9 +69,16 @@ def on_disk(tmp_path, gen, *args, **kwargs):
     return load_dataset(out)
 
 
+def label_seeds(ds) -> list[int]:
+    """The seed column of the labels.csv beside a loaded dataset's frames."""
+    with open(ds.tensors.path.parent / "labels.csv", newline="") as fp:
+        return [int(row["seed"]) for row in csv.DictReader(fp)]
+
+
 def assert_same_columns(a, b):
-    for name in ("tensors", "target", "xy", "seed", "bin"):
+    for name in ("tensors", "target", "xy", "bin"):
         assert np.array_equal(getattr(a, name)[:], getattr(b, name)[:], equal_nan=True), name
+    assert label_seeds(a) == label_seeds(b)
 
 
 def assert_same_files(a, b):
@@ -86,7 +94,7 @@ class TestResolutionSet:
         assert ds.target.sum() == 10 and (~ds.target).sum() == 10
         assert np.isnan(ds.xy[~ds.target]).all() and np.isfinite(ds.xy[ds.target]).all()
         assert (ds.bin == -1).all()
-        assert ds.seed.tolist() == record_seeds(7, range(20)).tolist()
+        assert label_seeds(ds) == record_seeds(7, range(20)).tolist()
 
     def test_deterministic(self, tmp_path):
         s = fast_scenario()
@@ -135,7 +143,7 @@ class TestResolutionSet:
                                                   np.full((1, 2), np.nan))
         assert np.array_equal(tensors[0], ds.tensors[[9]][0])
         assert np.array_equal(centers[0], ds.xy[9])
-        assert seeds[0] == ds.seed[9] == record_seeds(123, [9])[0]
+        assert seeds[0] == label_seeds(ds)[9] == record_seeds(123, [9])[0]
 
 
 class TestBinnedSet:
@@ -286,8 +294,9 @@ class TestPersistence:
         assert back.manifest == manifest
         target, _, centers = record_layout(manifest)
         tensors, xy, seeds = _generate_block(manifest, 0, target, centers)
-        for name, want in (("target", target), ("tensors", tensors), ("xy", xy), ("seed", seeds)):
+        for name, want in (("target", target), ("tensors", tensors), ("xy", xy)):
             assert np.array_equal(getattr(back, name)[:], want, equal_nan=True), name
+        assert label_seeds(back) == seeds.tolist()
 
     def test_binned_round_trip_rebuilds_bins(self, tmp_path):
         manifest = gen_binned_set(fast_scenario(), 0.8, 2, 1.0, 3, tmp_path / "d")

@@ -134,35 +134,35 @@ def test_frames_match_golden_set(monkeypatch):
 
 # SHA-256 of each case's aoa, scatter, los_amp and response bytes, in that order.
 GEOMETRY_DIGESTS = {
-    "scenario1-0.25-0": "a6fd0dc1b883cd2d9717163694a24aba2101891880711a56dc7dd2825e13b735",
-    "scenario1-0.25-1": "bff07401277a0797de9be02da7188e3648fda7c3cfcee7de77107ac5c011aa6a",
-    "scenario1-0.25-7": "89478bd6f334c54a014436c79e8672b2938b72c5b8171c9d27bdc3f719268a86",
-    "scenario1-0.3-0": "87699d098f5ee35b3473306c13b9be5464759b69db74f5ac12f137ae6e649966",
-    "scenario1-0.3-1": "22ecd88f246dc13658512897db1b6c071ecb3aa067f3fd33517cfbdd5c73ccbf",
-    "scenario1-0.3-7": "eb06be33b12173dd72999b3be5706368006c75e12116d16ad7a49baa00310d76",
-    "scenario1-1.0-0": "47a7266b24ae4885fb9703430b1012ba04d8062f30859f97ac2c5b16fecff965",
-    "scenario1-1.0-1": "6fe73f02c29208ea98b3b0a533d1ad529fc1017fc1bfc45b9999384232bea9d1",
-    "scenario1-1.0-7": "a883fb70d771b41d95479ce3aff0b822f0215e200e12789652158b12ff213739",
-    "scenario2-0.25-0": "26bcc5e32e564ea8e18604f342b156d3265629e52dd1dbc748cb4b72b6d80b63",
-    "scenario2-0.25-1": "330658895478f88b19e5f46bbd24c7913c89cb41abb18afca705d8d01c47ad44",
-    "scenario2-0.25-7": "5dbe80b5c68ffad22a93e54f2c80547c9ba8234b947412763f2857c0e8ee05a5",
-    "scenario2-0.3-0": "7103180109097054f16df735c8ec32a51a2afe3b51b3bd8fe0d05ff9a2560944",
-    "scenario2-0.3-1": "be0604b64fa26d0a1b17f45d61ebb2aa9f18c4a19c3682e6d790456927943c6a",
-    "scenario2-0.3-7": "0b00f7ae88c6cde93f06140b6180655254218dac4892df1ef5486eee460ed39f",
-    "scenario2-1.0-0": "0b4219241524f2cd55aa73d897613e383b3d06eccdd612e2bcbd7bc5bcf41da5",
-    "scenario2-1.0-1": "b6dd626d60ba9024ff540badadded5531b38918621b81b5a9c21ed4dbbd97513",
-    "scenario2-1.0-7": "cec20ab98221fd3d6f50548c364e69c8e176aaf5d1eced39cad74a6c816f750a",
-    "scenario3-0.25-0": "76644368cb40646d474625098d7cb1b9ba1e89571e3c186d362157c4a6b55894",
-    "scenario3-0.25-1": "c74903d517f5c3d687f21fb98b4b08f1f0985350de0f04c9e1913b4de580fb14",
-    "scenario3-0.25-7": "eac771ba726e25e60b693966a2910dd0f4156b5d38d6a5549528033701d664d1",
-    "scenario3-0.3-0": "90b75fd86fe9b82084a1460a19f07fe7be78ee4a9d38f4342f04310dcb4975bb",
-    "scenario3-0.3-1": "2ecc1ae24454b2cd6bcec6f195dc66936c46b6188172d9a5270a8a3c834d5e62",
-    "scenario3-0.3-7": "ff43939d57d42a4965b08163100bc988826bd69fc81536e6a61359da6fd5a575",
-    "scenario3-1.0-0": "9d380a66cfac0c65fcd6c2d846e55cd494adca1f1829a0da743795eb58418dbe",
-    "scenario3-1.0-1": "8fa6df0816b9c9c7b29d8ae479e2e78d9a90dceb6bd5ae562a6bd3cf7590bc52",
-    "scenario3-1.0-7": "d9321bf9683e52047021ffa80903c40d14d698601cedc080451b764179ec521b",
-    "interior-tx": "aa581fd28f58b9e5bf61a840be671e1024dc31cd1605ccc5c60faade935afb58",
-    "corner-tx": "f81d029cc4d9ec23676ead579f48eb7fd3b45ed2834fb1efa206d723da85f03f",
+    "scenario1-0.25-0": "feecbf298a92f08afaa1675e4c159df9aa84d4fd23b68eebedb72e61c9ee452a",
+    "scenario1-0.25-1": "91e939a63fe6f28df1e4be12f08c4c4707c06cbb427537aced2bcff81fa0308c",
+    "scenario1-0.25-7": "e9f058455d715da6a15f9eb402aae937adfcf07519ff4328f1b32c20adc801d5",
+    "scenario1-0.3-0": "487d5faf18ec139834e5fcac9c6f30d98b9e82953a68d939fbcf6e9dea94cb55",
+    "scenario1-0.3-1": "36aa539ecb2e9f6063933bd69f14bd5616d560eb78c520d06b3725451f1a33f5",
+    "scenario1-0.3-7": "3e5134e0817eda7a614b232ed97ce47a52c9b50469682d3385f5d3c76cb8d164",
+    "scenario1-1.0-0": "e8ef23f8ff3f6e9374fcbf2b15aaae23c8356a4305e7d375de1da604cbb0d5f8",
+    "scenario1-1.0-1": "a5d72fdd82fdb743e55eecb5a26730090ceae8344a16a495bd71be77c93eb6d9",
+    "scenario1-1.0-7": "8a2886292557d18aa83e84ca4a06c5b22328fbb7161967c5e7e1a0dc450b44f5",
+    "scenario2-0.25-0": "494921ceaeb422ee40186fc55ba608de089d5587350e234ffff7b9e1e8d473cf",
+    "scenario2-0.25-1": "779a64f264f581c2cf57a0b437c44ee6adac878fb5793f83a648cf7869da8381",
+    "scenario2-0.25-7": "1ecd69fc75ef8722614c0cbe728318e5fbbe45992d4029fe56fa665dd032b76a",
+    "scenario2-0.3-0": "4c4004038631a5e09df75ee17520173943e8bacd70936ce1caa3d58944e286e5",
+    "scenario2-0.3-1": "6dd7483cc2fcfe8296cfee3caecccc73ad25046902095622d8ff0814854e7a0a",
+    "scenario2-0.3-7": "5a591b22fd3669bdb654b7f2e99392e6b565a05d75397f64f10b6ead0d329243",
+    "scenario2-1.0-0": "ffdc2c086e9d45e16cd5585708050333b35a179a353504851db66a59d952fd10",
+    "scenario2-1.0-1": "4784333e4afe0fc792d1c4ac43d63d77b808df4b2ca565b6493e8d2416197f25",
+    "scenario2-1.0-7": "0138e310bc7479938a508b0e66281a1a7a70b7f9e2c353a760ddfb19a4066f96",
+    "scenario3-0.25-0": "7b529cad1f5b964a4381aa64e4a6d38ce88303048238dac687140bd1315b49ab",
+    "scenario3-0.25-1": "5639f322436fedfdab4f0aa7b130334332a33bddf83648bf21462399e2939656",
+    "scenario3-0.25-7": "faecacc3b930d5a95cd0f1b1a278f945510b42b31aa79b9719049e1ce878bcf2",
+    "scenario3-0.3-0": "5ba9dd29a19f7a57e14d5146fc2e5e9deb7d2eda127ae6bf0d5c652ec0b9bd82",
+    "scenario3-0.3-1": "4b2424d7735b230be440d9dd8edb84424ce3cc73ddeefc845f71945f5f4943c5",
+    "scenario3-0.3-7": "3081d23ab52b937beda0d25edd2f211823cecbb5f5fe3ab16b48ea1b58e56384",
+    "scenario3-1.0-0": "761fef3681f9a30abdd537672566df7d2b654c8144cc0479146ff34b8f33233b",
+    "scenario3-1.0-1": "281fed8c71f5fed5d4fda193247b77006fc07421ed8c03a8fa44f50acb5574d8",
+    "scenario3-1.0-7": "f9ada184cd5d26483e7260afedaab31da61eefeb33deab596d0ed63e9ec6ff15",
+    "interior-tx": "61a416893abeb908467acddd168d9eed1d61bbf9f475de3d86bf87c56039b122",
+    "corner-tx": "200aaeabd8e5dd79391d6b3fb3e369c0c2a3db7f67a4e5e363477c0bc6c0d723",
 }
 
 

@@ -1,10 +1,12 @@
 """No module code that only tests reach: every top-level function and class of
 the package, and every method but the dunder ones, is referenced somewhere in
 the package outside its own definition.  Code that only the tests need lives
-in tests/ (see oracles.py).  And no module reads the environment: argv and
-the files it names are the only inputs."""
+in tests/ (see oracles.py).  No module reads the environment: argv and the
+files it names are the only inputs.  And the package imports numpy, the
+standard library and itself, nothing else."""
 
 import ast
+import sys
 from pathlib import Path
 
 import csisense
@@ -51,3 +53,20 @@ def test_no_module_reads_the_environment():
              for name, line in references(ast.parse(path.read_text()))
              if name in ("environ", "environb", "getenv", "getenvb")]
     assert not reads, f"environment reads: {reads}"
+
+
+def imports(tree: ast.Module):
+    """(module, line) of every absolute import in a module; relative ones are the package's."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module, node.lineno
+
+
+def test_imports_are_numpy_and_the_standard_library():
+    allowed = sys.stdlib_module_names | {"numpy", SRC.name}
+    foreign = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+               for name, line in imports(ast.parse(path.read_text()))
+               if name.split(".")[0] not in allowed]
+    assert not foreign, f"imports of neither numpy nor the standard library: {foreign}"
