@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .channel import Scenario, steering
+from .channel import Scenario, link_geometry, steering
 from .errors import ConfigError
 from .geometry import intersect_bearings, wrap_angles
 
@@ -46,14 +45,6 @@ def overlapped_bank() -> BeamBank:
     return BeamBank(angles=tuple(np.deg2rad(degs)), variant=OVERLAPPED)
 
 
-@lru_cache(maxsize=8)
-def _bank_weights(angles: tuple[float, ...], n_antennas: int) -> np.ndarray:
-    """(bank, N_r) conjugate steering matrix a(theta)^H of a beam bank."""
-    weights = steering(angles, n_antennas).conj()
-    weights.setflags(write=False)    # cached and shared between callers
-    return weights
-
-
 def attenuation_profiles(
     null: np.ndarray,
     alt: np.ndarray,
@@ -72,7 +63,7 @@ def attenuation_profiles(
     """
     if null.shape != alt.shape:
         raise ConfigError(f"frame shapes differ: {null.shape} vs {alt.shape}")
-    weights = _bank_weights(bank.angles, scenario.n_antennas)
+    weights = steering(bank.angles, scenario.n_antennas).conj()    # (bank, N_r) a(theta)^H
     shape = (len(null), scenario.n_links, scenario.n_antennas, null.shape[2])
 
     def energy(tensors: np.ndarray) -> np.ndarray:
@@ -111,7 +102,7 @@ def estimate_positions(
     angles = np.asarray(bank.angles)
     rank = np.argsort(np.lexsort((angles, np.abs(angles))))   # tie-break order of each beam
     beam = np.argmin(np.where(tied, rank, len(angles)), axis=-1)
-    geo = scenario.geometry
+    geo = link_geometry(scenario)
     bearings = wrap_angles(geo.boresight - angles[beam])      # (D, L)
     points, degraded = intersect_bearings(geo.rx_xy, bearings)
     side = scenario.room_side

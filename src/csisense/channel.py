@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,11 +139,6 @@ class Scenario:
     def n_beams(self) -> int:
         return len(self.beam_angles)
 
-    @cached_property
-    def geometry(self) -> "LinkGeometry":
-        """The deployment's fixed link arrays, fetched from link_geometry once per object."""
-        return link_geometry(self)
-
     @property
     def noise_level(self) -> float:
         """Per-element complex noise variance relative to unit mean path power."""
@@ -168,21 +163,17 @@ class Scenario:
     def from_dict(cfg) -> "Scenario":
         """The scenario of a JSON object whose keys have the kinds of SCENARIO_KINDS."""
         v = read_json(cfg, SCENARIO_KINDS, "scenario")
-        v.pop("tx_omni", None)
-        v.pop("narrowband", None)
         return Scenario(**{**v, "tx": Point2D(*v["tx"]), "receivers": tuple(
             Receiver(**{**r, "position": Point2D(*r["position"])}) for r in v["receivers"])})
 
 
 # The JSON kind of each scenario key (errors.read_json); one left out takes its default.
-# tx_omni and narrowband: the one modelled case, omni transmitter and narrowband captures.
 RECEIVER_KINDS = {"position": [float, float], "boresight": float, "n_antennas?": int}
 SCENARIO_KINDS = {
     "name": str, "tx": [float, float], "receivers": [RECEIVER_KINDS, ...], "room_side?": float,
     "beam_angles?": [float, ...], "n_clusters?": int, "n_rays?": int, "n_scatter?": int,
     "cluster_spread_deg?": float, "grid_pitch?": float, "include_los?": bool,
     "los_gain?": float, "scatter_coeff?": float, "snr_db?": float, "env_seed?": int,
-    "tx_omni?": True, "narrowband?": True,
 }
 
 

@@ -25,8 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import (SCENARIO_KINDS, Scenario, blocked_rays, capture, grid_points, ray_gains,
-                      target_echo)
+from .channel import (SCENARIO_KINDS, Scenario, blocked_rays, capture, grid_points,
+                      link_geometry, ray_gains, target_echo)
 from .errors import ConfigError, read_json
 from .frame import FrameFile, FrameMeta, to_tensor, write_frames
 
@@ -342,7 +342,7 @@ def synthesize(scenario: Scenario, draws: Sequence[Draws]
     without a target.  A target frame keeps its drop's ray gains but the ones
     the target blocks, and adds the target's echo.
     """
-    geo = scenario.geometry
+    geo = link_geometry(scenario)
     gains = ray_gains(geo, np.stack([d.z for d in draws]))
     noise = None if draws[0].noise is None else np.stack([d.noise for d in draws])
     nulls = np.flatnonzero([d.null for d in draws])
@@ -484,12 +484,13 @@ def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
     frames.bin and labels.csv are written a block at a time as the blocks are
     made and manifest.json last, each through a `.part` file renamed into
     place; an old manifest.json is removed first, so a write that stops early
-    leaves nothing loadable.
+    leaves nothing loadable, and a directory made here is removed again.
     """
     # target, centers and the link geometry, checked before anything is made; bin is not kept
     target, centers = record_layout(manifest)[::2]
-    manifest.scenario.geometry
+    link_geometry(manifest.scenario)
     out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]    # innermost first
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     part = {name: out / f"{name}.part" for name in ("frames.bin", "labels.csv", "manifest.json")}
@@ -513,6 +514,8 @@ def save_dataset(path: str | Path, manifest: DatasetManifest) -> None:
     except BaseException:
         for temp in part.values():
             temp.unlink(missing_ok=True)
+        for d in made:
+            d.rmdir()
         raise
     for name, temp in part.items():
         os.replace(temp, out / name)

@@ -21,10 +21,10 @@ def read_json(value, kind, what: str, path: str = ""):
     naming its key path, such as receivers[0].boresight.
 
     Kinds: bool, int and str; float, a JSON number, read as a float (a boolean
-    is no number or integer); True, a value that must be true; float | None;
-    [kind, ...], a list of any length, and [kind, kind], one value per kind,
-    both read as tuples; and a table, read as a dict.  A table key ending in
-    "?" may be left out of the object, and is then left out of the dict.
+    is no number or integer); float | None; [kind, ...], a list of any length,
+    and [kind, kind], one value per kind, both read as tuples; and a table,
+    read as a dict.  A table key ending in "?" may be left out of the object,
+    and is then left out of the dict.
     """
     if isinstance(kind, dict):
         if type(value) is not dict:
@@ -45,10 +45,6 @@ def read_json(value, kind, what: str, path: str = ""):
                               f"{'' if n is None else f' of {n} values'}, got {value!r}")
         return tuple(read_json(v, kind[0] if n is None else kind[i], what, f"{path}[{i}]")
                      for i, v in enumerate(value))
-    if kind is True:
-        if value is not True:
-            raise ConfigError(f"{path} must be true, got {value!r}")
-        return value
     if isinstance(kind, UnionType):    # float | None
         return None if value is None else read_json(value, kind.__args__[0], what, path)
     if type(value) not in ((int, float) if kind is float else (kind,)):

@@ -31,7 +31,7 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8   # Adam moment decays a
 INFER_CHUNK = 32
 
 MAGIC = b"CSNN"
-VERSION = 2                  # v1 stored both heads; load_model still reads it
+VERSION = 2
 
 TASK_LOSS = {"detect": "bce", "locate": "mse"}     # the loss that trains each task's head
 HEAD_UNITS = {"detect": 1, "locate": 2}
@@ -101,8 +101,10 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def init_params(arch: Architecture, seed, task: str = "detect") -> ModelParams:
-    """Glorot-uniform weights, zero biases, drawn in field order; a locate model
-    first draws and drops v1's (dense, 1) detection head, so it keeps v1's draws."""
+    """Glorot-uniform weights, zero biases, drawn in field order.  A locate
+    model first draws and drops a (dense, 1) detection head, as the two-head
+    models did: without that draw every locate model would start, and so end,
+    on other weights."""
     arrays = {}
     rng = np.random.default_rng(seed)
     for name, shape in param_shapes(arch, task).items():
@@ -482,13 +484,13 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
 # The JSON kind of each model descriptor key (errors.read_json).
 DESCRIPTOR_KINDS = {
     "input_shape": [int, int, int], "conv_filters": [int, int], "kernel": int,
-    "dense_units": int, "pool": int, "task": str, "threshold?": float,
+    "dense_units": int, "pool": int, "task": str, "threshold": float,
     "norm_mean": [float, float], "norm_std": [float, float],
 }
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    """Read a v2 artifact, or a v1 one (both heads stored, the task's is kept)."""
+    """Read a CSNN v2 artifact, as save_model writes it."""
     with open(path, "rb") as fp:
         if fp.read(4) != MAGIC:
             raise ConfigError(f"{path}: not a model artifact")
@@ -496,7 +498,7 @@ def load_model(path: str | Path) -> TrainedModel:
         if len(header) != 6:
             raise ConfigError(f"{path}: truncated model header")
         version, blob_len = struct.unpack("<HI", header)
-        if version not in (1, VERSION):
+        if version != VERSION:
             raise ConfigError(f"{path}: unsupported model version {version}")
         try:
             desc = json.loads(fp.read(blob_len).decode())
@@ -509,16 +511,11 @@ def load_model(path: str | Path) -> TrainedModel:
                     raise ConfigError(f"{key} must be {value}, got {d[key]}")
             arch = Architecture(**{f.name: d[f.name] for f in fields(Architecture)})
             model = TrainedModel(ModelParams(arch, d["task"], *[None] * len(PARAM_FIELDS)),
-                                 NormStats(d["norm_mean"], d["norm_std"]), d.get("threshold", 0.5))
+                                 NormStats(d["norm_mean"], d["norm_std"]), d["threshold"])
         except ConfigError as exc:
             raise ConfigError(f"{path}: malformed model descriptor: {exc}") from exc
-        blocks = list(param_shapes(arch, model.task).items())
-        if version == 1:    # detect's head, then locate's; the other task's is read, not kept
-            blocks[6:] = [(name if t == model.task else f"{t}_{name[5:]}", shape)
-                          for t in ("detect", "locate")
-                          for name, shape in list(param_shapes(arch, t).items())[6:]]
         arrays, left = {}, os.fstat(fp.fileno()).st_size - fp.tell()
-        for name, shape in blocks:
+        for name, shape in param_shapes(arch, model.task).items():
             size = math.prod(shape) * 8
             if size > left:    # checked before reading: a descriptor's sizes may exceed memory
                 raise ConfigError(f"{path}: truncated parameter block {name}")
@@ -528,4 +525,4 @@ def load_model(path: str | Path) -> TrainedModel:
                 raise ConfigError(f"{path}: non-finite value in parameter block {name}")
         if fp.read(1):
             raise ConfigError(f"{path}: trailing bytes after the last parameter block")
-    return replace(model, params=ModelParams(arch, model.task, *map(arrays.get, PARAM_FIELDS)))
+    return replace(model, params=ModelParams(arch, model.task, **arrays))

@@ -183,7 +183,7 @@ class TestDrawNullRays:
 
     def test_geometry_fixed_across_seeds(self):
         s = small_scenario()
-        assert link_geometry(s) is small_scenario().geometry
+        assert link_geometry(s) is link_geometry(small_scenario())    # equal scenarios share one
         a = gains_of(s, 1)
         b = gains_of(s, 2)
         assert np.all(a[:, :-1] != b[:, :-1])

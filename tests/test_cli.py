@@ -112,14 +112,8 @@ class TestDocuments:
 
     @pytest.mark.parametrize("task", ["detect", "locate"])
     def test_descriptor_round_trip(self, tmp_path, task):
-        # a v1 model is written back as v2 with the same descriptor bytes; v2 as itself
-        raw = (DATA / f"v1_{task}.csnn").read_bytes()
-        save_model(tmp_path / "v2.csnn", load_model(DATA / f"v1_{task}.csnn"))
-        v2 = (tmp_path / "v2.csnn").read_bytes()
-        end = 10 + struct.unpack("<I", raw[6:10])[0]
-        assert v2[6:end] == raw[6:end]
-        save_model(tmp_path / "again.csnn", load_model(tmp_path / "v2.csnn"))
-        assert (tmp_path / "again.csnn").read_bytes() == v2
+        save_model(tmp_path / "again.csnn", load_model(DATA / f"model_{task}.csnn"))
+        assert (tmp_path / "again.csnn").read_bytes() == (DATA / f"model_{task}.csnn").read_bytes()
 
     @settings(deadline=None)
     @given(data=st.data())
@@ -132,7 +126,7 @@ class TestDocuments:
             doc = json.loads((DATA / "pipeline" / "pos" / "manifest.json").read_text())
             read, kind = dataset_mod.DatasetManifest.from_dict, dataset_mod.DatasetManifest
         else:
-            raw = (DATA / "v1_detect.csnn").read_bytes()
+            raw = (DATA / "model_detect.csnn").read_bytes()
             doc, path = descriptor(raw), tmp_path_factory.getbasetemp() / "fuzz.csnn"
 
             def read(desc):
@@ -181,16 +175,24 @@ class TestGen:
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key", ["tx_omni", "narrowband"])
-    def test_fixed_true_scenario_keys(self, tmp_path, capsys, key):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps({**TINY_SCENARIO, key: True}))
-        assert load_scenario(str(path)) == Scenario.from_dict(TINY_SCENARIO)
-        path.write_text(json.dumps({**TINY_SCENARIO, key: False}))
-        rc = main(["gen", "--scenario", str(path), "--sigma", "0.4", "--n", "2",
-                   "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("made", ["out", "out/a/b"], ids=["one", "nested"])
+    def test_failed_gen_removes_the_directories_it_made(self, tmp_path, capsys, made):
+        # generation stops at the first target center after the directory is made
+        out = tmp_path / made
+        rc = main(["gen", "--scenario", "scenario1", "--sigma", "4.99", "--n", "1",
+                   "--out", str(out)])
         assert rc == EXIT_CONFIG
-        assert_one_line_error(capsys, f"{key} must be true")
+        assert_one_line_error(capsys, "no margin-valid center for a 4.99 m target")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_gen_keeps_a_directory_it_found(self, tmp_path, capsys):
+        (tmp_path / "old").mkdir()
+        rc = main(["gen", "--scenario", "scenario1", "--sigma", "4.99", "--n", "1",
+                   "--out", str(tmp_path / "old")])
+        assert rc == EXIT_CONFIG
+        assert_one_line_error(capsys, "no margin-valid center")
+        assert [p.name for p in tmp_path.iterdir()] == ["old"]
+        assert list((tmp_path / "old").iterdir()) == []
 
     @pytest.mark.parametrize("document,message", [
         (lambda s: [], "must be a JSON object, got list"),
@@ -221,11 +223,15 @@ class TestGen:
         # 10 ** 400 used to overflow in Scenario.noise_level, a traceback
         (lambda s: {**s, "snr_db": -4000.0},
          "snr_db must be >= -3082 or inf (noiseless), got -4000.0"),
+        # once read as fixed-true keys and dropped
+        (lambda s: {**s, "tx_omni": True}, "key 'tx_omni'"),
+        (lambda s: {**s, "narrowband": True}, "key 'narrowband'"),
     ], ids=["list", "null", "string", "float-n_clusters", "float-n_rays", "float-n_scatter",
             "bool-n_clusters", "float-env_seed", "string-include_los", "float-n_antennas",
             "empty-beam_angles", "negative-cluster_spread_deg", "string-tx",
             "string-boresight", "false-beam_angle", "int-name", "bool-snr_db",
-            "bool-grid_pitch", "negative-env_seed", "overflowing-snr_db"])
+            "bool-grid_pitch", "negative-env_seed", "overflowing-snr_db", "tx_omni",
+            "narrowband"])
     @pytest.mark.parametrize("where", ["scenario", "manifest"])
     def test_malformed_scenario_json_exits_2(self, tmp_path, scenario_file, capsys, where,
                                              document, message):
@@ -823,6 +829,7 @@ class TestBadFlags:
     @pytest.mark.parametrize("change,message", [
         (lambda d: d.pop("input_shape"), "missing model descriptor key 'input_shape'"),
         (lambda d: d.pop("norm_std"), "missing model descriptor key 'norm_std'"),
+        (lambda d: d.pop("threshold"), "missing model descriptor key 'threshold'"),
         (lambda d: d.update(bogus=1), "unknown model descriptor key 'bogus'"),
         (lambda d: d.update(input_shape=5), "input_shape must be a JSON list of 3 values, got 5"),
         (lambda d: d.update(kernel="three"), "kernel must be a JSON integer, got 'three'"),
@@ -847,8 +854,8 @@ class TestBadFlags:
         # a 4 x 4 kernel's patch window read past conv2d's padded buffer
         (lambda d: d.update(kernel=4), "kernel must be 3, got 4"),
         (lambda d: d.update(pool=3), "pool must be 2, got 3"),
-    ], ids=["no-input_shape", "no-norm_std", "unknown-key", "int-input_shape", "str-kernel",
-            "null-norm_mean", "unknown-task", "nan-threshold", "nan-norm_mean",
+    ], ids=["no-input_shape", "no-norm_std", "no-threshold", "unknown-key", "int-input_shape",
+            "str-kernel", "null-norm_mean", "unknown-task", "nan-threshold", "nan-norm_mean",
             "short-norm_mean", "inf-norm_std", "negative-norm_std", "above-1-threshold",
             "negative-threshold", "list-task", "bool-threshold", "str-norm_mean",
             "float-input_shape", "zero-pool", "negative-kernel", "four-kernel", "three-pool"])
@@ -872,7 +879,9 @@ class TestBadFlags:
         # a 1 TB dense block used to be allocated for the read
         (lambda raw: with_descriptor(raw, {**descriptor(raw), "dense_units": 10**9}),
          "truncated parameter block dense_w"),
-    ], ids=["nan-block", "trailing-bytes", "huge-block"])
+        # the two-head layout, no longer read
+        (lambda raw: raw[:4] + struct.pack("<H", 1) + raw[6:], "unsupported model version 1"),
+    ], ids=["nan-block", "trailing-bytes", "huge-block", "version-1"])
     def test_bad_parameter_blocks_exit_2(self, tmp_path, scenario_file, capsys, change,
                                          message):
         path = tmp_path / "det.csnn"
@@ -960,17 +969,6 @@ class TestBadDataset:
         labels.write_text("".join(lines))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, "labels.csv: row 5: could not convert string to float: ''")
-
-    def test_manifest_with_fixed_true_keys_still_loads(self, tmp_path, dataset_dir, capsys):
-        path = dataset_dir / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["scenario"].update(tx_omni=True, narrowband=True)
-        path.write_text(json.dumps(manifest))
-        assert self.train(tmp_path, dataset_dir) == 0
-        manifest["scenario"]["narrowband"] = False
-        path.write_text(json.dumps(manifest))
-        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
-        assert_one_line_error(capsys, "narrowband must be true")
 
     @pytest.mark.parametrize("change,message", [
         (lambda m: m.pop("protocol"), "missing manifest key 'protocol'"),

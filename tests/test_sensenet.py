@@ -489,54 +489,38 @@ class TestInit:
             assert grads[name].shape == arr.shape
 
 
-V1_DATA = Path(__file__).parent / "data"
+DATA = Path(__file__).parent / "data"
 V1_ARCH = Architecture(input_shape=(8, 3, 2), conv_filters=(3, 4), dense_units=8)
 
 
 class TestV1Artifacts:
-    """`tests/data/v1_{detect,locate}.csnn` were written by the two-head (CSNN
-    v1) code: V1_ARCH models trained for 3 epochs on seeded random tensors, the
-    detector with threshold 0.4.  `v1_outputs.npz` holds a fixed `input` batch
-    (40 raw tensors, more than one inference chunk) and that code's outputs on
-    it: `detect` (prob_batch) and `locate` (locate_batch)."""
+    """The two-head (CSNN v1) code trained two V1_ARCH models for 3 epochs on
+    seeded random tensors, the detector with threshold 0.4.  `trunk_outputs.npz`
+    holds a fixed `input` batch (40 raw tensors, more than one inference chunk)
+    and that code's outputs on it: `detect` (prob_batch) and `locate`
+    (locate_batch).  `model_{detect,locate}.csnn` are those models as v2 files:
+    each v1 file read and saved once, keeping its descriptor bytes and the
+    parameter bytes of its task's head, dropping the other head."""
 
     @pytest.mark.parametrize("task", ["detect", "locate"])
     def test_predict_is_bitwise_equal(self, task):
         # bitwise on the float64 trunk; predict runs it in float32
-        model = load_model(V1_DATA / f"v1_{task}.csnn")
+        model = load_model(DATA / f"model_{task}.csnn")
         assert model.task == task and model.params.arch == V1_ARCH
         assert model.threshold == (0.4 if task == "detect" else 0.5)
-        ref = np.load(V1_DATA / "v1_outputs.npz")
+        ref = np.load(DATA / "trunk_outputs.npz")
         out = float64_outputs(model, ref["input"])
         assert out.shape == ref[task].shape and out.tobytes() == ref[task].tobytes()
         np.testing.assert_allclose(model.predict(ref["input"]), ref[task],
                                    rtol=F32_RTOL, atol=F32_ATOL)
 
-    @pytest.mark.parametrize("task", ["detect", "locate"])
-    def test_resave_is_v1_minus_the_unused_head(self, task, tmp_path):
-        raw = (V1_DATA / f"v1_{task}.csnn").read_bytes()
-        save_model(tmp_path / "m.csnn", load_model(V1_DATA / f"v1_{task}.csnn"))
-        d = V1_ARCH.dense_units
-        detect_bytes, locate_bytes = 8 * (d + 1), 8 * (2 * d + 2)
-        tail = len(raw) - detect_bytes - locate_bytes
-        head = (raw[tail:tail + detect_bytes] if task == "detect"
-                else raw[tail + detect_bytes:])
-        expected = raw[:4] + struct.pack("<H", 2) + raw[6:tail] + head
-        assert (tmp_path / "m.csnn").read_bytes() == expected
-
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_mislabelled_layout_is_rejected(self, version, tmp_path):
-        # a v1 file read as v2 has bytes left over; a v2 file read as v1 runs short
-        src = V1_DATA / "v1_detect.csnn"
-        if version == 2:
-            raw = bytearray(src.read_bytes())
-            message = "trailing bytes after the last parameter block"
-        else:
-            save_model(tmp_path / "v2.csnn", load_model(src))
-            raw = bytearray((tmp_path / "v2.csnn").read_bytes())
-            message = "truncated parameter block"
-        raw[4:6] = struct.pack("<H", version)
-        (tmp_path / "bad.csnn").write_bytes(bytes(raw))
+    @pytest.mark.parametrize("edit,message", [
+        (lambda raw: raw + b"\0", "trailing bytes after the last parameter block"),
+        (lambda raw: raw[:-8], "truncated parameter block head_b"),
+    ], ids=["appended", "cut"])
+    def test_mislabelled_layout_is_rejected(self, edit, message, tmp_path):
+        # blocks that do not fill the descriptor's layout exactly
+        (tmp_path / "bad.csnn").write_bytes(edit((DATA / "model_detect.csnn").read_bytes()))
         with pytest.raises(ConfigError, match=message):
             load_model(tmp_path / "bad.csnn")
 
