@@ -33,11 +33,11 @@ def read_json(value, kind, what: str, path: str = ""):
         names = {key.rstrip("?"): key for key in kind}
         unknown = [key for key in value if key not in names]
         missing = [key for key in kind if not key.endswith("?") and key not in value]
+        at = lambda key: f"{path}.{key}" if path else key
         if unknown or missing:
             raise ConfigError(f"{'unknown' if unknown else 'missing'} {what} key "
-                              f"{(unknown + missing)[0]!r}{f' in {path}' if path else ''}")
-        return {key: read_json(v, kind[names[key]], what, f"{path}.{key}" if path else key)
-                for key, v in value.items()}
+                              f"{at((unknown + missing)[0])!r}")
+        return {key: read_json(v, kind[names[key]], what, at(key)) for key, v in value.items()}
     if isinstance(kind, list):
         n = None if kind[-1] is ... else len(kind)
         if type(value) is not list or n not in (None, len(value)):

@@ -9,7 +9,7 @@ drop index) so every metric run is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,17 +45,22 @@ def paired_drop(
     return draw(scenario, rng, sigma, None if center is None else (center.x, center.y))
 
 
-def _paired_blocks(
-    scenario: Scenario, sigma: float, keys: Iterable[tuple[int, int, Point2D | None]]
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(first drop index, null tensors, target tensors, centers) of the paired
-    drops named by (master seed, index, center) keys, one block of drops at a time."""
-    lo = 0
+def _score_drops(
+    scenario: Scenario, sigma: float, keys: Iterable[tuple[int, int, Point2D | None]],
+    score: Callable[[int, np.ndarray, np.ndarray, np.ndarray], Sequence[np.ndarray]],
+) -> tuple[np.ndarray, ...]:
+    """Each of score's per-drop outputs over the paired drops named by (master
+    seed, index, center) keys, concatenated in key order.  The drops are
+    synthesised one block at a time and score(first drop index, null tensors,
+    target tensors, centers) is called once per block; a block's tensors are
+    dropped when its call returns."""
+    outputs, lo = [], 0
     for block in in_blocks(keys):
         rngs = streams(record_seeds([k[0] for k in block], [k[1] for k in block]))
-        yield lo, *synthesize(scenario, [paired_drop(scenario, sigma, *key, rng)
-                                         for key, rng in zip(block, rngs)])
+        outputs.append(score(lo, *synthesize(scenario, [paired_drop(scenario, sigma, *key, rng)
+                                                        for key, rng in zip(block, rngs)])))
         lo += len(block)
+    return tuple(np.concatenate(column) for column in zip(*outputs))
 
 
 def _decisions(
@@ -64,11 +69,8 @@ def _decisions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The false alarms and the misses of the detector at its threshold, one
     flag of each per paired drop."""
-    false_alarms, misses = [], []
-    for lo, null, alt, _ in _paired_blocks(scenario, sigma, keys):
-        false_alarms.append(model.predict(null, lo) >= model.threshold)
-        misses.append(model.predict(alt, lo) < model.threshold)
-    return np.concatenate(false_alarms), np.concatenate(misses)
+    return _score_drops(scenario, sigma, keys, lambda lo, null, alt, _: (
+        model.predict(null, lo) >= model.threshold, model.predict(alt, lo) < model.threshold))
 
 
 def detection_counts(
@@ -199,29 +201,23 @@ def drop_positions(
     Single-receiver scenarios and all-parallel bearing draws fall back to the
     midpoint of receiver 0's bearing segment inside the room, marked degraded.
     CNN estimates are clamped to the room (a non-finite one raises ConfigError
-    in TrainedModel.predict, before the clamp).
+    in TrainedModel.predict, before the clamp) and never degraded.
     Drops are made, scored and triangulated one block at a time.
     """
-    truths, net = [], []
-    per_bank = [([], []) for _ in banks]
-    keys = ((master_seed, i, None) for i in range(n_drops))
-    for lo, null, alt, centers in _paired_blocks(scenario, sigma, keys):
-        truths.append(centers)
-        for bank, (estimates, degraded) in zip(banks, per_bank):
-            xy, flags = estimate_positions(null, alt, scenario, bank, lo)
-            estimates.append(xy)
-            degraded.append(flags)
+    def score(lo, null, alt, centers):
+        out = [centers]
+        for bank in banks:
+            out += estimate_positions(null, alt, scenario, bank, lo)
         if model is not None:
-            net.append(np.minimum(np.maximum(model.predict(alt, lo), 0.0), scenario.room_side))
+            out += (np.minimum(np.maximum(model.predict(alt, lo), 0.0), scenario.room_side),
+                    np.zeros(len(alt), dtype=bool))
+        return out
 
-    truths = np.concatenate(truths)
-    results = [PositioningResult(truths, np.concatenate(estimates), bank.variant,
-                                 np.concatenate(degraded))
-               for bank, (estimates, degraded) in zip(banks, per_bank)]
-    if model is not None:
-        results.append(PositioningResult(truths, np.concatenate(net), "csisensenet",
-                                         np.zeros(n_drops, dtype=bool)))
-    return results
+    keys = ((master_seed, i, None) for i in range(n_drops))
+    truths, *columns = _score_drops(scenario, sigma, keys, score)
+    variants = [bank.variant for bank in banks] + ["csisensenet"] * (model is not None)
+    return [PositioningResult(truths, xy, variant, degraded)
+            for variant, xy, degraded in zip(variants, columns[0::2], columns[1::2])]
 
 
 def write_resolution_csv(fp: IO[str], curve: Sequence[tuple[float, float]], n: int) -> None:

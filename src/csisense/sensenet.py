@@ -152,7 +152,7 @@ def conv2d_backward(
     db = dflat.sum(axis=0)
     if not need_dx:
         return None, dw, db
-    dxp = np.zeros((n, h + 2 * pad, wid + 2 * pad, c))
+    dxp = np.zeros((n, h + 2 * pad, wid + 2 * pad, c), dtype=dout.dtype)
     for i in range(k):
         for j in range(k):
             dxp[:, i:i + ho, j:j + wo, :] += (dflat @ w[i, j].T).reshape(n, ho, wo, c)
@@ -182,7 +182,7 @@ def maxpool(x: np.ndarray, p: int, route: bool = True) -> tuple[np.ndarray, np.n
 def maxpool_backward(dout: np.ndarray, idx: np.ndarray, x_shape: tuple, p: int) -> np.ndarray:
     n, h, w, c = x_shape
     ho, wo = h // p, w // p
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dtype=dout.dtype)
     for q in range(p * p):
         np.multiply(dout, idx == q, out=dx[:, q // p: ho * p: p, q % p: wo * p: p, :])
     dx += 0.0      # the -0.0 of a negative dout times False reads +0.0
@@ -288,6 +288,7 @@ def loss_and_grads(
         raise ConfigError("empty batch")
     feats, cache = _trunk_forward(params, x)
     losses, _, dout = _head(params, feats, y)
+    dout = dout.astype(x.dtype, copy=False)     # _head's is float64, from the labels
     grads = {"head_w": feats.T @ dout, "head_b": dout.sum(axis=0)}
     _trunk_backward(params, cache, dout @ params.head_w.T, grads)
     return float(np.mean(losses)), grads

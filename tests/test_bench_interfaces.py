@@ -8,6 +8,7 @@ the operations of a `perfbench/run.py --trace 1` run.
 """
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from csisense import dataset as dataset_mod
 from csisense import metrics as metrics_mod
 from csisense import sensenet as nn
 from csisense.channel import Scenario
+from csisense.cli import main
 from csisense.frame import NormStats
 from csisense.geometry import Point2D
 
@@ -65,6 +67,22 @@ def test_paired_drop_is_called_with_its_key_by_position(monkeypatch, scenario):
     keys = [c.args[2:5] for c in calls]
     assert [k[:2] for k in keys] == [(5, 0), (5, 1), (keys[2][0], 0), (9, 0)]
     assert keys[2][2] == Point2D(1.0, 1.0) and keys[3][2] is None
+
+
+def test_commands_reach_the_traced_metrics_by_module_attribute(monkeypatch, scenario, tmp_path):
+    # the spans metrics.detection_counts and metrics.coverage_map wrap these names
+    # from outside, so eval and coverage must look them up on the module
+    model, where = tmp_path / "det.csnn", tmp_path / "tiny.json"
+    nn.save_model(model, detector(scenario))
+    where.write_text(json.dumps(scenario.to_dict()))
+    common = ["--model", str(model), "--scenario", str(where), "--sigma", "0.4"]
+    counts = recorder(monkeypatch, metrics_mod, "detection_counts")
+    maps = recorder(monkeypatch, metrics_mod, "coverage_map")
+    assert main(["eval", *common, "--drops", "2", "--out", str(tmp_path / "eval.csv")]) == 0
+    assert (len(counts), len(maps)) == (1, 0)
+    assert main(["coverage", *common, "--pitch", "2.0", "--drops-per-bin", "1",
+                 "--out", str(tmp_path / "coverage.csv")]) == 0
+    assert (len(counts), len(maps)) == (1, 1)
 
 
 def test_model_built_and_stepped_as_the_worker_does():

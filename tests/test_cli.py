@@ -250,7 +250,9 @@ class TestGen:
             manifest["scenario"] = scenario
             manifest_path.write_text(json.dumps(manifest))
             argv = ["train", "--data", data, "--epochs", "1", "--out", str(out)]
-            needles.append(f"{manifest_path}: malformed manifest: ")
+            # a key is named by its path in the manifest
+            needles = [message.replace("key '", "key 'scenario."),
+                       f"{manifest_path}: malformed manifest: "]
         capsys.readouterr()
         assert main(argv) == EXIT_CONFIG
         assert_one_line_error(capsys, *needles)
@@ -973,6 +975,10 @@ class TestBadDataset:
     @pytest.mark.parametrize("change,message", [
         (lambda m: m.pop("protocol"), "missing manifest key 'protocol'"),
         (lambda m: m.update(bogus=1), "unknown manifest key 'bogus'"),
+        (lambda m: m["scenario"].update(tx_omni=True), "unknown manifest key 'scenario.tx_omni'"),
+        (lambda m: m["scenario"]["receivers"][0].update(bogus=1),
+         "unknown manifest key 'scenario.receivers[0].bogus'"),
+        (lambda m: m["scenario"].pop("name"), "missing manifest key 'scenario.name'"),
         (lambda m: m.update(split_fractions=["a", "b"]),
          "split_fractions[0] must be a JSON number, got 'a'"),
         (lambda m: m.update(split_fractions=[1.0]),
@@ -991,7 +997,8 @@ class TestBadDataset:
         (lambda m: m.update(split_fractions=[0.5, 0.5]),
          "split_fractions must be [0.7, 0.3], got [0.5, 0.5]: train --val-frac sets the split"),
         (lambda m: m.update(bin_jitter=True), "bin_jitter with protocol 'resolution'"),
-    ], ids=["no-protocol", "unknown-key", "str-split_fractions", "one-split_fraction",
+    ], ids=["no-protocol", "unknown-key", "unknown-scenario-key", "unknown-receiver-key",
+            "no-scenario-name", "str-split_fractions", "one-split_fraction",
             "null-n_per_hyp", "zero-n_per_hyp", "unknown-protocol", "nan-sigma", "zero-sigma",
             "negative-sigma", "binned-without-pitch", "resolution-with-pitch",
             "negative-master_seed", "zero-count_null", "count_target-off-n_per_hyp",

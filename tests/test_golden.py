@@ -26,7 +26,7 @@ from csisense.channel import Scenario, link_geometry
 from csisense.cli import load_scenario
 from csisense.dataset import DatasetManifest, _generate_block
 from csisense.geometry import Point2D
-from csisense.metrics import _paired_blocks
+from csisense.metrics import _score_drops
 
 GOLDEN = Path(__file__).parent / "data" / "golden_frames.npz"
 TOLERANCE = 1e-12
@@ -97,7 +97,8 @@ def synthesize_cases(monkeypatch) -> dict[str, np.ndarray]:
         monkeypatch.setattr(module, "draw", spy)
     out: dict[str, np.ndarray] = {}
     for case, s, sigma, seed, index, center in _drop_cases():
-        _, null, alt, centers = next(_paired_blocks(s, sigma, [(seed, index, center)]))
+        null, alt, centers = _score_drops(s, sigma, [(seed, index, center)],
+                                          lambda lo, *drops: drops)
         out[f"{case}.center"] = centers[0]
         out[f"{case}.null"] = _matrix(null[0])
         out[f"{case}.alt"] = _matrix(alt[0])

@@ -15,7 +15,7 @@ from csisense.errors import ConfigError
 from csisense.frame import NormStats
 from csisense.metrics import (
     CoverageMap,
-    _paired_blocks,
+    _score_drops,
     accuracy_score,
     coverage_map,
     detection_counts,
@@ -114,9 +114,13 @@ class TestDrops:
     def test_paired_drop_deterministic(self):
         # a drop is a function of its (master seed, index), wherever it sits in a block
         s = tiny_scenario()
-        alone = next(_paired_blocks(s, 0.4, [(5, 0, None)]))
-        again = next(_paired_blocks(s, 0.4, [(2**64, 3, None), (5, 0, None)]))
-        assert alone[0] == again[0] == 0     # each block's first drop index
+
+        def walk(keys):
+            return _score_drops(s, 0.4, keys, lambda lo, *drops: ([lo], *drops))
+
+        alone = walk([(5, 0, None)])
+        again = walk([(2**64, 3, None), (5, 0, None)])
+        assert alone[0].tolist() == again[0].tolist() == [0]     # each block's first drop index
         for x, y in zip(alone[1:], again[1:]):
             assert np.array_equal(x[0], y[1])
 

@@ -6,8 +6,7 @@ Every artifact of `gen` (three protocols), `train` (detect and locate),
 On the numeric build recorded in `build.json` beside the fixtures every file
 must match byte for byte; on any other build counts, labels and headers must
 match exactly and floats within 1e-9.  On every build, `gen` repeated in
-blocks of 5 with CSISENSE_WORKERS=2 set, which no module reads, must rewrite
-the first run's files byte for byte.  The model
+blocks of 5 must rewrite the first run's files byte for byte.  The model
 files (630 KB each) are pinned by their SHA-256 in `digests.json`, checked on
 the recorded build; elsewhere their training logs and every output computed
 from them stand in for them.
@@ -130,8 +129,7 @@ def test_pipeline_matches_fixtures(tmp_path, monkeypatch):
     if exact:
         assert {name: sha256(tmp_path / "serial" / name) for name in digests} == digests
 
-    # Neither the block size nor CSISENSE_WORKERS, which no module reads, may change a byte.
-    monkeypatch.setenv("CSISENSE_WORKERS", "2")
+    # The block size may not change a byte.
     monkeypatch.setattr(dataset_mod, "BLOCK", 5)
     run(GEN, tmp_path / "rerun")
     gen_names = artifacts(tmp_path / "rerun")

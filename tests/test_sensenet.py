@@ -17,6 +17,7 @@ from csisense.sensenet import (
     PARAM_FIELDS,
     POOL,
     Architecture,
+    ModelParams,
     TrainConfig,
     TrainedModel,
     _adam_step,
@@ -440,6 +441,24 @@ class TestInferencePrecision:
         got = _eval_loss(params, x, y)
         assert got == _eval_loss(params, x.astype(float), y.astype(float))
         assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("loss", ["bce", "mse"])
+    def test_float32_parameters_give_float32_gradients(self, loss):
+        # every field stays within 1e-5 of its largest float64 gradient (~85
+        # float32 roundings); 1.5e-6 was the largest seen over five seeds
+        rng = np.random.default_rng(20)
+        params = init_params(self.ARCH, 8, TASK[loss])
+        single = ModelParams(params.arch, params.task,
+                             *[a.astype(np.float32) for _, a in params.items()])
+        n = 32
+        x = rng.standard_normal((n,) + self.ARCH.input_shape)
+        y = rng.integers(0, 2, n) if loss == "bce" else rng.uniform(0, 5, (n, 2))
+        _, ref_grads = loss_and_grads(params, (x, y), loss)
+        value, grads = loss_and_grads(single, (x, y), loss)
+        assert type(value) is float and set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            assert grads[name].dtype == np.float32, name
+            assert np.abs(grads[name] - ref).max() <= 1e-5 * np.abs(ref).max(), name
 
 
 class TestInit:
