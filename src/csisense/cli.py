@@ -1,6 +1,8 @@
 """Command-line surface: dataset generation, training, evaluation, baselines.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numeric failure.
+A flag's value is checked as it is parsed, by the `type=` converter it is
+declared with; the commands check only rules between flags and the model's task.
 All randomness flows from --seed; repeating a command with the same seed
 rewrites byte-identical artifacts.  Argv, the files it names and the
 packaged presets are the only inputs: no environment variable is read.
@@ -63,26 +65,51 @@ def _scenario_with(args, scenario: Scenario) -> Scenario:
     return dataclasses.replace(scenario, **kwargs) if kwargs else scenario
 
 
-def _add_variant_flags(p: argparse.ArgumentParser) -> None:
+def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scenario", default="scenario1")
     p.add_argument("--no-los", action="store_true", help="disable the direct path")
+    # Scenario checks these two and names the key they override
     p.add_argument("--snr-db", type=float, default=None, help="measurement SNR in dB")
     p.add_argument("--scatter-coeff", type=float, default=None,
                    help="target scattering coefficient")
 
 
-def _check_count(flag: str, count: int | None) -> None:
-    if count is not None and count < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {count}")
+def number(flag: str, parse=float, low: float = -math.inf, high: float = math.inf):
+    """An argparse type holding `flag`'s value to [low, high], and a float to
+    finite values (NaN fails every comparison); the message names only the finite
+    bounds.  Text `parse` cannot read keeps argparse's "invalid int value" error."""
+    def convert(text: str):
+        value = parse(text)
+        if not (low <= value <= high) or abs(value) == math.inf:
+            bounds = (f" in [{low:g}, {high:g}]" if math.isfinite(high)
+                      else f" >= {low:g}" if math.isfinite(low) else "")
+            kind = "" if parse is int else " a finite number"
+            raise ConfigError(f"{flag} must be{kind}{bounds}, got {value}")
+        return value
+    convert.__name__ = parse.__name__
+    return convert
 
 
-def _check_float(flag: str, value: float | None, low: float = -math.inf,
-                 high: float = math.inf) -> None:
-    """A float flag must be finite and in [low, high]; NaN fails every comparison.
-    The message names only the finite bounds."""
-    if value is not None and not (math.isfinite(value) and low <= value <= high):
-        bounds = (f" in [{low:g}, {high:g}]" if math.isfinite(high)
-                  else f" >= {low:g}" if math.isfinite(low) else "")
-        raise ConfigError(f"{flag} must be a finite number{bounds}, got {value}")
+def size(text: str) -> float:
+    """--sigma, a target diameter: finite and > 0."""
+    value = float(text)
+    dataset_mod.check_sigma(value, "--sigma")
+    return value
+
+
+size.__name__ = "float"  # argparse's "invalid float value" names the type
+
+
+def sizes(text: str) -> list[float]:
+    """--sigmas: comma-separated target diameters, sorted.  It raises
+    ConfigError, as argparse would turn a ValueError into its own message."""
+    try:
+        values = sorted(float(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--sigmas must be comma-separated numbers, got {text!r}") from None
+    for value in values:
+        dataset_mod.check_sigma(value, "--sigmas")
+    return values
 
 
 def _load_model(path: str, task: str | None = None, use: str = "") -> nn.TrainedModel:
@@ -94,9 +121,8 @@ def _load_model(path: str, task: str | None = None, use: str = "") -> nn.Trained
 
 
 def cmd_gen(args) -> int:
-    dataset_mod.check_sigma(args.sigma, "--sigma")
-    _check_count("--n", args.n)
-    _check_float("--pitch", args.pitch)
+    if args.paper_scale and args.n is not None:
+        raise ConfigError("--paper-scale sets --n; give one of them")
     scenario = _scenario_with(args, load_scenario(args.scenario))
     if args.protocol == "resolution":
         for flag, given in (("--pitch", args.pitch is not None), ("--bin-jitter", args.bin_jitter)):
@@ -121,8 +147,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_float("--lr", args.lr, low=0.0)
-    _check_float("--val-frac", args.val_frac, low=0.0, high=1.0)
     ds = dataset_mod.load_dataset(args.data)
     train_model, log = fit(
         ds,
@@ -183,23 +207,13 @@ def fit(
 
 
 def cmd_eval(args) -> int:
-    try:
-        sigmas = sorted(float(s) for s in args.sigmas.split(",")) if args.sigmas else []
-    except ValueError:
-        raise ConfigError(f"--sigmas must be comma-separated numbers, "
-                          f"got {args.sigmas!r}") from None
+    sigmas = args.sigmas  # sorted, or None
     if sigmas and args.sigma is not None:
         raise ConfigError("--sigma does not apply to a --sigmas sweep")
     if not sigmas and args.gamma is not None:
         raise ConfigError("--gamma applies only to a --sigmas sweep")
     sigma = 0.8 if args.sigma is None else args.sigma
     gamma = 0.9 if args.gamma is None else args.gamma
-    dataset_mod.check_sigma(sigma, "--sigma")
-    for s in sigmas:
-        dataset_mod.check_sigma(s, "--sigmas")
-    _check_count("--drops", args.drops)
-    _check_float("--threshold", args.threshold, 0.0, 1.0)
-    _check_float("--gamma", gamma, 0.0, 1.0)
     # --sigmas and --threshold score detections, so they need a detect model
     flag = "--sigmas" if sigmas else "--threshold" if args.threshold is not None else None
     model = _load_model(args.model, "detect" if flag else None, flag or "")
@@ -236,10 +250,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    dataset_mod.check_sigma(args.sigma, "--sigma")
-    _check_count("--drops-per-bin", args.drops_per_bin)
-    _check_float("--threshold", args.threshold, 0.0, 1.0)
-    _check_float("--pitch", args.pitch)
+    if args.paper_scale and args.drops_per_bin is not None:
+        raise ConfigError("--paper-scale sets --drops-per-bin; give one of them")
     model = _load_model(args.model, "detect", "coverage")
     if args.threshold is not None:
         model.threshold = args.threshold
@@ -259,8 +271,6 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    dataset_mod.check_sigma(args.sigma, "--sigma")
-    _check_count("--drops", args.drops)
     scenario = _scenario_with(args, load_scenario(args.scenario))
     banks = []
     if args.variant in ("swept7", "both"):
@@ -282,91 +292,80 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="csisense",
                                 description="Multistatic passive-sensing simulator")
     sub = p.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=number("--seed", int, 0), default=0)
+    common.add_argument("--out", required=True)
 
-    g = sub.add_parser("gen", help="generate a dataset")
-    g.add_argument("--scenario", default="scenario1")
+    g = sub.add_parser("gen", parents=[common], help="generate a dataset")
     g.add_argument("--protocol", choices=dataset_mod.PROTOCOLS, default="resolution")
-    g.add_argument("--sigma", type=float, default=0.8)
-    g.add_argument("--n", type=int, default=None,
+    g.add_argument("--sigma", type=size, default=0.8)
+    g.add_argument("--n", type=number("--n", int, 1), default=None,
                    help="records per hypothesis (resolution) or per bin (binned)")
-    g.add_argument("--pitch", type=float, default=None,
+    g.add_argument("--pitch", type=number("--pitch"), default=None,
                    help=f"bin pitch of the binned protocols (default {dataset_mod.BIN_PITCH})")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
     g.add_argument("--paper-scale", action="store_true")
     g.add_argument("--bin-jitter", action="store_true",
                    help="jitter binned target positions uniformly within each bin")
-    _add_variant_flags(g)
+    _add_scenario_flags(g)
     g.set_defaults(func=cmd_gen)
 
-    t = sub.add_parser("train", help="train a detection or positioning model")
+    t = sub.add_parser("train", parents=[common],
+                       help="train a detection or positioning model")
     t.add_argument("--data", required=True)
     t.add_argument("--task", choices=("detect", "locate"), default="detect")
-    t.add_argument("--out", required=True)
     t.add_argument("--log", default=None)
-    t.add_argument("--epochs", type=int, default=40)
-    t.add_argument("--batch", type=int, default=32)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--patience", type=int, default=0)
-    t.add_argument("--val-frac", type=float, default=dataset_mod.VAL_FRACTION,
+    t.add_argument("--epochs", type=number("--epochs", int, 1), default=40)
+    t.add_argument("--batch", type=number("--batch", int, 1), default=32)
+    t.add_argument("--lr", type=number("--lr", low=0.0), default=1e-3)
+    t.add_argument("--patience", type=number("--patience", int, 0), default=0)
+    t.add_argument("--val-frac", type=number("--val-frac", low=0.0, high=1.0),
+                   default=dataset_mod.VAL_FRACTION,
                    help=f"validation share of the split (default {dataset_mod.VAL_FRACTION})")
     t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a trained model on fresh drops")
+    e = sub.add_parser("eval", parents=[common],
+                       help="evaluate a trained model on fresh drops")
     e.add_argument("--model", required=True)
-    e.add_argument("--scenario", default="scenario1")
-    e.add_argument("--sigma", type=float, default=None,
+    e.add_argument("--sigma", type=size, default=None,
                    help="target size without --sigmas (default 0.8)")
-    e.add_argument("--sigmas", default=None,
+    e.add_argument("--sigmas", type=sizes, default=None,
                    help="comma-separated sizes for a resolution sweep")
-    e.add_argument("--gamma", type=float, default=None,
+    e.add_argument("--gamma", type=number("--gamma", low=0.0, high=1.0), default=None,
                    help="accuracy the --sigmas sweep must exceed (default 0.9)")
-    e.add_argument("--drops", type=int, default=None,
+    e.add_argument("--drops", type=number("--drops", int, 1), default=None,
                    help="default 700 for detection, 1000 for positioning")
-    e.add_argument("--threshold", type=float, default=None,
+    e.add_argument("--threshold", type=number("--threshold", low=0.0, high=1.0), default=None,
                    help="detection threshold override (default 0.5)")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out", required=True)
-    _add_variant_flags(e)
+    _add_scenario_flags(e)
     e.set_defaults(func=cmd_eval)
 
-    c = sub.add_parser("coverage", help="spatial accuracy map")
+    c = sub.add_parser("coverage", parents=[common], help="spatial accuracy map")
     c.add_argument("--model", required=True)
-    c.add_argument("--scenario", default="scenario1")
-    c.add_argument("--sigma", type=float, default=0.8)
-    c.add_argument("--pitch", type=float, default=dataset_mod.BIN_PITCH)
-    c.add_argument("--drops-per-bin", type=int, default=None)
-    c.add_argument("--threshold", type=float, default=None,
+    c.add_argument("--sigma", type=size, default=0.8)
+    c.add_argument("--pitch", type=number("--pitch"), default=dataset_mod.BIN_PITCH)
+    c.add_argument("--drops-per-bin", type=number("--drops-per-bin", int, 1), default=None)
+    c.add_argument("--threshold", type=number("--threshold", low=0.0, high=1.0), default=None,
                    help="detection threshold override (default 0.5)")
     c.add_argument("--paper-scale", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", required=True)
     c.add_argument("--pgm", default=None)
-    _add_variant_flags(c)
+    _add_scenario_flags(c)
     c.set_defaults(func=cmd_coverage)
 
-    b = sub.add_parser("baseline", help="angle-based positioning baseline")
-    b.add_argument("--scenario", default="scenario1")
-    b.add_argument("--sigma", type=float, default=0.8)
-    b.add_argument("--drops", type=int, default=500)
+    b = sub.add_parser("baseline", parents=[common], help="angle-based positioning baseline")
+    b.add_argument("--sigma", type=size, default=0.8)
+    b.add_argument("--drops", type=number("--drops", int, 1), default=500)
     b.add_argument("--variant", choices=("swept7", "overlapped180", "both"),
                    default="both")
     b.add_argument("--model", default=None,
                    help="optional positioning model compared on identical drops")
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", required=True)
-    _add_variant_flags(b)
+    _add_scenario_flags(b)
     b.set_defaults(func=cmd_baseline)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, NonFiniteLoss, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

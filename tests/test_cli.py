@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import math
@@ -370,7 +371,8 @@ class TestTrainEvalFlow:
         assert rc == 0
         assert "over 700 drops/hypothesis" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--patience", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--patience", "-1"),
+                                            ("--batch", "0")])
     def test_invalid_training_length_exits_2(self, tmp_path, dataset_dir, capsys,
                                              flag, value):
         model = tmp_path / "m.csnn"
@@ -378,6 +380,7 @@ class TestTrainEvalFlow:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {flag} must be >= ") and err.endswith(f", got {value}\n")
         assert not model.exists()
 
     def test_truncated_model_exits_2(self, tmp_path, scenario_file, capsys):
@@ -671,12 +674,48 @@ class TestBadFlags:
         assert_one_line_error(capsys, "error: --sigma does not apply to a --sigmas sweep\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("sigmas", ["0.4,,0.6", "0.4,big", ","])
+    @pytest.mark.parametrize("sigmas", ["0.4,,0.6", "0.4,big", ",", ""])
     def test_unreadable_sigmas_exits_2(self, tmp_path, commands, capsys, sigmas):
         assert main(commands["eval"] + ["--sigmas", sigmas]) == EXIT_CONFIG
         assert_one_line_error(capsys, f"error: --sigmas must be comma-separated numbers, "
                                       f"got {sigmas!r}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag", [("gen", "--n"), ("coverage", "--drops-per-bin")])
+    def test_paper_scale_with_an_explicit_count_exits_2(self, tmp_path, commands, capsys,
+                                                        command, flag):
+        # the count used to win and --paper-scale was silently ignored
+        assert main(commands[command] + ["--paper-scale"]) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"error: --paper-scale sets {flag}; give one of them\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,message", [
+        ("gen", "--n", "invalid int value: 'abc'"),
+        ("train", "--lr", "invalid float value: 'abc'"),
+        ("eval", "--seed", "invalid int value: 'abc'"),
+        ("gen", "--sigma", "invalid float value: 'abc'"),
+    ])
+    def test_non_numeric_value_keeps_the_argparse_error(self, tmp_path, commands, capsys,
+                                                        command, flag, message):
+        with pytest.raises(SystemExit) as exc:
+            main(commands[command] + [flag, "abc"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_numeric_flag_is_checked_where_it_is_declared(self):
+        # Scenario checks --snr-db and --scatter-coeff and names the key they override
+        # (test_snr_beyond_the_float_range_exits_2 pins that message)
+        unchecked = {"--snr-db", "--scatter-coeff"}
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        bare = sorted({(name, action.option_strings[-1])
+                       for name, command in subparsers.choices.items()
+                       for action in command._actions
+                       if action.type in (int, float)
+                       and action.option_strings[-1] not in unchecked})
+        assert not bare, f"flags parsed by the bare int or float: {bare}"
 
     def test_eval_sigma_and_gamma_defaults(self, tmp_path, commands, capsys):
         assert main(commands["eval"]) == 0
