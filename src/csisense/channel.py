@@ -55,11 +55,8 @@ class Receiver:
 
     position: Point2D
     boresight: float
-    n_antennas: int = 8
 
     def __post_init__(self):
-        if self.n_antennas < 1:
-            raise ConfigError(f"receiver needs >= 1 antenna, got {self.n_antennas}")
         if not math.isfinite(self.boresight):
             raise ConfigError(f"receiver boresight must be finite, got {self.boresight}")
         object.__setattr__(self, "boresight", float(wrap_angles(self.boresight)))
@@ -72,6 +69,7 @@ class Scenario:
     name: str
     tx: Point2D
     receivers: tuple[Receiver, ...]
+    n_antennas: int = 8    # elements of every receiver's array
     room_side: float = 5.0
     beam_angles: tuple[float, ...] = DEFAULT_BEAM_ANGLES
     n_clusters: int = 3
@@ -79,7 +77,6 @@ class Scenario:
     n_scatter: int = 1
     cluster_spread_deg: float = 5.0
     grid_pitch: float = 0.25
-    include_los: bool = True
     los_gain: float = 1.0
     scatter_coeff: float = 1.0
     snr_db: float = 20.0
@@ -101,12 +98,10 @@ class Scenario:
             raise ConfigError(f"room side must be > 0, got {self.room_side}")
         if not self.receivers:
             raise ConfigError("scenario needs at least one receiver")
-        counts = {rx.n_antennas for rx in self.receivers}
-        if len(counts) != 1:
-            raise ConfigError(f"receivers must share an antenna count, got {sorted(counts)}")
         tiles_per_side(self.room_side, self.grid_pitch)     # a bounded tiling of the room
-        if self.n_clusters < 1 or self.n_rays < 1 or self.n_scatter < 0:
-            raise ConfigError("need n_clusters >= 1, n_rays >= 1, n_scatter >= 0")
+        if self.n_antennas < 1 or self.n_clusters < 1 or self.n_rays < 1 or self.n_scatter < 0:
+            raise ConfigError("need n_antennas >= 1, n_clusters >= 1, n_rays >= 1, "
+                              "n_scatter >= 0")
         size = self.n_links * self.n_antennas * self.n_beams * (self.n_clusters * self.n_rays + 1)
         if size > MAX_RESPONSE_SIZE:
             raise ConfigError(f"{size} beam response values (receivers x n_antennas x beam_angles"
@@ -132,10 +127,6 @@ class Scenario:
         return len(self.receivers)
 
     @property
-    def n_antennas(self) -> int:
-        return self.receivers[0].n_antennas
-
-    @property
     def n_beams(self) -> int:
         return len(self.beam_angles)
 
@@ -153,8 +144,7 @@ class Scenario:
         """One key per field; tx, receivers and beam_angles in their JSON forms."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["tx"] = [self.tx.x, self.tx.y]
-        d["receivers"] = [{"position": [rx.position.x, rx.position.y],
-                           "boresight": rx.boresight, "n_antennas": rx.n_antennas}
+        d["receivers"] = [{"position": [rx.position.x, rx.position.y], "boresight": rx.boresight}
                           for rx in self.receivers]
         d["beam_angles"] = list(self.beam_angles)
         return d
@@ -168,12 +158,12 @@ class Scenario:
 
 
 # The JSON kind of each scenario key (errors.read_json); one left out takes its default.
-RECEIVER_KINDS = {"position": [float, float], "boresight": float, "n_antennas?": int}
+RECEIVER_KINDS = {"position": [float, float], "boresight": float}
 SCENARIO_KINDS = {
-    "name": str, "tx": [float, float], "receivers": [RECEIVER_KINDS, ...], "room_side?": float,
-    "beam_angles?": [float, ...], "n_clusters?": int, "n_rays?": int, "n_scatter?": int,
-    "cluster_spread_deg?": float, "grid_pitch?": float, "include_los?": bool,
-    "los_gain?": float, "scatter_coeff?": float, "snr_db?": float, "env_seed?": int,
+    "name": str, "tx": [float, float], "receivers": [RECEIVER_KINDS, ...], "n_antennas?": int,
+    "room_side?": float, "beam_angles?": [float, ...], "n_clusters?": int, "n_rays?": int,
+    "n_scatter?": int, "cluster_spread_deg?": float, "grid_pitch?": float, "los_gain?": float,
+    "scatter_coeff?": float, "snr_db?": float, "env_seed?": int,
 }
 
 
@@ -274,7 +264,7 @@ class LinkGeometry:
     """Fixed arrays of a deployment's links, built once per scenario by link_geometry.
 
     Each link has R = n_clusters * n_rays bounce rays, cluster-major, and the
-    direct path as ray R (amplitude 0 when the scenario has no LOS).  Since
+    direct path as ray R (amplitude 0 when los_gain is 0).  Since
     only the gains change between realizations, a capture is one product of
     `response` with the (L, R+1) gain vector, plus the target echo and noise.
     """
@@ -282,7 +272,7 @@ class LinkGeometry:
     scenario: Scenario
     aoa: np.ndarray          # (L, R+1) receiver-local arrival angles
     scatter: np.ndarray      # (L, R, 2) bounce points
-    los_amp: np.ndarray      # (L,) direct-path amplitude los_gain / distance, or 0
+    los_amp: np.ndarray      # (L,) direct-path amplitude los_gain / distance
     ray_sd: np.ndarray       # (R,) standard deviation of each bounce gain's real and imag part
     response: np.ndarray     # (L, N_r, B, R+1) beam_response of aoa, path axis last
     beam_conj: np.ndarray    # (B, N_r) conjugated beam steering vectors a(beam)^*
@@ -329,9 +319,7 @@ def link_geometry(scenario: Scenario) -> LinkGeometry:
         raise ConfigError(f"link {l}: bounce point ({x}, {y}) lands on its receiver")
     boresight = np.array([rx.boresight for rx in s.receivers])
     aoa = wrap_angles(np.arctan2(to_rx[..., 1], to_rx[..., 0]) - boresight[:, None])
-    los_amp = np.zeros(n_links)
-    if s.include_los:
-        los_amp[:] = s.los_gain / np.hypot(tx[0] - rx_xy[:, 0, 0], tx[1] - rx_xy[:, 0, 1])
+    los_amp = s.los_gain / np.hypot(tx[0] - rx_xy[:, 0, 0], tx[1] - rx_xy[:, 0, 1])
 
     weights = np.exp(-np.arange(1, n_cl + 1, dtype=float))
     ray_sd = np.repeat(np.sqrt(weights / (n_ray * weights.sum()) / 2.0), n_ray)

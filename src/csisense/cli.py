@@ -54,10 +54,10 @@ def load_scenario(spec: str) -> Scenario:
 
 
 def _scenario_with(args, scenario: Scenario) -> Scenario:
-    """Apply variant flags (LOS, SNR, scattering coefficient) on top of a config."""
+    """Apply variant flags on top of a config; --no-los sets los_gain to 0."""
     kwargs = {}
     if args.no_los:
-        kwargs["include_los"] = False
+        kwargs["los_gain"] = 0.0
     if args.snr_db is not None:
         kwargs["snr_db"] = args.snr_db
     if args.scatter_coeff is not None:
@@ -67,7 +67,7 @@ def _scenario_with(args, scenario: Scenario) -> Scenario:
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", default="scenario1")
-    p.add_argument("--no-los", action="store_true", help="disable the direct path")
+    p.add_argument("--no-los", action="store_true", help="disable the direct path (los_gain 0)")
     # Scenario checks these two and names the key they override
     p.add_argument("--snr-db", type=float, default=None, help="measurement SNR in dB")
     p.add_argument("--scatter-coeff", type=float, default=None,

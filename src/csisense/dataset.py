@@ -53,7 +53,7 @@ BLOCK = 64
 CHECK_ROWS = 1024
 
 
-VAL_FRACTION = 0.3    # train --val-frac's default; manifest.json records its split
+VAL_FRACTION = 0.3    # train --val-frac's default validation share
 
 
 @dataclass
@@ -86,12 +86,11 @@ class DatasetManifest:
                               f"protocols jitter")
 
     def to_dict(self) -> dict:
-        """One key per field, the scenario in its JSON form, and the keys
-        DERIVED_KEYS names, which every set has as n_per_hyp and the split."""
+        """One key per field, the scenario in its JSON form, and the counts
+        DERIVED_KEYS names, both n_per_hyp in every set."""
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "scenario": self.scenario.to_dict(), "count_null": self.n_per_hyp,
-                "count_target": self.n_per_hyp,
-                "split_fractions": [1.0 - VAL_FRACTION, VAL_FRACTION]}
+                "count_target": self.n_per_hyp}
 
     @staticmethod
     def from_dict(d, source: str = "manifest") -> "DatasetManifest":
@@ -115,13 +114,12 @@ class DatasetManifest:
 # The JSON kind of each manifest key (errors.read_json); one left out takes its default.
 MANIFEST_KINDS = {
     "scenario": SCENARIO_KINDS, "protocol": str, "sigma": float, "n_per_hyp": int,
-    "master_seed": int, "grid_pitch?": float | None, "split_fractions?": [float, float],
-    "bin_jitter?": bool, "count_null?": int, "count_target?": int,
+    "master_seed": int, "grid_pitch?": float | None, "bin_jitter?": bool,
+    "count_null?": int, "count_target?": int,
 }
 # manifest.json keys that are not fields: each has one value per set, given with why
 DERIVED_KEYS = {"count_null": "a set holds n_per_hyp null records",
-                "count_target": "a set holds n_per_hyp target records",
-                "split_fractions": "train --val-frac sets the split"}
+                "count_target": "a set holds n_per_hyp target records"}
 
 
 @dataclass

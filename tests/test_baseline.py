@@ -21,8 +21,8 @@ def two_link_scenario() -> Scenario:
         name="b",
         tx=[0.0, 2.5],
         receivers=[
-            {"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 8},
-            {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 8},
+            {"position": [5.0, 2.5], "boresight": math.pi},
+            {"position": [2.5, 0.0], "boresight": math.pi / 2},
         ],
         snr_db=float("inf"),
     ))
@@ -50,7 +50,7 @@ def oracle_estimate(null, alt, scenario, bank):
     all-parallel bearings or one receiver fall back to receiver 0's midpoint."""
     lines = []   # (origin, angle) of each receiver's bearing
     for l, rx in enumerate(scenario.receivers):
-        rows = slice(l * rx.n_antennas, (l + 1) * rx.n_antennas)
+        rows = slice(l * scenario.n_antennas, (l + 1) * scenario.n_antennas)
         profile = direct_attenuation(bank, null[rows, :, 0] + 1j * null[rows, :, 1],
                                      alt[rows, :, 0] + 1j * alt[rows, :, 1])
         tied = np.flatnonzero(profile == profile.max())
@@ -150,7 +150,7 @@ class TestEstimatePosition:
         # in-room midpoint, marked degraded
         s = Scenario.from_dict(dict(
             name="one", tx=[0.0, 2.5],
-            receivers=[{"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 8}],
+            receivers=[{"position": [5.0, 2.5], "boresight": math.pi}],
         ))
         rng = np.random.default_rng(3)
         blk = [rng.standard_normal((8, 7)) + 0j]

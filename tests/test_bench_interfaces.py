@@ -43,7 +43,7 @@ def recorder(monkeypatch, module, name) -> list[inspect.BoundArguments]:
 def scenario() -> Scenario:
     return Scenario.from_dict(dict(
         name="tiny", tx=[0.0, 0.5], room_side=2.0, beam_angles=[-0.8, 0.0, 0.8],
-        receivers=[{"position": [2.0, 1.0], "boresight": math.pi, "n_antennas": 4}],
+        receivers=[{"position": [2.0, 1.0], "boresight": math.pi}], n_antennas=4,
         grid_pitch=0.5,
     ))
 

@@ -30,8 +30,8 @@ def small_scenario(**overrides) -> Scenario:
         name="test",
         tx=[0.0, 2.5],
         receivers=[
-            {"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 8},
-            {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 8},
+            {"position": [5.0, 2.5], "boresight": math.pi},
+            {"position": [2.5, 0.0], "boresight": math.pi / 2},
         ],
         snr_db=float("inf"),
     )
@@ -167,14 +167,14 @@ class TestDrawNullRays:
         assert np.all(np.count_nonzero(gains, axis=1) == 16)
         for l, rx in enumerate(s.receivers):
             assert gains[l, -1] == complex(s.los_gain / distance(s.tx, rx.position), 0.0)
-        gains = gains_of(small_scenario(include_los=False), 0)
+        gains = gains_of(small_scenario(los_gain=0.0), 0)
         assert np.all(np.count_nonzero(gains, axis=1) == 15)
         assert np.all(gains[:, -1] == 0)
 
     def test_mean_path_power_normalized(self):
         # Monte-Carlo check of the unit-power convention on the stochastic rays.
         s = small_scenario(receivers=[{"position": [5.0, 2.5], "boresight": math.pi}],
-                           include_los=False)
+                           los_gain=0.0)
         total = 0.0
         n = 10000
         for i in range(n):
@@ -438,7 +438,8 @@ class TestScenarioConfig:
             small_scenario(beam_angles=[0.5, -0.5])
 
     def test_mixed_antenna_counts_rejected(self):
-        with pytest.raises(ConfigError):
+        # n_antennas is the scenario's one count: a receiver has no count to differ
+        with pytest.raises(ConfigError, match=r"unknown scenario key 'receivers\[0\]\.n_antennas'"):
             small_scenario(receivers=[
                 {"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 8},
                 {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 4},
@@ -466,11 +467,11 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             small_scenario(tx=[-1.0, 2.5])
 
-    @pytest.mark.parametrize("include_los", [True, False])
-    def test_receiver_on_transmitter_rejected(self, include_los):
+    @pytest.mark.parametrize("los", [True, False])
+    def test_receiver_on_transmitter_rejected(self, los):
         # its direct path has no length: a 1/0 amplitude and degenerate legs
         with pytest.raises(ConfigError, match="coincides with the transmitter"):
-            small_scenario(include_los=include_los,
+            small_scenario(los_gain=1.0 if los else 0.0,
                            receivers=[{"position": [0.0, 2.5], "boresight": 0.0}])
 
     def test_tiling_bound(self):

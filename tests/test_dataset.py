@@ -42,7 +42,8 @@ def fast_scenario(**overrides) -> Scenario:
     cfg = dict(
         name="fast",
         tx=[0.0, 2.5],
-        receivers=[{"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 4}],
+        receivers=[{"position": [5.0, 2.5], "boresight": math.pi}],
+        n_antennas=4,
         beam_angles=[-1.0, 0.0, 1.0],
     )
     cfg.update(overrides)
@@ -190,8 +191,7 @@ class TestBinnedSet:
 
     def test_single_bin_room(self):
         s = fast_scenario(tx=[0.0, 0.0],
-                          receivers=[{"position": [5.0, 5.0], "boresight": math.pi,
-                                      "n_antennas": 4}],
+                          receivers=[{"position": [5.0, 5.0], "boresight": math.pi}],
                           beam_angles=[0.0])
         centers = valid_bin_centers(s, 0.8, 5.0)
         assert centers.tolist() == [[2.5, 2.5]]
@@ -321,15 +321,13 @@ class TestPersistence:
         written = json.loads((tmp_path / "d" / "manifest.json").read_text())
         n = written["n_per_hyp"]
         assert (written["count_null"], written["count_target"]) == (n, n)
-        assert written["split_fractions"] == [0.7, 0.3]
-        for key in ("count_null", "count_target", "split_fractions"):
+        for key in ("count_null", "count_target"):
             assert DatasetManifest.from_dict({k: v for k, v in written.items() if k != key}) \
                 == load_dataset(tmp_path / "d").manifest
 
     @pytest.mark.parametrize("key,value,shown", [
         ("count_null", 0, "count_null must be 6, got 0"),
         ("count_target", 7, "count_target must be 6, got 7"),
-        ("split_fractions", [0.5, 0.5], "split_fractions must be [0.7, 0.3], got [0.5, 0.5]"),
     ])
     def test_derived_key_off_its_value_rejected(self, tmp_path, key, value, shown):
         # a manifest counting 0 null records once described an empty set
@@ -359,8 +357,8 @@ class TestBlocks:
     @pytest.mark.parametrize("block", [1, 7])
     def test_datasets_independent_of_block_size(self, tmp_path, monkeypatch, block):
         s = fast_scenario(receivers=[
-            {"position": [5.0, 2.5], "boresight": math.pi, "n_antennas": 4},
-            {"position": [2.5, 0.0], "boresight": math.pi / 2, "n_antennas": 4},
+            {"position": [5.0, 2.5], "boresight": math.pi},
+            {"position": [2.5, 0.0], "boresight": math.pi / 2},
         ])
         build = [lambda: on_disk(tmp_path, gen_resolution_set, s, 0.8, 9, 3),
                  lambda: on_disk(tmp_path, gen_binned_set, s, 0.8, 2, 1.25, 4, bin_jitter=True)]

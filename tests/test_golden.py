@@ -49,7 +49,7 @@ def _drop_cases():
         cases += [(f"{name}-{i}", s, 0.8, 11, i, None) for i in range(8)]
     s1 = _scenario("scenario1")
     cases += [(f"fixed-{i}", s1, 0.5, 7, i, Point2D(1.75, 3.25)) for i in range(2)]
-    cases += [(f"nolos-{i}", _scenario("scenario1", include_los=False), 0.8, 3, i, None)
+    cases += [(f"nolos-{i}", _scenario("scenario1", los_gain=0.0), 0.8, 3, i, None)
               for i in range(2)]
     cases += [(f"noiseless-{i}", _scenario("scenario2", snr_db=math.inf), 1.2, 5, i, None)
               for i in range(2)]

@@ -36,7 +36,8 @@ def tiny_scenario() -> Scenario:
         name="tiny",
         tx=[0.0, 0.5],
         room_side=2.0,
-        receivers=[{"position": [2.0, 1.0], "boresight": math.pi, "n_antennas": 4}],
+        receivers=[{"position": [2.0, 1.0], "boresight": math.pi}],
+        n_antennas=4,
         beam_angles=[-0.8, 0.0, 0.8],
         grid_pitch=0.5,
     ))
@@ -127,8 +128,8 @@ class TestDrops:
     @pytest.mark.parametrize("block", [1, 7])
     def test_positions_independent_of_block_size(self, monkeypatch, block):
         s = Scenario.from_dict({**tiny_scenario().to_dict(), "receivers": [
-            {"position": [2.0, 1.0], "boresight": math.pi, "n_antennas": 4},
-            {"position": [1.0, 0.0], "boresight": math.pi / 2, "n_antennas": 4}]})
+            {"position": [2.0, 1.0], "boresight": math.pi},
+            {"position": [1.0, 0.0], "boresight": math.pi / 2}]})
         banks = (swept_bank(s), overlapped_bank())
         want = drop_positions(s, 0.4, 20, 3, banks)
         monkeypatch.setattr(dataset_mod, "BLOCK", block)
