@@ -6,6 +6,8 @@ declared with; the commands check only rules between flags and the model's task.
 All randomness flows from --seed; repeating a command with the same seed
 rewrites byte-identical artifacts.  Argv, the files it names and the
 packaged presets are the only inputs: no environment variable is read.
+The training defaults live in `sensenet.TrainConfig`, whose fields the
+`train` flags default to; `fit` takes one.
 
 No command holds a dataset's frames all at once: `gen` writes each block of
 records as it is made and manifest.json last, `train` reads only its split's
@@ -43,18 +45,18 @@ EXIT_NUMERIC = 4
 
 def load_scenario(spec: str) -> Scenario:
     """Preset name (scenario1..3) or a path to a scenario JSON file."""
-    if spec in PRESETS:
-        text = resources.files("csisense.presets").joinpath(f"{spec}.json").read_text()
-    else:
-        text = Path(spec).read_text()
+    path = (resources.files("csisense.presets").joinpath(f"{spec}.json") if spec in PRESETS
+            else Path(spec))
     try:
-        return Scenario.from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+        document = json.loads(path.read_text())
+    except ValueError as exc:     # a JSONDecodeError or a UnicodeDecodeError
         raise ConfigError(f"{spec}: invalid JSON: {exc}") from exc
+    return Scenario.from_dict(document)
 
 
-def _scenario_with(args, scenario: Scenario) -> Scenario:
-    """Apply variant flags on top of a config; --no-los sets los_gain to 0."""
+def _scenario(args) -> Scenario:
+    """--scenario with the variant flags applied; --no-los sets los_gain to 0."""
+    scenario = load_scenario(args.scenario)
     kwargs = {}
     if args.no_los:
         kwargs["los_gain"] = 0.0
@@ -112,18 +114,27 @@ def sizes(text: str) -> list[float]:
     return values
 
 
-def _load_model(path: str, task: str | None = None, use: str = "") -> nn.TrainedModel:
-    """Load a model artifact; `use` needs a `task` model when `task` is given."""
+def _load_model(path: str, task: str | None, use: str, threshold: float | None) -> nn.TrainedModel:
+    """Load a model artifact; `use` needs a `task` model when `task` is given,
+    and a given `threshold` replaces the model's."""
     model = nn.load_model(path)
     if task is not None and model.task != task:
         raise ConfigError(f"{use} needs a {task} model, {path} is a {model.task} model")
+    if threshold is not None:
+        model.threshold = threshold
     return model
+
+
+def _distinct_from_out(args, flag: str, path: str | None) -> None:
+    """A second output file must not be --out's, or one write would replace the other."""
+    if path is not None and Path(path).resolve() == Path(args.out).resolve():
+        raise ConfigError(f"{flag} and --out name the same file {path}")
 
 
 def cmd_gen(args) -> int:
     if args.paper_scale and args.n is not None:
         raise ConfigError("--paper-scale sets --n; give one of them")
-    scenario = _scenario_with(args, load_scenario(args.scenario))
+    scenario = _scenario(args)
     if args.protocol == "resolution":
         for flag, given in (("--pitch", args.pitch is not None), ("--bin-jitter", args.bin_jitter)):
             if given:
@@ -147,51 +158,33 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = dataset_mod.load_dataset(args.data)
-    train_model, log = fit(
-        ds,
-        task=args.task,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        seed=args.seed,
-        patience=args.patience,
-        val_fraction=args.val_frac,
-    )
-    nn.save_model(args.out, train_model)
-    log_path = args.log if args.log else str(args.out) + ".log.csv"
-    with open(log_path, "w") as fp:
+    _distinct_from_out(args, "--log", args.log)
+    config = nn.TrainConfig(task=args.task, batch_size=args.batch, learning_rate=args.lr,
+                            epochs=args.epochs, seed=args.seed, patience=args.patience)
+    train_model, log = fit(dataset_mod.load_dataset(args.data), config, args.val_frac)
+    # the log first: a failed write must not leave a model the other commands read
+    with open(args.log or f"{args.out}.log.csv", "w") as fp:
         nn.write_training_log(fp, log)
+    nn.save_model(args.out, train_model)
     last = log[-1]
-    print(f"trained {args.task} model: {len(log)} epochs, "
+    print(f"trained {config.task} model: {len(log)} epochs, "
           f"val_loss={last.val_loss:.6g}, val_metric={last.val_metric:.6g}")
     print(f"model -> {args.out}")
     return EXIT_OK
 
 
-def fit(
-    ds: dataset_mod.Dataset,
-    task: str,
-    epochs: int = 40,
-    batch_size: int = 32,
-    learning_rate: float = 1e-3,
-    seed: int = 0,
-    patience: int = 0,
-    val_fraction: float = dataset_mod.VAL_FRACTION,
-) -> tuple[nn.TrainedModel, list[nn.LogEntry]]:
+def fit(ds: dataset_mod.Dataset, config: nn.TrainConfig,
+        val_fraction: float = dataset_mod.VAL_FRACTION
+        ) -> tuple[nn.TrainedModel, list[nn.LogEntry]]:
     """Split, normalize on the training side only, and train one head."""
-    config = nn.TrainConfig(
-        task=task, batch_size=batch_size, learning_rate=learning_rate,
-        epochs=epochs, seed=seed, patience=patience,
-    )
-    train_idx, val_idx = dataset_mod.split(ds, (1.0 - val_fraction, val_fraction), seed)
-    if task == "locate":
+    train_idx, val_idx = dataset_mod.split(ds, val_fraction, config.seed)
+    if config.task == "locate":
         train_idx, val_idx = train_idx[ds.target[train_idx]], val_idx[ds.target[val_idx]]
     if not len(train_idx):
-        raise ConfigError(f"no usable records for task {task!r}")
+        raise ConfigError(f"no usable records for task {config.task!r}")
 
     def arrays(idx: np.ndarray):
-        y = ds.target[idx].astype(float) if task == "detect" else ds.xy[idx]
+        y = ds.target[idx].astype(float) if config.task == "detect" else ds.xy[idx]
         return ds.tensors[idx], y
 
     # only the split's rows are read, each into one array normalized in place
@@ -216,10 +209,8 @@ def cmd_eval(args) -> int:
     gamma = 0.9 if args.gamma is None else args.gamma
     # --sigmas and --threshold score detections, so they need a detect model
     flag = "--sigmas" if sigmas else "--threshold" if args.threshold is not None else None
-    model = _load_model(args.model, "detect" if flag else None, flag or "")
-    if args.threshold is not None:
-        model.threshold = args.threshold
-    scenario = _scenario_with(args, load_scenario(args.scenario))
+    model = _load_model(args.model, "detect" if flag else None, flag or "", args.threshold)
+    scenario = _scenario(args)
     drops = args.drops if args.drops is not None else (700 if model.task == "detect" else 1000)
     if model.task == "detect":
         if sigmas:
@@ -250,12 +241,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    _distinct_from_out(args, "--pgm", args.pgm)
     if args.paper_scale and args.drops_per_bin is not None:
         raise ConfigError("--paper-scale sets --drops-per-bin; give one of them")
-    model = _load_model(args.model, "detect", "coverage")
-    if args.threshold is not None:
-        model.threshold = args.threshold
-    scenario = _scenario_with(args, load_scenario(args.scenario))
+    model = _load_model(args.model, "detect", "coverage", args.threshold)
+    scenario = _scenario(args)
     drops = args.drops_per_bin if args.drops_per_bin is not None else (
         700 if args.paper_scale else 30)
     cmap = metrics_mod.coverage_map(model, scenario, args.sigma, drops, args.pitch, args.seed)
@@ -271,13 +261,13 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    scenario = _scenario_with(args, load_scenario(args.scenario))
+    scenario = _scenario(args)
     banks = []
     if args.variant in ("swept7", "both"):
         banks.append(baseline_mod.swept_bank(scenario))
     if args.variant in ("overlapped180", "both"):
         banks.append(baseline_mod.overlapped_bank())
-    model = _load_model(args.model, "locate", "baseline --model") if args.model else None
+    model = _load_model(args.model, "locate", "baseline --model", None) if args.model else None
     results = metrics_mod.drop_positions(scenario, args.sigma, args.drops, args.seed,
                                          banks, model)
     with open(args.out, "w") as fp:
@@ -312,12 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", parents=[common],
                        help="train a detection or positioning model")
     t.add_argument("--data", required=True)
-    t.add_argument("--task", choices=("detect", "locate"), default="detect")
+    t.add_argument("--task", choices=tuple(nn.TASK_LOSS), default=nn.TrainConfig.task)
     t.add_argument("--log", default=None)
-    t.add_argument("--epochs", type=number("--epochs", int, 1), default=40)
-    t.add_argument("--batch", type=number("--batch", int, 1), default=32)
-    t.add_argument("--lr", type=number("--lr", low=0.0), default=1e-3)
-    t.add_argument("--patience", type=number("--patience", int, 0), default=0)
+    t.add_argument("--epochs", type=number("--epochs", int, 1), default=nn.TrainConfig.epochs)
+    t.add_argument("--batch", type=number("--batch", int, 1),
+                   default=nn.TrainConfig.batch_size)
+    t.add_argument("--lr", type=number("--lr", low=0.0), default=nn.TrainConfig.learning_rate)
+    t.add_argument("--patience", type=number("--patience", int, 0),
+                   default=nn.TrainConfig.patience)
     t.add_argument("--val-frac", type=number("--val-frac", low=0.0, high=1.0),
                    default=dataset_mod.VAL_FRACTION,
                    help=f"validation share of the split (default {dataset_mod.VAL_FRACTION})")

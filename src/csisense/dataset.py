@@ -448,18 +448,16 @@ def gen_binned_set(
     return manifest
 
 
-def split(
-    dataset: Dataset, fractions: tuple[float, float], seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def split(dataset: Dataset, val_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Stratified train/validation split as sorted (train, val) row indices;
-    disjoint and exhaustive.
+    disjoint and exhaustive, about `val_fraction` of each stratum validating.
 
     Strata are the hypothesis, refined by bin for binned protocols, taken in
     (null before target, ascending bin) order with one shuffle each.
     """
-    f_train, f_val = fractions
-    if not (f_train >= 0 and f_val >= 0 and abs(f_train + f_val - 1.0) <= 1e-9):
-        raise ConfigError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
+    if not 0.0 <= val_fraction <= 1.0:
+        raise ConfigError(f"validation fraction must be in [0, 1], got {val_fraction}")
+    f_train = 1.0 - val_fraction
     key = dataset.target * (int(dataset.bin.max(initial=-1)) + 2) + dataset.bin + 1
     order = np.argsort(key, kind="stable")
     rng = np.random.default_rng(seed)
@@ -525,21 +523,24 @@ def _read_labels(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     target, values, seed = bytearray(), array("d"), array("Q")
     with open(path, newline="") as fc:
         rows = csv.reader(fc)
-        if next(rows, None) != LABEL_COLUMNS:
-            raise ConfigError(f"{path}: header is not {','.join(LABEL_COLUMNS)}")
-        for i, row in enumerate(rows):
-            try:
-                index, hyp, x, y, sigma, s = row
-                if index != str(i):
-                    raise ValueError(f"index {index!r} is not the row number")
-                if hyp not in (HYP_NULL, HYP_TARGET):
-                    raise ValueError(f"hyp {hyp!r}")
-                target.append(hyp == HYP_TARGET)
-                point = (float(x), float(y), float(sigma)) if target[-1] else (math.nan,) * 3
-                values.extend(point)
-                seed.append(int(s))
-            except (ValueError, OverflowError) as exc:
-                raise ConfigError(f"{path}: row {i}: {exc}") from exc
+        try:
+            if next(rows, None) != LABEL_COLUMNS:
+                raise ConfigError(f"{path}: header is not {','.join(LABEL_COLUMNS)}")
+            for i, row in enumerate(rows):
+                try:
+                    index, hyp, x, y, sigma, s = row
+                    if index != str(i):
+                        raise ValueError(f"index {index!r} is not the row number")
+                    if hyp not in (HYP_NULL, HYP_TARGET):
+                        raise ValueError(f"hyp {hyp!r}")
+                    target.append(hyp == HYP_TARGET)
+                    point = (float(x), float(y), float(sigma)) if target[-1] else (math.nan,) * 3
+                    values.extend(point)
+                    seed.append(int(s))
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(f"{path}: row {i}: {exc}") from exc
+        except UnicodeDecodeError as exc:    # raised as the csv reader reads the file
+            raise ConfigError(f"{path}: {exc}") from exc
     values = np.frombuffer(values, dtype=float).reshape(-1, 3)
     return (np.frombuffer(target, dtype=bool), values[:, :2], values[:, 2],
             np.frombuffer(seed, dtype=np.uint64))
@@ -583,12 +584,15 @@ def load_dataset(path: str | Path) -> Dataset:
     src = Path(path)
     try:
         with open(src / "manifest.json") as fp:
-            manifest = DatasetManifest.from_dict(json.load(fp), str(src / "manifest.json"))
+            document = json.load(fp)
     except FileNotFoundError:
         if not src.is_dir():
             raise
         raise ConfigError(f"{src}: no manifest.json: not a dataset, or its writing "
                           f"did not finish") from None
+    except ValueError as exc:     # a JSONDecodeError or a UnicodeDecodeError
+        raise ConfigError(f"{src / 'manifest.json'}: malformed manifest: {exc}") from exc
+    manifest = DatasetManifest.from_dict(document, str(src / "manifest.json"))
     target, xy, sigma, seed = _read_labels(src / "labels.csv")
     frames = FrameFile(src / "frames.bin", _frame_meta(manifest.scenario))
     if len(frames) != len(target):

@@ -177,8 +177,7 @@ class FrameFile:
 
     def __getitem__(self, rows: slice | np.ndarray) -> np.ndarray:
         """Frames of the rows named by a slice or by integer indices, in that order."""
-        idx = (np.arange(*rows.indices(len(self))) if isinstance(rows, slice)
-               else np.arange(len(self))[rows])
+        idx = np.arange(len(self))[rows]
         order = np.argsort(idx, kind="stable")
         wanted = idx[order]
         chunk = wanted // self._per

@@ -397,10 +397,7 @@ def train(
         train_loss = epoch_loss / n
 
         if validation is not None and len(validation[0]):
-            val_loss, val_metric = _eval_loss(
-                params, np.asarray(validation[0], dtype=float),
-                np.asarray(validation[1], dtype=float),
-            )
+            val_loss, val_metric = _eval_loss(params, *validation)
             if not math.isfinite(val_loss):
                 raise NonFiniteLoss(f"non-finite validation loss at epoch {epoch}")
             if val_loss < best_val:

@@ -20,6 +20,7 @@ from csisense.dataset import gen_binned_set, gen_resolution_set, load_dataset
 from csisense.geometry import Point2D
 from csisense.sensenet import (
     Architecture,
+    TrainConfig,
     conv2d,
     init_params,
     loss_and_grads,
@@ -194,7 +195,8 @@ def detection_table(tmp_path_factory):
             seed = 1000 + 17 * li + int(sigma * 10)
             out = tmp_path_factory.mktemp("detect")
             gen_resolution_set(scenario, sigma, TRAIN_DROPS, seed, out)
-            model, _ = fit(load_dataset(out), "detect", epochs=150, seed=3, patience=40)
+            model, _ = fit(load_dataset(out),
+                           TrainConfig("detect", epochs=150, seed=3, patience=40))
             fa, miss = metrics_mod.detection_counts(
                 model, scenario, sigma, TEST_DROPS, seed + 500000)
             table[(li, sigma)] = metrics_mod.accuracy_score(fa, miss, TEST_DROPS)
@@ -230,7 +232,7 @@ def coverage_maps(tmp_path_factory):
     for sigma in (0.8, 0.5):
         out = tmp_path_factory.mktemp("coverage")
         gen_binned_set(scenario, sigma, 5, 0.25, 31, out, protocol="coverage")
-        model, _ = fit(load_dataset(out), "detect", epochs=80, seed=5, patience=25)
+        model, _ = fit(load_dataset(out), TrainConfig("detect", epochs=80, seed=5, patience=25))
         maps[sigma] = metrics_mod.coverage_map(model, scenario, sigma, 30, 0.5, 5151)
     return scenario, maps
 
@@ -272,7 +274,7 @@ def positioning_runs(tmp_path_factory):
     scenario = load_scenario("scenario1")
     out = tmp_path_factory.mktemp("positioning")
     gen_binned_set(scenario, 0.8, 10, 0.25, 21, out, protocol="positioning")
-    model, _ = fit(load_dataset(out), "locate", epochs=40, seed=5, patience=10)
+    model, _ = fit(load_dataset(out), TrainConfig("locate", epochs=40, seed=5, patience=10))
     drops_seed = 4242
     banks = (baseline_mod.swept_bank(scenario), baseline_mod.overlapped_bank())
     swept, overlapped, net = metrics_mod.drop_positions(

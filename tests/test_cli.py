@@ -1,6 +1,7 @@
 import argparse
 import copy
 import dataclasses
+import io
 import json
 import math
 import struct
@@ -19,7 +20,8 @@ from csisense.channel import Scenario
 from csisense.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERIC, PRESETS, fit, load_scenario, main
 from csisense.errors import ConfigError
 from csisense.frame import FrameFile, NormStats
-from csisense.sensenet import Architecture, TrainedModel, init_params, load_model, save_model
+from csisense.sensenet import (Architecture, TrainConfig, TrainedModel, init_params, load_model,
+                               save_model, write_training_log)
 
 DATA = Path(__file__).parent / "data"
 
@@ -248,12 +250,14 @@ class TestGen:
         (lambda s: {**s, "receivers": [{**s["receivers"][0], "n_antennas": 4},
                                        s["receivers"][1]]},
          "key 'receivers[0].n_antennas'"),
+        # json_bytes writes the lone surrogate as the byte 0xf6; the error used to name no file
+        (lambda s: {**s, "name": "tiny\udcf6"}, "codec can't decode byte 0xf6"),
     ], ids=["list", "null", "string", "float-n_clusters", "float-n_rays", "float-n_scatter",
             "bool-n_clusters", "float-env_seed", "bool-n_antennas", "float-n_antennas",
             "zero-n_antennas", "empty-beam_angles", "negative-cluster_spread_deg",
             "string-tx", "string-boresight", "false-beam_angle", "int-name", "bool-snr_db",
             "bool-grid_pitch", "negative-env_seed", "overflowing-snr_db", "tx_omni",
-            "narrowband", "include_los", "receiver-n_antennas"])
+            "narrowband", "include_los", "receiver-n_antennas", "not-utf8"])
     @pytest.mark.parametrize("where", ["scenario", "manifest"])
     def test_malformed_scenario_json_exits_2(self, tmp_path, scenario_file, capsys, where,
                                              document, message):
@@ -263,14 +267,16 @@ class TestGen:
         needles = [message]
         if where == "scenario":
             path = tmp_path / "bad.json"
-            path.write_text(json.dumps(scenario))
+            path.write_bytes(json_bytes(scenario))
             argv = ["gen", "--scenario", str(path), "--n", "2", "--out", str(out)]
+            if "decode" in message:     # a file that does not decode is named
+                needles.append(f"{path}: invalid JSON: ")
         else:
             data = tiny_dataset(tmp_path / "ds", scenario_file)
             manifest_path = tmp_path / "ds" / "manifest.json"
             manifest = json.loads(manifest_path.read_text())
             manifest["scenario"] = scenario
-            manifest_path.write_text(json.dumps(manifest))
+            manifest_path.write_bytes(json_bytes(manifest))
             argv = ["train", "--data", data, "--epochs", "1", "--out", str(out)]
             # a key is named by its path in the manifest
             needles = [message.replace("key '", "key 'scenario."),
@@ -412,6 +418,47 @@ class TestTrainEvalFlow:
         assert rc == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: {model}: truncated model header\n"
 
+    def test_flag_defaults_are_the_train_config_defaults(self, tmp_path, dataset_dir):
+        # a train flag's default that drifted from TrainConfig's would train another model,
+        # or the same best checkpoint after another number of epochs
+        model, want = tmp_path / "m.csnn", tmp_path / "want.csnn"
+        assert main(["train", "--data", str(dataset_dir), "--out", str(model)]) == 0
+        trained, log = fit(dataset_mod.load_dataset(dataset_dir), TrainConfig())
+        save_model(want, trained)
+        assert model.read_bytes() == want.read_bytes()
+        text = io.StringIO()
+        write_training_log(text, log)
+        assert (tmp_path / "m.csnn.log.csv").read_text() == text.getvalue()
+        args = cli.build_parser().parse_args(["train", "--data", "d", "--out", "m"])
+        assert args.val_frac == dataset_mod.VAL_FRACTION
+
+    @pytest.mark.parametrize("command", ["train", "coverage"])
+    def test_second_output_on_out_exits_2(self, tmp_path, scenario_file, dataset_dir, capsys,
+                                          command):
+        # train --log X --out X used to leave the log at X after printing "model -> X",
+        # and coverage --pgm X --out X the PGM
+        out = tmp_path / "x"
+        if command == "train":
+            argv = ["train", "--data", str(dataset_dir), "--epochs", "1", "--log", str(out)]
+        else:
+            argv = ["coverage", "--model", untrained_model(tmp_path / "det.csnn", "detect"),
+                    "--scenario", scenario_file, "--sigma", "0.4", "--pitch", "1.0",
+                    "--drops-per-bin", "2", "--pgm", f"{tmp_path}/./x"]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        flag = "--log" if command == "train" else "--pgm"
+        assert_one_line_error(capsys, f"{flag} and --out name the same file")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_log_write_leaves_no_model(self, tmp_path, dataset_dir, capsys):
+        # the model used to be written first, and stayed when the log could not be
+        model = tmp_path / "m.csnn"
+        rc = main(["train", "--data", str(dataset_dir), "--epochs", "1",
+                   "--log", str(tmp_path / "missing" / "log.csv"), "--out", str(model)])
+        assert rc == EXIT_IO
+        assert_one_line_error(capsys, "missing")
+        assert not model.exists()
+
     def test_validation_read_error_propagates(self, dataset_dir, monkeypatch):
         # frames.bin is emptied before the second read, the validation split's:
         # its error is not taken for a split without validation rows
@@ -425,7 +472,7 @@ class TestTrainEvalFlow:
             return read(frames, rows)
         monkeypatch.setattr(FrameFile, "__getitem__", failing_read)
         with pytest.raises(ConfigError, match="shorter than when it was opened"):
-            fit(ds, "detect", epochs=1)
+            fit(ds, TrainConfig("detect", epochs=1))
         assert len(calls) == 2
 
     @pytest.mark.parametrize("config,message", [
@@ -442,13 +489,13 @@ class TestTrainEvalFlow:
         # TrainConfig checks what fit() callers pass; the train flags check their own
         ds = dataset_mod.load_dataset(dataset_dir)
         with pytest.raises(ConfigError) as exc:
-            fit(ds, **{"task": "detect", **config})
+            fit(ds, TrainConfig(**{"task": "detect", **config}))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("task", ["detect", "locate"])
     def test_split_without_validation_rows_trains(self, dataset_dir, task):
         ds = dataset_mod.load_dataset(dataset_dir)
-        model, log = fit(ds, task, epochs=2, val_fraction=0.0)
+        model, log = fit(ds, TrainConfig(task, epochs=2), val_fraction=0.0)
         assert model.task == task and len(log) == 2
         assert all(math.isnan(e.val_loss) and math.isnan(e.val_metric) for e in log)
 
@@ -573,6 +620,12 @@ def tiny_dataset(path, scenario_file):
     assert main(["gen", "--scenario", scenario_file, "--n", "4", "--seed", "1",
                  "--out", str(path)]) == 0
     return str(path)
+
+
+def json_bytes(document) -> bytes:
+    """`document` as JSON text whose lone surrogates, such as "\udcf6", are the
+    bytes they escape (0xf6), so a test can write a file that is not UTF-8."""
+    return json.dumps(document, ensure_ascii=False).encode("utf-8", "surrogateescape")
 
 
 def assert_one_line_error(capsys, *needles):
@@ -1037,6 +1090,14 @@ class TestBadDataset:
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, "labels.csv: row 1: index '2' is not the row number")
 
+    def test_labels_not_utf8_exits_2(self, tmp_path, dataset_dir, capsys):
+        # the error used to name no file
+        labels = dataset_dir / "labels.csv"
+        labels.write_bytes(labels.read_bytes().replace(b"target", b"t\xf6rget", 1))
+        assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
+        assert_one_line_error(capsys, f"{labels}: ", "codec can't decode byte 0xf6")
+        assert not (tmp_path / "m.csnn").exists()
+
     def test_target_row_without_xy(self, tmp_path, dataset_dir, capsys):
         labels = dataset_dir / "labels.csv"
         lines = labels.read_text().splitlines(keepends=True)
@@ -1068,16 +1129,20 @@ class TestBadDataset:
         # once written to every manifest; train --val-frac sets the split
         (lambda m: m.update(split_fractions=[0.7, 0.3]), "unknown manifest key 'split_fractions'"),
         (lambda m: m.update(bin_jitter=True), "bin_jitter with protocol 'resolution'"),
+        # each used to name no file; a change that returns bytes writes them as the file
+        (lambda m: b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (lambda m: m.update(protocol="resolution\udcf6"), "codec can't decode byte 0xf6"),
     ], ids=["no-protocol", "unknown-key", "unknown-scenario-key", "unknown-receiver-key",
             "no-scenario-name", "null-n_per_hyp", "zero-n_per_hyp", "unknown-protocol",
             "nan-sigma", "zero-sigma", "negative-sigma", "binned-without-pitch",
             "resolution-with-pitch", "negative-master_seed", "zero-count_null",
-            "count_target-off-n_per_hyp", "split_fractions", "resolution-with-jitter"])
+            "count_target-off-n_per_hyp", "split_fractions", "resolution-with-jitter",
+            "not-json", "not-utf8"])
     def test_malformed_manifest_exits_2(self, tmp_path, dataset_dir, capsys, change, message):
         path = dataset_dir / "manifest.json"
         manifest = json.loads(path.read_text())
-        change(manifest)
-        path.write_text(json.dumps(manifest))
+        raw = change(manifest)
+        path.write_bytes(raw if isinstance(raw, bytes) else json_bytes(manifest))
         assert self.train(tmp_path, dataset_dir) == EXIT_CONFIG
         assert_one_line_error(capsys, f"{path}: malformed manifest: ", message)
         assert not (tmp_path / "m.csnn").exists()

@@ -254,26 +254,26 @@ def split_oracle(ds, fractions, seed):
 class TestSplit:
     def test_stratified_70_30(self, tmp_path):
         ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 20, 1)
-        train, val = split(ds, (0.7, 0.3), 42)
+        train, val = split(ds, 0.3, 42)
         assert len(train) == 28 and len(val) == 12
         for part, n in ((train, 14), (val, 6)):
             assert ds.target[part].sum() == n and (~ds.target[part]).sum() == n
 
     def test_degenerate_fraction(self, tmp_path):
         ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 5, 1)
-        train, val = split(ds, (1.0, 0.0), 0)
+        train, val = split(ds, 0.0, 0)
         assert len(train) == 10 and len(val) == 0
 
     def test_union_is_original(self, tmp_path):
         ds = on_disk(tmp_path, gen_resolution_set, fast_scenario(), 0.8, 9, 1)
-        train, val = split(ds, (0.7, 0.3), 7)
+        train, val = split(ds, 0.3, 7)
         assert sorted(np.concatenate([train, val]).tolist()) == list(range(len(ds)))
         assert train.tolist() == sorted(train.tolist())
         assert val.tolist() == sorted(val.tolist())
 
     def test_binned_split_stratifies_bins(self, tmp_path):
         ds = on_disk(tmp_path, gen_binned_set, fast_scenario(), 0.8, 4, 1.0, 5)
-        train, val = split(ds, (0.5, 0.5), 3)
+        train, val = split(ds, 0.5, 3)
         for part in (train, val):
             per_bin = Counter(zip(ds.bin[part].tolist(), ds.target[part].tolist()))
             assert all(v == 2 for v in per_bin.values())
@@ -283,7 +283,7 @@ class TestSplit:
         s = fast_scenario()
         ds = on_disk(tmp_path, gen_binned_set, s, 0.8, 3, 1.0, 5) if binned \
             else on_disk(tmp_path, gen_resolution_set, s, 0.8, 7, 5)
-        train, val = split(ds, (0.7, 0.3), 11)
+        train, val = split(ds, 0.3, 11)
         assert (train.tolist(), val.tolist()) == split_oracle(ds, (0.7, 0.3), 11)
 
 
